@@ -6,12 +6,14 @@ reduces to a 6-dimensional linear eigenproblem in the state vector
 into one global boundary matrix (free-surface source rows, interface
 continuity rows, substrate decay selection), and the surface response to a
 unit normal surface stress is solved directly.  Surface modes are the real
-poles of that response along the velocity axis: the mode finder scans
-Re(1/u3) for sign changes and refines them by bisection.
+poles of that response along the velocity axis: the mode finder brackets
+sign changes of Im(1/u3), from windows around velocity hints or from a
+velocity scan, and refines them with Chandrupatla's bracketed
+inverse-quadratic/bisection method.
 
 Evaluating the response instead of a raw boundary determinant keeps the
 mode indicator independent of eigenvector normalization, which is what
-makes bracketed bisection reliable here.
+makes bracketed root finding reliable here.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .materials import (
 )
 
 DEFAULT_SCAN_STEP = 5.0  # m/s
-DEFAULT_REL_TOL = 1e-12  # relative bisection width at which a root is accepted
+DEFAULT_REL_TOL = 1e-12  # relative bracket width at which a root is accepted
 _PROP_TOL = 1e-8  # |Im alpha| below this (relative) counts as propagating
 _RESIDUAL_TOL = 1e-8  # eigenpair residual above this marks a defective point
 _CONTINUITY_JUMP = 0.05  # adjacent curve points differing more raise a flag
@@ -466,13 +468,11 @@ def _pole_indicator(g33: np.ndarray) -> np.ndarray:
     Below the substrate threshold no energy radiates, so the displacement
     response is in phase with the stress source; with the source applied in
     scaled traction units (one factor of i*k absorbed) u3 comes out purely
-    imaginary and Im(1/u3) is the real, continuous mode indicator.
+    imaginary and Im(1/u3) is the real, continuous mode indicator.  It is
+    NaN where the response is undefined.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(np.isfinite(g33), 1.0, 0.0) / np.where(
-            np.isfinite(g33), g33, 1.0
-        )
-    return np.imag(q)
+        return np.imag(1.0 / g33)
 
 
 def boundary_matrix(stack: LayerStack, omega: float, k: float) -> "BoundaryMatrix":
@@ -577,116 +577,97 @@ def _grid_indicator(
     return out
 
 
-def _bisect_roots(
-    prep: _Prepared,
-    freqs: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    q_lo: np.ndarray,
-    rel_tol: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized sign-change bisection of the pole indicator.
+def _indicator(prep: _Prepared, freqs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Pole indicator at (frequency, velocity) pairs in one batch.
 
-    Returns (roots, |q| at the final midpoints) for acceptance filtering.
+    A point with no finite value is evaluated once more at v * (1 + 1e-9).
     """
-    lo = lo.copy()
-    hi = hi.copy()
-    q_lo = q_lo.copy()
-    mid = 0.5 * (lo + hi)
-    q_mid = np.zeros_like(mid)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        k = 2.0 * math.pi * freqs / mid
-        q_mid = _pole_indicator(_g33(prep, mid, k))
-        nan = ~np.isfinite(q_mid)
-        if nan.any():
-            bump = mid * (1.0 + 1e-9)
-            q_bump = _pole_indicator(
-                _g33(prep, bump[nan], 2.0 * math.pi * freqs[nan] / bump[nan])
+    q = _pole_indicator(_g33(prep, v, 2.0 * math.pi * freqs / v))
+    nan = ~np.isfinite(q)
+    if nan.any():
+        bump = v[nan] * (1.0 + 1e-9)
+        q[nan] = _pole_indicator(_g33(prep, bump, 2.0 * math.pi * freqs[nan] / bump))
+    return q
+
+
+def _chandrupatla(
+    prep: _Prepared, freqs: np.ndarray, v: np.ndarray, q: np.ndarray, rel_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of the pole indicator in sign-changing brackets.
+
+    ``v`` holds the ends of each bracket, shape (n, 2), and ``q`` the
+    indicator there.  Chandrupatla's method (Adv. Eng. Software 28(3),
+    145-149, 1997), vectorised over the brackets still open: an
+    inverse-quadratic step where the last three points allow it, a bisection
+    step otherwise.  A bracket closes when its width is at most
+    max(rel_tol * v, 8 * spacing(v)).  Returns (roots, accepted).  A pole of
+    q (a zero of u3) changes sign too, but |q| grows towards it, so a root is
+    accepted only where |q| ended below its value at both starting ends.
+    """
+    roots = np.empty(len(v))
+    accepted = np.zeros(len(v), dtype=bool)
+    q_start = np.abs(q).min(axis=1)
+    # x1 is the newest point, x2 the other end of the bracket and x3 the
+    # point the last step dropped from it
+    idx, (x1, x2), (f1, f2) = np.arange(len(v)), v.T, q.T
+    t = np.full(len(v), 0.5)
+    while idx.size:
+        x = x1 + t * (x2 - x1)
+        f = _indicator(prep, freqs[idx], x)
+        same = (f > 0) == (f1 > 0)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, f
+        width = np.abs(x2 - x1)
+        hi = np.maximum(x1, x2)
+        tol = np.maximum(rel_tol * hi, 8.0 * np.spacing(hi))
+        done = width <= tol
+        roots[idx[done]] = np.where(np.abs(f1) < np.abs(f2), x1, x2)[done]
+        q_end = np.fmin(np.abs(f1), np.abs(f2))
+        accepted[idx[done]] = q_end[done] < q_start[idx[done]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            t = np.where(
+                iqi,
+                f1 / (f1 - f2) * f3 / (f3 - f2)
+                - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3),
+                0.5,
             )
-            q_mid[nan] = q_bump
-        same = (q_mid > 0) == (q_lo > 0)
-        lo = np.where(same, mid, lo)
-        q_lo = np.where(same, q_mid, q_lo)
-        hi = np.where(same, hi, mid)
-        width = hi - lo
-        if np.all(width <= np.maximum(rel_tol * hi, 8.0 * np.spacing(hi))):
-            break
-    return 0.5 * (lo + hi), np.abs(q_mid)
+        t_min = 0.5 * tol / width
+        t = np.clip(t, t_min, 1.0 - t_min)
+        keep = ~done
+        idx, x1, f1, x2, f2, t = (a[keep] for a in (idx, x1, f1, x2, f2, t))
+    return roots, accepted
 
 
-def _roots_from_scan(
+def _settle(
     prep: _Prepared,
     freqs: np.ndarray,
-    grid: np.ndarray,
+    roots: np.ndarray,
+    owner: np.ndarray,
+    v: np.ndarray,
     q: np.ndarray,
     rel_tol: float,
-) -> tuple[np.ndarray, list[int]]:
-    """Lowest accepted root per frequency from a scanned indicator table."""
-    nf = freqs.size
-    roots = np.full(nf, np.nan)
-    brackets: list[list[tuple[float, float, float, float]]] = []
-    qs = np.where(q == 0.0, np.finfo(float).tiny, q)
-    for jf in range(nf):
-        col = qs[:, jf]
-        ok = np.isfinite(col)
-        cand = []
-        for i in range(grid.size - 1):
-            if ok[i] and ok[i + 1] and (col[i] > 0) != (col[i + 1] > 0):
-                cand.append((grid[i], grid[i + 1], col[i], col[i + 1]))
-        brackets.append(cand)
+) -> None:
+    """Set roots[j] to the lowest accepted root among frequency j's brackets.
 
-    pending = {jf: 0 for jf in range(nf) if brackets[jf]}
-    while pending:
-        idx = sorted(pending)
-        lo = np.array([brackets[j][pending[j]][0] for j in idx])
-        hi = np.array([brackets[j][pending[j]][1] for j in idx])
-        q_lo = np.array([brackets[j][pending[j]][2] for j in idx])
-        q_hi = np.array([brackets[j][pending[j]][3] for j in idx])
-        r, q_end = _bisect_roots(prep, freqs[idx], lo, hi, q_lo, rel_tol)
-        for pos, j in enumerate(idx):
-            # a pole of the indicator (zero of u3) blows up instead of shrinking
-            if q_end[pos] < min(abs(q_lo[pos]), abs(q_hi[pos])):
-                roots[j] = r[pos]
-                del pending[j]
-            else:
-                pending[j] += 1
-                if pending[j] >= len(brackets[j]):
-                    del pending[j]
-    failures = [jf for jf in range(nf) if not np.isfinite(roots[jf])]
-    return roots, failures
-
-
-def _roots_from_hints(
-    prep: _Prepared,
-    freqs: np.ndarray,
-    hints: np.ndarray,
-    rel_tol: float,
-    scan_step: float,
-) -> np.ndarray:
-    """Try local brackets around per-frequency velocity hints; NaN where none."""
-    roots = np.full(freqs.size, np.nan)
-    open_idx = np.arange(freqs.size)
-    for half_width in (0.5 * scan_step, 2.0 * scan_step, 8.0 * scan_step):
-        if open_idx.size == 0:
+    Candidate brackets (ends ``v`` and indicator ``q``, shape (n, 2)) come
+    grouped by ascending ``owner``, an index into ``freqs``, each group in
+    ascending velocity.  Those whose ends do not have strictly opposite
+    signs are dropped.  Round r refines the r-th bracket of every frequency
+    still without a root, all in one batch.
+    """
+    keep = np.sign(q).prod(axis=1) < 0
+    owner, v, q = owner[keep], v[keep], q[keep]
+    rank = np.arange(owner.size) - np.searchsorted(owner, owner)
+    for r in range(rank.max(initial=-1) + 1):
+        sel = np.flatnonzero((rank == r) & np.isnan(roots[owner]))
+        if not sel.size:
             break
-        lo = np.maximum(hints[open_idx] - half_width, prep.v_floor)
-        hi = np.minimum(hints[open_idx] + half_width, prep.v_ceiling * (1 - 1e-9))
-        f = freqs[open_idx]
-        q_lo = _pole_indicator(_g33(prep, lo, 2.0 * math.pi * f / lo))
-        q_hi = _pole_indicator(_g33(prep, hi, 2.0 * math.pi * f / hi))
-        good = (
-            np.isfinite(q_lo) & np.isfinite(q_hi) & ((q_lo > 0) != (q_hi > 0))
-        )
-        if good.any():
-            sel = open_idx[good]
-            r, q_end = _bisect_roots(
-                prep, freqs[sel], lo[good], hi[good], q_lo[good], rel_tol
-            )
-            accept = q_end < np.minimum(np.abs(q_lo[good]), np.abs(q_hi[good]))
-            roots[sel[accept]] = r[accept]
-            open_idx = np.array([j for j in open_idx if not np.isfinite(roots[j])])
-    return roots
+        x, ok = _chandrupatla(prep, freqs[owner[sel]], v[sel], q[sel], rel_tol)
+        roots[owner[sel[ok]]] = x[ok]
 
 
 def _find_modes(
@@ -696,18 +677,33 @@ def _find_modes(
     scan_step: float,
     rel_tol: float,
 ) -> tuple[np.ndarray, list[int], _Prepared, np.ndarray]:
+    """Lowest accepted root per frequency, NaN where none.
+
+    Brackets come from windows of half-width 0.5, 2 and 8 scan steps around
+    the hints, then, for frequencies still open, from the scan's cells.
+    """
     prep = _prepare(stack)
     freqs = np.asarray(frequencies, dtype=float)
     roots = np.full(freqs.size, np.nan)
-    if hints is not None:
-        roots = _roots_from_hints(prep, freqs, np.asarray(hints, float), rel_tol, scan_step)
-    open_idx = np.flatnonzero(~np.isfinite(roots))
+    top = prep.v_ceiling * (1.0 - 1e-9)
+    for half_width in () if hints is None else (0.5, 2.0, 8.0):
+        idx = np.flatnonzero(np.isnan(roots))
+        if not idx.size:
+            break
+        v = np.stack([np.maximum(hints[idx] - half_width * scan_step, prep.v_floor),
+                      np.minimum(hints[idx] + half_width * scan_step, top)], axis=1)
+        q = _indicator(prep, np.repeat(freqs[idx], 2), v.ravel()).reshape(-1, 2)
+        _settle(prep, freqs, roots, idx, v, q, rel_tol)
+    idx = np.flatnonzero(np.isnan(roots))
     grid = _scan_grid(prep, scan_step)
-    if open_idx.size:
-        q = _grid_indicator(prep, grid, freqs[open_idx])
-        scanned, _ = _roots_from_scan(prep, freqs[open_idx], grid, q, rel_tol)
-        roots[open_idx] = scanned
-    failures = [int(j) for j in np.flatnonzero(~np.isfinite(roots))]
+    if idx.size:
+        cells = np.lib.stride_tricks.sliding_window_view(grid, 2)
+        q = np.lib.stride_tricks.sliding_window_view(
+            _grid_indicator(prep, grid, freqs[idx]).T, 2, axis=1
+        )
+        _settle(prep, freqs, roots, np.repeat(idx, len(cells)),
+                np.tile(cells, (idx.size, 1)), q.reshape(-1, 2), rel_tol)
+    failures = [int(j) for j in np.flatnonzero(np.isnan(roots))]
     return roots, failures, prep, grid
 
 

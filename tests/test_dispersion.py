@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sawkit as sk
+from sawkit import dispersion
+from sawkit.cli import build_stack, fixture_config_path, load_config
 from sawkit.dispersion import DECAYING, GROWING, PROP_DOWN, PROP_UP
 from sawkit.errors import CurveError, FormatError, NoModeError
 from sawkit.materials import stiffness_from_isotropic
@@ -325,6 +329,140 @@ def test_hints_agree_with_scan(stack_1a, curve_1a):
     hinted = sk.dispersion_curve(stack_1a, freqs, hints=np.array(curve_1a.velocities))
     for a, b in zip(curve_1a.velocities, hinted.velocities):
         assert abs(a - b) / a < 1e-10
+
+
+# --- root finder against plain bisection ----------------------------------------
+
+FINDER_FREQS = np.array([50e6, 320e6, 900e6])
+
+
+def _indicator_at(prep, f, v):
+    v = np.atleast_1d(v)
+    return dispersion._pole_indicator(dispersion._g33(prep, v, 2 * math.pi * f / v))
+
+
+def _reference_bisect(prep, f, lo, hi, q_lo, q_hi):
+    """(root, accepted) in one bracket by one-point bisection.
+
+    The path the vectorised finder replaced: the bracket is halved down to
+    the default tolerance, and the root is accepted when |q| at the last
+    midpoint is below |q| at both ends, which rejects poles of the indicator.
+    """
+    q_start = min(abs(q_lo), abs(q_hi))
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        q_mid = _indicator_at(prep, f, mid)[0]
+        if (q_mid > 0) == (q_lo > 0):
+            lo, q_lo = mid, q_mid
+        else:
+            hi = mid
+        if hi - lo <= max(dispersion.DEFAULT_REL_TOL * hi, 8 * np.spacing(hi)):
+            break
+    return 0.5 * (lo + hi), abs(q_mid) < q_start
+
+
+def _scan_cells(prep, f):
+    """Ends and indicator values of the sign-changing cells of the scan."""
+    grid = dispersion._scan_grid(prep, dispersion.DEFAULT_SCAN_STEP)
+    q = _indicator_at(prep, f, grid)
+    i = np.flatnonzero(np.sign(q[:-1]) * np.sign(q[1:]) < 0)
+    return grid[i], grid[i + 1], q[i], q[i + 1]
+
+
+def _reference_roots(stack, freqs):
+    """Lowest accepted root per frequency, scan cells tried in ascending order."""
+    prep = dispersion._prepare(stack)
+    roots = np.full(len(freqs), np.nan)
+    for j, f in enumerate(freqs):
+        for cell in zip(*_scan_cells(prep, f)):
+            root, accepted = _reference_bisect(prep, f, *cell)
+            if accepted:
+                roots[j] = root
+                break
+    return roots
+
+
+def _check_finder(stack, freqs):
+    step, tol = dispersion.DEFAULT_SCAN_STEP, dispersion.DEFAULT_REL_TOL
+    cold, _, _, _ = dispersion._find_modes(stack, freqs, None, step, tol)
+    np.testing.assert_allclose(cold, _reference_roots(stack, freqs), rtol=1e-11)
+    hints = cold * (1 + 2e-4 * (-1.0) ** np.arange(len(freqs)))
+    hinted, _, _, _ = dispersion._find_modes(stack, freqs, hints, step, tol)
+    np.testing.assert_allclose(hinted, cold, rtol=1e-10)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    layers=st.lists(
+        st.tuples(
+            st.one_of(st.none(), st.floats(0.0, 1.0)),  # oxide, or SiGe with this c_ge
+            st.floats(0.1e-6, 3e-6),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_finder_matches_bisection_random_stacks(layers, silicon, oxide, geom):
+    stack = sk.LayerStack(
+        layers=tuple(
+            sk.Layer(oxide if c is None else sk.sige_material(c), d) for c, d in layers
+        ),
+        substrate=silicon,
+        geometry=geom,
+    )
+    _check_finder(stack, FINDER_FREQS)
+
+
+@pytest.mark.parametrize(
+    "name, thickness_factor",
+    [("si_bare", 1), ("stack_1A", 1), ("stack_2", 1), ("stack_3", 1),
+     ("sio2_on_si", 1), ("stack_1A", 10)],
+)
+def test_finder_matches_bisection_bundled_stacks(name, thickness_factor):
+    stack = build_stack(load_config(fixture_config_path(name)))
+    stack = sk.LayerStack(
+        layers=tuple(sk.Layer(l.material, l.thickness * thickness_factor)
+                     for l in stack.layers),
+        substrate=stack.substrate,
+        geometry=stack.geometry,
+    )
+    _check_finder(stack, FINDER_FREQS)
+
+
+def test_finder_rejects_poles_of_indicator(stack_1a):
+    # layers x10 crowd the window: sign changes of q alternate between
+    # roots (poles of u3) and poles of q (zeros of u3)
+    stack = sk.LayerStack(
+        layers=tuple(sk.Layer(l.material, 10 * l.thickness) for l in stack_1a.layers),
+        substrate=stack_1a.substrate,
+        geometry=stack_1a.geometry,
+    )
+    prep, f = dispersion._prepare(stack), 320e6
+    lo, hi, q_lo, q_hi = _scan_cells(prep, f)
+    v, q = np.stack([lo, hi], axis=1), np.stack([q_lo, q_hi], axis=1)
+    freqs = np.full(lo.size, f)
+    roots, accepted = dispersion._chandrupatla(prep, freqs, v, q, dispersion.DEFAULT_REL_TOL)
+    ref = [_reference_bisect(prep, f, *cell) for cell in zip(lo, hi, q_lo, q_hi)]
+    assert accepted.tolist() == [ok for _, ok in ref]
+    assert accepted.any() and not accepted.all()
+    np.testing.assert_allclose(roots[accepted], [r for r, ok in ref if ok], rtol=1e-11)
+    # brackets starting at a pole of q: the next bracket's root is taken
+    first = np.flatnonzero(~accepted)[0]
+    found = np.full(1, np.nan)
+    dispersion._settle(prep, freqs[:1], found, np.zeros(lo.size - first, dtype=int),
+                       v[first:], q[first:], dispersion.DEFAULT_REL_TOL)
+    assert found[0] == pytest.approx(roots[first + 1], rel=1e-12)
+
+
+def test_hinted_curve_batch_count(stack_1a, monkeypatch):
+    # work guard that does not depend on the machine: batched _g33 calls
+    freqs = np.linspace(50e6, 900e6, 35)
+    cold = np.array(sk.dispersion_curve(stack_1a, freqs).velocities)
+    calls = []
+    g33 = dispersion._g33
+    monkeypatch.setattr(dispersion, "_g33", lambda *args: calls.append(1) or g33(*args))
+    sk.dispersion_curve(stack_1a, freqs, hints=cold * (1 + 2e-4 * (-1.0) ** np.arange(35)))
+    assert len(calls) <= 12
 
 
 # --- curve container and CSV ----------------------------------------------------

@@ -567,6 +567,12 @@ def cmd_fit(args) -> int:
         write_estimates_csv(result, csv_path)
     if not result.converged:
         sys.stderr.write(f"warning: fit did not converge: {result.message}\n")
+    if len(problem.measured) == len(problem.free):
+        sys.stderr.write(
+            f"warning: {len(problem.measured)} measured points for "
+            f"{len(problem.free)} free parameters leave 0 degrees of freedom; "
+            "the fit interpolates them and its residual cannot test the model\n"
+        )
     weak = [n for n, f in result.identifiability.items() if f != "well-determined"]
     if weak:
         sys.stderr.write(

@@ -10,7 +10,12 @@ Free parameters address the stack template by name:
   in SI units.
 
 The minimizer is a damped Gauss-Newton (Levenberg-style) iteration with
-central finite-difference Jacobians and box bounds enforced by clamping.
+box bounds enforced by clamping.  One central finite-difference Jacobian,
+taken in the parameters' original units, serves every purpose: the
+iteration steps in internal coordinates z, which for a ``transform="log"``
+parameter is log(theta), and reaches them by the chain rule
+dr/dz = dr/dtheta * theta.  At the solution the same Jacobian is computed
+once and gives both the covariance and the identifiability flags.
 """
 
 from __future__ import annotations
@@ -214,6 +219,7 @@ class FitResult:
 
     estimates: dict[str, float]
     covariance: np.ndarray
+    residuals: np.ndarray  # m/s, unweighted, model - measured per point
     residual_rms: float  # m/s, unweighted
     n_iterations: int
     identifiability: dict[str, str]
@@ -241,41 +247,10 @@ def _values(free: tuple[FreeParam, ...], z: np.ndarray) -> dict[str, float]:
 
 
 def _jacobian(
-    problem: FitProblem,
-    z: np.ndarray,
-    rel_step: float,
-) -> np.ndarray:
-    """Central finite-difference Jacobian of the residual vector w.r.t. z."""
-    free = problem.free
-    n = len(free)
-    cols = []
-    for j in range(n):
-        p = free[j]
-        if p.transform == "log":
-            h = rel_step
-        else:
-            span = p.upper - p.lower
-            h = rel_step * max(abs(z[j]), 1e-3 * span)
-        zp = z.copy()
-        zm = z.copy()
-        zp[j] += h
-        zm[j] -= h
-        vp = _values(free, zp)
-        vm = _values(free, zm)
-        denom = _to_internal(p, vp[p.name]) - _to_internal(p, vm[p.name])
-        if denom == 0:
-            cols.append(np.zeros(len(problem.measured)))
-            continue
-        rp = residuals(problem, vp)
-        rm = residuals(problem, vm)
-        cols.append((rp - rm) / denom)
-    return np.column_stack(cols)
-
-
-def _jacobian_original_units(
     problem: FitProblem, values: dict[str, float], rel_step: float
 ) -> np.ndarray:
-    """Jacobian w.r.t. the parameters in their original units."""
+    """Central finite-difference Jacobian of the weighted residuals with
+    respect to the parameters in their original units."""
     free = problem.free
     cols = []
     for p in free:
@@ -313,7 +288,18 @@ def identifiability_report(
     participants is flagged (repeatedly, until the remainder conditions).
     """
     values = {p.name: float(params[p.name]) for p in problem.free}
-    jac = _jacobian_original_units(problem, values, rel_step)
+    jac = _jacobian(problem, values, rel_step)
+    return _identifiability(problem, values, jac, sensitivity_floor, condition_limit)
+
+
+def _identifiability(
+    problem: FitProblem,
+    values: dict[str, float],
+    jac: np.ndarray,
+    sensitivity_floor: float,
+    condition_limit: float,
+) -> IdentifiabilityReport:
+    """The flags of ``identifiability_report`` from a Jacobian at ``values``."""
     scales = np.array(
         [max(abs(values[p.name]), 1e-3 * (p.upper - p.lower)) for p in problem.free]
     )
@@ -394,7 +380,9 @@ def fit_parameters(
     message = "iteration cap reached"
     it = 0
     for it in range(1, max_iter + 1):
-        jac = _jacobian(problem, z, rel_step)
+        values = _values(free, z)
+        dtheta_dz = [values[p.name] if p.transform == "log" else 1.0 for p in free]
+        jac = _jacobian(problem, values, rel_step) * dtheta_dz
         jtj = jac.T @ jac
         jtr = jac.T @ r
         accepted = False
@@ -446,26 +434,19 @@ def fit_parameters(
         for p in free
         if values[p.name] in (p.lower, p.upper)
     )
-    jac_orig = _jacobian_original_units(problem, values, rel_step)
-    jtj = jac_orig.T @ jac_orig
-    covariance = np.linalg.pinv(jtj)
+    jac = _jacobian(problem, values, rel_step)
+    covariance = np.linalg.pinv(jac.T @ jac)
     covariance = 0.5 * (covariance + covariance.T)
-    sig = problem.sigmas
-    rms = float(np.sqrt(np.mean((r * sig) ** 2)))
-    report = identifiability_report(
-        problem,
-        values,
-        sensitivity_floor=sensitivity_floor,
-        condition_limit=condition_limit,
-        rel_step=rel_step,
-    )
+    dv = r * problem.sigmas
+    report = _identifiability(problem, values, jac, sensitivity_floor, condition_limit)
     flags = dict(report.flags)
     for name in bound_hits:
         flags[name] = FIXED
     return FitResult(
         estimates=values,
         covariance=covariance,
-        residual_rms=rms,
+        residuals=dv,
+        residual_rms=float(np.sqrt(np.mean(dv**2))),
         n_iterations=it,
         identifiability=flags,
         converged=converged,
@@ -551,6 +532,7 @@ def format_fit_report(problem: FitProblem, result: FitResult) -> str:
             f"  [{result.identifiability.get(name, '?')}]"
         )
     lines += ["", f"residual rms: {result.residual_rms:.6g} m/s"]
+    lines.append(f"degrees of freedom: {len(problem.measured) - len(problem.free)}")
     lines.append(f"iterations: {result.n_iterations}")
     lines.append(f"status: {result.message}")
     lines += ["", "covariance"]
@@ -561,7 +543,7 @@ def format_fit_report(problem: FitProblem, result: FitResult) -> str:
         lines.append(f"  {row}  {name}")
     lines += ["", "residuals"]
     lines.append("  freq_mhz   measured_m_s      model_m_s     delta_m_s")
-    dv = residuals(problem, result.estimates) * problem.sigmas
+    dv = result.residuals
     for i, (f, v) in enumerate(
         zip(problem.measured.frequencies, problem.measured.velocities)
     ):

@@ -153,9 +153,6 @@ class ElasticTensor:
                 c[j, i, l, k] = v
         return c
 
-    def is_positive_definite(self) -> bool:
-        return bool(np.linalg.eigvalsh(self.voigt).min() > 0)
-
 
 def tensor_to_voigt(c: np.ndarray) -> np.ndarray:
     """Contract a 3x3x3x3 stiffness tensor to the 6x6 Voigt matrix."""

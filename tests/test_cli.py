@@ -218,6 +218,7 @@ def test_cmd_fit_recovers_1a(tmp_path, cfg_1a, measured_1a_csv):
     assert rc == 0
     text = out.read_text()
     assert "c_ge" in text
+    assert "degrees of freedom: 14" in text
     est = (tmp_path / "fit.estimates.csv").read_text().splitlines()
     row = dict(line.split(",", 2)[:2] for line in est[1:])
     assert abs(float(row["c_ge"]) - 0.179) < 0.01
@@ -237,6 +238,38 @@ def test_cmd_fit_sample3_warns_but_succeeds(tmp_path, capsys, silicon, geom):
     assert rc == 0
     assert "not well determined" in captured.err
     assert "layer0.thickness" in captured.err
+
+
+def test_fit_bounds_line_transform(tmp_path, cfg_1a, curve_1a):
+    from sawkit.cli import _build_fit_problem
+
+    base = cfg_1a.read_text(encoding="utf-8")
+    line = "layer0.thickness_um = 0.9 0.3 3.0"
+    assert line in base
+
+    def problem_with(suffix):
+        p = tmp_path / f"fit_{suffix}.cfg"
+        p.write_text(base.replace(line, f"{line} {suffix}"), encoding="utf-8")
+        return _build_fit_problem(load_config(p), curve_1a)
+
+    free = {fp.name: fp for fp in problem_with("log").free}
+    assert free["layer0.thickness"].transform == "log"
+    assert free["layer0.thickness"].lower == pytest.approx(0.3e-6)
+    assert free["c_ge"].transform == "linear"
+    with pytest.raises(ConfigError):
+        problem_with("bogus")
+
+
+def test_cmd_fit_warns_on_zero_degrees_of_freedom(tmp_path, capsys, cfg_1a):
+    # the bundled stack-1A chain extracts 2 points for its 2 free parameters
+    wave, measured, out = tmp_path / "w.csv", tmp_path / "m.csv", tmp_path / "fit.txt"
+    assert run(["synth", "--config", cfg_1a, "--seed", 3, "--out", wave]) == 0
+    assert run(["extract", wave, "--config", cfg_1a, "--out", measured]) == 0
+    assert len(sk.read_dispersion_csv(measured)) == 2
+    capsys.readouterr()
+    assert run(["fit", measured, "--config", cfg_1a, "--out", out]) == 0
+    assert "0 degrees of freedom" in capsys.readouterr().err
+    assert "degrees of freedom: 0" in out.read_text()
 
 
 def test_cmd_fit_malformed_csv_exit_2(tmp_path, cfg_1a):

@@ -164,18 +164,87 @@ def test_noise_free_recovery_stack2(silicon, oxide, geom):
 
 
 def test_stationarity_at_solution(problem_1a):
-    from sawkit.inversion import _jacobian_original_units
+    from sawkit.inversion import _jacobian
 
     res = sk.fit_parameters(problem_1a)
     r = sk.residuals(problem_1a, res.estimates)
     start = {p.name: p.initial for p in problem_1a.free}
     r0 = sk.residuals(problem_1a, start)
-    jac = _jacobian_original_units(problem_1a, res.estimates, 1e-4)
-    jac0 = _jacobian_original_units(problem_1a, start, 1e-4)
+    jac = _jacobian(problem_1a, res.estimates, 1e-4)
+    jac0 = _jacobian(problem_1a, start, 1e-4)
     scales = np.array([0.179, 1.02e-6])
     g_end = np.abs((jac * scales).T @ r).max()
     g_start = np.abs((jac0 * scales).T @ r0).max()
     assert g_end < 1e-6 * g_start
+
+
+def test_curve_solves_after_the_loop_are_one_jacobian(problem_1a, monkeypatch):
+    # Work-count guard: once the iteration stops, the covariance and the
+    # identifiability flags share one Jacobian (2p curve solves), and the
+    # report reuses the residuals the fit holds instead of solving again.
+    import sawkit.inversion as inv
+
+    solves = {"total": 0, "in_jacobian": 0}
+    jacobian_starts = []
+    solve, jacobian = inv.dispersion_curve, inv._jacobian
+
+    def counting_solve(*args, **kwargs):
+        solves["total"] += 1
+        return solve(*args, **kwargs)
+
+    def marking_jacobian(*args, **kwargs):
+        jacobian_starts.append(solves["total"])
+        jac = jacobian(*args, **kwargs)
+        solves["in_jacobian"] += solves["total"] - jacobian_starts[-1]
+        return jac
+
+    monkeypatch.setattr(inv, "dispersion_curve", counting_solve)
+    monkeypatch.setattr(inv, "_jacobian", marking_jacobian)
+    res = sk.fit_parameters(problem_1a)
+    p = len(problem_1a.free)
+    after_loop = solves["total"] - jacobian_starts[-1]
+    assert after_loop == 2 * p
+    # one Jacobian per iteration plus the one at the solution
+    assert len(jacobian_starts) == res.n_iterations + 1
+    residual_evals = solves["total"] - solves["in_jacobian"]
+    loop = residual_evals + 2 * p * res.n_iterations
+    assert solves["total"] == loop + 2 * p
+
+    before = solves["total"]
+    format_fit_report(problem_1a, res)
+    assert solves["total"] == before
+
+
+def test_log_transform_matches_linear(silicon, oxide, geom, curve_1a):
+    rng = np.random.default_rng(5)
+    v = np.array(curve_1a.velocities)
+    meas = sk.DispersionCurve(
+        curve_1a.frequencies,
+        tuple(v * (1 + rng.normal(0, 0.001, v.size))),
+        sigmas=tuple(0.001 * v),
+    )
+
+    def fit_with(transform):
+        prob = sk.FitProblem(
+            template=make_stack_1a(silicon, oxide, geom),
+            free=(
+                sk.FreeParam("c_ge", 0.25, 0.0, 1.0),
+                sk.FreeParam("layer0.thickness", 0.9e-6, 0.3e-6, 3e-6, transform),
+            ),
+            measured=meas,
+            coupling=sk.SiGeCoupling(0),
+        )
+        # tight tolerances so both paths stop at the same minimum, not at
+        # two points a default-tolerance step apart
+        return sk.fit_parameters(prob, step_tol=1e-10, cost_tol=1e-14)
+
+    lin = fit_with("linear")
+    log = fit_with("log")
+    assert lin.converged and log.converged
+    for name in lin.estimates:
+        assert log.estimates[name] == pytest.approx(lin.estimates[name], rel=1e-8)
+        assert log.sigma(name) == pytest.approx(lin.sigma(name), rel=1e-8)
+    assert log.identifiability == lin.identifiability
 
 
 def test_sigma_scaling_invariance(silicon, oxide, geom, curve_1a):

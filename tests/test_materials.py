@@ -111,7 +111,7 @@ def test_stiffness_from_isotropic_nu_zero():
 @pytest.mark.parametrize("e,nu", [(10e9, -0.5), (70e9, 0.15), (200e9, 0.45)])
 def test_stiffness_from_isotropic_positive_definite(e, nu):
     t = stiffness_from_isotropic(sk.IsotropicMaterial(e, nu, 2000))
-    assert t.is_positive_definite()
+    assert np.linalg.eigvalsh(t.voigt).min() > 0
 
 
 def test_isotropic_round_trip():
@@ -137,7 +137,7 @@ def test_stiffness_from_cubic_45deg_rotation(silicon, geom):
     t = stiffness_from_cubic(silicon, geom)
     expected = 0.5 * (silicon.c11 + silicon.c12 + 2 * silicon.c44)
     assert t.voigt[0, 0] == pytest.approx(expected, rel=1e-12)
-    assert t.is_positive_definite()
+    assert np.linalg.eigvalsh(t.voigt).min() > 0
 
 
 def test_rotation_matches_direct_component_summation(silicon, geom):

@@ -57,8 +57,6 @@ from .errors import (
     SynthesisError,
 )
 from .inversion import (
-    DEFAULT_CONDITION_LIMIT,
-    DEFAULT_SENSITIVITY_FLOOR,
     FitProblem,
     FreeParam,
     SiGeCoupling,
@@ -98,9 +96,6 @@ _KNOWN_KEYS = {
         "sample_rate_ghz",
         "noise_rms",
         "n_harmonics",
-        "curve_f_min_mhz",
-        "curve_f_max_mhz",
-        "curve_points",
     },
     "extraction": {
         "v_hint_m_s",
@@ -325,17 +320,12 @@ def cmd_dispersion(args) -> int:
 
 
 def _model_curve_for_mask(cfg: RunConfig, stack: LayerStack, mask: MaskSpec) -> DispersionCurve:
-    """Forward-model curve spanning the mask's harmonics for synthesis."""
-    v_lo, v_hi = velocity_window(stack)
+    """Forward-model curve spanning the mask's harmonics for synthesis: 40
+    points from 0.35 of the slowest velocity over the period (below the
+    fundamental) to 0.47 of the sample rate (just under Nyquist)."""
+    v_lo, _ = velocity_window(stack)
     fs = _parse_float(cfg, "synthesis", "sample_rate_ghz", 2.0) * 1e9
-    f_lo = _parse_float(cfg, "synthesis", "curve_f_min_mhz", 0.0) * 1e6
-    f_hi = _parse_float(cfg, "synthesis", "curve_f_max_mhz", 0.0) * 1e6
-    if f_lo <= 0:
-        f_lo = 0.35 * v_lo / mask.period
-    if f_hi <= 0:
-        f_hi = 0.47 * fs
-    n = _parse_int(cfg, "synthesis", "curve_points", 40)
-    return dispersion_curve(stack, np.linspace(f_lo, f_hi, n))
+    return dispersion_curve(stack, np.linspace(0.35 * v_lo / mask.period, 0.47 * fs, 40))
 
 
 def cmd_synth(args) -> int:
@@ -368,8 +358,7 @@ def cmd_synth(args) -> int:
 def _merge_curves(parts: list[DispersionCurve]) -> DispersionCurve:
     rows: list[tuple[float, float, float]] = []
     for c in parts:
-        sig = c.sigmas if c.sigmas is not None else [0.0] * len(c)
-        rows.extend(zip(c.frequencies, c.velocities, sig))
+        rows.extend(zip(c.frequencies, c.velocities, c.sigmas))
     rows.sort()
     merged: list[tuple[float, float, float]] = []
     for f, v, s in rows:
@@ -390,6 +379,8 @@ def cmd_extract(args) -> int:
     sec = cfg.section("extraction", required=True)
     v_hint = _parse_float(cfg, "extraction", "v_hint_m_s")
     n_harm = _parse_int(cfg, "extraction", "n_harmonics", 3)
+    if n_harm < 1:
+        raise ConfigError(f"{cfg.path}: [extraction] n_harmonics must be >= 1, got {n_harm}")
     min_prom = _parse_float(cfg, "extraction", "min_prominence", 0.05)
     window = sec.get("window", "hann")
     zpf = _parse_int(cfg, "extraction", "zero_pad_factor", 4)
@@ -448,16 +439,16 @@ def _read_calibration_csv(path: str) -> list[tuple[float, float]]:
 
 
 def cmd_calibrate(args) -> int:
-    pitch = args.pixel_pitch_um
-    v_ref = args.v_reference
-    if args.config:
-        cfg = load_config(args.config)
-        if pitch is None:
-            pitch = _parse_float(cfg, "calibration", "pixel_pitch_um", 32.0)
-        if v_ref is None:
-            v_ref = _parse_float(cfg, "calibration", "v_reference_m_s", 5080.0)
-    pitch = 32.0 if pitch is None else pitch
-    v_ref = 5080.0 if v_ref is None else v_ref
+    pitch, v_ref = 32.0, 5080.0
+    cfg = load_config(args.config) if args.config else None
+    if args.pixel_pitch_um is not None:
+        pitch = args.pixel_pitch_um
+    elif cfg is not None:
+        pitch = _parse_float(cfg, "calibration", "pixel_pitch_um", pitch)
+    if args.v_reference is not None:
+        v_ref = args.v_reference
+    elif cfg is not None:
+        v_ref = _parse_float(cfg, "calibration", "v_reference_m_s", v_ref)
     rows = _read_calibration_csv(args.measurements)
     result = calibrate_projection_ratio(rows, pixel_pitch=pitch * 1e-6, v_reference=v_ref)
     lines = [
@@ -530,11 +521,7 @@ def _build_fit_problem(cfg: RunConfig, measured: DispersionCurve) -> FitProblem:
         if "couple_layer" in sec:
             layer_idx = _parse_int(cfg, "fit", "couple_layer")
         coupling = SiGeCoupling(layer_index=layer_idx)
-    extra = (
-        set(sec)
-        - {"free", "couple_layer", "sensitivity_floor", "condition_limit"}
-        - set(names)
-    )
+    extra = set(sec) - {"free", "couple_layer"} - set(names)
     if extra:
         raise ConfigError(f"{cfg.path}: [fit] unknown key(s) {sorted(extra)}")
     try:
@@ -549,15 +536,7 @@ def cmd_fit(args) -> int:
     cfg = load_config(args.config)
     measured = read_dispersion_csv(args.measured)
     problem = _build_fit_problem(cfg, measured)
-    result = fit_parameters(
-        problem,
-        sensitivity_floor=_parse_float(
-            cfg, "fit", "sensitivity_floor", DEFAULT_SENSITIVITY_FLOOR
-        ),
-        condition_limit=_parse_float(
-            cfg, "fit", "condition_limit", DEFAULT_CONDITION_LIMIT
-        ),
-    )
+    result = fit_parameters(problem)
     report = format_fit_report(problem, result)
     _write_text(args.out, report)
     csv_path = args.estimates_csv

@@ -15,7 +15,8 @@ taken in the parameters' original units, serves every purpose: the
 iteration steps in internal coordinates z, which for a ``transform="log"``
 parameter is log(theta), and reaches them by the chain rule
 dr/dz = dr/dtheta * theta.  At the solution the same Jacobian is computed
-once and gives both the covariance and the identifiability flags.
+once and gives both the covariance and the identifiability flags, whose
+thresholds are the module constants below.
 """
 
 from __future__ import annotations
@@ -30,16 +31,7 @@ import numpy as np
 
 from .dispersion import DispersionCurve, dispersion_curve
 from .errors import FitError
-from .materials import (
-    E_GE,
-    E_SI,
-    RHO_GE,
-    RHO_SI,
-    IsotropicMaterial,
-    LayerStack,
-    mix_density,
-    mix_young_modulus,
-)
+from .materials import IsotropicMaterial, LayerStack, mix_density, mix_young_modulus
 
 WELL_DETERMINED = "well-determined"
 WEAKLY_DETERMINED = "weakly-determined"
@@ -49,12 +41,15 @@ _LAYER_FIELD = re.compile(
     r"^layer(\d+)\.(thickness|young_modulus|poisson_ratio|density)$"
 )
 
-DEFAULT_SENSITIVITY_FLOOR = 1e-3
+# Central-difference step of the Jacobian, relative to each parameter value.
+_FD_STEP = 1e-4
+# Relative sensitivity below which a parameter is weakly determined.
+_SENSITIVITY_FLOOR = 1e-3
 # Relative-scaled Jacobian condition number above which the smallest singular
 # direction is treated as unconstrained.  Thick-oxide stacks condition near
 # ~7 while the no-oxide thin-film case sits near ~90, so 30 separates them
 # with margin on both sides.
-DEFAULT_CONDITION_LIMIT = 30.0
+_CONDITION_LIMIT = 30.0
 
 
 @dataclass(frozen=True)
@@ -85,22 +80,11 @@ class SiGeCoupling:
     """Binds (young_modulus, density) of one layer to the 'c_ge' parameter."""
 
     layer_index: int = 0
-    e_si: float = E_SI
-    e_ge: float = E_GE
-    rho_si: float = RHO_SI
-    rho_ge: float = RHO_GE
 
 
-def apply_coupling(
-    c_ge: float,
-    endpoints: tuple[float, float, float, float] = (E_SI, E_GE, RHO_SI, RHO_GE),
-) -> tuple[float, float]:
+def apply_coupling(c_ge: float) -> tuple[float, float]:
     """(Young's modulus, density) of the film at the given germanium fraction."""
-    e_si, e_ge, rho_si, rho_ge = endpoints
-    return (
-        mix_young_modulus(c_ge, e_si, e_ge),
-        mix_density(c_ge, rho_si, rho_ge),
-    )
+    return mix_young_modulus(c_ge), mix_density(c_ge)
 
 
 @dataclass(frozen=True)
@@ -111,7 +95,6 @@ class FitProblem:
     free: tuple[FreeParam, ...]
     measured: DispersionCurve
     coupling: SiGeCoupling | None = None
-    weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "free", tuple(self.free))
@@ -122,13 +105,6 @@ class FitProblem:
             self._check_name(p.name)
         if len(self.measured) == 0:
             raise FitError("measured curve is empty")
-        if self.weights is not None:
-            w = tuple(float(x) for x in self.weights)
-            if len(w) != len(self.measured):
-                raise FitError("weights must match the measured curve length")
-            if any(x <= 0 for x in w):
-                raise FitError("weights must be positive")
-            object.__setattr__(self, "weights", w)
 
     def _check_name(self, name: str) -> None:
         if name == "c_ge":
@@ -152,9 +128,7 @@ class FitProblem:
 
     @property
     def sigmas(self) -> np.ndarray:
-        """Per-point velocity sigmas implied by weights (w = 1/sigma^2)."""
-        if self.weights is not None:
-            return 1.0 / np.sqrt(np.asarray(self.weights))
+        """Per-point velocity sigmas of the measured curve, 1 m/s if it has none."""
         if self.measured.sigmas is not None:
             return np.asarray(self.measured.sigmas)
         return np.ones(len(self.measured))
@@ -166,13 +140,11 @@ class FitProblem:
             raise FitError(f"unknown parameter(s) {sorted(unknown)}")
         stack = self.template
         if "c_ge" in params:
-            cpl = self.coupling
-            e, rho = apply_coupling(
-                params["c_ge"], (cpl.e_si, cpl.e_ge, cpl.rho_si, cpl.rho_ge)
-            )
-            layer = stack.layers[cpl.layer_index]
+            idx = self.coupling.layer_index
+            e, rho = apply_coupling(params["c_ge"])
+            layer = stack.layers[idx]
             mat = replace(layer.material, young_modulus=e, density=rho)
-            stack = stack.with_layer(cpl.layer_index, replace(layer, material=mat))
+            stack = stack.with_layer(idx, replace(layer, material=mat))
         for name, value in params.items():
             m = _LAYER_FIELD.match(name)
             if not m:
@@ -246,9 +218,7 @@ def _values(free: tuple[FreeParam, ...], z: np.ndarray) -> dict[str, float]:
     return {p.name: _from_internal(p, z[i]) for i, p in enumerate(free)}
 
 
-def _jacobian(
-    problem: FitProblem, values: dict[str, float], rel_step: float
-) -> np.ndarray:
+def _jacobian(problem: FitProblem, values: dict[str, float]) -> np.ndarray:
     """Central finite-difference Jacobian of the weighted residuals with
     respect to the parameters in their original units."""
     free = problem.free
@@ -256,7 +226,7 @@ def _jacobian(
     for p in free:
         theta = values[p.name]
         span = p.upper - p.lower
-        h = rel_step * max(abs(theta), 1e-3 * span)
+        h = _FD_STEP * max(abs(theta), 1e-3 * span)
         up = dict(values)
         dn = dict(values)
         up[p.name] = min(theta + h, p.upper)
@@ -270,34 +240,24 @@ def _jacobian(
 
 
 def identifiability_report(
-    problem: FitProblem,
-    params: Mapping[str, float],
-    *,
-    sensitivity_floor: float = DEFAULT_SENSITIVITY_FLOOR,
-    condition_limit: float = DEFAULT_CONDITION_LIMIT,
-    rel_step: float = 1e-4,
+    problem: FitProblem, params: Mapping[str, float]
 ) -> IdentifiabilityReport:
     """SVD-based flags for parameters the measured curve barely constrains.
 
     Columns of the weighted Jacobian are scaled to relative parameter
     changes before the SVD, so sensitivities compare fractional effects.
     A parameter is weakly determined when its relative sensitivity falls
-    below ``sensitivity_floor``, or when the condition number exceeds
-    ``condition_limit``: the near-null singular direction then marks one
-    unconstrained parameter combination, and the least sensitive of its
-    participants is flagged (repeatedly, until the remainder conditions).
+    below 1e-3, or when the condition number exceeds 30: the near-null
+    singular direction then marks one unconstrained parameter combination,
+    and the least sensitive of its participants is flagged (repeatedly,
+    until the remainder conditions).
     """
     values = {p.name: float(params[p.name]) for p in problem.free}
-    jac = _jacobian(problem, values, rel_step)
-    return _identifiability(problem, values, jac, sensitivity_floor, condition_limit)
+    return _identifiability(problem, values, _jacobian(problem, values))
 
 
 def _identifiability(
-    problem: FitProblem,
-    values: dict[str, float],
-    jac: np.ndarray,
-    sensitivity_floor: float,
-    condition_limit: float,
+    problem: FitProblem, values: dict[str, float], jac: np.ndarray
 ) -> IdentifiabilityReport:
     """The flags of ``identifiability_report`` from a Jacobian at ``values``."""
     scales = np.array(
@@ -314,13 +274,13 @@ def _identifiability(
     flags = {p.name: WELL_DETERMINED for p in problem.free}
     active = [j for j in range(n)]
     for j, p in enumerate(problem.free):
-        if rel[j] < sensitivity_floor:
+        if rel[j] < _SENSITIVITY_FLOOR:
             flags[p.name] = WEAKLY_DETERMINED
             active.remove(j)
     while len(active) >= 2:
         _, s_act, vt_act = np.linalg.svd(jt[:, active], full_matrices=False)
         cond_act = float("inf") if s_act[-1] == 0 else float(s_act[0] / s_act[-1])
-        if cond_act <= condition_limit:
+        if cond_act <= _CONDITION_LIMIT:
             break
         part = np.abs(vt_act[-1])
         cands = [
@@ -353,11 +313,8 @@ def fit_parameters(
     problem: FitProblem,
     *,
     max_iter: int = 200,
-    rel_step: float = 1e-4,
     step_tol: float = 1e-6,
     cost_tol: float = 1e-10,
-    sensitivity_floor: float = DEFAULT_SENSITIVITY_FLOOR,
-    condition_limit: float = DEFAULT_CONDITION_LIMIT,
 ) -> FitResult:
     """Damped Gauss-Newton minimization of the weighted residuals.
 
@@ -382,7 +339,7 @@ def fit_parameters(
     for it in range(1, max_iter + 1):
         values = _values(free, z)
         dtheta_dz = [values[p.name] if p.transform == "log" else 1.0 for p in free]
-        jac = _jacobian(problem, values, rel_step) * dtheta_dz
+        jac = _jacobian(problem, values) * dtheta_dz
         jtj = jac.T @ jac
         jtr = jac.T @ r
         accepted = False
@@ -434,11 +391,11 @@ def fit_parameters(
         for p in free
         if values[p.name] in (p.lower, p.upper)
     )
-    jac = _jacobian(problem, values, rel_step)
+    jac = _jacobian(problem, values)
     covariance = np.linalg.pinv(jac.T @ jac)
     covariance = 0.5 * (covariance + covariance.T)
     dv = r * problem.sigmas
-    report = _identifiability(problem, values, jac, sensitivity_floor, condition_limit)
+    report = _identifiability(problem, values, jac)
     flags = dict(report.flags)
     for name in bound_hits:
         flags[name] = FIXED
@@ -453,62 +410,6 @@ def fit_parameters(
         message=message,
         bound_hits=bound_hits,
     )
-
-
-class DispersionFitter:
-    """Estimator-style front end: fit(f, v) then predict(f).
-
-    Parameters mirror FitProblem; after ``fit`` the instance exposes
-    ``result_`` (the FitResult) and ``problem_``.
-    """
-
-    def __init__(
-        self,
-        template: LayerStack,
-        free: tuple[FreeParam, ...],
-        coupling: SiGeCoupling | None = None,
-        max_iter: int = 200,
-    ):
-        self.template = template
-        self.free = tuple(free)
-        self.coupling = coupling
-        self.max_iter = max_iter
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {
-            "template": self.template,
-            "free": self.free,
-            "coupling": self.coupling,
-            "max_iter": self.max_iter,
-        }
-
-    def set_params(self, **params) -> "DispersionFitter":
-        for key, value in params.items():
-            if key not in self.get_params():
-                raise FitError(f"unknown estimator parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
-    def fit(self, frequencies, velocities, sigma=None) -> "DispersionFitter":
-        freqs = tuple(float(f) for f in frequencies)
-        vels = tuple(float(v) for v in velocities)
-        sigmas = None if sigma is None else tuple(float(s) for s in sigma)
-        measured = DispersionCurve(frequencies=freqs, velocities=vels, sigmas=sigmas)
-        self.problem_ = FitProblem(
-            template=self.template,
-            free=self.free,
-            measured=measured,
-            coupling=self.coupling,
-        )
-        self.result_ = fit_parameters(self.problem_, max_iter=self.max_iter)
-        return self
-
-    def predict(self, frequencies) -> np.ndarray:
-        if not hasattr(self, "result_"):
-            raise FitError("fit must be called before predict")
-        stack = self.problem_.realize(self.result_.estimates)
-        curve = dispersion_curve(stack, tuple(float(f) for f in frequencies))
-        return np.asarray(curve.velocities)
 
 
 # --- reporting -------------------------------------------------------------------

@@ -252,18 +252,13 @@ def mix_density(c_ge: float, rho_si: float = RHO_SI, rho_ge: float = RHO_GE) -> 
 
 
 def sige_material(
-    c_ge: float,
-    poisson_ratio: float = DEFAULT_FILM_POISSON,
-    e_si: float = E_SI,
-    e_ge: float = E_GE,
-    rho_si: float = RHO_SI,
-    rho_ge: float = RHO_GE,
+    c_ge: float, poisson_ratio: float = DEFAULT_FILM_POISSON
 ) -> IsotropicMaterial:
     """Isotropic SiGe film material at the given germanium fraction."""
     return IsotropicMaterial(
-        young_modulus=mix_young_modulus(c_ge, e_si, e_ge),
+        young_modulus=mix_young_modulus(c_ge),
         poisson_ratio=poisson_ratio,
-        density=mix_density(c_ge, rho_si, rho_ge),
+        density=mix_density(c_ge),
     )
 
 

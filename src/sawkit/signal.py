@@ -49,29 +49,6 @@ class MaskSpec:
             raise ValueError(f"mask kind must be {GLASS_MASK!r} or {SLM!r}")
 
 
-@dataclass(frozen=True)
-class SlmSpec:
-    """Spatial-light-modulator mask demagnified by the projection ratio."""
-
-    pixel_pitch: float  # m
-    period_pixels: int
-    projection_ratio: float
-    ratio_sigma: float = 0.0
-
-    def __post_init__(self):
-        if not self.pixel_pitch > 0:
-            raise ValueError("pixel_pitch must be > 0")
-        if self.period_pixels < 2:
-            raise ValueError("period_pixels must be >= 2")
-        if not self.projection_ratio > 0:
-            raise ValueError("projection_ratio must be > 0")
-
-
-def slm_wavelength(slm: SlmSpec) -> float:
-    """SAW wavelength written by the SLM pattern on the sample surface."""
-    return slm.pixel_pitch * slm.period_pixels / slm.projection_ratio
-
-
 @dataclass(frozen=True, eq=False)
 class Waveform:
     """Time-sampled surface-slope signal at a fixed propagation distance."""
@@ -540,21 +517,20 @@ def read_waveform_csv(path: str | Path) -> Waveform:
         )
     if not header_seen:
         raise FormatError(f"{path}: missing column header {WAVEFORM_HEADER!r}")
-    mask = None
-    if "mask_period_m" in meta:
-        mask = MaskSpec(
-            period=float(meta["mask_period_m"]),
-            duty=float(meta.get("mask_duty", "0.5")),
-            n_periods=int(meta.get("mask_n_periods", "2")),
-            kind=meta.get("mask_kind", GLASS_MASK),
-        )
-    seed = int(meta["seed"]) if "seed" in meta else None
     try:
+        mask = None
+        if "mask_period_m" in meta:
+            mask = MaskSpec(
+                period=float(meta["mask_period_m"]),
+                duty=float(meta.get("mask_duty", "0.5")),
+                n_periods=int(meta.get("mask_n_periods", "2")),
+                kind=meta.get("mask_kind", GLASS_MASK),
+            )
         return Waveform(
             samples=np.asarray(samples),
             sample_rate=float(meta["sample_rate_hz"]),
             distance=float(meta["distance_m"]),
-            seed=seed,
+            seed=int(meta["seed"]) if "seed" in meta else None,
             mask=mask,
         )
     except ValueError as exc:

@@ -157,6 +157,42 @@ def test_extract_malformed_waveform_exit_2(tmp_path, si_cfg):
     assert run(["extract", p, "--config", si_cfg, "--out", tmp_path / "m.csv"]) == 2
 
 
+@pytest.fixture(scope="module")
+def si_wave_text(tmp_path_factory, si_cfg):
+    p = tmp_path_factory.mktemp("wave") / "si.csv"
+    assert run(["synth", "--config", si_cfg, "--out", p]) == 0
+    return p.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "line, bad", [("# mask_duty=0.5", "# mask_duty=1.5"), ("# seed=12345", "# seed=abc")]
+)
+def test_extract_bad_waveform_metadata_exit_2(
+    tmp_path, capsys, si_cfg, si_wave_text, line, bad
+):
+    assert line in si_wave_text
+    p = tmp_path / "bad_meta.csv"
+    p.write_text(si_wave_text.replace(line, bad), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["extract", p, "--config", si_cfg, "--out", tmp_path / "m.csv"]) == 2
+    assert "bad_meta.csv" in capsys.readouterr().err
+
+
+def test_extract_zero_harmonics_exit_2(tmp_path, capsys, si_cfg, si_wave_text):
+    line = "v_hint_m_s = 5080\nn_harmonics = 2"
+    base = si_cfg.read_text(encoding="utf-8")
+    assert line in base
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(base.replace(line, "v_hint_m_s = 5080\nn_harmonics = 0"), encoding="utf-8")
+    wave = tmp_path / "w.csv"
+    wave.write_text(si_wave_text, encoding="utf-8")
+    capsys.readouterr()
+    assert run(["extract", wave, "--config", cfg, "--out", tmp_path / "m.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "zero.cfg" in err
+    assert "[extraction] n_harmonics" in err
+
+
 # --- calibrate -----------------------------------------------------------------------
 
 
@@ -270,6 +306,31 @@ def test_cmd_fit_warns_on_zero_degrees_of_freedom(tmp_path, capsys, cfg_1a):
     assert run(["fit", measured, "--config", cfg_1a, "--out", out]) == 0
     assert "0 degrees of freedom" in capsys.readouterr().err
     assert "degrees of freedom: 0" in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("synthesis", "curve_f_min_mhz"),
+        ("synthesis", "curve_f_max_mhz"),
+        ("synthesis", "curve_points"),
+        ("fit", "sensitivity_floor"),
+        ("fit", "condition_limit"),
+    ],
+)
+def test_removed_config_keys_rejected(
+    tmp_path, capsys, cfg_1a, measured_1a_csv, section, key
+):
+    base = cfg_1a.read_text(encoding="utf-8")
+    cfg = tmp_path / "removed.cfg"
+    cfg.write_text(base.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n"),
+                   encoding="utf-8")
+    command = ["fit", measured_1a_csv] if section == "fit" else ["synth"]
+    capsys.readouterr()
+    assert run([*command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key" in err
+    assert key in err
 
 
 def test_cmd_fit_malformed_csv_exit_2(tmp_path, cfg_1a):

@@ -31,15 +31,6 @@ def test_mask_spec_invariants():
         sk.MaskSpec(period=24e-6, duty=0.5, n_periods=1)
 
 
-def test_slm_wavelength_values():
-    slm = sk.SlmSpec(pixel_pitch=32e-6, period_pixels=10, projection_ratio=9.1)
-    assert sk.slm_wavelength(slm) == pytest.approx(35.16e-6, rel=1e-3)
-    unity = sk.SlmSpec(pixel_pitch=32e-6, period_pixels=10, projection_ratio=1.0)
-    assert sk.slm_wavelength(unity) == pytest.approx(320e-6)
-    double = sk.SlmSpec(pixel_pitch=32e-6, period_pixels=20, projection_ratio=9.1)
-    assert sk.slm_wavelength(double) == pytest.approx(2 * sk.slm_wavelength(slm))
-
-
 # --- synthesis ----------------------------------------------------------------
 
 

@@ -324,8 +324,14 @@ def _model_curve_for_mask(cfg: RunConfig, stack: LayerStack, mask: MaskSpec) -> 
     points from 0.35 of the slowest velocity over the period (below the
     fundamental) to 0.47 of the sample rate (just under Nyquist)."""
     v_lo, _ = velocity_window(stack)
-    fs = _parse_float(cfg, "synthesis", "sample_rate_ghz", 2.0) * 1e9
-    return dispersion_curve(stack, np.linspace(0.35 * v_lo / mask.period, 0.47 * fs, 40))
+    rate = _parse_float(cfg, "synthesis", "sample_rate_ghz", 2.0)
+    f_lo, f_hi = 0.35 * v_lo / mask.period, 0.47 * (rate * 1e9)
+    if not f_hi > f_lo:
+        raise ConfigError(
+            f"{cfg.path}: [synthesis] sample_rate_ghz must exceed "
+            f"{f_lo / 0.47 / 1e9:.3g} for this stack and mask, got {rate}"
+        )
+    return dispersion_curve(stack, np.linspace(f_lo, f_hi, 40))
 
 
 def cmd_synth(args) -> int:
@@ -383,7 +389,13 @@ def cmd_extract(args) -> int:
         raise ConfigError(f"{cfg.path}: [extraction] n_harmonics must be >= 1, got {n_harm}")
     min_prom = _parse_float(cfg, "extraction", "min_prominence", 0.05)
     window = sec.get("window", "hann")
+    if window not in ("none", "hann"):
+        raise ConfigError(
+            f"{cfg.path}: [extraction] window must be 'none' or 'hann', got {window!r}"
+        )
     zpf = _parse_int(cfg, "extraction", "zero_pad_factor", 4)
+    if zpf < 1:
+        raise ConfigError(f"{cfg.path}: [extraction] zero_pad_factor must be >= 1, got {zpf}")
     parts = []
     for path in args.waveforms:
         w = read_waveform_csv(path)

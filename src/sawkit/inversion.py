@@ -10,13 +10,21 @@ Free parameters address the stack template by name:
   in SI units.
 
 The minimizer is a damped Gauss-Newton (Levenberg-style) iteration with
-box bounds enforced by clamping.  One central finite-difference Jacobian,
-taken in the parameters' original units, serves every purpose: the
-iteration steps in internal coordinates z, which for a ``transform="log"``
-parameter is log(theta), and reaches them by the chain rule
-dr/dz = dr/dtheta * theta.  At the solution the same Jacobian is computed
-once and gives both the covariance and the identifiability flags, whose
-thresholds are the module constants below.
+box bounds enforced by clamping.  One Jacobian, taken in the parameters'
+original units, serves every purpose: the iteration steps in internal
+coordinates z, which for a ``transform="log"`` parameter is log(theta), and
+reaches them by the chain rule dr/dz = dr/dtheta * theta.  At the solution
+the same Jacobian is computed once and gives both the covariance and the
+identifiability flags, whose thresholds are the module constants below.
+
+The Jacobian needs no curve solve.  Each model velocity v* the fit holds is
+a root of the pole indicator q = Im(1/u3), so by the implicit function
+theorem dv*/dtheta = -(dq/dtheta)/(dq/dv) at (f, v*).  dq/dv is a central
+difference at v*(1 +- 1e-7) and dq/dtheta one over the parameter step at
+fixed v*: 1 + 2p batched indicator evaluations for p parameters.  Only when
+q does not change sign across some root's v-stencil, or an entry is not
+finite, is the whole Jacobian taken as central differences of re-solved
+roots (2p curve solves).
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dispersion import DispersionCurve, dispersion_curve
+from .dispersion import DispersionCurve, dispersion_curve, pole_indicator_at
 from .errors import FitError
 from .materials import IsotropicMaterial, LayerStack, mix_density, mix_young_modulus
 
@@ -43,6 +51,8 @@ _LAYER_FIELD = re.compile(
 
 # Central-difference step of the Jacobian, relative to each parameter value.
 _FD_STEP = 1e-4
+# Velocity step of dq/dv at a root, relative to the root.
+_ROOT_STEP = 1e-7
 # Relative sensitivity below which a parameter is weakly determined.
 _SENSITIVITY_FLOOR = 1e-3
 # Relative-scaled Jacobian condition number above which the smallest singular
@@ -218,23 +228,59 @@ def _values(free: tuple[FreeParam, ...], z: np.ndarray) -> dict[str, float]:
     return {p.name: _from_internal(p, z[i]) for i, p in enumerate(free)}
 
 
-def _jacobian(problem: FitProblem, values: dict[str, float]) -> np.ndarray:
-    """Central finite-difference Jacobian of the weighted residuals with
-    respect to the parameters in their original units."""
-    free = problem.free
-    cols = []
-    for p in free:
+def _stencil(problem: FitProblem, values: dict[str, float]):
+    """(up, down) parameter sets of each column's central difference, with
+    the step clamped at the bounds."""
+    for p in problem.free:
         theta = values[p.name]
-        span = p.upper - p.lower
-        h = _FD_STEP * max(abs(theta), 1e-3 * span)
-        up = dict(values)
-        dn = dict(values)
-        up[p.name] = min(theta + h, p.upper)
-        dn[p.name] = max(theta - h, p.lower)
+        h = _FD_STEP * max(abs(theta), 1e-3 * (p.upper - p.lower))
+        yield (
+            {**values, p.name: min(theta + h, p.upper)},
+            {**values, p.name: max(theta - h, p.lower)},
+        )
+
+
+def _model(problem: FitProblem, r: np.ndarray) -> np.ndarray:
+    """Model velocities (m/s) from the weighted residuals ``r``."""
+    return np.asarray(problem.measured.velocities) + r * problem.sigmas
+
+
+def _jacobian(
+    problem: FitProblem, values: dict[str, float], model: np.ndarray
+) -> np.ndarray:
+    """Jacobian of the weighted residuals with respect to the parameters in
+    their original units, at the model velocities ``model`` (m/s) of
+    ``values``: implicit at the roots, or ``_fd_jacobian`` where the module
+    docstring's fallback condition holds."""
+    freqs = np.asarray(problem.measured.frequencies)
+    v = np.asarray(model, dtype=float)
+    n = v.size
+    q = pole_indicator_at(
+        problem.realize(values),
+        np.tile(freqs, 2),
+        np.concatenate([v * (1.0 + _ROOT_STEP), v * (1.0 - _ROOT_STEP)]),
+    )
+    q_up, q_dn = q[:n], q[n:]
+    if not (q_up * q_dn < 0).all():
+        return _fd_jacobian(problem, values)
+    dq_dv = (q_up - q_dn) / (2.0 * _ROOT_STEP * v)
+    cols = []
+    for p, (up, dn) in zip(problem.free, _stencil(problem, values)):
+        q_p = pole_indicator_at(problem.realize(up), freqs, v)
+        q_m = pole_indicator_at(problem.realize(dn), freqs, v)
+        cols.append(-(q_p - q_m) / (up[p.name] - dn[p.name]) / dq_dv)
+    jac = np.column_stack(cols) / problem.sigmas[:, None]
+    if not np.isfinite(jac).all():
+        return _fd_jacobian(problem, values)
+    return jac
+
+
+def _fd_jacobian(problem: FitProblem, values: dict[str, float]) -> np.ndarray:
+    """Central finite-difference Jacobian of the weighted residuals, two
+    curve solves per column: the fallback of ``_jacobian``."""
+    cols = []
+    for p, (up, dn) in zip(problem.free, _stencil(problem, values)):
         denom = up[p.name] - dn[p.name]
-        if denom == 0:
-            cols.append(np.zeros(len(problem.measured)))
-            continue
         cols.append((residuals(problem, up) - residuals(problem, dn)) / denom)
     return np.column_stack(cols)
 
@@ -253,7 +299,8 @@ def identifiability_report(
     until the remainder conditions).
     """
     values = {p.name: float(params[p.name]) for p in problem.free}
-    return _identifiability(problem, values, _jacobian(problem, values))
+    model = _model(problem, residuals(problem, values))
+    return _identifiability(problem, values, _jacobian(problem, values, model))
 
 
 def _identifiability(
@@ -339,7 +386,7 @@ def fit_parameters(
     for it in range(1, max_iter + 1):
         values = _values(free, z)
         dtheta_dz = [values[p.name] if p.transform == "log" else 1.0 for p in free]
-        jac = _jacobian(problem, values) * dtheta_dz
+        jac = _jacobian(problem, values, _model(problem, r)) * dtheta_dz
         jtj = jac.T @ jac
         jtr = jac.T @ r
         accepted = False
@@ -391,10 +438,10 @@ def fit_parameters(
         for p in free
         if values[p.name] in (p.lower, p.upper)
     )
-    jac = _jacobian(problem, values)
+    dv = r * problem.sigmas
+    jac = _jacobian(problem, values, _model(problem, r))
     covariance = np.linalg.pinv(jac.T @ jac)
     covariance = 0.5 * (covariance + covariance.T)
-    dv = r * problem.sigmas
     report = _identifiability(problem, values, jac)
     flags = dict(report.flags)
     for name in bound_hits:

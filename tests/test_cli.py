@@ -193,6 +193,41 @@ def test_extract_zero_harmonics_exit_2(tmp_path, capsys, si_cfg, si_wave_text):
     assert "[extraction] n_harmonics" in err
 
 
+@pytest.mark.parametrize(
+    "line, bad",
+    [("zero_pad_factor = 4", "zero_pad_factor = 0"), ("window = hann", "window = bogus")],
+)
+def test_extract_bad_spectrum_settings_blame_config(
+    tmp_path, capsys, si_cfg, si_wave_text, line, bad
+):
+    base = si_cfg.read_text(encoding="utf-8")
+    assert line in base
+    cfg = tmp_path / "bad_spectrum.cfg"
+    cfg.write_text(base.replace(line, bad), encoding="utf-8")
+    wave = tmp_path / "w.csv"
+    wave.write_text(si_wave_text, encoding="utf-8")
+    capsys.readouterr()
+    assert run(["extract", wave, "--config", cfg, "--out", tmp_path / "m.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "bad_spectrum.cfg" in err
+    assert f"[extraction] {line.split()[0]}" in err
+    assert "w.csv" not in err
+
+
+@pytest.mark.parametrize("rate", ["0", "-1", "0.00001"])
+def test_synth_bad_sample_rate_exit_2(tmp_path, capsys, si_cfg, rate):
+    line = "sample_rate_ghz = 2.0"
+    base = si_cfg.read_text(encoding="utf-8")
+    assert line in base
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text(base.replace(line, f"sample_rate_ghz = {rate}"), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["synth", "--config", cfg, "--out", tmp_path / "w.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "rate.cfg" in err
+    assert "[synthesis] sample_rate_ghz" in err
+
+
 # --- calibrate -----------------------------------------------------------------------
 
 

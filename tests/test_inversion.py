@@ -161,14 +161,14 @@ def test_noise_free_recovery_stack2(silicon, oxide, geom):
 
 
 def test_stationarity_at_solution(problem_1a):
-    from sawkit.inversion import _jacobian
+    from sawkit.inversion import _jacobian, _model
 
     res = sk.fit_parameters(problem_1a)
     r = sk.residuals(problem_1a, res.estimates)
     start = {p.name: p.initial for p in problem_1a.free}
     r0 = sk.residuals(problem_1a, start)
-    jac = _jacobian(problem_1a, res.estimates)
-    jac0 = _jacobian(problem_1a, start)
+    jac = _jacobian(problem_1a, res.estimates, _model(problem_1a, r))
+    jac0 = _jacobian(problem_1a, start, _model(problem_1a, r0))
     scales = np.array([0.179, 1.02e-6])
     g_end = np.abs((jac * scales).T @ r).max()
     g_start = np.abs((jac0 * scales).T @ r0).max()
@@ -176,14 +176,15 @@ def test_stationarity_at_solution(problem_1a):
 
 
 def test_curve_solves_after_the_loop_are_one_jacobian(problem_1a, monkeypatch):
-    # Work-count guard: once the iteration stops, the covariance and the
-    # identifiability flags share one Jacobian (2p curve solves), and the
-    # report reuses the residuals the fit holds instead of solving again.
+    # Work-count guard: the Jacobian works at the model roots the fit already
+    # holds, so every curve solve of a fit is a residual evaluation (the
+    # start plus one per trial step) and none follows the loop; the report
+    # reuses the residuals the fit holds instead of solving again.
     import sawkit.inversion as inv
 
-    solves = {"total": 0, "in_jacobian": 0}
+    solves = {"total": 0, "in_jacobian": 0, "residual_calls": 0}
     jacobian_starts = []
-    solve, jacobian = inv.dispersion_curve, inv._jacobian
+    solve, jacobian, resid = inv.dispersion_curve, inv._jacobian, inv.residuals
 
     def counting_solve(*args, **kwargs):
         solves["total"] += 1
@@ -195,21 +196,123 @@ def test_curve_solves_after_the_loop_are_one_jacobian(problem_1a, monkeypatch):
         solves["in_jacobian"] += solves["total"] - jacobian_starts[-1]
         return jac
 
+    def counting_residuals(*args, **kwargs):
+        solves["residual_calls"] += 1
+        return resid(*args, **kwargs)
+
     monkeypatch.setattr(inv, "dispersion_curve", counting_solve)
     monkeypatch.setattr(inv, "_jacobian", marking_jacobian)
+    monkeypatch.setattr(inv, "residuals", counting_residuals)
     res = sk.fit_parameters(problem_1a)
-    p = len(problem_1a.free)
-    after_loop = solves["total"] - jacobian_starts[-1]
-    assert after_loop == 2 * p
+    assert solves["in_jacobian"] == 0
+    assert solves["total"] == jacobian_starts[-1]
     # one Jacobian per iteration plus the one at the solution
     assert len(jacobian_starts) == res.n_iterations + 1
-    residual_evals = solves["total"] - solves["in_jacobian"]
-    loop = residual_evals + 2 * p * res.n_iterations
-    assert solves["total"] == loop + 2 * p
+    trial_steps = solves["residual_calls"] - 1
+    assert solves["total"] == 1 + trial_steps
+    # machine-independent ceiling: the finite-difference Jacobian of the
+    # roots made 25 curve solves on this fit
+    assert solves["total"] <= 8
 
     before = solves["total"]
     format_fit_report(problem_1a, res)
     assert solves["total"] == before
+
+
+_FREQS_07 = np.linspace(50e6, 900e6, 35)
+# (stack builder, criterion-7 start, truth) of the two criterion-7 stacks
+_STACKS_07 = {
+    "1A": (make_stack_1a, (0.25, 0.9e-6), (0.179, 1.02e-6)),
+    "2": (make_stack_2, (0.5, 0.8e-6), (0.624, 0.71e-6)),
+}
+
+
+def _criterion_07_problem(silicon, oxide, geom, which, free=None):
+    make, start, _ = _STACKS_07[which]
+    template = make(silicon, oxide, geom)
+    truth = sk.dispersion_curve(template, _FREQS_07)
+    measured = sk.DispersionCurve(
+        truth.frequencies, truth.velocities,
+        sigmas=tuple(0.001 * v for v in truth.velocities),
+    )
+    return sk.FitProblem(
+        template=template,
+        free=free or two_param_free(*start),
+        measured=measured,
+        coupling=sk.SiGeCoupling(0),
+    )
+
+
+def _implicit_and_fallback(problem, values, monkeypatch):
+    """(implicit Jacobian, finite-difference Jacobian of the roots) at values;
+    fails if the implicit path fell back."""
+    import sawkit.inversion as inv
+
+    model = inv._model(problem, sk.residuals(problem, values))
+
+    def no_fallback(*args):
+        raise AssertionError("implicit Jacobian fell back to finite differences")
+
+    with monkeypatch.context() as m:
+        m.setattr(inv, "_fd_jacobian", no_fallback)
+        implicit = inv._jacobian(problem, values, model)
+    return implicit, inv._fd_jacobian(problem, values)
+
+
+def _column_rel_diff(a, b):
+    return np.linalg.norm(a - b, axis=0) / np.linalg.norm(b, axis=0)
+
+
+@pytest.mark.parametrize("which", ["1A", "2"])
+@pytest.mark.parametrize("at", ["start", "truth"])
+def test_implicit_jacobian_matches_finite_differences(
+    silicon, oxide, geom, monkeypatch, which, at
+):
+    _, start, truth = _STACKS_07[which]
+    problem = _criterion_07_problem(silicon, oxide, geom, which)
+    point = start if at == "start" else truth
+    values = dict(zip(("c_ge", "layer0.thickness"), point))
+    implicit, fd = _implicit_and_fallback(problem, values, monkeypatch)
+    # single near-zero entries differ more, so compare whole columns
+    assert _column_rel_diff(implicit, fd).max() <= 1e-6
+
+
+def test_implicit_jacobian_direct_layer_field(silicon, oxide, geom, monkeypatch):
+    free = (sk.FreeParam("layer0.young_modulus", 150e9, 50e9, 400e9),)
+    problem = _criterion_07_problem(silicon, oxide, geom, "1A", free)
+    values = {"layer0.young_modulus": sk.mix_young_modulus(0.179)}
+    implicit, fd = _implicit_and_fallback(problem, values, monkeypatch)
+    assert _column_rel_diff(implicit, fd).max() <= 1e-6
+
+
+@pytest.mark.parametrize("fault", ["nan_in_v_stencil", "nan_in_theta_stencil", "off_root"])
+def test_jacobian_fallback_is_finite_differences(problem_1a, monkeypatch, fault):
+    import sawkit.inversion as inv
+
+    values = {"c_ge": 0.2, "layer0.thickness": 1.0e-6}
+    model = inv._model(problem_1a, sk.residuals(problem_1a, values))
+    if fault.startswith("nan"):
+        indicator = inv.pole_indicator_at
+        batch = 2 * len(model) if fault == "nan_in_v_stencil" else len(model)
+
+        def nan_at_one_stencil_point(stack, freqs, v):
+            q = indicator(stack, freqs, v)
+            if len(v) == batch:
+                q[3] = np.nan
+            return q
+
+        monkeypatch.setattr(inv, "pole_indicator_at", nan_at_one_stencil_point)
+    else:
+        # 1e-5 off its root the stencil no longer brackets the root
+        model[5] *= 1.0 + 1e-5
+    calls = []
+    fallback = inv._fd_jacobian
+    monkeypatch.setattr(
+        inv, "_fd_jacobian", lambda *a: calls.append(a) or fallback(*a)
+    )
+    jac = inv._jacobian(problem_1a, values, model)
+    assert len(calls) == 1
+    assert np.array_equal(jac, fallback(problem_1a, values))
 
 
 def test_log_transform_matches_linear(silicon, oxide, geom, curve_1a):

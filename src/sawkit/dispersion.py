@@ -2,18 +2,27 @@
 
 For fixed (omega, k) the depth dependence of harmonic fields in each medium
 reduces to a 6-dimensional linear eigenproblem in the state vector
-(displacement, scaled traction).  Partial waves of all media are assembled
-into one global boundary matrix (free-surface source rows, interface
-continuity rows, substrate decay selection), and the surface response to a
-unit normal surface stress is solved directly.  Surface modes are the real
-poles of that response along the velocity axis: the mode finder brackets
-sign changes of Im(1/u3), from windows around velocity hints or from a
-velocity scan, and refines them with Chandrupatla's bracketed
-inverse-quadratic/bisection method.
+(displacement, scaled traction).  The surface response to a unit normal
+surface stress comes from a 3x3 surface-impedance recursion (Rokhlin &
+Wang, J. Acoust. Soc. Am. 112(3), 822-834, 2002).  The substrate's three
+decaying or downgoing waves give its impedance Z = B A^-1.  Each layer's
+six waves split into three referenced at its top (d) and three at its
+bottom (u); continuity with the impedance below ties the u amplitudes to
+the d ones, and the traction and displacement at the layer's top then give
+the impedance it presents to the layer above.  Every layer exponential is
+e^{ik alpha_d h} or e^{-ik alpha_u h}, at most one in magnitude, so the
+recursion does not grow at large frequency-thickness products the way the
+classical transfer matrix does.  The substrate impedance and the bottom
+layer's coupling do not depend on k, so a velocity scan computes them once
+for all its frequencies.
 
-Evaluating the response instead of a raw boundary determinant keeps the
-mode indicator independent of eigenvector normalization, which is what
-makes bracketed root finding reliable here.
+Surface modes are the real poles of that response along the velocity axis:
+the mode finder brackets sign changes of Im(1/u3), from windows around
+velocity hints or from a velocity scan, and refines them with
+Chandrupatla's bracketed inverse-quadratic/bisection method.  Evaluating
+the response instead of a raw determinant keeps the mode indicator
+independent of eigenvector normalization, which is what makes bracketed
+root finding reliable here.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ DEFAULT_REL_TOL = 1e-12  # relative bracket width at which a root is accepted
 _PROP_TOL = 1e-8  # |Im alpha| below this (relative) counts as propagating
 _RESIDUAL_TOL = 1e-8  # eigenpair residual above this marks a defective point
 _CONTINUITY_JUMP = 0.05  # adjacent curve points differing more raise a flag
+_E3 = np.array([0.0, 0.0, 1.0])  # unit normal surface stress, scaled traction units
 
 DECAYING = "decaying"
 GROWING = "growing"
@@ -206,12 +216,13 @@ def _eig_sorted(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _wave_fields(
     med: _Medium, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues, displacement/traction rows, vertical flux and validity.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, eigenvectors, vertical flux and validity.
 
-    Returns (alpha (m,6), a (m,3,6), b (m,3,6) scaled by 1/c_ref,
-    flux (m,6), valid (m,)).  Rows failing the residual or independence
-    check after one deterministic velocity nudge are marked invalid.
+    Returns (alpha (m,6), w (m,6,6), flux (m,6), valid (m,)); the rows of
+    w are the displacements a over the tractions b scaled by 1/c_ref.  Rows
+    failing the residual or independence check after one deterministic
+    velocity nudge are marked invalid.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     n = med.operator(v)
@@ -233,10 +244,8 @@ def _wave_fields(
         valid = ~still
     else:
         valid = np.ones(v.shape, dtype=bool)
-    a = vecs[:, :3, :]
-    b = vecs[:, 3:, :]
-    flux = np.real(np.einsum("mij,mij->mj", np.conj(a), b))
-    return alpha, a, b, flux, valid
+    flux = np.real(np.einsum("mij,mij->mj", np.conj(vecs[:, :3]), vecs[:, 3:]))
+    return alpha, vecs, flux, valid
 
 
 def _masks(alpha: np.ndarray, flux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,7 +292,7 @@ def partial_waves(
     c_ref = float(np.abs(tensor.voigt).max())
     med = _Medium.build(tensor, rho, c_ref)
     v = omega / k
-    alpha, a, b, flux, valid = _wave_fields(med, np.array([v]))
+    alpha, vecs, flux, valid = _wave_fields(med, np.array([v]))
     if not valid[0]:
         raise DegeneratePointError(
             f"defective partial-wave eigensystem at omega={omega:.6g}, k={k:.6g}; "
@@ -298,14 +307,13 @@ def partial_waves(
             tags.append(GROWING)
         else:
             tags.append(PROP_DOWN if flux[0, m] > 0 else PROP_UP)
-    vecs = np.vstack([a[0], b[0]])
     return PartialWaveSet(
         eigenvalues=alpha[0],
-        displacements=a[0],
-        tractions=b[0] * c_ref,
+        displacements=vecs[0, :3],
+        tractions=vecs[0, 3:] * c_ref,
         classifications=tuple(tags),
         operator=med.operator(np.array([v]))[0],
-        eigenvectors=vecs,
+        eigenvectors=vecs[0],
         c_scale=c_ref,
     )
 
@@ -364,102 +372,122 @@ def _prepare(stack: LayerStack) -> _Prepared:
     )
 
 
-# --- global boundary matrix -----------------------------------------------------
+# --- surface-impedance recursion -------------------------------------------------
 
 
-def _assemble(
-    prep: _Prepared,
-    waves: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
-    k: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Global boundary matrices for a batch of (v, k) points.
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve over stacked 3x3 systems, one point at a time on failure.
 
-    ``waves`` holds per-medium eigendata aligned with k row-for-row.
-    Returns (M (m,n,n), surface displacement rows (m,6 or 3), valid (m,)).
+    An exactly singular system makes only its own point NaN, which then
+    propagates to that point's response and nothing else.
     """
-    n_layers = len(prep.thicknesses)
-    n = 6 * n_layers + 3
-    m = k.shape[0]
-    mat = np.zeros((m, n, n), dtype=complex)
-    valid = np.ones(m, dtype=bool)
-
-    tops: list[np.ndarray] = []
-    bots: list[np.ndarray] = []
-    for j in range(n_layers):
-        alpha, _, _, flux, ok = waves[j]
-        valid &= ok
-        ref_top, _ = _masks(alpha, flux)
-        phase = 1j * k[:, None] * alpha * prep.thicknesses[j]
-        tops.append(np.exp(np.where(ref_top, 0.0, -phase)))
-        bots.append(np.exp(np.where(ref_top, phase, 0.0)))
-
-    alpha_s, a_s, b_s, flux_s, ok_s = waves[n_layers]
-    valid &= ok_s
-    accept, _ = _masks(alpha_s, flux_s)
-    valid &= accept.sum(axis=1) == 3
-    # stable order keeps the (Im, Re) eigen ordering among the selected waves
-    sel = np.argsort(~accept, axis=1, kind="stable")[:, :3]
-    a_sub = np.take_along_axis(a_s, sel[:, None, :], axis=2)
-    b_sub = np.take_along_axis(b_s, sel[:, None, :], axis=2)
-
-    if n_layers == 0:
-        mat[:, 0:3, 0:3] = b_sub
-        surface_rows = a_sub[:, 2, :]
-        return mat, surface_rows, valid
-
-    _, a0, b0, _, _ = waves[0]
-    mat[:, 0:3, 0:6] = b0 * tops[0][:, None, :]
-    surface_rows = a0[:, 2, :] * tops[0]
-
-    for j in range(n_layers):
-        rows = slice(3 + 6 * j, 9 + 6 * j)
-        cols_j = slice(6 * j, 6 * j + 6)
-        _, a_j, b_j, _, _ = waves[j]
-        mat[:, rows.start : rows.start + 3, cols_j] = a_j * bots[j][:, None, :]
-        mat[:, rows.start + 3 : rows.stop, cols_j] = b_j * bots[j][:, None, :]
-        if j + 1 < n_layers:
-            cols_n = slice(6 * (j + 1), 6 * (j + 1) + 6)
-            _, a_n, b_n, _, _ = waves[j + 1]
-            mat[:, rows.start : rows.start + 3, cols_n] = -a_n * tops[j + 1][:, None, :]
-            mat[:, rows.start + 3 : rows.stop, cols_n] = -b_n * tops[j + 1][:, None, :]
-        else:
-            cols_n = slice(6 * n_layers, 6 * n_layers + 3)
-            mat[:, rows.start : rows.start + 3, cols_n] = -a_sub
-            mat[:, rows.start + 3 : rows.stop, cols_n] = -b_sub
-    return mat, surface_rows, valid
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        out = np.empty(b.shape, dtype=complex)
+        for i in range(len(out)):
+            try:
+                out[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                out[i] = np.nan
+        return out
 
 
-def _solve_response(
-    mat: np.ndarray, surface_rows: np.ndarray, valid: np.ndarray
-) -> np.ndarray:
-    """Surface normal displacement per unit scaled normal surface stress."""
-    m, n, _ = mat.shape
-    rhs = np.zeros(n)
-    rhs[2] = 1.0
-    out = np.full(m, np.nan + 0j)
-    if valid.any():
-        sub = mat[valid]
-        try:
-            x = np.linalg.solve(sub, np.broadcast_to(rhs, sub.shape[:1] + (n,))[..., None])
-            x = x[..., 0]
-        except np.linalg.LinAlgError:
-            x = np.empty(sub.shape[:2], dtype=complex)
-            for i in range(sub.shape[0]):
-                try:
-                    x[i] = np.linalg.solve(sub[i], rhs)
-                except np.linalg.LinAlgError:
-                    x[i] = np.inf
-        width = surface_rows.shape[1]
-        u3 = np.einsum("mj,mj->m", surface_rows[valid], x[:, :width])
-        out[valid] = u3
+def _right_divide(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y x^-1 over stacked 3x3 matrices."""
+    return np.swapaxes(_solve(np.swapaxes(x, 1, 2), np.swapaxes(y, 1, 2)), 1, 2)
+
+
+def _coupling(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """S = (B_u - Z A_u)^-1 (B_d - Z A_d) of a layer on a medium of impedance Z.
+
+    ``w`` stacks the layer's displacement rows A over its traction rows B;
+    columns 0-2 are its top-referenced waves (d), columns 3-5 its
+    bottom-referenced ones (u).  Continuity with the medium below gives the
+    bottom-referenced amplitudes as -S E_d times the top-referenced ones.
+    """
+    g = w[:, 3:, :] - z @ w[:, :3, :]
+    return _solve(g[..., 3:], g[..., :3])
+
+
+@dataclass(frozen=True, eq=False)
+class _Kernel:
+    """The k-independent part of the surface response at a batch of velocities.
+
+    ``valid`` marks the velocities where every medium's waves pass the
+    residual check, the substrate accepts 3 waves and every layer splits
+    3/3.  The remaining fields hold those velocities only: per layer, surface
+    first, (alpha, w, thickness) with w the 6x6 displacement-over-traction
+    wave matrix, top-referenced waves in columns 0-2; and ``bottom``, the
+    bottom layer's coupling S on the substrate, or for a half-space the
+    substrate's 6x3 wave matrix of its accepted waves.
+    """
+
+    valid: np.ndarray
+    layers: tuple[tuple[np.ndarray, np.ndarray, float], ...]
+    bottom: np.ndarray
+
+
+def _kernel(prep: _Prepared, v: np.ndarray) -> _Kernel:
+    """Partial waves of every medium at velocities v, split 3/3 and coupled."""
+    split = []
+    valid = np.ones(v.shape, dtype=bool)
+    for med in prep.media:
+        alpha, w, flux, ok = _wave_fields(med, v)
+        down, _ = _masks(alpha, flux)
+        valid &= ok & (down.sum(axis=1) == 3)
+        # stable order keeps the (Im, Re) eigen ordering within each half
+        order = np.argsort(~down, axis=1, kind="stable")
+        split.append((np.take_along_axis(alpha, order, axis=1),
+                      np.take_along_axis(w, order[:, None, :], axis=2)))
+    split = [(alpha[valid], w[valid]) for alpha, w in split]
+    w_sub = split[-1][1][..., :3]
+    layers = tuple(wave + (h,) for wave, h in zip(split, prep.thicknesses))
+    if not layers:
+        return _Kernel(valid, layers, w_sub)
+    z_sub = _right_divide(w_sub[:, 3:], w_sub[:, :3])
+    return _Kernel(valid, layers, _coupling(z_sub, layers[-1][1]))
+
+
+def _surface(kern: _Kernel, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Surface displacement X and traction Y per unit amplitude of the top medium.
+
+    The amplitudes are those of the top layer's top-referenced waves (the
+    substrate's accepted waves for a half-space), so the response to a unit
+    normal surface stress is X Y^-1 e3.  ``k`` holds one wavenumber per
+    velocity of the kernel; the result covers its valid velocities only.
+    From the bottom layer up: T = E_u S E_d, X = A_d - A_u T and
+    Y = B_d - B_u T, and Y X^-1 is the impedance under the next layer.
+    """
+    if not kern.layers:
+        return kern.bottom[:, :3], kern.bottom[:, 3:]
+    k = k[kern.valid]
+    s = kern.bottom
+    for j in range(len(kern.layers) - 1, -1, -1):
+        alpha, w, h = kern.layers[j]
+        e_d = np.exp(1j * h * k[:, None] * alpha[:, :3])
+        e_u = np.exp(-1j * h * k[:, None] * alpha[:, 3:])
+        xy = w[..., :3] - w[..., 3:] @ (e_u[:, :, None] * s * e_d[:, None, :])
+        if j:
+            s = _coupling(_right_divide(xy[:, 3:], xy[:, :3]), kern.layers[j - 1][1])
+    return xy[:, :3], xy[:, 3:]
+
+
+def _response(kern: _Kernel, k: np.ndarray) -> np.ndarray:
+    """Surface normal displacement per unit scaled normal surface stress.
+
+    NaN at the kernel's invalid velocities.
+    """
+    x, y = _surface(kern, k)
+    c = _solve(y, np.broadcast_to(_E3[:, None], y.shape[:1] + (3, 1)))
+    out = np.full(kern.valid.shape, np.nan + 0j)
+    out[kern.valid] = np.einsum("mj,mj->m", x[:, 2, :], c[..., 0])
     return out
 
 
 def _g33(prep: _Prepared, v: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Batched surface response u3 at the given (v, k) points."""
-    waves = [_wave_fields(med, v) for med in prep.media]
-    mat, surface_rows, valid = _assemble(prep, waves, k)
-    return _solve_response(mat, surface_rows, valid)
+    return _response(_kernel(prep, v), k)
 
 
 def _pole_indicator(g33: np.ndarray) -> np.ndarray:
@@ -476,26 +504,19 @@ def _pole_indicator(g33: np.ndarray) -> np.ndarray:
 
 
 def boundary_matrix(stack: LayerStack, omega: float, k: float) -> "BoundaryMatrix":
-    """Assembled global boundary matrix with determinant and conditioning."""
+    """Surface-traction matrix Y of the impedance recursion at one (omega, k)."""
     if not (omega > 0 and k > 0):
         raise ValueError("omega and k must be positive")
-    prep = _prepare(stack)
-    v = np.array([omega / k])
-    kk = np.array([k])
-    waves = [_wave_fields(med, v) for med in prep.media]
-    mat, _, valid = _assemble(prep, waves, kk)
-    if not valid[0]:
+    kern = _kernel(_prepare(stack), np.array([omega / k]))
+    if not kern.valid[0]:
         raise DegeneratePointError(
             f"degenerate partial-wave point at omega={omega:.6g}, k={k:.6g}"
         )
-    m = mat[0]
+    m = _surface(kern, np.array([k]))[1][0]
     sign, logabs = np.linalg.slogdet(m)
-    n = m.shape[0]
-    rhs = np.zeros(n)
-    rhs[2] = 1.0
     return BoundaryMatrix(
         matrix=m,
-        rhs=rhs,
+        rhs=_E3.copy(),
         determinant=sign * np.exp(min(logabs, 700.0)),
         log_abs_det=float(logabs),
         condition_number=float(np.linalg.cond(m)),
@@ -505,11 +526,15 @@ def boundary_matrix(stack: LayerStack, omega: float, k: float) -> "BoundaryMatri
 
 @dataclass(frozen=True, eq=False)
 class BoundaryMatrix:
-    """Global continuity/boundary system at one (omega, k).
+    """Surface-traction system Y c = rhs at one (omega, k).
 
-    The right-hand side carries the unit normal surface stress in scaled
-    traction units; tractions inside the matrix share the same scale, so
-    the determinant's zeros (not its absolute normalization) are physical.
+    Y (3x3 for every stack) maps the amplitudes of the top layer's
+    top-referenced partial waves (the substrate's accepted waves for a
+    half-space) to the traction at the free surface, after the impedance
+    recursion has imposed continuity at every interface below.  The
+    right-hand side is the unit normal surface stress in scaled traction
+    units.  The determinant vanishes at surface modes; its absolute
+    normalization is not physical.
     """
 
     matrix: np.ndarray
@@ -528,8 +553,9 @@ def surface_green_g33(stack: LayerStack, omega: float, k: float) -> complex:
     """Surface normal displacement for a unit normal surface stress.
 
     Scale is arbitrary but consistent for a given stack; only the pole
-    locations in velocity are physical.  An exactly singular system returns
-    complex infinity as the pole indicator instead of raising.
+    locations in velocity are physical.  A defective point, or one where
+    the recursion meets an exactly singular system, raises
+    DegeneratePointError.
     """
     if not (omega > 0 and k > 0):
         raise ValueError("omega and k must be positive")
@@ -566,14 +592,19 @@ def _scan_grid(prep: _Prepared, scan_step: float) -> np.ndarray:
 def _grid_indicator(
     prep: _Prepared, grid: np.ndarray, freqs: np.ndarray
 ) -> np.ndarray:
-    """Pole indicator on the (velocity grid x frequencies) mesh, shape (nv, nf)."""
-    waves = [_wave_fields(med, grid) for med in prep.media]
-    nv, nf = grid.size, freqs.size
-    out = np.empty((nv, nf))
-    for jf in range(nf):
-        k = 2.0 * math.pi * freqs[jf] / grid
-        mat, rows, valid = _assemble(prep, waves, k)
-        out[:, jf] = _pole_indicator(_solve_response(mat, rows, valid))
+    """Pole indicator on the (velocity grid x frequencies) mesh, shape (nv, nf).
+
+    The kernel is built once for the grid; each frequency then runs only
+    the layer recursion, and a half-space, whose response does not depend
+    on k, runs nothing per frequency.
+    """
+    kern = _kernel(prep, grid)
+    out = np.empty((grid.size, freqs.size))
+    for jf in range(freqs.size):
+        if jf and not kern.layers:
+            out[:, jf] = out[:, 0]
+        else:
+            out[:, jf] = _pole_indicator(_response(kern, 2.0 * math.pi * freqs[jf] / grid))
     return out
 
 
@@ -733,24 +764,16 @@ def saw_phase_velocity(
         stack, np.array([frequency]), hints, scan_step, rel_tol
     )
     if failures:
-        min_det = _min_abs_det(stack, prep, grid, frequency)
+        y = _surface(_kernel(prep, grid), 2.0 * math.pi * frequency / grid)[1]
+        min_det = float(np.abs(np.linalg.det(y)).min()) if y.size else float("nan")
         raise NoModeError(
             f"no surface mode at {frequency:.6g} Hz in window "
             f"[{prep.v_floor:.1f}, {prep.v_ceiling:.1f}] m/s "
-            f"(min |det| over scan: {min_det:.3e})",
+            f"(min |det Y| over scan: {min_det:.3e})",
             window=(prep.v_floor, prep.v_ceiling),
             min_abs_det=min_det,
         )
     return float(roots[0])
-
-
-def _min_abs_det(
-    stack: LayerStack, prep: _Prepared, grid: np.ndarray, frequency: float
-) -> float:
-    waves = [_wave_fields(med, grid) for med in prep.media]
-    mat, _, valid = _assemble(prep, waves, 2.0 * math.pi * frequency / grid)
-    _, logabs = np.linalg.slogdet(mat[valid])
-    return float(np.exp(logabs.min())) if logabs.size else float("nan")
 
 
 def dispersion_curve(

@@ -21,7 +21,13 @@ class DegeneratePointError(SawkitError):
 
 
 class NoModeError(SawkitError):
-    """No surface mode found in the scanned velocity window."""
+    """No surface mode found in the scanned velocity window.
+
+    ``window`` is the (floor, ceiling) of the scan in m/s.  ``min_abs_det``
+    is the smallest |det Y| over the scan at the failing frequency, where Y
+    is the 3x3 surface-traction matrix that ``boundary_matrix`` returns; it
+    vanishes at a mode, so a value far from zero says none was near.
+    """
 
     def __init__(self, message, window=None, min_abs_det=None):
         super().__init__(message)

@@ -1,9 +1,11 @@
 """The benchmark under perfbench/ reaches into the package by name; these
-tests fail when a public-API change leaves one of those names dangling."""
+tests fail when a public-API change leaves one of those names dangling or
+its probes unable to run."""
 
 import ast
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,11 @@ def test_single_point_probe_entry_points_resolve(tracing):
         for attr in chain[1:]:
             assert hasattr(obj, attr), f"{'.'.join(chain)} no longer resolves"
             obj = getattr(obj, attr)
+
+
+def test_single_point_probes_run(tracing, stack_1a):
+    # the --trace 1 probes call the public entry points, so a change of
+    # their contract shows here and not only in a traced benchmark run
+    probes = tracing.single_point_probes(stack_1a)
+    assert len(probes) == 3
+    assert all(math.isfinite(us) and us > 0 for us in probes.values()), probes

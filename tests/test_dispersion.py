@@ -12,6 +12,8 @@ from sawkit.dispersion import DECAYING, GROWING, PROP_DOWN, PROP_UP
 from sawkit.errors import CurveError, FormatError, NoModeError
 from sawkit.materials import stiffness_from_isotropic
 
+import global_matrix
+
 
 @pytest.fixture(scope="module")
 def iso():
@@ -105,7 +107,7 @@ def test_boundary_matrix_dimension(bare_silicon, stack_1a):
     bm0 = sk.boundary_matrix(bare_silicon, 2 * math.pi * 100e6, 2 * math.pi * 100e6 / 4800.0)
     assert bm0.dimension == 3
     bm2 = sk.boundary_matrix(stack_1a, 2 * math.pi * 100e6, 2 * math.pi * 100e6 / 4800.0)
-    assert bm2.dimension == 15
+    assert bm2.dimension == 3
     assert bm2.condition_number > 0 and np.isfinite(bm2.condition_number)
 
 
@@ -120,6 +122,16 @@ def test_boundary_determinant_vanishes_at_rayleigh(iso):
     at_root = absdet(vr)
     nearby = min(absdet(vr - 100.0), absdet(vr + 100.0))
     assert at_root < 1e-5 * nearby
+
+
+def test_boundary_determinant_vanishes_at_layered_root(stack_1a):
+    omega = 2 * math.pi * 200e6
+    root = sk.saw_phase_velocity(stack_1a, 200e6)
+
+    def absdet(v):
+        return abs(sk.boundary_matrix(stack_1a, omega, omega / v).determinant)
+
+    assert absdet(root) < 1e-6 * min(absdet(root - 50.0), absdet(root + 50.0))
 
 
 def test_boundary_matrix_smoke_over_scan(stack_1a):
@@ -318,7 +330,12 @@ def test_no_mode_error_reports_window(oxide, silicon):
     with pytest.raises(NoModeError) as err:
         sk.saw_phase_velocity(stack, 450e6)
     assert err.value.window is not None
-    assert err.value.min_abs_det is not None
+    # min |det Y| over the scan: at most |det Y| at any of its velocities
+    omega = 2 * math.pi * 450e6
+    grid = dispersion._scan_grid(dispersion._prepare(stack), dispersion.DEFAULT_SCAN_STEP)
+    sampled = [abs(sk.boundary_matrix(stack, omega, omega / v).determinant)
+               for v in grid[::40]]
+    assert 0 < err.value.min_abs_det <= min(sampled)
     with pytest.raises(CurveError) as cerr:
         sk.dispersion_curve(stack, [440e6, 460e6])
     assert cerr.value.indices == (0, 1)
@@ -391,42 +408,45 @@ def _check_finder(stack, freqs):
     np.testing.assert_allclose(hinted, cold, rtol=1e-10)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(
-    layers=st.lists(
-        st.tuples(
-            st.one_of(st.none(), st.floats(0.0, 1.0)),  # oxide, or SiGe with this c_ge
-            st.floats(0.1e-6, 3e-6),
-        ),
-        min_size=1,
-        max_size=3,
-    )
+# 1-3 layers, each oxide (None) or SiGe of the given c_ge, with a thickness
+RANDOM_LAYERS = st.lists(
+    st.tuples(st.one_of(st.none(), st.floats(0.0, 1.0)), st.floats(0.1e-6, 3e-6)),
+    min_size=1,
+    max_size=3,
 )
-def test_finder_matches_bisection_random_stacks(layers, silicon, oxide, geom):
-    stack = sk.LayerStack(
+BUNDLED = [("si_bare", 1), ("stack_1A", 1), ("stack_2", 1), ("stack_3", 1),
+           ("sio2_on_si", 1), ("stack_1A", 10)]
+
+
+def _random_stack(layers, silicon, oxide, geom):
+    return sk.LayerStack(
         layers=tuple(
             sk.Layer(oxide if c is None else sk.sige_material(c), d) for c, d in layers
         ),
         substrate=silicon,
         geometry=geom,
     )
-    _check_finder(stack, FINDER_FREQS)
 
 
-@pytest.mark.parametrize(
-    "name, thickness_factor",
-    [("si_bare", 1), ("stack_1A", 1), ("stack_2", 1), ("stack_3", 1),
-     ("sio2_on_si", 1), ("stack_1A", 10)],
-)
-def test_finder_matches_bisection_bundled_stacks(name, thickness_factor):
+def _bundled_stack(name, thickness_factor):
     stack = build_stack(load_config(fixture_config_path(name)))
-    stack = sk.LayerStack(
+    return sk.LayerStack(
         layers=tuple(sk.Layer(l.material, l.thickness * thickness_factor)
                      for l in stack.layers),
         substrate=stack.substrate,
         geometry=stack.geometry,
     )
-    _check_finder(stack, FINDER_FREQS)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(layers=RANDOM_LAYERS)
+def test_finder_matches_bisection_random_stacks(layers, silicon, oxide, geom):
+    _check_finder(_random_stack(layers, silicon, oxide, geom), FINDER_FREQS)
+
+
+@pytest.mark.parametrize("name, thickness_factor", BUNDLED)
+def test_finder_matches_bisection_bundled_stacks(name, thickness_factor):
+    _check_finder(_bundled_stack(name, thickness_factor), FINDER_FREQS)
 
 
 def test_finder_rejects_poles_of_indicator(stack_1a):
@@ -463,6 +483,102 @@ def test_hinted_curve_batch_count(stack_1a, monkeypatch):
     monkeypatch.setattr(dispersion, "_g33", lambda *args: calls.append(1) or g33(*args))
     sk.dispersion_curve(stack_1a, freqs, hints=cold * (1 + 2e-4 * (-1.0) ** np.arange(35)))
     assert len(calls) <= 12
+
+
+# --- impedance recursion against the global boundary matrix ---------------------
+
+
+def _check_against_global_matrix(stack, freqs):
+    """Indicator and roots of the 3x3 recursion against the global-matrix oracle."""
+    prep = dispersion._prepare(stack)
+    grid = dispersion._scan_grid(prep, dispersion.DEFAULT_SCAN_STEP)
+    # the scan's mesh, and one batch of mixed wavenumbers through _g33
+    f = freqs[np.arange(grid.size) % freqs.size]
+    k = 2 * math.pi * f / grid
+    for q, q_ref in (
+        (dispersion._grid_indicator(prep, grid, freqs),
+         global_matrix.grid_indicator(prep, grid, freqs)),
+        (dispersion._pole_indicator(dispersion._g33(prep, grid, k)),
+         dispersion._pole_indicator(global_matrix.g33(prep, grid, k))),
+    ):
+        assert np.array_equal(np.isfinite(q), np.isfinite(q_ref))
+        finite = np.isfinite(q_ref)
+        np.testing.assert_allclose(q[finite], q_ref[finite], rtol=1e-10, atol=0)
+
+    step, tol = dispersion.DEFAULT_SCAN_STEP, dispersion.DEFAULT_REL_TOL
+    roots, _, _, _ = dispersion._find_modes(stack, freqs, None, step, tol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dispersion, "_g33", global_matrix.g33)
+        mp.setattr(dispersion, "_grid_indicator", global_matrix.grid_indicator)
+        ref, _, _, _ = dispersion._find_modes(stack, freqs, None, step, tol)
+    np.testing.assert_allclose(roots, ref, rtol=1e-11)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(layers=RANDOM_LAYERS)
+def test_recursion_matches_global_matrix_random_stacks(layers, silicon, oxide, geom):
+    _check_against_global_matrix(_random_stack(layers, silicon, oxide, geom), FINDER_FREQS)
+
+
+@pytest.mark.parametrize("name, thickness_factor", BUNDLED)
+def test_recursion_matches_global_matrix_bundled_stacks(name, thickness_factor):
+    _check_against_global_matrix(_bundled_stack(name, thickness_factor), FINDER_FREQS)
+
+
+@pytest.mark.parametrize("call", range(5))
+def test_singular_system_spoils_only_its_own_point(stack_1a, monkeypatch, call):
+    # stack 1A (film on oxide on Si) makes five 3x3 solves per batch: the
+    # substrate impedance and the oxide's coupling to it (per velocity),
+    # the impedance at the oxide's top, the film's coupling to it and the
+    # surface solve (per frequency); make one exactly singular at one
+    # point, once
+    prep = dispersion._prepare(stack_1a)
+    v = np.linspace(3600.0, 5000.0, 8)
+    f = np.full(v.size, 300e6)
+    clean = dispersion._g33(prep, v, 2 * math.pi * f / v)
+    solve, seen = dispersion._solve, []
+
+    def singular_once(a, b):
+        seen.append(1)
+        if len(seen) == call + 1:
+            a = a.copy()
+            a[3] = 0.0
+        return solve(a, b)
+
+    monkeypatch.setattr(dispersion, "_solve", singular_once)
+    got = dispersion._g33(prep, v, 2 * math.pi * f / v)
+    assert len(seen) == 5
+    assert np.flatnonzero(~np.isfinite(got)).tolist() == [3]
+    others = np.arange(v.size) != 3
+    np.testing.assert_allclose(got[others], clean[others], rtol=1e-14)
+    seen.clear()
+    q = dispersion._indicator(prep, f, v)
+    assert np.isfinite(q).all()
+
+
+def test_cold_curve_solves_only_3x3_systems(stack_1a, monkeypatch):
+    # work guard that does not depend on the machine: every linear system
+    # is 3x3, and the substrate's partial waves are found once per scan grid
+    prep = dispersion._prepare(stack_1a)
+    grid = dispersion._scan_grid(prep, dispersion.DEFAULT_SCAN_STEP)
+    shapes, substrate_sizes = set(), []
+    solve, wave_fields = np.linalg.solve, dispersion._wave_fields
+
+    def recording_solve(a, b):
+        shapes.add(np.shape(a)[-2:])
+        return solve(a, b)
+
+    def recording_wave_fields(med, v):
+        if med is prep.media[-1]:
+            substrate_sizes.append(np.size(v))
+        return wave_fields(med, v)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    monkeypatch.setattr(dispersion, "_wave_fields", recording_wave_fields)
+    sk.dispersion_curve(stack_1a, np.linspace(50e6, 900e6, 35))
+    assert shapes == {(3, 3)}
+    assert substrate_sizes.count(grid.size) == 1
+    assert max(size for size in substrate_sizes if size != grid.size) <= 35
 
 
 # --- curve container and CSV ----------------------------------------------------

@@ -39,6 +39,7 @@ import numpy as np
 from . import __version__
 from .dispersion import (
     DispersionCurve,
+    _read_table,
     dispersion_csv_text,
     dispersion_curve,
     read_dispersion_csv,
@@ -285,7 +286,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def fixture_config_path(name: str) -> Path:
-    """Path of a bundled example config (si_bare, stack_1A, stack_2, stack_3, sio2_on_si)."""
+    """Path of a bundled example config (si_bare, stack_1A, stack_1A_duty30,
+    stack_2, stack_3, sio2_on_si)."""
     res = resources.files("sawkit.data.configs").joinpath(f"{name}.cfg")
     with resources.as_file(res) as p:
         return Path(p)
@@ -319,12 +321,13 @@ def cmd_dispersion(args) -> int:
     return 0
 
 
-def _model_curve_for_mask(cfg: RunConfig, stack: LayerStack, mask: MaskSpec) -> DispersionCurve:
+def _model_curve_for_mask(
+    cfg: RunConfig, stack: LayerStack, mask: MaskSpec, rate: float
+) -> DispersionCurve:
     """Forward-model curve spanning the mask's harmonics for synthesis: 40
     points from 0.35 of the slowest velocity over the period (below the
-    fundamental) to 0.47 of the sample rate (just under Nyquist)."""
+    fundamental) to 0.47 of the sample rate, ``rate`` GHz (just under Nyquist)."""
     v_lo, _ = velocity_window(stack)
-    rate = _parse_float(cfg, "synthesis", "sample_rate_ghz", 2.0)
     f_lo, f_hi = 0.35 * v_lo / mask.period, 0.47 * (rate * 1e9)
     if not f_hi > f_lo:
         raise ConfigError(
@@ -344,7 +347,8 @@ def cmd_synth(args) -> int:
         raise ConfigError(
             f"{cfg.path}: noise_rms > 0 requires a seed ([run] seed or --seed)"
         )
-    curve = _model_curve_for_mask(cfg, stack, mask)
+    rate = _parse_float(cfg, "synthesis", "sample_rate_ghz", 2.0)
+    curve = _model_curve_for_mask(cfg, stack, mask, rate)
     sec = cfg.section("synthesis")
     n_harm = _parse_int(cfg, "synthesis", "n_harmonics", 0) if "n_harmonics" in sec else None
     w = synthesize_slope_signal(
@@ -352,7 +356,7 @@ def cmd_synth(args) -> int:
         curve,
         distance=_parse_float(cfg, "synthesis", "distance_mm", 5.0) * 1e-3,
         pulse_fwhm=_parse_float(cfg, "synthesis", "pulse_fwhm_ns", 1.2) * 1e-9,
-        sample_rate=_parse_float(cfg, "synthesis", "sample_rate_ghz", 2.0) * 1e9,
+        sample_rate=rate * 1e9,
         noise_rms=noise_rms,
         seed=seed,
         n_harmonics=n_harm,
@@ -420,34 +424,10 @@ def cmd_extract(args) -> int:
 
 
 def _read_calibration_csv(path: str) -> list[tuple[float, float]]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read measurements CSV {path}: {exc}") from None
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ConfigError(f"{path}: empty measurements file")
-    if lines[0].strip() != "period_pixels,frequency_hz":
-        raise FormatError(
-            f"{path}: line 1: bad header {lines[0]!r}, expected 'period_pixels,frequency_hz'",
-            line=1,
-        )
-    rows = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        parts = raw.split(",")
-        if len(parts) != 2:
-            raise FormatError(
-                f"{path}: line {lineno}: expected 2 columns", line=lineno
-            )
-        try:
-            rows.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise FormatError(
-                f"{path}: line {lineno}: non-numeric value", line=lineno
-            ) from None
-    if not rows:
-        raise ConfigError(f"{path}: no measurement rows")
-    return rows
+    _, columns, _ = _read_table(path, ("period_pixels,frequency_hz",), positive=True)
+    if not columns.size:
+        raise FormatError(f"{path}: no measurement rows")
+    return list(zip(*columns))
 
 
 def cmd_calibrate(args) -> int:

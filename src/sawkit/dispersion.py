@@ -75,15 +75,17 @@ class DispersionCurve:
         v = tuple(float(x) for x in self.velocities)
         if len(f) != len(v):
             raise ValueError("frequencies and velocities must have equal length")
-        if any(b <= a for a, b in zip(f, f[1:])):
-            raise ValueError("frequencies must be strictly increasing")
-        if any(x <= 0 for x in v):
-            raise ValueError("velocities must be positive")
+        if not all(map(math.isfinite, f)) or any(b <= a for a, b in zip(f, f[1:])):
+            raise ValueError("frequencies must be finite and strictly increasing")
+        if not all(0 < x < math.inf for x in v):
+            raise ValueError("velocities must be positive and finite")
         s = self.sigmas
         if s is not None:
             s = tuple(float(x) for x in s)
             if len(s) != len(f):
                 raise ValueError("sigmas must match the number of points")
+            if not all(0 < x < math.inf for x in s):
+                raise ValueError("sigmas must be positive and finite")
         object.__setattr__(self, "frequencies", f)
         object.__setattr__(self, "velocities", v)
         object.__setattr__(self, "sigmas", s)
@@ -108,14 +110,78 @@ class DispersionCurve:
         return float(np.interp(frequency, self.frequencies, self.velocities))
 
 
-def dispersion_csv_text(curve: DispersionCurve) -> str:
-    lines = [CSV_HEADER_SIGMA if curve.sigmas is not None else CSV_HEADER]
-    for i, (f, v) in enumerate(zip(curve.frequencies, curve.velocities)):
-        row = f"{f!r},{v!r}"
-        if curve.sigmas is not None:
-            row += f",{curve.sigmas[i]!r}"
-        lines.append(row)
+def _csv_text(header: str, columns, meta: dict | None = None) -> str:
+    """``# key=value`` lines, the header, then one ``%r,...,%r`` line per row
+    zipped from ``columns`` (iterables of Python floats)."""
+    lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
+    lines.append(header)
+    row = ",".join(["%r"] * (header.count(",") + 1))
+    lines.extend(row % values for values in zip(*columns))
     return "\n".join(lines) + "\n"
+
+
+def _parse_rows(rows: list[str], n: int, positive: bool) -> np.ndarray | None:
+    """``rows`` as ``n`` columns, or None unless each holds n finite (positive) numbers."""
+    if not rows:
+        return np.empty((n, 0))
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2).T
+    except ValueError:
+        return None
+    ok = data.shape[0] == n and np.isfinite(data).all() and (not positive or (data > 0).all())
+    return data if ok else None
+
+
+def _read_table(path, headers: tuple[str, ...], positive: bool = False):
+    """Read a CSV exchange file into ``(header, columns, meta)``.
+
+    Blank lines are skipped, and ``# key=value`` lines anywhere go into
+    ``meta``.  The first other line must be one of ``headers``; each later
+    one must hold as many finite numbers (positive ones if ``positive``) as
+    the header has columns.  ``columns`` holds one array per column.  Faults
+    raise ``FormatError`` naming ``path``; row faults carry the file line.
+    """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from None
+    expected = " or ".join(map(repr, headers))
+    meta: dict[str, str] = {}
+    header = None
+    rows = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line[0] == "#":
+            key, eq, value = line[1:].partition("=")
+            if eq:
+                meta[key.strip()] = value.strip()
+        elif header is not None:
+            rows.append(line)
+        elif line in headers:
+            header = line
+        else:
+            raise FormatError(f"{path}: line {lineno}: bad header {line!r}, expected {expected}",
+                              line=lineno)
+    if header is None:
+        raise FormatError(f"{path}: no column header, expected {expected}")
+    n = header.count(",") + 1
+    columns = _parse_rows(rows, n, positive)
+    if columns is None:  # find the first bad row, one line at a time
+        data_lines = (i for i, raw in enumerate(lines, 1) if raw.strip()[:1] not in ("", "#"))
+        next(data_lines)  # the header
+        bad = next(i for i in data_lines if _parse_rows([lines[i - 1]], n, positive) is None)
+        kind = "positive finite" if positive else "finite"
+        raise FormatError(f"{path}: line {bad}: expected {n} {kind} numbers, "
+                          f"got {lines[bad - 1].strip()!r}", line=bad)
+    return header, columns, meta
+
+
+def dispersion_csv_text(curve: DispersionCurve) -> str:
+    if curve.sigmas is None:
+        return _csv_text(CSV_HEADER, (curve.frequencies, curve.velocities))
+    return _csv_text(CSV_HEADER_SIGMA, (curve.frequencies, curve.velocities, curve.sigmas))
 
 
 def write_dispersion_csv(curve: DispersionCurve, path: str | Path) -> None:
@@ -123,46 +189,12 @@ def write_dispersion_csv(curve: DispersionCurve, path: str | Path) -> None:
 
 
 def read_dispersion_csv(path: str | Path) -> DispersionCurve:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FormatError(f"cannot read dispersion CSV {path}: {exc}") from None
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError(f"{path}: empty file, expected header {CSV_HEADER!r}", line=1)
-    header = lines[0].strip()
-    if header == CSV_HEADER:
-        with_sigma = False
-    elif header == CSV_HEADER_SIGMA:
-        with_sigma = True
-    else:
-        raise FormatError(
-            f"{path}: bad header {header!r}, expected {CSV_HEADER!r} or {CSV_HEADER_SIGMA!r}",
-            line=1,
-        )
-    freqs, vels, sigs = [], [], []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != (3 if with_sigma else 2):
-            raise FormatError(f"{path}: line {lineno}: expected "
-                              f"{3 if with_sigma else 2} columns, got {len(parts)}",
-                              line=lineno)
-        try:
-            values = [float(p) for p in parts]
-        except ValueError:
-            raise FormatError(f"{path}: line {lineno}: non-numeric value in {raw!r}",
-                              line=lineno) from None
-        freqs.append(values[0])
-        vels.append(values[1])
-        if with_sigma:
-            sigs.append(values[2])
+    header, columns, _ = _read_table(path, (CSV_HEADER, CSV_HEADER_SIGMA), positive=True)
     try:
         return DispersionCurve(
-            frequencies=tuple(freqs),
-            velocities=tuple(vels),
-            sigmas=tuple(sigs) if with_sigma else None,
+            frequencies=columns[0],
+            velocities=columns[1],
+            sigmas=columns[2] if header == CSV_HEADER_SIGMA else None,
         )
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
@@ -792,8 +824,8 @@ def dispersion_curve(
     freqs = np.asarray(list(frequencies), dtype=float)
     if freqs.size == 0:
         return DispersionCurve(frequencies=(), velocities=())
-    if np.any(freqs <= 0):
-        raise ValueError("frequencies must be positive")
+    if not (np.isfinite(freqs).all() and (freqs > 0).all()):
+        raise ValueError("frequencies must be positive and finite")
     if np.any(np.diff(freqs) <= 0):
         raise ValueError("frequencies must be strictly increasing")
     hint_arr = None

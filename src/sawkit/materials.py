@@ -19,6 +19,13 @@ block::
     poisson_ratio = 0.15
     density_kg_m3 = 2200
 
+The grammar is Python's ``configparser`` INI format with ``=`` as the only
+delimiter, ``#`` starting full-line comments only, case-sensitive keys, no
+interpolation and no ``[DEFAULT]`` section: a ``[DEFAULT]`` block is an
+ordinary material.  An indented line continues the value above it.  A
+repeated material or key is an error, as is a line that is neither a
+``[name]`` header nor ``key = value``.
+
 Moduli are stored in GPa in files and converted to Pa on load.  Required
 keys depend on ``symmetry``; the only optional key is ``source``.  Unknown
 keys are rejected with an error naming the entry.
@@ -26,6 +33,7 @@ keys are rejected with an error naming the entry.
 
 from __future__ import annotations
 
+import configparser
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -381,41 +389,23 @@ def _build_entry(name: str, fields: dict[str, str]) -> ElasticMaterial:
 
 def parse_material_db(text: str) -> MaterialDb:
     """Parse material-database text; see the module docstring for the grammar."""
-    materials: dict[str, ElasticMaterial] = {}
-    metadata: dict[str, dict[str, str]] = {}
-    name = None
-    fields: dict[str, str] = {}
-
-    def flush():
-        if name is None:
-            return
-        source = fields.get("source", "")
-        materials[name] = _build_entry(name, dict(fields))
-        metadata[name] = {"source": source, "units": "GPa, kg/m3 (SI Pa in memory)"}
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            flush()
-            name = line[1:-1].strip()
-            if not name:
-                raise MaterialDbError(f"line {lineno}: empty material name")
-            if name in materials:
-                raise MaterialDbError(f"line {lineno}: duplicate material {name!r}")
-            fields = {}
-            continue
-        if "=" not in line:
-            raise MaterialDbError(f"line {lineno}: expected 'key = value', got {line!r}")
-        if name is None:
-            raise MaterialDbError(f"line {lineno}: key/value outside a [material] block")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in fields:
-            raise MaterialDbError(f"entry {name!r}: duplicate key {key!r}")
-        fields[key] = value.strip()
-    flush()
+    # "\0" as the default section: no real file has one, so no [DEFAULT] inheritance
+    parser = configparser.ConfigParser(delimiters=("=",), comment_prefixes=("#",),
+                                       interpolation=None, default_section="\0")
+    parser.optionxform = str  # case-sensitive keys
+    try:
+        parser.read_string(text)
+    except configparser.DuplicateSectionError as exc:
+        raise MaterialDbError(f"line {exc.lineno}: duplicate material {exc.section!r}") from None
+    except configparser.DuplicateOptionError as exc:
+        raise MaterialDbError(f"entry {exc.section!r}: duplicate key {exc.option!r}") from None
+    except configparser.Error as exc:  # parsing errors: the text names the line
+        raise MaterialDbError(" ".join(str(exc).split())) from None
+    materials, metadata = {}, {}
+    for name in parser.sections():
+        materials[name] = _build_entry(name, dict(parser[name]))
+        metadata[name] = {"source": parser[name].get("source", ""),
+                          "units": "GPa, kg/m3 (SI Pa in memory)"}
     return MaterialDb(materials=materials, metadata=metadata)
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dispersion import DispersionCurve
+from .dispersion import DispersionCurve, _csv_text, _read_table
 from .errors import ExtractionError, FormatError, SynthesisError
 
 GLASS_MASK = "glass-mask"
@@ -452,19 +452,15 @@ WAVEFORM_HEADER = "time_s,amplitude"
 
 
 def waveform_csv_text(w: Waveform) -> str:
-    lines = [f"# sample_rate_hz={w.sample_rate!r}", f"# distance_m={w.distance!r}"]
+    meta = {"sample_rate_hz": w.sample_rate, "distance_m": w.distance}
     if w.seed is not None:
-        lines.append(f"# seed={w.seed}")
+        meta["seed"] = w.seed
     if w.mask is not None:
-        lines.append(f"# mask_period_m={w.mask.period!r}")
-        lines.append(f"# mask_duty={w.mask.duty!r}")
-        lines.append(f"# mask_n_periods={w.mask.n_periods}")
-        lines.append(f"# mask_kind={w.mask.kind}")
-    lines.append(WAVEFORM_HEADER)
+        meta.update(mask_period_m=w.mask.period, mask_duty=w.mask.duty,
+                    mask_n_periods=w.mask.n_periods, mask_kind=w.mask.kind)
     dt = 1.0 / w.sample_rate
-    for i, a in enumerate(w.samples):
-        lines.append(f"{i * dt!r},{float(a)!r}")
-    return "\n".join(lines) + "\n"
+    times = (i * dt for i in range(len(w)))
+    return _csv_text(WAVEFORM_HEADER, (times, map(float, w.samples)), meta)
 
 
 def write_waveform_csv(w: Waveform, path: str | Path) -> None:
@@ -472,51 +468,11 @@ def write_waveform_csv(w: Waveform, path: str | Path) -> None:
 
 
 def read_waveform_csv(path: str | Path) -> Waveform:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FormatError(f"cannot read waveform CSV {path}: {exc}") from None
-    meta: dict[str, str] = {}
-    samples: list[float] = []
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-            continue
-        if not header_seen:
-            if line != WAVEFORM_HEADER:
-                raise FormatError(
-                    f"{path}: line {lineno}: bad header {line!r}, "
-                    f"expected {WAVEFORM_HEADER!r}",
-                    line=lineno,
-                )
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise FormatError(
-                f"{path}: line {lineno}: expected 2 columns, got {len(parts)}",
-                line=lineno,
-            )
-        try:
-            samples.append(float(parts[1]))
-        except ValueError:
-            raise FormatError(
-                f"{path}: line {lineno}: non-numeric amplitude {parts[1]!r}",
-                line=lineno,
-            ) from None
+    _, columns, meta = _read_table(path, (WAVEFORM_HEADER,))
     if "sample_rate_hz" not in meta or "distance_m" not in meta:
         raise FormatError(
             f"{path}: missing '# sample_rate_hz=' or '# distance_m=' comment header"
         )
-    if not header_seen:
-        raise FormatError(f"{path}: missing column header {WAVEFORM_HEADER!r}")
     try:
         mask = None
         if "mask_period_m" in meta:
@@ -527,7 +483,7 @@ def read_waveform_csv(path: str | Path) -> Waveform:
                 kind=meta.get("mask_kind", GLASS_MASK),
             )
         return Waveform(
-            samples=np.asarray(samples),
+            samples=columns[1],
             sample_rate=float(meta["sample_rate_hz"]),
             distance=float(meta["distance_m"]),
             seed=int(meta["seed"]) if "seed" in meta else None,

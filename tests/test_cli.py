@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import sawkit as sk
-from sawkit.cli import fixture_config_path, load_config, main
-from sawkit.errors import ConfigError
+from sawkit.cli import _read_calibration_csv, fixture_config_path, load_config, main
+from sawkit.errors import ConfigError, FormatError
 
 
 def run(args, capsys=None):
@@ -28,7 +28,7 @@ def cfg_1a():
 def test_fixture_configs_load_and_build():
     from sawkit.cli import build_stack
 
-    for name in ("si_bare", "stack_1A", "stack_2", "stack_3", "sio2_on_si"):
+    for name in ("si_bare", "stack_1A", "stack_1A_duty30", "stack_2", "stack_3", "sio2_on_si"):
         cfg = load_config(fixture_config_path(name))
         stack = build_stack(cfg)
         assert isinstance(stack, sk.LayerStack)
@@ -264,6 +264,70 @@ def test_cmd_calibrate_empty_exit_2(tmp_path):
     assert run(["calibrate", p]) == 2
 
 
+# --- input faults ---------------------------------------------------------------------
+
+_SIGMA_HEADER = "frequency_hz,phase_velocity_m_per_s,sigma_m_per_s\n"
+
+
+@pytest.mark.parametrize(
+    "command, content, bad",
+    [
+        # the blank line must not shift the reported line number
+        ("calibrate", "period_pixels,frequency_hz\n10,144537500.0\n\n12,abc\n", "12,abc"),
+        ("calibrate", "period_pixels,frequency_hz\n10,inf\n12,nan\n", "10,inf"),
+        ("calibrate", "period_pixels,frequency_hz\n10,144537500.0\n-12,1e8\n", "-12,1e8"),
+        # (data row, replacement) in a synthesized si_bare waveform
+        ("extract", (3, "abc,{a}"), None),
+        ("extract", (3, "{t},nan"), None),
+        ("fit", _SIGMA_HEADER + "1e8,4700.0,4.7\n2e8,nan,4.6\n3e8,4500.0,4.5\n", "2e8,nan"),
+        ("plot", _SIGMA_HEADER + "1e8,4700.0,4.7\n2e8,inf,4.6\n", "2e8,inf"),
+        ("fit", _SIGMA_HEADER + "1e8,4700.0,4.7\n2e8,4600.0,0\n3e8,4500.0,4.5\n",
+         "2e8,4600.0,0"),
+    ],
+    ids=["calibrate-blank-line", "calibrate-non-finite", "calibrate-negative",
+         "extract-bad-time", "extract-nan-amplitude", "fit-nan-velocity", "plot-inf",
+         "fit-zero-sigma"],
+)
+def test_input_fault_exit_2_names_file_and_line(
+    tmp_path, capsys, si_cfg, cfg_1a, si_wave_text, command, content, bad
+):
+    if isinstance(content, tuple):
+        row, template = content
+        lines = si_wave_text.splitlines()
+        i = lines.index("time_s,amplitude") + 1 + row
+        t, a = lines[i].split(",")
+        lines[i] = bad = template.format(t=t, a=a)
+        content = "\n".join(lines) + "\n"
+    line = content[: content.index(bad)].count("\n") + 1
+    p = tmp_path / "faulty.csv"
+    p.write_text(content, encoding="utf-8")
+    config = {"extract": si_cfg, "fit": cfg_1a}
+    args = [command, p] + (["--config", config[command]] if command in config else [])
+    capsys.readouterr()
+    assert run([*args, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "faulty.csv" in err
+    assert f"line {line}:" in err
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (sk.read_dispersion_csv, "frequency_hz,phase_velocity_m_per_s\n1e8,4700.0\n\n2e8,x\n"),
+        (sk.read_waveform_csv,
+         "# sample_rate_hz=2e9\n# distance_m=0.005\ntime_s,amplitude\n0.0,0.1\n\n5e-10,x\n"),
+        (_read_calibration_csv, "period_pixels,frequency_hz\n10,1e8\n\n12,x\n"),
+    ],
+)
+def test_row_fault_after_blank_line_carries_file_line(tmp_path, reader, text):
+    p = tmp_path / "rows.csv"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        reader(p)
+    assert err.value.line == text.count("\n")  # the last line holds the fault
+    assert "rows.csv" in str(err.value)
+
+
 # --- fit ------------------------------------------------------------------------------
 
 
@@ -341,6 +405,23 @@ def test_cmd_fit_warns_on_zero_degrees_of_freedom(tmp_path, capsys, cfg_1a):
     assert run(["fit", measured, "--config", cfg_1a, "--out", out]) == 0
     assert "0 degrees of freedom" in capsys.readouterr().err
     assert "degrees of freedom: 0" in out.read_text()
+
+
+def test_well_posed_example_chain(tmp_path, capsys):
+    # duty 0.3 keeps harmonic 2, so the chain fits 3 points with 2 parameters
+    cfg = fixture_config_path("stack_1A_duty30")
+    wave, measured, out = tmp_path / "w.csv", tmp_path / "m.csv", tmp_path / "fit.txt"
+    assert run(["synth", "--config", cfg, "--seed", 3, "--out", wave]) == 0
+    assert run(["extract", wave, "--config", cfg, "--out", measured]) == 0
+    capsys.readouterr()
+    assert run(["fit", measured, "--config", cfg, "--out", out]) == 0
+    assert "degrees of freedom" not in capsys.readouterr().err
+    assert "degrees of freedom: 1" in out.read_text()
+    est = (tmp_path / "fit.estimates.csv").read_text().splitlines()
+    rows = {ln.split(",")[0]: ln.split(",") for ln in est[1:]}
+    for name, truth in (("c_ge", 0.179), ("layer0.thickness", 1.02e-6)):
+        value, sigma = float(rows[name][1]), float(rows[name][2])
+        assert abs(value - truth) <= 2 * sigma
 
 
 @pytest.mark.parametrize(

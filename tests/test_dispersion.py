@@ -591,6 +591,49 @@ def test_curve_validation():
         sk.DispersionCurve(frequencies=(1e6, 2e6), velocities=(100.0, -5.0))
 
 
+@pytest.mark.parametrize(
+    "frequencies, velocities, sigmas",
+    [
+        ((1e6, math.nan), (100.0, 100.0), None),
+        ((1e6, math.inf), (100.0, 100.0), None),
+        ((1e6, 2e6), (100.0, math.nan), None),
+        ((1e6, 2e6), (100.0, math.inf), None),
+        ((1e6, 2e6), (100.0, 100.0), (1.0, 0.0)),
+        ((1e6, 2e6), (100.0, 100.0), (1.0, -1.0)),
+        ((1e6, 2e6), (100.0, 100.0), (1.0, math.nan)),
+        ((1e6, 2e6), (100.0, 100.0), (math.inf, 1.0)),
+    ],
+)
+def test_curve_rejects_non_finite_values_and_nonpositive_sigmas(
+    frequencies, velocities, sigmas
+):
+    with pytest.raises(ValueError):
+        sk.DispersionCurve(frequencies, velocities, sigmas)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_dispersion_curve_rejects_non_finite_frequency(bare_silicon, bad):
+    with pytest.raises(ValueError, match="finite"):
+        sk.dispersion_curve(bare_silicon, [100e6, bad])
+    with pytest.raises(ValueError, match="finite"):
+        sk.dispersion_curve(bare_silicon, [bad])
+
+
+def test_dispersion_csv_text_golden():
+    curve = sk.DispersionCurve((1e8, 2.5e8), (4700.0, 4512.25))
+    assert dispersion.dispersion_csv_text(curve) == (
+        "frequency_hz,phase_velocity_m_per_s\n"
+        "100000000.0,4700.0\n"
+        "250000000.0,4512.25\n"
+    )
+    with_sigmas = sk.DispersionCurve(curve.frequencies, curve.velocities, (4.7, 0.1 + 0.2))
+    assert dispersion.dispersion_csv_text(with_sigmas) == (
+        "frequency_hz,phase_velocity_m_per_s,sigma_m_per_s\n"
+        "100000000.0,4700.0,4.7\n"
+        "250000000.0,4512.25,0.30000000000000004\n"
+    )
+
+
 def test_curve_csv_round_trip(tmp_path, curve_1a):
     p = tmp_path / "curve.csv"
     sk.write_dispersion_csv(curve_1a, p)

@@ -225,3 +225,18 @@ def test_sige_material_uses_mixing():
     assert m.young_modulus == pytest.approx(sk.mix_young_modulus(0.179))
     assert m.density == pytest.approx(sk.mix_density(0.179))
     assert m.poisson_ratio == pytest.approx(0.22)
+
+
+def test_db_configparser_grammar():
+    iso = "symmetry = isotropic\nyoung_modulus_gpa = 70\npoisson_ratio = 0.2\ndensity_kg_m3 = 2000\n"
+    # [DEFAULT] is an ordinary entry whose keys reach no other; '%' is literal
+    db = parse_material_db("[DEFAULT]\n" + iso + "source = 100% made up\n[b]\n" + iso)
+    assert db.names() == ("DEFAULT", "b")
+    assert db.metadata["DEFAULT"]["source"] == "100% made up"
+    assert db.metadata["b"]["source"] == ""
+    with pytest.raises(MaterialDbError, match="missing 'symmetry'"):  # keys are case-sensitive
+        parse_material_db("[a]\n" + iso.replace("symmetry", "Symmetry"))
+    with pytest.raises(MaterialDbError, match=r"line:? 1\b"):
+        parse_material_db("symmetry = cubic\n")
+    with pytest.raises(MaterialDbError, match=r"line:? 2\b"):
+        parse_material_db("[a]\nno delimiter here\n")

@@ -307,3 +307,26 @@ def test_waveform_csv_text_deterministic(flat_si, mask24):
     a = sk.synthesize_slope_signal(mask24, flat_si, 5e-3, noise_rms=0.01, seed=7)
     b = sk.synthesize_slope_signal(mask24, flat_si, 5e-3, noise_rms=0.01, seed=7)
     assert waveform_csv_text(a) == waveform_csv_text(b)
+
+
+def test_waveform_csv_text_golden():
+    w = sk.Waveform(
+        samples=np.array([0.0, -0.25, 0.1 + 0.2]),
+        sample_rate=2e9,
+        distance=5e-3,
+        seed=42,
+        mask=sk.MaskSpec(period=24e-6, duty=0.3, n_periods=400),
+    )
+    assert waveform_csv_text(w) == (
+        "# sample_rate_hz=2000000000.0\n"
+        "# distance_m=0.005\n"
+        "# seed=42\n"
+        "# mask_period_m=2.4e-05\n"
+        "# mask_duty=0.3\n"
+        "# mask_n_periods=400\n"
+        "# mask_kind=glass-mask\n"
+        "time_s,amplitude\n"
+        "0.0,0.0\n"
+        "5e-10,-0.25\n"
+        "1e-09,0.30000000000000004\n"
+    )

@@ -424,7 +424,7 @@ def cmd_extract(args) -> int:
 
 
 def _read_calibration_csv(path: str) -> list[tuple[float, float]]:
-    _, columns, _ = _read_table(path, ("period_pixels,frequency_hz",), positive=True)
+    _, columns, _, _ = _read_table(path, ("period_pixels,frequency_hz",), positive=True)
     if not columns.size:
         raise FormatError(f"{path}: no measurement rows")
     return list(zip(*columns))

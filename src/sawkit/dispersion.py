@@ -1,16 +1,19 @@
 """Forward SAW solver for layered half-spaces.
 
 For fixed (omega, k) the depth dependence of harmonic fields in each medium
-reduces to a 6-dimensional linear eigenproblem in the state vector
-(displacement, scaled traction).  The surface response to a unit normal
-surface stress comes from a 3x3 surface-impedance recursion (Rokhlin &
-Wang, J. Acoust. Soc. Am. 112(3), 822-834, 2002).  The substrate's three
-decaying or downgoing waves give its impedance Z = B A^-1.  Each layer's
-six waves split into three referenced at its top (d) and three at its
-bottom (u); continuity with the impedance below ties the u amplitudes to
-the d ones, and the traction and displacement at the layer's top then give
-the impedance it presents to the layer above.  Every layer exponential is
-e^{ik alpha_d h} or e^{-ik alpha_u h}, at most one in magnitude, so the
+is a sum of six partial waves e^{ik(x1 + alpha x3)}.  In an isotropic medium
+they are the P, SV and SH waves, whose vertical slownesses alpha and
+polarizations are closed-form in v = omega/k.  Only an anisotropic medium
+(the cubic substrate) solves for them as a 6-dimensional linear eigenproblem
+in the state vector (displacement, scaled traction).  The surface response
+to a unit normal surface stress comes from a 3x3 surface-impedance recursion
+(Rokhlin & Wang, J. Acoust. Soc. Am. 112(3), 822-834, 2002).  The
+substrate's three decaying or downgoing waves give its impedance Z = B A^-1.
+Each layer's six waves split into three referenced at its top (d) and three
+at its bottom (u); continuity with the impedance below ties the u amplitudes
+to the d ones, and the traction and displacement at the layer's top then
+give the impedance it presents to the layer above.  Every layer exponential
+is e^{ik alpha_d h} or e^{-ik alpha_u h}, at most one in magnitude, so the
 recursion does not grow at large frequency-thickness products the way the
 classical transfer matrix does.  The substrate impedance and the bottom
 layer's coupling do not depend on k, so a velocity scan computes them once
@@ -46,6 +49,7 @@ DEFAULT_SCAN_STEP = 5.0  # m/s
 DEFAULT_REL_TOL = 1e-12  # relative bracket width at which a root is accepted
 _PROP_TOL = 1e-8  # |Im alpha| below this (relative) counts as propagating
 _RESIDUAL_TOL = 1e-8  # eigenpair residual above this marks a defective point
+_NUDGE = 1e-9  # relative velocity step off a degenerate point, taken once
 _CONTINUITY_JUMP = 0.05  # adjacent curve points differing more raise a flag
 _E3 = np.array([0.0, 0.0, 1.0])  # unit normal surface stress, scaled traction units
 
@@ -133,23 +137,24 @@ def _parse_rows(rows: list[str], n: int, positive: bool) -> np.ndarray | None:
 
 
 def _read_table(path, headers: tuple[str, ...], positive: bool = False):
-    """Read a CSV exchange file into ``(header, columns, meta)``.
+    """Read a CSV exchange file into ``(header, columns, meta, lines)``.
 
     Blank lines are skipped, and ``# key=value`` lines anywhere go into
     ``meta``.  The first other line must be one of ``headers``; each later
     one must hold as many finite numbers (positive ones if ``positive``) as
-    the header has columns.  ``columns`` holds one array per column.  Faults
-    raise ``FormatError`` naming ``path``; row faults carry the file line.
+    the header has columns.  ``columns`` holds one array per column and
+    ``lines`` the file line of each row.  Faults raise ``FormatError``
+    naming ``path``; row faults carry the file line.
     """
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
     expected = " or ".join(map(repr, headers))
     meta: dict[str, str] = {}
     header = None
-    rows = []
-    for lineno, raw in enumerate(lines, start=1):
+    rows, linenos = [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -159,6 +164,7 @@ def _read_table(path, headers: tuple[str, ...], positive: bool = False):
                 meta[key.strip()] = value.strip()
         elif header is not None:
             rows.append(line)
+            linenos.append(lineno)
         elif line in headers:
             header = line
         else:
@@ -169,13 +175,11 @@ def _read_table(path, headers: tuple[str, ...], positive: bool = False):
     n = header.count(",") + 1
     columns = _parse_rows(rows, n, positive)
     if columns is None:  # find the first bad row, one line at a time
-        data_lines = (i for i, raw in enumerate(lines, 1) if raw.strip()[:1] not in ("", "#"))
-        next(data_lines)  # the header
-        bad = next(i for i in data_lines if _parse_rows([lines[i - 1]], n, positive) is None)
+        i = next(i for i, row in enumerate(rows) if _parse_rows([row], n, positive) is None)
         kind = "positive finite" if positive else "finite"
-        raise FormatError(f"{path}: line {bad}: expected {n} {kind} numbers, "
-                          f"got {lines[bad - 1].strip()!r}", line=bad)
-    return header, columns, meta
+        raise FormatError(f"{path}: line {linenos[i]}: expected {n} {kind} numbers, "
+                          f"got {rows[i]!r}", line=linenos[i])
+    return header, columns, meta, linenos
 
 
 def dispersion_csv_text(curve: DispersionCurve) -> str:
@@ -189,7 +193,7 @@ def write_dispersion_csv(curve: DispersionCurve, path: str | Path) -> None:
 
 
 def read_dispersion_csv(path: str | Path) -> DispersionCurve:
-    header, columns, _ = _read_table(path, (CSV_HEADER, CSV_HEADER_SIGMA), positive=True)
+    header, columns, _, _ = _read_table(path, (CSV_HEADER, CSV_HEADER_SIGMA), positive=True)
     try:
         return DispersionCurve(
             frequencies=columns[0],
@@ -215,9 +219,14 @@ class _Medium:
     n0: np.ndarray  # v-independent part of the 6x6 operator
     rho_scaled: float  # rho / c_ref, multiplies v^2 on the lower-left diagonal
     c_ref: float
+    # (lambda + 2 mu, mu) / c_ref of an isotropic medium, whose partial waves
+    # are closed-form; None for one that needs the eigenproblem
+    moduli: tuple[float, float] | None = None
 
     @classmethod
-    def build(cls, tensor: ElasticTensor, rho: float, c_ref: float) -> "_Medium":
+    def build(
+        cls, tensor: ElasticTensor, rho: float, c_ref: float, isotropic: bool = False
+    ) -> "_Medium":
         q, r, t = _qrt(tensor.as_cijkl())
         t_inv = np.linalg.inv(t)
         n0 = np.zeros((6, 6))
@@ -225,7 +234,12 @@ class _Medium:
         n0[:3, 3:] = t_inv * c_ref
         n0[3:, :3] = (-q + r @ t_inv @ r.T) / c_ref
         n0[3:, 3:] = -r @ t_inv
-        return cls(n0=n0, rho_scaled=rho / c_ref, c_ref=c_ref)
+        moduli = (t[2, 2] / c_ref, t[0, 0] / c_ref) if isotropic else None
+        return cls(n0=n0, rho_scaled=rho / c_ref, c_ref=c_ref, moduli=moduli)
+
+    def waves(self, v: np.ndarray):
+        """``_isotropic_waves`` or ``_wave_fields`` of this medium at velocities v."""
+        return (_wave_fields if self.moduli is None else _isotropic_waves)(self, v)
 
     def operator(self, v: np.ndarray) -> np.ndarray:
         """Stacked 6x6 operators for velocities v (...,)."""
@@ -267,7 +281,7 @@ def _wave_fields(
         bad |= dets < 1e-14
     if bad.any():
         # isolated degenerate points: nudge v by one part in 1e9 and re-solve
-        n2 = med.operator(v[bad] * (1.0 + 1e-9))
+        n2 = med.operator(v[bad] * (1.0 + _NUDGE))
         a2, v2 = _eig_sorted(n2)
         alpha[bad], vecs[bad] = a2, v2
         resid2 = np.linalg.norm(n2 @ v2 - v2 * a2[:, None, :], axis=(1, 2))
@@ -278,6 +292,47 @@ def _wave_fields(
         valid = np.ones(v.shape, dtype=bool)
     flux = np.real(np.einsum("mij,mij->mj", np.conj(vecs[:, :3]), vecs[:, 3:]))
     return alpha, vecs, flux, valid
+
+
+def _isotropic_waves(
+    med: _Medium, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_wave_fields`` of an isotropic medium, in closed form.
+
+    With M = lambda + 2 mu, the slownesses are alpha_p = sqrt(rho v^2/M - 1)
+    and alpha_s = sqrt(rho v^2/mu - 1) on the principal branch (Im >= 0),
+    each paired with -alpha; the first three columns are the +alpha waves.
+    The displacements are a = (1, 0, alpha_p) (P), (alpha_s, 0, -1) (SV) and
+    (0, 1, 0) (SH), and b = (R^T + alpha T) a works out to
+    (2 mu alpha_p, 0, rho v^2 - 2 mu), (rho v^2 - 2 mu, 0, -2 mu alpha_s) and
+    (0, mu alpha_s, 0), over c_ref like every modulus here.  Where some alpha
+    is 0 (v at a bulk speed) its up and down waves coincide: such a point is
+    solved at v * (1 + _NUDGE) instead, and marked invalid if that is
+    degenerate too.
+    """
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    m_p, mu = med.moduli
+    rv2 = med.rho_scaled * v * v
+    x = np.stack([rv2 / m_p, rv2 / mu]) - 1.0
+    bad = (x == 0.0).any(axis=0)
+    if bad.any():
+        v = np.where(bad, v * (1.0 + _NUDGE), v)
+        rv2 = med.rho_scaled * v * v
+        x = np.stack([rv2 / m_p, rv2 / mu]) - 1.0
+        bad = (x == 0.0).any(axis=0)
+    ap, as_ = np.sqrt(x.astype(complex))
+    s = rv2 - 2.0 * mu
+    w = np.zeros((v.size, 6, 6), dtype=complex)
+    for j, sign in ((0, 1.0), (3, -1.0)):
+        p, q = sign * ap, sign * as_
+        w[:, 0, j], w[:, 2, j] = 1.0, p  # P
+        w[:, 3, j], w[:, 5, j] = 2.0 * mu * p, s
+        w[:, 0, j + 1], w[:, 2, j + 1] = q, -1.0  # SV
+        w[:, 3, j + 1], w[:, 5, j + 1] = s, -2.0 * mu * q
+        w[:, 1, j + 2], w[:, 4, j + 2] = 1.0, mu * q  # SH
+    alpha = np.stack([ap, as_, as_, -ap, -as_, -as_], axis=1)
+    flux = np.real(np.einsum("mij,mij->mj", np.conj(w[:, :3]), w[:, 3:]))
+    return alpha, w, flux, ~bad
 
 
 def _masks(alpha: np.ndarray, flux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -382,19 +437,15 @@ def _substrate_ceiling(tensor: ElasticTensor, rho: float) -> float:
 @lru_cache(maxsize=64)
 def _prepare(stack: LayerStack) -> _Prepared:
     geometry = stack.geometry
-    tensors = [stiffness_of(layer.material, geometry) for layer in stack.layers]
-    rhos = [layer.material.density for layer in stack.layers]
-    sub_tensor = stiffness_of(stack.substrate, geometry)
-    tensors.append(sub_tensor)
-    rhos.append(stack.substrate.density)
+    materials = [layer.material for layer in stack.layers] + [stack.substrate]
+    tensors = [stiffness_of(m, geometry) for m in materials]
     c_ref = max(float(np.abs(t.voigt).max()) for t in tensors)
     media = tuple(
-        _Medium.build(t, rho, c_ref) for t, rho in zip(tensors, rhos)
+        _Medium.build(t, m.density, c_ref, isinstance(m, IsotropicMaterial))
+        for t, m in zip(tensors, materials)
     )
-    shear = [m.material.shear_velocity for m in stack.layers]
-    shear.append(stack.substrate.shear_velocity)
-    v_floor = 0.5 * min(shear)
-    v_ceiling = _substrate_ceiling(sub_tensor, stack.substrate.density)
+    v_floor = 0.5 * min(m.shear_velocity for m in materials)
+    v_ceiling = _substrate_ceiling(tensors[-1], stack.substrate.density)
     return _Prepared(
         media=media,
         thicknesses=tuple(layer.thickness for layer in stack.layers),
@@ -461,11 +512,15 @@ class _Kernel:
 
 
 def _kernel(prep: _Prepared, v: np.ndarray) -> _Kernel:
-    """Partial waves of every medium at velocities v, split 3/3 and coupled."""
+    """Partial waves of every medium at velocities v, split 3/3 and coupled.
+
+    Isotropic media take their waves in closed form (``_isotropic_waves``);
+    only an anisotropic one solves the eigenproblem (``_wave_fields``).
+    """
     split = []
     valid = np.ones(v.shape, dtype=bool)
     for med in prep.media:
-        alpha, w, flux, ok = _wave_fields(med, v)
+        alpha, w, flux, ok = med.waves(v)
         down, _ = _masks(alpha, flux)
         valid &= ok & (down.sum(axis=1) == 3)
         # stable order keeps the (Im, Re) eigen ordering within each half
@@ -643,12 +698,12 @@ def _grid_indicator(
 def _indicator(prep: _Prepared, freqs: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pole indicator at (frequency, velocity) pairs in one batch.
 
-    A point with no finite value is evaluated once more at v * (1 + 1e-9).
+    A point with no finite value is evaluated once more at v * (1 + _NUDGE).
     """
     q = _pole_indicator(_g33(prep, v, 2.0 * math.pi * freqs / v))
     nan = ~np.isfinite(q)
     if nan.any():
-        bump = v[nan] * (1.0 + 1e-9)
+        bump = v[nan] * (1.0 + _NUDGE)
         q[nan] = _pole_indicator(_g33(prep, bump, 2.0 * math.pi * freqs[nan] / bump))
     return q
 

@@ -13,9 +13,12 @@ The minimizer is a damped Gauss-Newton (Levenberg-style) iteration with
 box bounds enforced by clamping.  One Jacobian, taken in the parameters'
 original units, serves every purpose: the iteration steps in internal
 coordinates z, which for a ``transform="log"`` parameter is log(theta), and
-reaches them by the chain rule dr/dz = dr/dtheta * theta.  At the solution
-the same Jacobian is computed once and gives both the covariance and the
-identifiability flags, whose thresholds are the module constants below.
+reaches them by the chain rule dr/dz = dr/dtheta * theta.  A converged fit
+ends with one small undamped Gauss-Newton step (``_finish``).  At the
+solution the same Jacobian is computed once and gives both the covariance
+and the identifiability flags, whose thresholds are the module constants
+below.  The covariance takes given sigmas as absolute; without sigmas it is
+scaled by chi^2/(N - p).
 
 The Jacobian needs no curve solve.  Each model velocity v* the fit holds is
 a root of the pole indicator q = Im(1/u3), so by the implicit function
@@ -60,6 +63,10 @@ _SENSITIVITY_FLOOR = 1e-3
 # ~7 while the no-oxide thin-film case sits near ~90, so 30 separates them
 # with margin on both sides.
 _CONDITION_LIMIT = 30.0
+# Largest cost drop (chi^2 units) the final Gauss-Newton step may promise:
+# one that small cannot be told from the model's rounding noise by a cost
+# evaluation, so it is taken without one.
+_FINISH_DROP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -356,6 +363,42 @@ def _identifiability(
     )
 
 
+def _finish(
+    free: tuple[FreeParam, ...], values: dict[str, float], jac: np.ndarray, r: np.ndarray
+) -> tuple[dict[str, float], np.ndarray]:
+    """Estimates and weighted residuals after one undamped Gauss-Newton step.
+
+    At the minimum the cost changes by less than the rounding noise of the
+    roots, so comparing costs pins the estimates only to about
+    sigma * sqrt(noise): two starts, or a linear and a log parameter, stop
+    at points that differ by that much.  The step -J^+ r from the Jacobian
+    in hand resolves the minimum to about sigma * noise.  It is taken only
+    when it promises a cost drop below _FINISH_DROP; parameters at a bound
+    stay there, and the residuals follow the step linearly.
+    """
+    theta = np.array([values[p.name] for p in free])
+    movable = np.array([p.lower < t < p.upper for p, t in zip(free, theta)])
+    if not movable.any():
+        return values, r
+    step = np.zeros(len(free))
+    step[movable] = np.linalg.lstsq(jac[:, movable], -r, rcond=None)[0]
+    drop = jac @ step
+    if not drop @ drop <= _FINISH_DROP:
+        return values, r
+    new = np.clip(theta + step, [p.lower for p in free], [p.upper for p in free])
+    return {p.name: float(t) for p, t in zip(free, new)}, r + jac @ (new - theta)
+
+
+def _covariance_scaled(problem: FitProblem) -> bool:
+    """True when the covariance is scaled by chi^2/(N - p): no sigmas, N > p.
+
+    Given sigmas are taken as absolute.  Without them the weights assume
+    sigma = 1 m/s, so the residual scatter sets the scale instead; at
+    N = p there is no scatter to read and the covariance stays unscaled.
+    """
+    return problem.measured.sigmas is None and len(problem.measured) > len(problem.free)
+
+
 def fit_parameters(
     problem: FitProblem,
     *,
@@ -386,7 +429,8 @@ def fit_parameters(
     for it in range(1, max_iter + 1):
         values = _values(free, z)
         dtheta_dz = [values[p.name] if p.transform == "log" else 1.0 for p in free]
-        jac = _jacobian(problem, values, _model(problem, r)) * dtheta_dz
+        jac_theta = _jacobian(problem, values, _model(problem, r))
+        jac = jac_theta * dtheta_dz
         jtj = jac.T @ jac
         jtr = jac.T @ r
         accepted = False
@@ -433,15 +477,20 @@ def fit_parameters(
             break
 
     values = _values(free, z)
+    if converged:
+        # the last iteration's Jacobian, at most one small step away
+        values, r = _finish(free, values, jac_theta, r)
+    jac = _jacobian(problem, values, _model(problem, r))
     bound_hits = tuple(
         p.name
         for p in free
         if values[p.name] in (p.lower, p.upper)
     )
     dv = r * problem.sigmas
-    jac = _jacobian(problem, values, _model(problem, r))
     covariance = np.linalg.pinv(jac.T @ jac)
     covariance = 0.5 * (covariance + covariance.T)
+    if _covariance_scaled(problem):
+        covariance *= float(r @ r) / (len(problem.measured) - len(free))
     report = _identifiability(problem, values, jac)
     flags = dict(report.flags)
     for name in bound_hits:
@@ -481,6 +530,13 @@ def format_fit_report(problem: FitProblem, result: FitResult) -> str:
         )
     lines += ["", f"residual rms: {result.residual_rms:.6g} m/s"]
     lines.append(f"degrees of freedom: {len(problem.measured) - len(problem.free)}")
+    if problem.measured.sigmas is not None:
+        mode = "absolute (measured sigmas)"
+    elif _covariance_scaled(problem):
+        mode = "scaled by chi^2/(N - p) (no measured sigmas)"
+    else:
+        mode = "unscaled, sigma = 1 m/s assumed (no measured sigmas, N = p)"
+    lines.append(f"covariance mode: {mode}")
     lines.append(f"iterations: {result.n_iterations}")
     lines.append(f"status: {result.message}")
     lines += ["", "covariance"]

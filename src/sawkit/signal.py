@@ -27,6 +27,9 @@ _PEAK_FLOOR_RATIO = 6.0
 # bounds on the phase-velocity ratio between adjacent harmonics, per step
 _STEP_DOWN = 0.85
 _STEP_UP = 1.03
+# a waveform CSV's time_s may differ from i / sample_rate by this fraction
+# of the sample interval
+_TIME_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -468,7 +471,8 @@ def write_waveform_csv(w: Waveform, path: str | Path) -> None:
 
 
 def read_waveform_csv(path: str | Path) -> Waveform:
-    _, columns, meta = _read_table(path, (WAVEFORM_HEADER,))
+    """Read a waveform CSV.  Its time column must be i / sample_rate_hz."""
+    _, (times, samples), meta, lines = _read_table(path, (WAVEFORM_HEADER,))
     if "sample_rate_hz" not in meta or "distance_m" not in meta:
         raise FormatError(
             f"{path}: missing '# sample_rate_hz=' or '# distance_m=' comment header"
@@ -482,8 +486,8 @@ def read_waveform_csv(path: str | Path) -> Waveform:
                 n_periods=int(meta.get("mask_n_periods", "2")),
                 kind=meta.get("mask_kind", GLASS_MASK),
             )
-        return Waveform(
-            samples=columns[1],
+        wave = Waveform(
+            samples=samples,
             sample_rate=float(meta["sample_rate_hz"]),
             distance=float(meta["distance_m"]),
             seed=int(meta["seed"]) if "seed" in meta else None,
@@ -491,3 +495,11 @@ def read_waveform_csv(path: str | Path) -> Waveform:
         )
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
+    off = np.flatnonzero(np.abs(times * wave.sample_rate - np.arange(times.size)) > _TIME_TOL)
+    if off.size:
+        i = off[0]
+        raise FormatError(
+            f"{path}: line {lines[i]}: time_s {times[i]!r} is not "
+            f"{i} / sample_rate_hz = {i / wave.sample_rate!r}", line=lines[i]
+        )
+    return wave

@@ -178,6 +178,29 @@ def test_extract_bad_waveform_metadata_exit_2(
     assert "bad_meta.csv" in capsys.readouterr().err
 
 
+def test_extract_waveform_times_off_the_sample_rate_exit_2(
+    tmp_path, capsys, si_cfg, si_wave_text
+):
+    # the spectrum trusts '# sample_rate_hz', so a time column running at 10x
+    # its interval is a fault, named at the first row it disagrees on
+    lines = si_wave_text.splitlines()
+    first = lines.index("time_s,amplitude") + 1
+    for i in range(first, len(lines)):
+        t, a = lines[i].split(",")
+        lines[i] = f"{10 * float(t)!r},{a}"
+    p = tmp_path / "fast_clock.csv"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["extract", p, "--config", si_cfg, "--out", tmp_path / "m.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "fast_clock.csv" in err
+    assert f"line {first + 2}:" in err  # row 0 is 0 s either way
+    # the synthesized file itself still reads
+    good = tmp_path / "good.csv"
+    good.write_text(si_wave_text, encoding="utf-8")
+    assert len(sk.read_waveform_csv(good)) == len(lines) - first
+
+
 def test_extract_zero_harmonics_exit_2(tmp_path, capsys, si_cfg, si_wave_text):
     line = "v_hint_m_s = 5080\nn_harmonics = 2"
     base = si_cfg.read_text(encoding="utf-8")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,21 +44,30 @@ def test_partial_waves_subsonic_structure(iso, iso_tensor):
 
 
 def test_partial_waves_match_closed_form_slownesses(iso, iso_tensor):
-    # vertical slownesses alpha/v = +-sqrt(1/v_t^2 - 1/v^2) (shear, double)
-    # and +-sqrt(1/v_l^2 - 1/v^2) (longitudinal)
-    v = 0.8 * iso.shear_velocity
-    k = 2 * math.pi * 150e6 / v
-    pw = sk.partial_waves(iso_tensor, iso.density, v * k, k)
-    st = complex(np.sqrt(complex(1 / iso.shear_velocity**2 - 1 / v**2)))
-    sl = complex(np.sqrt(complex(1 / iso.longitudinal_velocity**2 - 1 / v**2)))
-    expected = np.array([st, st, sl, -st, -st, -sl])
+    # partial_waves solves the eigenproblem; the solver's isotropic media
+    # take the closed form.  Same slownesses, and the same span of
+    # decaying-or-downgoing waves, below v_t, between v_t and v_l, above v_l.
+    c_ref = float(np.abs(iso_tensor.voigt).max())
+    med = dispersion._Medium.build(iso_tensor, iso.density, c_ref, isotropic=True)
+    vt, vl = iso.shear_velocity, iso.longitudinal_velocity
 
     def by_imag(arr):
         return arr[np.argsort(arr.imag + 1j * arr.real)]
 
-    assert np.allclose(
-        by_imag(pw.eigenvalues / v), by_imag(expected), rtol=1e-9, atol=1e-12
-    )
+    for v in (0.8 * vt, 0.5 * (vt + vl), 1.2 * vl):
+        k = 2 * math.pi * 150e6 / v
+        pw = sk.partial_waves(iso_tensor, iso.density, v * k, k)
+        alpha, w, _, valid = dispersion._isotropic_waves(med, np.array([v]))
+        assert valid[0]
+        np.testing.assert_allclose(
+            by_imag(pw.eigenvalues), by_imag(alpha[0]), rtol=1e-9, atol=1e-12
+        )
+        down = np.isin(pw.classifications, (DECAYING, PROP_DOWN))
+        assert down.sum() == 3
+        basis, _ = np.linalg.qr(pw.eigenvectors[:, down])
+        ours = w[0, :, :3] / np.linalg.norm(w[0, :, :3], axis=0)
+        assert np.linalg.matrix_rank(ours, tol=1e-6) == 3
+        assert np.linalg.norm(ours - basis @ (basis.conj().T @ ours)) < 1e-9
 
 
 def test_partial_waves_supersonic_classification(iso, iso_tensor):
@@ -504,7 +514,10 @@ def _check_against_global_matrix(stack, freqs):
         assert np.array_equal(np.isfinite(q), np.isfinite(q_ref))
         finite = np.isfinite(q_ref)
         np.testing.assert_allclose(q[finite], q_ref[finite], rtol=1e-10, atol=0)
+    _check_roots_against_global_matrix(stack, freqs)
 
+
+def _check_roots_against_global_matrix(stack, freqs):
     step, tol = dispersion.DEFAULT_SCAN_STEP, dispersion.DEFAULT_REL_TOL
     roots, _, _, _ = dispersion._find_modes(stack, freqs, None, step, tol)
     with pytest.MonkeyPatch.context() as mp:
@@ -523,6 +536,107 @@ def test_recursion_matches_global_matrix_random_stacks(layers, silicon, oxide, g
 @pytest.mark.parametrize("name, thickness_factor", BUNDLED)
 def test_recursion_matches_global_matrix_bundled_stacks(name, thickness_factor):
     _check_against_global_matrix(_bundled_stack(name, thickness_factor), FINDER_FREQS)
+
+
+# random isotropic media: Young's modulus, Poisson ratio, density
+ISOTROPIC = st.builds(
+    sk.IsotropicMaterial,
+    young_modulus=st.floats(30e9, 250e9),
+    poisson_ratio=st.floats(-0.5, 0.49),
+    density=st.floats(1500.0, 8000.0),
+)
+RANDOM_ISOTROPIC_LAYERS = st.lists(
+    st.tuples(ISOTROPIC, st.floats(0.1e-6, 3e-6)), min_size=1, max_size=3
+)
+
+
+def _check_closed_form_against_eig(stack, freqs):
+    """Closed-form partial waves against the eigenproblem on the scan mesh,
+    both through the global matrix, then the solver's roots against the
+    oracle's.
+
+    The global matrix is the well-conditioned side of the comparison: near
+    an interface-wave velocity of a layer on the medium below, B_u - Z A_u
+    is nearly singular, and the impedance recursion loses digits there
+    whichever path gives it the waves.  Where q crosses zero its relative
+    error is unbounded, so the tolerance has a floor at 1e-10 of q's median.
+    """
+    prep = dispersion._prepare(stack)
+    grid = dispersion._scan_grid(prep, dispersion.DEFAULT_SCAN_STEP)
+    q_ref = global_matrix.grid_indicator(prep, grid, freqs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(global_matrix, "_wave_fields", dispersion._Medium.waves)
+        q = global_matrix.grid_indicator(prep, grid, freqs)
+    assert np.array_equal(np.isfinite(q), np.isfinite(q_ref))
+    finite = np.isfinite(q_ref)
+    floor = 1e-10 * np.median(np.abs(q_ref[finite]))
+    np.testing.assert_allclose(q[finite], q_ref[finite], rtol=1e-10, atol=floor)
+    _check_roots_against_global_matrix(stack, freqs)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(layers=RANDOM_ISOTROPIC_LAYERS)
+def test_closed_form_matches_eig_random_layers_on_silicon(layers, silicon, geom):
+    stack = sk.LayerStack(
+        layers=tuple(sk.Layer(m, d) for m, d in layers), substrate=silicon, geometry=geom
+    )
+    _check_closed_form_against_eig(stack, FINDER_FREQS)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(layers=RANDOM_ISOTROPIC_LAYERS, substrate=ISOTROPIC)
+def test_closed_form_matches_eig_random_isotropic_substrate(layers, substrate):
+    stack = sk.LayerStack(layers=tuple(sk.Layer(m, d) for m, d in layers), substrate=substrate)
+    _check_closed_form_against_eig(stack, FINDER_FREQS)
+
+
+def test_closed_form_at_bulk_speeds_matches_eig(stack_1a):
+    # at a layer's v_t or v_l its up and down waves coincide; both paths
+    # solve that medium 1e-9 off it (the eigenproblem when it is defective),
+    # or neither does
+    prep = dispersion._prepare(stack_1a)
+    eig_prep = replace(prep, media=tuple(replace(m, moduli=None) for m in prep.media))
+    speeds = [s for layer in stack_1a.layers
+              for s in (layer.material.shear_velocity, layer.material.longitudinal_velocity)
+              if prep.v_floor < s < prep.v_ceiling]
+    oxide = stack_1a.layers[1].material
+    assert oxide.shear_velocity in speeds and oxide.longitudinal_velocity in speeds
+    v = np.array(speeds)
+    k = 2 * math.pi * 300e6 / v
+    q = dispersion._pole_indicator(dispersion._g33(prep, v, k))
+    q_eig = dispersion._pole_indicator(dispersion._g33(eig_prep, v, k))
+    assert np.isfinite(q_eig).all()
+    assert np.array_equal(np.isfinite(q), np.isfinite(q_eig))
+    np.testing.assert_allclose(q, q_eig, rtol=1e-10, atol=0)
+
+
+def test_eig_runs_for_the_substrate_only(stack_1a, monkeypatch):
+    # work guard that does not depend on the machine: the isotropic layers
+    # take the closed form, so every eig matrix of a curve, cold or hinted,
+    # belongs to the cubic substrate
+    prep = dispersion._prepare(stack_1a)
+    freqs = np.linspace(50e6, 900e6, 35)
+    eig, wave_fields = np.linalg.eig, dispersion._wave_fields
+    matrices, substrate_points = [], []
+
+    def counting_eig(a):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return eig(a)
+
+    def recording_wave_fields(med, v):
+        assert med is prep.media[-1]
+        substrate_points.append(np.size(v))
+        return wave_fields(med, v)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    monkeypatch.setattr(dispersion, "_wave_fields", recording_wave_fields)
+    cold = sk.dispersion_curve(stack_1a, freqs)
+    assert sum(matrices) == sum(substrate_points) > 0
+    matrices.clear()
+    substrate_points.clear()
+    hints = np.array(cold.velocities) * (1 + 2e-4 * (-1.0) ** np.arange(35))
+    sk.dispersion_curve(stack_1a, freqs, hints=hints)
+    assert sum(matrices) == sum(substrate_points) > 0
 
 
 @pytest.mark.parametrize("call", range(5))

@@ -375,6 +375,29 @@ def test_sigma_scaling_invariance(silicon, oxide, geom, curve_1a):
     assert ratio == pytest.approx(9.0, rel=1e-3)
 
 
+def test_covariance_without_sigmas_scales_with_scatter(silicon, oxide, geom, curve_1a):
+    # no sigmas: the covariance is scaled by chi^2/(N - p), so the reported
+    # sigma follows the residual scatter instead of an assumed 1 m/s
+    v = np.array(curve_1a.velocities)
+    scatter = np.random.default_rng(11).normal(0, 1e-4, v.size) * v
+
+    def fit_with(scale):
+        prob = sk.FitProblem(
+            template=make_stack_1a(silicon, oxide, geom),
+            free=two_param_free(),
+            measured=sk.DispersionCurve(curve_1a.frequencies, tuple(v + scale * scatter)),
+            coupling=sk.SiGeCoupling(0),
+        )
+        return prob, sk.fit_parameters(prob)
+
+    prob, a = fit_with(1.0)
+    _, b = fit_with(2.0)
+    assert a.converged and b.converged
+    for name in a.estimates:
+        assert b.sigma(name) == pytest.approx(2.0 * a.sigma(name), rel=1e-2)
+    assert "covariance mode: scaled by chi^2/(N - p)" in format_fit_report(prob, a)
+
+
 def test_fit_requires_enough_points(silicon, oxide, geom):
     meas = sk.DispersionCurve((100e6,), (4600.0,))
     prob = sk.FitProblem(

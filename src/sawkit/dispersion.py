@@ -17,12 +17,16 @@ is e^{ik alpha_d h} or e^{-ik alpha_u h}, at most one in magnitude, so the
 recursion does not grow at large frequency-thickness products the way the
 classical transfer matrix does.  The substrate impedance and the bottom
 layer's coupling do not depend on k, so a velocity scan computes them once
-for all its frequencies.
+per block of velocities and runs the rest of the recursion for all its
+frequencies at once, broadcast over a leading frequency axis.
 
 Surface modes are the real poles of that response along the velocity axis:
 the mode finder brackets sign changes of Im(1/u3), from windows around
 velocity hints or from a velocity scan, and refines them with
-Chandrupatla's bracketed inverse-quadratic/bisection method.  Evaluating
+Chandrupatla's bracketed inverse-quadratic/bisection method.  The scan
+walks up from the window's floor in blocks of cells, and a frequency
+leaves it at the first block that brackets a sign change, so the
+velocities above its lowest mode are mostly never evaluated.  Evaluating
 the response instead of a raw determinant keeps the mode indicator
 independent of eigenvector normalization, which is what makes bracketed
 root finding reliable here.
@@ -51,6 +55,7 @@ _PROP_TOL = 1e-8  # |Im alpha| below this (relative) counts as propagating
 _RESIDUAL_TOL = 1e-8  # eigenpair residual above this marks a defective point
 _NUDGE = 1e-9  # relative velocity step off a degenerate point, taken once
 _CONTINUITY_JUMP = 0.05  # adjacent curve points differing more raise a flag
+_SCAN_BLOCK = 64  # grid cells per block of the cold velocity scan
 _E3 = np.array([0.0, 0.0, 1.0])  # unit normal surface stress, scaled traction units
 
 DECAYING = "decaying"
@@ -459,16 +464,17 @@ def _prepare(stack: LayerStack) -> _Prepared:
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve over stacked 3x3 systems, one point at a time on failure.
+    """np.linalg.solve over stacked 3x3 systems, one system at a time on failure.
 
-    An exactly singular system makes only its own point NaN, which then
-    propagates to that point's response and nothing else.
+    The systems may stack along any number of leading axes.  An exactly
+    singular system makes only its own entry NaN, which then propagates to
+    that entry's response and nothing else.
     """
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         out = np.empty(b.shape, dtype=complex)
-        for i in range(len(out)):
+        for i in np.ndindex(out.shape[:-2]):
             try:
                 out[i] = np.linalg.solve(a[i], b[i])
             except np.linalg.LinAlgError:
@@ -478,7 +484,7 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _right_divide(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """y x^-1 over stacked 3x3 matrices."""
-    return np.swapaxes(_solve(np.swapaxes(x, 1, 2), np.swapaxes(y, 1, 2)), 1, 2)
+    return np.swapaxes(_solve(np.swapaxes(x, -1, -2), np.swapaxes(y, -1, -2)), -1, -2)
 
 
 def _coupling(z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -489,7 +495,7 @@ def _coupling(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     bottom-referenced ones (u).  Continuity with the medium below gives the
     bottom-referenced amplitudes as -S E_d times the top-referenced ones.
     """
-    g = w[:, 3:, :] - z @ w[:, :3, :]
+    g = w[..., 3:, :] - z @ w[..., :3, :]
     return _solve(g[..., 3:], g[..., :3])
 
 
@@ -516,6 +522,9 @@ def _kernel(prep: _Prepared, v: np.ndarray) -> _Kernel:
 
     Isotropic media take their waves in closed form (``_isotropic_waves``);
     only an anisotropic one solves the eigenproblem (``_wave_fields``).
+    Both return the decaying-or-downgoing waves first wherever a medium
+    splits 3/3 in the (Im, Re) eigen order, so columns are reordered only at
+    the velocities where they are not.
     """
     split = []
     valid = np.ones(v.shape, dtype=bool)
@@ -523,10 +532,13 @@ def _kernel(prep: _Prepared, v: np.ndarray) -> _Kernel:
         alpha, w, flux, ok = med.waves(v)
         down, _ = _masks(alpha, flux)
         valid &= ok & (down.sum(axis=1) == 3)
-        # stable order keeps the (Im, Re) eigen ordering within each half
-        order = np.argsort(~down, axis=1, kind="stable")
-        split.append((np.take_along_axis(alpha, order, axis=1),
-                      np.take_along_axis(w, order[:, None, :], axis=2)))
+        mixed = np.flatnonzero(~down[:, :3].all(axis=1))
+        if mixed.size:
+            # stable order keeps the (Im, Re) eigen ordering within each half
+            order = np.argsort(~down[mixed], axis=1, kind="stable")
+            alpha[mixed] = np.take_along_axis(alpha[mixed], order, axis=1)
+            w[mixed] = np.take_along_axis(w[mixed], order[:, None, :], axis=2)
+        split.append((alpha, w))
     split = [(alpha[valid], w[valid]) for alpha, w in split]
     w_sub = split[-1][1][..., :3]
     layers = tuple(wave + (h,) for wave, h in zip(split, prep.thicknesses))
@@ -541,34 +553,38 @@ def _surface(kern: _Kernel, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The amplitudes are those of the top layer's top-referenced waves (the
     substrate's accepted waves for a half-space), so the response to a unit
-    normal surface stress is X Y^-1 e3.  ``k`` holds one wavenumber per
-    velocity of the kernel; the result covers its valid velocities only.
-    From the bottom layer up: T = E_u S E_d, X = A_d - A_u T and
-    Y = B_d - B_u T, and Y X^-1 is the impedance under the next layer.
+    normal surface stress is X Y^-1 e3.  ``k`` holds wavenumbers along its
+    last axis, one per velocity of the kernel, and any leading axes (one
+    row per frequency in a scan) broadcast through the recursion; the
+    result covers the kernel's valid velocities only.  A half-space does not
+    depend on k.  From the bottom layer up: T = E_u S E_d, X = A_d - A_u T
+    and Y = B_d - B_u T, and Y X^-1 is the impedance under the next layer.
     """
     if not kern.layers:
         return kern.bottom[:, :3], kern.bottom[:, 3:]
-    k = k[kern.valid]
+    k = k[..., kern.valid, None]
     s = kern.bottom
     for j in range(len(kern.layers) - 1, -1, -1):
         alpha, w, h = kern.layers[j]
-        e_d = np.exp(1j * h * k[:, None] * alpha[:, :3])
-        e_u = np.exp(-1j * h * k[:, None] * alpha[:, 3:])
-        xy = w[..., :3] - w[..., 3:] @ (e_u[:, :, None] * s * e_d[:, None, :])
+        e_d = np.exp(1j * h * k * alpha[:, :3])
+        e_u = np.exp(-1j * h * k * alpha[:, 3:])
+        xy = w[..., :3] - w[..., 3:] @ (e_u[..., :, None] * s * e_d[..., None, :])
         if j:
-            s = _coupling(_right_divide(xy[:, 3:], xy[:, :3]), kern.layers[j - 1][1])
-    return xy[:, :3], xy[:, 3:]
+            s = _coupling(_right_divide(xy[..., 3:, :], xy[..., :3, :]),
+                          kern.layers[j - 1][1])
+    return xy[..., :3, :], xy[..., 3:, :]
 
 
 def _response(kern: _Kernel, k: np.ndarray) -> np.ndarray:
     """Surface normal displacement per unit scaled normal surface stress.
 
-    NaN at the kernel's invalid velocities.
+    Shaped like ``k`` (see ``_surface``); NaN at the kernel's invalid
+    velocities.
     """
     x, y = _surface(kern, k)
-    c = _solve(y, np.broadcast_to(_E3[:, None], y.shape[:1] + (3, 1)))
-    out = np.full(kern.valid.shape, np.nan + 0j)
-    out[kern.valid] = np.einsum("mj,mj->m", x[:, 2, :], c[..., 0])
+    c = _solve(y, np.broadcast_to(_E3[:, None], y.shape[:-2] + (3, 1)))
+    out = np.full(k.shape, np.nan + 0j)
+    out[..., kern.valid] = np.einsum("...j,...j->...", x[..., 2, :], c[..., 0])
     return out
 
 
@@ -681,18 +697,13 @@ def _grid_indicator(
 ) -> np.ndarray:
     """Pole indicator on the (velocity grid x frequencies) mesh, shape (nv, nf).
 
-    The kernel is built once for the grid; each frequency then runs only
-    the layer recursion, and a half-space, whose response does not depend
-    on k, runs nothing per frequency.
+    The kernel is built once for the grid, a block of the scan's velocities;
+    one layer recursion then serves every frequency, broadcast over a
+    leading frequency axis, and a half-space, whose response does not
+    depend on k, runs none.
     """
-    kern = _kernel(prep, grid)
-    out = np.empty((grid.size, freqs.size))
-    for jf in range(freqs.size):
-        if jf and not kern.layers:
-            out[:, jf] = out[:, 0]
-        else:
-            out[:, jf] = _pole_indicator(_response(kern, 2.0 * math.pi * freqs[jf] / grid))
-    return out
+    k = 2.0 * math.pi * freqs[:, None] / grid
+    return _pole_indicator(_response(_kernel(prep, grid), k)).T
 
 
 def _indicator(prep: _Prepared, freqs: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -798,6 +809,58 @@ def _settle(
         roots[owner[sel[ok]]] = x[ok]
 
 
+def _scan(
+    prep: _Prepared,
+    freqs: np.ndarray,
+    roots: np.ndarray,
+    idx: np.ndarray,
+    grid: np.ndarray,
+    rel_tol: float,
+) -> None:
+    """Settle frequencies ``idx`` from the cells of the scan grid.
+
+    The grid is walked upward in blocks of ``_SCAN_BLOCK`` cells, and one
+    ``_grid_indicator`` call per block evaluates every frequency still
+    scanning; q at a block's lowest velocity is carried from the block
+    below.  A frequency stops after the first block that holds a sign
+    change of q, and that block's cells become its brackets.  Once none is
+    scanning, one ``_settle`` refines every frequency's brackets; one whose
+    brackets were all rejected resumes at its next block in another pass.
+    Each frequency's brackets are thus tried in ascending velocity order,
+    as from a scan of the whole grid, and give the same root, but the
+    blocks above the one holding it are never evaluated.
+    """
+    n_cells = grid.size - 1
+    nxt = np.zeros(freqs.size, dtype=int)  # first cell not yet scanned
+    edge = np.empty(freqs.size)  # q at grid[nxt], carried from the block below
+    while idx.size:
+        owner, cells, q_cells = [], [], []
+        scanning = idx
+        for lo in range(nxt[idx].min(), n_cells, _SCAN_BLOCK):
+            hi = min(lo + _SCAN_BLOCK, n_cells)
+            now = scanning[nxt[scanning] == lo]
+            if not now.size:
+                continue
+            q = _grid_indicator(prep, grid[lo + (lo > 0):hi + 1], freqs[now]).T
+            if lo:
+                q = np.concatenate([edge[now, None], q], axis=1)
+            edge[now], nxt[now] = q[:, -1], hi
+            q = np.lib.stride_tricks.sliding_window_view(q, 2, axis=1)
+            hit = (np.sign(q).prod(axis=2) < 0).any(axis=1)
+            owner.append(np.repeat(now[hit], hi - lo))
+            cells.append(np.tile(np.lib.stride_tricks.sliding_window_view(
+                grid[lo:hi + 1], 2), (hit.sum(), 1)))
+            q_cells.append(q[hit].reshape(-1, 2))
+            scanning = np.setdiff1d(scanning, now[hit])
+            if not scanning.size:
+                break
+        owner = np.concatenate(owner)
+        order = np.argsort(owner, kind="stable")
+        _settle(prep, freqs, roots, owner[order], np.concatenate(cells)[order],
+                np.concatenate(q_cells)[order], rel_tol)
+        idx = idx[np.isnan(roots[idx]) & (nxt[idx] < n_cells)]
+
+
 def _find_modes(
     stack: LayerStack,
     frequencies: np.ndarray,
@@ -808,29 +871,24 @@ def _find_modes(
     """Lowest accepted root per frequency, NaN where none.
 
     Brackets come from windows of half-width 0.5, 2 and 8 scan steps around
-    the hints, then, for frequencies still open, from the scan's cells.
+    the hints, clipped to the search window, then, for frequencies still
+    open, from the scan's cells (``_scan``).
     """
+    if hints is not None and not np.isfinite(hints).all():
+        raise ValueError("hints must be finite")
     prep = _prepare(stack)
     freqs = np.asarray(frequencies, dtype=float)
     roots = np.full(freqs.size, np.nan)
     top = prep.v_ceiling * (1.0 - 1e-9)
     for half_width in () if hints is None else (0.5, 2.0, 8.0):
-        idx = np.flatnonzero(np.isnan(roots))
-        if not idx.size:
-            break
-        v = np.stack([np.maximum(hints[idx] - half_width * scan_step, prep.v_floor),
-                      np.minimum(hints[idx] + half_width * scan_step, top)], axis=1)
-        q = _indicator(prep, np.repeat(freqs[idx], 2), v.ravel()).reshape(-1, 2)
-        _settle(prep, freqs, roots, idx, v, q, rel_tol)
-    idx = np.flatnonzero(np.isnan(roots))
+        w = half_width * scan_step
+        v = np.clip(np.stack([hints - w, hints + w], axis=1), prep.v_floor, top)
+        idx = np.flatnonzero(np.isnan(roots) & (v[:, 0] < v[:, 1]))
+        if idx.size:
+            q = _indicator(prep, np.repeat(freqs[idx], 2), v[idx].ravel()).reshape(-1, 2)
+            _settle(prep, freqs, roots, idx, v[idx], q, rel_tol)
     grid = _scan_grid(prep, scan_step)
-    if idx.size:
-        cells = np.lib.stride_tricks.sliding_window_view(grid, 2)
-        q = np.lib.stride_tricks.sliding_window_view(
-            _grid_indicator(prep, grid, freqs[idx]).T, 2, axis=1
-        )
-        _settle(prep, freqs, roots, np.repeat(idx, len(cells)),
-                np.tile(cells, (idx.size, 1)), q.reshape(-1, 2), rel_tol)
+    _scan(prep, freqs, roots, np.flatnonzero(np.isnan(roots)), grid, rel_tol)
     failures = [int(j) for j in np.flatnonzero(np.isnan(roots))]
     return roots, failures, prep, grid
 

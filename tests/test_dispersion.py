@@ -358,6 +358,30 @@ def test_hints_agree_with_scan(stack_1a, curve_1a):
         assert abs(a - b) / a < 1e-10
 
 
+def test_hint_windows_stay_inside_the_search_window(stack_1a, monkeypatch):
+    # hints above the ceiling, below the floor or just over the ceiling give
+    # windows that are clipped, or dropped when empty; no velocity outside
+    # [floor, ceiling) is evaluated and the scan finds the cold root
+    floor, ceiling = sk.velocity_window(stack_1a)
+    cold = sk.saw_phase_velocity(stack_1a, 300e6)
+    seen = []
+    indicator = dispersion._indicator
+    monkeypatch.setattr(dispersion, "_indicator",
+                        lambda prep, f, v: seen.append(v) or indicator(prep, f, v))
+    for hint in (7000.0, 100.0, ceiling + 3.0):
+        assert sk.saw_phase_velocity(stack_1a, 300e6, hint=hint) == cold
+    seen = np.concatenate(seen)
+    assert floor <= seen.min() and seen.max() < ceiling
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_hint_raises_value_error(stack_1a, bad):
+    with pytest.raises(ValueError, match="hints must be finite"):
+        sk.saw_phase_velocity(stack_1a, 300e6, hint=bad)
+    with pytest.raises(ValueError, match="hints must be finite"):
+        sk.dispersion_curve(stack_1a, [200e6, 300e6], hints=[4000.0, bad])
+
+
 # --- root finder against plain bisection ----------------------------------------
 
 FINDER_FREQS = np.array([50e6, 320e6, 900e6])
@@ -495,6 +519,69 @@ def test_hinted_curve_batch_count(stack_1a, monkeypatch):
     assert len(calls) <= 12
 
 
+# --- block scan against the whole-grid scan it replaced -------------------------
+
+CURVE_FREQS = np.linspace(50e6, 900e6, 35)
+
+
+def _whole_grid_roots(stack, freqs):
+    """Roots of the one-pass scan the block scan replaced: the indicator on
+    the whole grid in one batch, and every cell of every frequency in one
+    ``_settle``."""
+    prep = dispersion._prepare(stack)
+    grid = dispersion._scan_grid(prep, dispersion.DEFAULT_SCAN_STEP)
+    cells = np.lib.stride_tricks.sliding_window_view(grid, 2)
+    q = np.lib.stride_tricks.sliding_window_view(
+        dispersion._grid_indicator(prep, grid, freqs).T, 2, axis=1)
+    roots = np.full(freqs.size, np.nan)
+    dispersion._settle(prep, freqs, roots, np.repeat(np.arange(freqs.size), len(cells)),
+                       np.tile(cells, (freqs.size, 1)), q.reshape(-1, 2),
+                       dispersion.DEFAULT_REL_TOL)
+    return roots
+
+
+def _check_block_scan(stack, freqs):
+    step, tol = dispersion.DEFAULT_SCAN_STEP, dispersion.DEFAULT_REL_TOL
+    roots, _, _, _ = dispersion._find_modes(stack, freqs, None, step, tol)
+    assert np.array_equal(roots, _whole_grid_roots(stack, freqs), equal_nan=True)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(layers=RANDOM_LAYERS)
+def test_block_scan_matches_whole_grid_scan_random_stacks(layers, silicon, oxide, geom):
+    _check_block_scan(_random_stack(layers, silicon, oxide, geom), CURVE_FREQS)
+
+
+@pytest.mark.parametrize("name, thickness_factor", BUNDLED)
+def test_block_scan_matches_whole_grid_scan_bundled_stacks(name, thickness_factor):
+    _check_block_scan(_bundled_stack(name, thickness_factor), CURVE_FREQS)
+
+
+def test_block_scan_resumes_above_rejected_brackets(stack_1a, monkeypatch):
+    # a synthetic indicator (v - r)/(v - p) with a pole p of q below the
+    # root r: the pole's bracket is rejected, and where r lies in a later
+    # block than p the frequency resumes there in a second pass
+    def pole_and_root(f):
+        p = 2500.0 + f / 1e6
+        return p, p + 100.0 + 2.0 * f / 1e6
+
+    def g33(prep, v, k):  # u3 with Im(1/u3) = (v - r)/(v - p)
+        p, r = pole_and_root(k * v / (2 * math.pi))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return -1j * (v - p) / (v - r)
+
+    monkeypatch.setattr(dispersion, "_g33", g33)
+    monkeypatch.setattr(dispersion, "_grid_indicator", lambda prep, grid, freqs: (
+        dispersion._pole_indicator(g33(prep, grid, 2 * math.pi * freqs[:, None] / grid)).T))
+    settle, passes = dispersion._settle, []
+    monkeypatch.setattr(dispersion, "_settle", lambda *args: passes.append(1) or settle(*args))
+    step, tol = dispersion.DEFAULT_SCAN_STEP, dispersion.DEFAULT_REL_TOL
+    roots, failures, _, _ = dispersion._find_modes(stack_1a, CURVE_FREQS, None, step, tol)
+    assert len(passes) >= 2 and not failures
+    np.testing.assert_allclose(roots, pole_and_root(CURVE_FREQS)[1], rtol=1e-10)
+    assert np.array_equal(roots, _whole_grid_roots(stack_1a, CURVE_FREQS))
+
+
 # --- impedance recursion against the global boundary matrix ---------------------
 
 
@@ -520,10 +607,13 @@ def _check_against_global_matrix(stack, freqs):
 def _check_roots_against_global_matrix(stack, freqs):
     step, tol = dispersion.DEFAULT_SCAN_STEP, dispersion.DEFAULT_REL_TOL
     roots, _, _, _ = dispersion._find_modes(stack, freqs, None, step, tol)
+    blocks = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dispersion, "_g33", global_matrix.g33)
-        mp.setattr(dispersion, "_grid_indicator", global_matrix.grid_indicator)
+        mp.setattr(dispersion, "_grid_indicator",
+                   lambda *args: blocks.append(1) or global_matrix.grid_indicator(*args))
         ref, _, _, _ = dispersion._find_modes(stack, freqs, None, step, tol)
+    assert blocks  # the scan reached the oracle through its seam
     np.testing.assert_allclose(roots, ref, rtol=1e-11)
 
 
@@ -645,18 +735,20 @@ def test_singular_system_spoils_only_its_own_point(stack_1a, monkeypatch, call):
     # substrate impedance and the oxide's coupling to it (per velocity),
     # the impedance at the oxide's top, the film's coupling to it and the
     # surface solve (per frequency); make one exactly singular at one
-    # point, once
+    # point, once: velocity 3 of a batch, at frequency 1 of a scan block
     prep = dispersion._prepare(stack_1a)
     v = np.linspace(3600.0, 5000.0, 8)
     f = np.full(v.size, 300e6)
+    freqs = np.array([200e6, 300e6, 400e6])
     clean = dispersion._g33(prep, v, 2 * math.pi * f / v)
+    clean_mesh = dispersion._grid_indicator(prep, v, freqs)
     solve, seen = dispersion._solve, []
 
     def singular_once(a, b):
         seen.append(1)
         if len(seen) == call + 1:
             a = a.copy()
-            a[3] = 0.0
+            a[(1,) * (a.ndim - 3) + (3,)] = 0.0
         return solve(a, b)
 
     monkeypatch.setattr(dispersion, "_solve", singular_once)
@@ -668,14 +760,25 @@ def test_singular_system_spoils_only_its_own_point(stack_1a, monkeypatch, call):
     seen.clear()
     q = dispersion._indicator(prep, f, v)
     assert np.isfinite(q).all()
+    # on the (velocity x frequency) mesh a per-velocity system spoils its
+    # velocity at every frequency, a per-frequency one its own entry only
+    seen.clear()
+    mesh = dispersion._grid_indicator(prep, v, freqs)
+    assert len(seen) == 5
+    spoiled = np.zeros(mesh.shape, dtype=bool)
+    spoiled[3, 1 if call >= 2 else slice(None)] = True
+    assert np.array_equal(~np.isfinite(mesh), spoiled)
+    np.testing.assert_allclose(mesh[~spoiled], clean_mesh[~spoiled], rtol=1e-14)
 
 
 def test_cold_curve_solves_only_3x3_systems(stack_1a, monkeypatch):
     # work guard that does not depend on the machine: every linear system
-    # is 3x3, and the substrate's partial waves are found once per scan grid
+    # is 3x3, and the scan's substrate waves are found block by block up
+    # from the floor, each grid velocity once, stopping below the ceiling
+    # once every frequency has its root
     prep = dispersion._prepare(stack_1a)
     grid = dispersion._scan_grid(prep, dispersion.DEFAULT_SCAN_STEP)
-    shapes, substrate_sizes = set(), []
+    shapes, scanned, others = set(), [], []
     solve, wave_fields = np.linalg.solve, dispersion._wave_fields
 
     def recording_solve(a, b):
@@ -684,15 +787,28 @@ def test_cold_curve_solves_only_3x3_systems(stack_1a, monkeypatch):
 
     def recording_wave_fields(med, v):
         if med is prep.media[-1]:
-            substrate_sizes.append(np.size(v))
+            (scanned if np.isin(v, grid).all() else others).append(v)
         return wave_fields(med, v)
 
     monkeypatch.setattr(np.linalg, "solve", recording_solve)
     monkeypatch.setattr(dispersion, "_wave_fields", recording_wave_fields)
-    sk.dispersion_curve(stack_1a, np.linspace(50e6, 900e6, 35))
+    sk.dispersion_curve(stack_1a, CURVE_FREQS)
     assert shapes == {(3, 3)}
-    assert substrate_sizes.count(grid.size) == 1
-    assert max(size for size in substrate_sizes if size != grid.size) <= 35
+    scanned = np.concatenate(scanned)
+    assert 0 < scanned.size < grid.size
+    assert np.array_equal(scanned, grid[:scanned.size])
+    assert max(map(np.size, others)) <= 35
+
+
+def test_cold_curve_response_points(stack_1a, monkeypatch):
+    # work guard that does not depend on the machine: (velocity, frequency)
+    # points through the layer recursion for a cold 35-point curve; a scan
+    # of the whole grid at every frequency takes 28 069
+    response, points = dispersion._response, []
+    monkeypatch.setattr(dispersion, "_response",
+                        lambda kern, k: points.append(np.size(k)) or response(kern, k))
+    sk.dispersion_curve(stack_1a, CURVE_FREQS)
+    assert sum(points) <= 20_000
 
 
 # --- curve container and CSV ----------------------------------------------------

@@ -1,18 +1,21 @@
 """Forward SAW solver for layered half-spaces.
 
 For fixed (omega, k) the depth dependence of harmonic fields in each medium
-is a sum of six partial waves e^{ik(x1 + alpha x3)}.  In an isotropic medium
-they are the P, SV and SH waves, whose vertical slownesses alpha and
-polarizations are closed-form in v = omega/k.  Only an anisotropic medium
-(the cubic substrate) solves for them as a 6-dimensional linear eigenproblem
-in the state vector (displacement, scaled traction).  The surface response
-to a unit normal surface stress comes from a 3x3 surface-impedance recursion
-(Rokhlin & Wang, J. Acoust. Soc. Am. 112(3), 822-834, 2002).  The
-substrate's three decaying or downgoing waves give its impedance Z = B A^-1.
-Each layer's six waves split into three referenced at its top (d) and three
-at its bottom (u); continuity with the impedance below ties the u amplitudes
-to the d ones, and the traction and displacement at the layer's top then
-give the impedance it presents to the layer above.  Every layer exponential
+is a sum of six partial waves e^{ik(x1 + alpha x3)}.  In a medium whose
+stiffness is orthotropic in the propagation frame (every isotropic one, and
+a cubic crystal cut along a symmetry plane, such as Si(001) along [110])
+they split into an SH wave and two sagittal waves, whose vertical
+slownesses alpha and polarizations are closed-form in v = omega/k.  Only a
+medium without that symmetry solves for them as a 6-dimensional linear
+eigenproblem in the state vector (displacement, scaled traction).  The
+surface response to a unit normal surface stress comes from a 3x3
+surface-impedance recursion (Rokhlin & Wang, J. Acoust. Soc. Am. 112(3),
+822-834, 2002).  The substrate's three decaying or downgoing waves give its
+impedance Z = B A^-1.  Each layer's six waves split into three referenced
+at its top (d) and three at its bottom (u); continuity with the impedance
+below ties the u amplitudes to the d ones, and the traction and
+displacement at the layer's top then give the impedance it presents to the
+layer above.  Every layer exponential
 is e^{ik alpha_d h} or e^{-ik alpha_u h}, at most one in magnitude, so the
 recursion does not grow at large frequency-thickness products the way the
 classical transfer matrix does.  The substrate impedance and the bottom
@@ -43,9 +46,11 @@ import numpy as np
 
 from .errors import CurveError, DegeneratePointError, FormatError, NoModeError
 from .materials import (
+    ElasticMaterial,
     ElasticTensor,
     IsotropicMaterial,
     LayerStack,
+    PropagationGeometry,
     stiffness_of,
 )
 
@@ -54,6 +59,9 @@ DEFAULT_REL_TOL = 1e-12  # relative bracket width at which a root is accepted
 _PROP_TOL = 1e-8  # |Im alpha| below this (relative) counts as propagating
 _RESIDUAL_TOL = 1e-8  # eigenpair residual above this marks a defective point
 _NUDGE = 1e-9  # relative velocity step off a degenerate point, taken once
+_ORTHOTROPIC_TOL = 1e-12  # couplings below this fraction of max|C| count as 0
+# sign of each (a, b) component from a closed-form +alpha wave to its -alpha twin
+_FLIP = np.array([-1.0, 1.0, 1.0, 1.0, -1.0, -1.0])[:, None, None]
 _CONTINUITY_JUMP = 0.05  # adjacent curve points differing more raise a flag
 _SCAN_BLOCK = 64  # grid cells per block of the cold velocity scan
 _E3 = np.array([0.0, 0.0, 1.0])  # unit normal surface stress, scaled traction units
@@ -219,19 +227,24 @@ def _qrt(cijkl: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class _Medium:
-    """Constant pieces of the depth-evolution operator for one medium."""
+    """Constant pieces of the depth-evolution operator for one medium.
+
+    ``waves`` gives its partial waves in closed form when the medium is
+    orthotropic in the frame (``moduli`` set), and from the eigenproblem of
+    ``operator`` otherwise.  A medium with C13 + C55 = 0 takes the
+    eigenproblem too: its closed-form sagittal polarization would vanish.
+    """
 
     n0: np.ndarray  # v-independent part of the 6x6 operator
     rho_scaled: float  # rho / c_ref, multiplies v^2 on the lower-left diagonal
     c_ref: float
-    # (lambda + 2 mu, mu) / c_ref of an isotropic medium, whose partial waves
-    # are closed-form; None for one that needs the eigenproblem
-    moduli: tuple[float, float] | None = None
+    # frame moduli (C11, C13, C33, C44, C55, C66) / c_ref of a medium
+    # orthotropic in the frame, whose partial waves are closed-form; None
+    # for one that needs the eigenproblem
+    moduli: tuple[float, ...] | None = None
 
     @classmethod
-    def build(
-        cls, tensor: ElasticTensor, rho: float, c_ref: float, isotropic: bool = False
-    ) -> "_Medium":
+    def build(cls, tensor: ElasticTensor, rho: float, c_ref: float) -> "_Medium":
         q, r, t = _qrt(tensor.as_cijkl())
         t_inv = np.linalg.inv(t)
         n0 = np.zeros((6, 6))
@@ -239,12 +252,19 @@ class _Medium:
         n0[:3, 3:] = t_inv * c_ref
         n0[3:, :3] = (-q + r @ t_inv @ r.T) / c_ref
         n0[3:, 3:] = -r @ t_inv
-        moduli = (t[2, 2] / c_ref, t[0, 0] / c_ref) if isotropic else None
+        c = tensor.voigt
+        moduli = None
+        # C14-C16, C24-C26, C34-C36, C45, C46 and C56: the couplings that
+        # vanish when the frame's coordinate planes are mirror planes
+        couplings = np.abs(np.triu(c, 1)[:, 3:]).max()
+        if couplings <= _ORTHOTROPIC_TOL * np.abs(c).max() and c[0, 2] + c[4, 4] != 0:
+            moduli = tuple(float(c[i, j]) / c_ref
+                           for i, j in ((0, 0), (0, 2), (2, 2), (3, 3), (4, 4), (5, 5)))
         return cls(n0=n0, rho_scaled=rho / c_ref, c_ref=c_ref, moduli=moduli)
 
     def waves(self, v: np.ndarray):
-        """``_isotropic_waves`` or ``_wave_fields`` of this medium at velocities v."""
-        return (_wave_fields if self.moduli is None else _isotropic_waves)(self, v)
+        """``_orthotropic_waves`` or ``_wave_fields`` of this medium at velocities v."""
+        return (_wave_fields if self.moduli is None else _orthotropic_waves)(self, v)
 
     def operator(self, v: np.ndarray) -> np.ndarray:
         """Stacked 6x6 operators for velocities v (...,)."""
@@ -258,11 +278,19 @@ class _Medium:
 
 def _eig_sorted(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of stacked operators, ordered by (Im, Re) of the eigenvalue."""
-    vals, vecs = np.linalg.eig(n)
+    vals, vecs = np.linalg.eig(n)  # real arrays when every eigenvalue is real
+    vals, vecs = vals.astype(complex, copy=False), vecs.astype(complex, copy=False)
     order = np.argsort(vals.imag + 1j * vals.real, axis=-1)
     vals = np.take_along_axis(vals, order, axis=-1)
     vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
     return vals, vecs
+
+
+def _defective(n: np.ndarray, alpha: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Rows whose eigenpairs fail the residual or the independence check."""
+    resid = np.linalg.norm(n @ vecs - vecs * alpha[:, None, :], axis=(1, 2))
+    bad = resid > _RESIDUAL_TOL * np.linalg.norm(n, axis=(1, 2))
+    return bad | (np.abs(np.linalg.det(vecs)) < 1e-14)
 
 
 def _wave_fields(
@@ -272,72 +300,95 @@ def _wave_fields(
 
     Returns (alpha (m,6), w (m,6,6), flux (m,6), valid (m,)); the rows of
     w are the displacements a over the tractions b scaled by 1/c_ref.  Rows
-    failing the residual or independence check after one deterministic
-    velocity nudge are marked invalid.
+    failing the residual or independence check are solved once more after
+    a deterministic velocity nudge, and marked invalid if they fail either
+    check again.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     n = med.operator(v)
     alpha, vecs = _eig_sorted(n)
-    resid = np.linalg.norm(n @ vecs - vecs * alpha[:, None, :], axis=(1, 2))
-    scale = np.linalg.norm(n, axis=(1, 2))
-    bad = resid > _RESIDUAL_TOL * scale
-    if not bad.any():
-        dets = np.abs(np.linalg.det(vecs))
-        bad |= dets < 1e-14
+    bad = _defective(n, alpha, vecs)
+    valid = np.ones(v.shape, dtype=bool)
     if bad.any():
         # isolated degenerate points: nudge v by one part in 1e9 and re-solve
         n2 = med.operator(v[bad] * (1.0 + _NUDGE))
         a2, v2 = _eig_sorted(n2)
         alpha[bad], vecs[bad] = a2, v2
-        resid2 = np.linalg.norm(n2 @ v2 - v2 * a2[:, None, :], axis=(1, 2))
-        still = np.zeros_like(bad)
-        still[bad] = resid2 > _RESIDUAL_TOL * np.linalg.norm(n2, axis=(1, 2))
-        valid = ~still
-    else:
-        valid = np.ones(v.shape, dtype=bool)
+        valid[bad] = ~_defective(n2, a2, v2)
     flux = np.real(np.einsum("mij,mij->mj", np.conj(vecs[:, :3]), vecs[:, 3:]))
     return alpha, vecs, flux, valid
 
 
-def _isotropic_waves(
+def _slowness_squares(
+    moduli: tuple[float, ...], x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """alpha^2 of the two sagittal waves and the SH wave at x = rho v^2 / c_ref.
+
+    Returns (y (3, m), degenerate (m,)), degenerate where some alpha^2 is 0
+    or the two sagittal ones coincide.
+    """
+    c11, c13, c33, c44, c55, c66 = moduli
+    pq = (c11 - x) * (c55 - x)
+    b = (c55 * c55 + c33 * c11 - (c13 + c55) ** 2) - (c55 + c33) * x
+    disc = b * b - (4.0 * c33 * c55) * pq
+    r = np.sqrt(disc.astype(complex))
+    np.negative(r, out=r, where=b < 0)
+    s = -0.5 * (b + r)  # c33 c55 times the root of larger magnitude
+    sh = x - c66
+    y = np.empty((3, x.size), dtype=complex)
+    np.divide(s, c33 * c55, out=y[0])
+    np.divide(pq, s, out=y[1])
+    np.divide(sh, c44, out=y[2])
+    # y[1] is 0 where pq is, y[2] where sh is, and y[0] only where s and so
+    # disc is, which is where the two sagittal roots coincide
+    return y, pq * disc * sh == 0
+
+
+def _orthotropic_waves(
     med: _Medium, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``_wave_fields`` of an isotropic medium, in closed form.
+    """``_wave_fields`` of a medium orthotropic in the frame, in closed form.
 
-    With M = lambda + 2 mu, the slownesses are alpha_p = sqrt(rho v^2/M - 1)
-    and alpha_s = sqrt(rho v^2/mu - 1) on the principal branch (Im >= 0),
-    each paired with -alpha; the first three columns are the +alpha waves.
-    The displacements are a = (1, 0, alpha_p) (P), (alpha_s, 0, -1) (SV) and
-    (0, 1, 0) (SH), and b = (R^T + alpha T) a works out to
-    (2 mu alpha_p, 0, rho v^2 - 2 mu), (rho v^2 - 2 mu, 0, -2 mu alpha_s) and
-    (0, mu alpha_s, 0), over c_ref like every modulus here.  Where some alpha
-    is 0 (v at a bulk speed) its up and down waves coincide: such a point is
-    solved at v * (1 + _NUDGE) instead, and marked invalid if that is
-    degenerate too.
+    With X = rho v^2, the SH wave has alpha^2 = (X - C66)/C44 and the two
+    sagittal waves solve C33 C55 alpha^4 + [C55 (C55 - X) + C33 (C11 - X)
+    - (C13 + C55)^2] alpha^2 + (C11 - X)(C55 - X) = 0 (Stroh, J. Math.
+    Phys. 41, 77-103, 1962), taken by the stable root formula.  alpha is
+    the root with Im >= 0, paired with -alpha; the first three columns are
+    the +alpha waves.  The displacements are a = ((C13 + C55) alpha, 0,
+    -(C11 - X + C55 alpha^2)) for a sagittal wave and (0, 1, 0) for SH, and
+    the tractions b = (R^T + alpha T) a, over c_ref like every modulus
+    here.  For an isotropic medium these are the P, SV and SH waves, their
+    columns scaled by (C13 + C55) alpha, (C13 + C55) and 1.  The columns
+    are not normalized: the response does not depend on the basis.  Where
+    some alpha is 0 (v at a bulk speed along x1) its up and down waves
+    coincide, and where the sagittal alpha^2 coincide their polarizations
+    do; a sagittal polarization vanishes only where its alpha does, since
+    ``_Medium.build`` requires C13 + C55 != 0.  Such a point is solved at
+    v * (1 + _NUDGE) instead, and marked invalid if that is degenerate too.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    m_p, mu = med.moduli
-    rv2 = med.rho_scaled * v * v
-    x = np.stack([rv2 / m_p, rv2 / mu]) - 1.0
-    bad = (x == 0.0).any(axis=0)
+    c11, c13, c33, c44, c55, _ = med.moduli
+    x = med.rho_scaled * v * v
+    y, bad = _slowness_squares(med.moduli, x)
     if bad.any():
         v = np.where(bad, v * (1.0 + _NUDGE), v)
-        rv2 = med.rho_scaled * v * v
-        x = np.stack([rv2 / m_p, rv2 / mu]) - 1.0
-        bad = (x == 0.0).any(axis=0)
-    ap, as_ = np.sqrt(x.astype(complex))
-    s = rv2 - 2.0 * mu
-    w = np.zeros((v.size, 6, 6), dtype=complex)
-    for j, sign in ((0, 1.0), (3, -1.0)):
-        p, q = sign * ap, sign * as_
-        w[:, 0, j], w[:, 2, j] = 1.0, p  # P
-        w[:, 3, j], w[:, 5, j] = 2.0 * mu * p, s
-        w[:, 0, j + 1], w[:, 2, j + 1] = q, -1.0  # SV
-        w[:, 3, j + 1], w[:, 5, j + 1] = s, -2.0 * mu * q
-        w[:, 1, j + 2], w[:, 4, j + 2] = 1.0, mu * q  # SH
-    alpha = np.stack([ap, as_, as_, -ap, -as_, -as_], axis=1)
-    flux = np.real(np.einsum("mij,mij->mj", np.conj(w[:, :3]), w[:, 3:]))
-    return alpha, w, flux, ~bad
+        x = med.rho_scaled * v * v
+        y, bad = _slowness_squares(med.moduli, x)
+    alpha = np.sqrt(y)
+    np.negative(alpha, out=alpha, where=alpha.imag < 0)
+    g, y2, a2 = c13 + c55, y[:2], alpha[:2]
+    # [component, wave, velocity]: rows a1, a2, a3, b1, b2, b3 of the +alpha
+    # waves, then the -alpha ones, which flip the sign of a1, b2 and b3
+    w = np.zeros((6, 6, v.size), dtype=complex)
+    np.multiply(a2, g, out=w[0, :2])
+    np.subtract(x - c11, c55 * y2, out=w[2, :2])
+    np.multiply(w[2, :2] + g * y2, c55, out=w[3, :2])
+    np.multiply(a2, c33 * w[2, :2] + c13 * g, out=w[5, :2])
+    w[1, 2] = 1.0
+    np.multiply(alpha[2], c44, out=w[4, 2])
+    np.multiply(w[:, :3], _FLIP, out=w[:, 3:])
+    flux = (w[:3].conj() * w[3:]).real.sum(axis=0)
+    return np.concatenate([alpha, -alpha]).T, w.transpose(2, 0, 1), flux.T, ~bad
 
 
 def _masks(alpha: np.ndarray, flux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -422,14 +473,30 @@ class _Prepared:
     v_ceiling: float
 
 
-def _substrate_ceiling(tensor: ElasticTensor, rho: float) -> float:
+# Stacks realised during a fit share most of their materials, so what
+# depends on one material and the geometry (plus c_ref for a medium) is
+# cached by value across stacks, and ``_prepare`` only assembles it.
+
+
+@lru_cache(maxsize=64)
+def _frame_stiffness(material: ElasticMaterial, geometry: PropagationGeometry) -> ElasticTensor:
+    return stiffness_of(material, geometry)
+
+
+@lru_cache(maxsize=64)
+def _medium(material: ElasticMaterial, geometry: PropagationGeometry, c_ref: float) -> _Medium:
+    return _Medium.build(_frame_stiffness(material, geometry), material.density, c_ref)
+
+
+@lru_cache(maxsize=64)
+def _substrate_ceiling(material: ElasticMaterial, geometry: PropagationGeometry) -> float:
     """Slowest substrate bulk wave along x1 that couples to sagittal motion.
 
     Branches polarized purely along x2 are decoupled from the (x1, x3)
     surface-wave problem and do not cut the mode off.
     """
-    q = tensor.as_cijkl()[:, 0, :, 0]
-    vals, vecs = np.linalg.eigh(q / rho)
+    q = _frame_stiffness(material, geometry).as_cijkl()[:, 0, :, 0]
+    vals, vecs = np.linalg.eigh(q / material.density)
     best = None
     for i in range(3):
         pol = vecs[:, i]
@@ -443,20 +510,13 @@ def _substrate_ceiling(tensor: ElasticTensor, rho: float) -> float:
 def _prepare(stack: LayerStack) -> _Prepared:
     geometry = stack.geometry
     materials = [layer.material for layer in stack.layers] + [stack.substrate]
-    tensors = [stiffness_of(m, geometry) for m in materials]
-    c_ref = max(float(np.abs(t.voigt).max()) for t in tensors)
-    media = tuple(
-        _Medium.build(t, m.density, c_ref, isinstance(m, IsotropicMaterial))
-        for t, m in zip(tensors, materials)
-    )
-    v_floor = 0.5 * min(m.shear_velocity for m in materials)
-    v_ceiling = _substrate_ceiling(tensors[-1], stack.substrate.density)
+    c_ref = max(float(np.abs(_frame_stiffness(m, geometry).voigt).max()) for m in materials)
     return _Prepared(
-        media=media,
+        media=tuple(_medium(m, geometry, c_ref) for m in materials),
         thicknesses=tuple(layer.thickness for layer in stack.layers),
         c_ref=c_ref,
-        v_floor=v_floor,
-        v_ceiling=v_ceiling,
+        v_floor=0.5 * min(m.shear_velocity for m in materials),
+        v_ceiling=_substrate_ceiling(stack.substrate, geometry),
     )
 
 
@@ -520,11 +580,12 @@ class _Kernel:
 def _kernel(prep: _Prepared, v: np.ndarray) -> _Kernel:
     """Partial waves of every medium at velocities v, split 3/3 and coupled.
 
-    Isotropic media take their waves in closed form (``_isotropic_waves``);
-    only an anisotropic one solves the eigenproblem (``_wave_fields``).
-    Both return the decaying-or-downgoing waves first wherever a medium
-    splits 3/3 in the (Im, Re) eigen order, so columns are reordered only at
-    the velocities where they are not.
+    Media orthotropic in the frame take their waves in closed form
+    (``_orthotropic_waves``), which returns the decaying-or-downgoing waves
+    first; only a medium without that symmetry solves the eigenproblem
+    (``_wave_fields``), whose (Im, Re) eigen order does the same wherever it
+    splits 3/3.  Columns are reordered only at the velocities where the
+    first three are not those waves.
     """
     split = []
     valid = np.ones(v.shape, dtype=bool)

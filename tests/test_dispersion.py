@@ -11,7 +11,7 @@ from sawkit import dispersion
 from sawkit.cli import build_stack, fixture_config_path, load_config
 from sawkit.dispersion import DECAYING, GROWING, PROP_DOWN, PROP_UP
 from sawkit.errors import CurveError, FormatError, NoModeError
-from sawkit.materials import stiffness_from_isotropic
+from sawkit.materials import stiffness_from_isotropic, stiffness_of
 
 import global_matrix
 
@@ -48,7 +48,7 @@ def test_partial_waves_match_closed_form_slownesses(iso, iso_tensor):
     # take the closed form.  Same slownesses, and the same span of
     # decaying-or-downgoing waves, below v_t, between v_t and v_l, above v_l.
     c_ref = float(np.abs(iso_tensor.voigt).max())
-    med = dispersion._Medium.build(iso_tensor, iso.density, c_ref, isotropic=True)
+    med = dispersion._Medium.build(iso_tensor, iso.density, c_ref)
     vt, vl = iso.shear_velocity, iso.longitudinal_velocity
 
     def by_imag(arr):
@@ -57,7 +57,7 @@ def test_partial_waves_match_closed_form_slownesses(iso, iso_tensor):
     for v in (0.8 * vt, 0.5 * (vt + vl), 1.2 * vl):
         k = 2 * math.pi * 150e6 / v
         pw = sk.partial_waves(iso_tensor, iso.density, v * k, k)
-        alpha, w, _, valid = dispersion._isotropic_waves(med, np.array([v]))
+        alpha, w, _, valid = med.waves(np.array([v]))
         assert valid[0]
         np.testing.assert_allclose(
             by_imag(pw.eigenvalues), by_imag(alpha[0]), rtol=1e-9, atol=1e-12
@@ -700,33 +700,136 @@ def test_closed_form_at_bulk_speeds_matches_eig(stack_1a):
     np.testing.assert_allclose(q, q_eig, rtol=1e-10, atol=0)
 
 
-def test_eig_runs_for_the_substrate_only(stack_1a, monkeypatch):
-    # work guard that does not depend on the machine: the isotropic layers
-    # take the closed form, so every eig matrix of a curve, cold or hinted,
-    # belongs to the cubic substrate
-    prep = dispersion._prepare(stack_1a)
-    freqs = np.linspace(50e6, 900e6, 35)
-    eig, wave_fields = np.linalg.eig, dispersion._wave_fields
-    matrices, substrate_points = [], []
+# the cuts of a cubic crystal at which its frame stiffness is orthotropic
+ORTHOTROPIC_CUTS = [((0, 0, 1), (1, 1, 0)), ((0, 0, 1), (1, 0, 0)),
+                    ((1, 1, 0), (0, 0, 1)), ((1, 1, 0), (1, -1, 0))]
+# random cubic crystals: c11, c12 / c11, c44 / c11 (0.26 for Al to 0.53 for
+# diamond; near 1 the shear and longitudinal speeds coincide), density
+CUBIC = st.builds(
+    lambda c11, r12, r44, rho: sk.CubicMaterial(c11, r12 * c11, r44 * c11, rho),
+    st.floats(100e9, 300e9), st.floats(0.0, 0.9), st.floats(0.2, 0.8),
+    st.floats(2000.0, 8000.0),
+)
 
-    def counting_eig(a):
-        matrices.append(int(np.prod(np.shape(a)[:-2])))
-        return eig(a)
 
-    def recording_wave_fields(med, v):
-        assert med is prep.media[-1]
-        substrate_points.append(np.size(v))
-        return wave_fields(med, v)
+def _check_waves_against_eig(tensor, rho):
+    """Closed-form partial waves of one medium against the eigenproblem:
+    the slownesses and the span of the decaying-or-downgoing waves, below,
+    between and above its bulk speeds along x1, and exactly at them."""
+    med = dispersion._Medium.build(tensor, rho, float(np.abs(tensor.voigt).max()))
+    assert med.moduli is not None
+    c11, _, _, _, c55, c66 = med.moduli
+    bulk = np.sqrt(np.sort([c11, c55, c66]) / med.rho_scaled)
+    bulk = bulk[np.r_[True, np.diff(bulk) > 1e-6 * bulk[1:]]]  # distinct speeds
+    v = np.concatenate([[0.8 * bulk[0]], 0.5 * (bulk[:-1] + bulk[1:]), [1.2 * bulk[-1]]])
+    # the waves depend on rho v^2 / c_ref only, which is exactly the modulus
+    # C of a bulk speed at v = 1 with rho / c_ref = C; there the closed form
+    # solves at v (1 + _NUDGE), as the eigenproblem does where it finds its
+    # operator defective, so the reference is the eigenproblem at that v
+    one = np.ones(1)
+    cases = [(med, v, v)] + [(replace(med, rho_scaled=c), one, one * (1 + dispersion._NUDGE))
+                             for c in (c11, c55, c66)]
+    for m, v, v_ref in cases:
+        alpha, w, flux, valid = m.waves(v)
+        alpha_ref, w_ref, flux_ref, valid_ref = dispersion._wave_fields(m, v_ref)
+        assert valid.all() and valid_ref.all()
+        down, _ = dispersion._masks(alpha, flux)
+        down_ref, _ = dispersion._masks(alpha_ref, flux_ref)
+        for i in range(v.size):
+            # each slowness has its match in the other set
+            dist = np.abs(alpha[i][:, None] - alpha_ref[i][None, :])
+            tol = 1e-9 * max(1.0, np.abs(alpha_ref[i]).max())
+            assert dist.min(axis=0).max() < tol and dist.min(axis=1).max() < tol
+            assert down[i].sum() == down_ref[i].sum() == 3
+            basis, _ = np.linalg.qr(w_ref[i][:, down_ref[i]])
+            ours = w[i][:, down[i]] / np.linalg.norm(w[i][:, down[i]], axis=0)
+            assert np.linalg.norm(ours - basis @ (basis.conj().T @ ours)) < 1e-8
 
-    monkeypatch.setattr(np.linalg, "eig", counting_eig)
-    monkeypatch.setattr(dispersion, "_wave_fields", recording_wave_fields)
-    cold = sk.dispersion_curve(stack_1a, freqs)
-    assert sum(matrices) == sum(substrate_points) > 0
-    matrices.clear()
-    substrate_points.clear()
-    hints = np.array(cold.velocities) * (1 + 2e-4 * (-1.0) ** np.arange(35))
-    sk.dispersion_curve(stack_1a, freqs, hints=hints)
-    assert sum(matrices) == sum(substrate_points) > 0
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(material=CUBIC, cut=st.sampled_from(ORTHOTROPIC_CUTS))
+def test_closed_form_waves_match_eig_random_cubic_cuts(material, cut):
+    geometry = sk.PropagationGeometry(normal=cut[0], direction=cut[1])
+    _check_waves_against_eig(stiffness_of(material, geometry), material.density)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(material=ISOTROPIC)
+def test_closed_form_waves_match_eig_random_isotropic(material):
+    _check_waves_against_eig(stiffness_from_isotropic(material), material.density)
+
+
+@pytest.mark.parametrize("cut", [((0, 0, 1), (1, 0, 0)), ((1, 1, 0), (0, 0, 1))])
+@pytest.mark.parametrize("with_layers", [False, True])
+def test_closed_form_matches_eig_other_silicon_cuts(stack_1a, cut, with_layers):
+    stack = sk.LayerStack(
+        layers=stack_1a.layers if with_layers else (),
+        substrate=stack_1a.substrate,
+        geometry=sk.PropagationGeometry(normal=cut[0], direction=cut[1]),
+    )
+    assert dispersion._prepare(stack).media[-1].moduli is not None
+    _check_closed_form_against_eig(stack, FINDER_FREQS)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(layers=RANDOM_LAYERS)
+def test_recursion_matches_global_matrix_non_orthotropic_substrate(layers, silicon, oxide):
+    # along [1-10] on Si(111) the SH wave couples to the sagittal ones, so
+    # the substrate keeps the eigenproblem path of _kernel
+    geom = sk.PropagationGeometry(normal=(1, 1, 1), direction=(1, -1, 0))
+    stack = _random_stack(layers, silicon, oxide, geom)
+    assert dispersion._prepare(stack).media[-1].moduli is None
+    _check_against_global_matrix(stack, FINDER_FREQS)
+
+
+def test_wave_fields_checks_every_row_before_and_after_the_nudge(iso, iso_tensor, monkeypatch):
+    # in one batch, row 1 fails the residual check and row 2 has two equal
+    # eigenpairs: both are solved again at v (1 + _NUDGE), and row 2, still
+    # dependent there, is marked invalid
+    med = dispersion._Medium.build(iso_tensor, iso.density, float(np.abs(iso_tensor.voigt).max()))
+    v = np.array([0.7, 0.8, 0.9]) * iso.shear_velocity
+    eig_sorted, batches = dispersion._eig_sorted, []
+
+    def faulty_eig_sorted(n):
+        alpha, vecs = eig_sorted(n)
+        batches.append(n)
+        if len(batches) == 1:
+            alpha[1, 0] *= 2.0
+        alpha[-1, 1], vecs[-1, :, 1] = alpha[-1, 0], vecs[-1, :, 0]
+        return alpha, vecs
+
+    monkeypatch.setattr(dispersion, "_eig_sorted", faulty_eig_sorted)
+    _, _, _, valid = dispersion._wave_fields(med, v)
+    assert len(batches) == 2
+    np.testing.assert_array_equal(batches[1], med.operator(v[1:] * (1 + dispersion._NUDGE)))
+    assert valid.tolist() == [True, True, False]
+
+
+def test_no_eig_on_bundled_stacks(stack_1a, monkeypatch):
+    # work guard that does not depend on the machine: every medium of the
+    # bundled stacks, the Si(001)[110] substrate included, is orthotropic in
+    # the frame, so no curve, cold or hinted, and no fit solves an eigenproblem
+    shapes = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(np.shape(a)) or eig(a))
+    for name, thickness_factor in BUNDLED:
+        stack = _bundled_stack(name, thickness_factor)
+        cold = sk.dispersion_curve(stack, CURVE_FREQS)
+        hints = np.array(cold.velocities) * (1 + 2e-4 * (-1.0) ** np.arange(35))
+        sk.dispersion_curve(stack, CURVE_FREQS, hints=hints)
+    problem = sk.FitProblem(
+        template=stack_1a,
+        free=(sk.FreeParam("c_ge", 0.25, 0.0, 1.0),
+              sk.FreeParam("layer0.thickness", 0.9e-6, 0.3e-6, 3e-6)),
+        measured=sk.dispersion_curve(stack_1a, CURVE_FREQS),
+        coupling=sk.SiGeCoupling(layer_index=0),
+    )
+    assert sk.fit_parameters(problem).converged
+    assert shapes == []
+    # the recording sees the eigenproblem where it still runs
+    sk.partial_waves(stiffness_from_isotropic(stack_1a.layers[1].material),
+                     stack_1a.layers[1].material.density, 2e9, 1e6)
+    assert shapes == [(1, 6, 6)]
 
 
 @pytest.mark.parametrize("call", range(5))
@@ -779,19 +882,19 @@ def test_cold_curve_solves_only_3x3_systems(stack_1a, monkeypatch):
     prep = dispersion._prepare(stack_1a)
     grid = dispersion._scan_grid(prep, dispersion.DEFAULT_SCAN_STEP)
     shapes, scanned, others = set(), [], []
-    solve, wave_fields = np.linalg.solve, dispersion._wave_fields
+    solve, waves = np.linalg.solve, dispersion._Medium.waves
 
     def recording_solve(a, b):
         shapes.add(np.shape(a)[-2:])
         return solve(a, b)
 
-    def recording_wave_fields(med, v):
+    def recording_waves(med, v):
         if med is prep.media[-1]:
             (scanned if np.isin(v, grid).all() else others).append(v)
-        return wave_fields(med, v)
+        return waves(med, v)
 
     monkeypatch.setattr(np.linalg, "solve", recording_solve)
-    monkeypatch.setattr(dispersion, "_wave_fields", recording_wave_fields)
+    monkeypatch.setattr(dispersion._Medium, "waves", recording_waves)
     sk.dispersion_curve(stack_1a, CURVE_FREQS)
     assert shapes == {(3, 3)}
     scanned = np.concatenate(scanned)

@@ -9,7 +9,6 @@ from .errors import (
     FormatError,
     MaterialDbError,
     MaterialError,
-    NoModeError,
     SawkitError,
     SynthesisError,
 )
@@ -38,7 +37,6 @@ from .dispersion import (
     partial_waves,
     rayleigh_velocity_isotropic,
     read_dispersion_csv,
-    saw_phase_velocity,
     surface_green_g33,
     velocity_window,
     write_dispersion_csv,

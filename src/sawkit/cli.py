@@ -54,7 +54,6 @@ from .errors import (
     FormatError,
     MaterialDbError,
     MaterialError,
-    NoModeError,
     SynthesisError,
 )
 from .inversion import (
@@ -720,7 +719,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NoModeError, CurveError, DegeneratePointError) as exc:
+    except (CurveError, DegeneratePointError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except ExtractionError as exc:

@@ -26,10 +26,12 @@ frequencies at once, broadcast over a leading frequency axis.
 Surface modes are the real poles of that response along the velocity axis:
 the mode finder brackets sign changes of Im(1/u3), from windows around
 velocity hints or from a velocity scan, and refines them with
-Chandrupatla's bracketed inverse-quadratic/bisection method.  The scan
-walks up from the window's floor in blocks of cells, and a frequency
-leaves it at the first block that brackets a sign change, so the
-velocities above its lowest mode are mostly never evaluated.  Evaluating
+Chandrupatla's bracketed inverse-quadratic/bisection method.
+``dispersion_curve`` is its one public entry; the scan's 5 m/s step, the
+hint windows and the root tolerance are fixed.  The scan walks up from the
+window's floor in blocks of cells, and a frequency leaves it at the first
+block that brackets a sign change, so the velocities above its lowest mode
+are mostly never evaluated.  Evaluating
 the response instead of a raw determinant keeps the mode indicator
 independent of eigenvector normalization, which is what makes bracketed
 root finding reliable here.
@@ -44,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CurveError, DegeneratePointError, FormatError, NoModeError
+from .errors import CurveError, DegeneratePointError, FormatError
 from .materials import (
     ElasticMaterial,
     ElasticTensor,
@@ -54,8 +56,9 @@ from .materials import (
     stiffness_of,
 )
 
-DEFAULT_SCAN_STEP = 5.0  # m/s
-DEFAULT_REL_TOL = 1e-12  # relative bracket width at which a root is accepted
+_SCAN_STEP = 5.0  # m/s, velocity step of the cold scan's grid
+_REL_TOL = 1e-12  # relative bracket width at which a root is accepted
+_HINT_WINDOWS = (2.5, 10.0, 40.0)  # m/s, half-widths of the windows around hints
 _PROP_TOL = 1e-8  # |Im alpha| below this (relative) counts as propagating
 _RESIDUAL_TOL = 1e-8  # eigenpair residual above this marks a defective point
 _NUDGE = 1e-9  # relative velocity step off a degenerate point, taken once
@@ -583,9 +586,10 @@ def _kernel(prep: _Prepared, v: np.ndarray) -> _Kernel:
     Media orthotropic in the frame take their waves in closed form
     (``_orthotropic_waves``), which returns the decaying-or-downgoing waves
     first; only a medium without that symmetry solves the eigenproblem
-    (``_wave_fields``), whose (Im, Re) eigen order does the same wherever it
-    splits 3/3.  Columns are reordered only at the velocities where the
-    first three are not those waves.
+    (``_wave_fields``), whose (Im, Re) eigen order puts the growing waves
+    (Im alpha < 0) first instead.  Columns are reordered at the velocities
+    where the first three are not the decaying-or-downgoing waves, which
+    is every velocity where such a medium has a growing wave.
     """
     split = []
     valid = np.ones(v.shape, dtype=bool)
@@ -745,9 +749,9 @@ def velocity_window(stack: LayerStack) -> tuple[float, float]:
     return prep.v_floor, prep.v_ceiling
 
 
-def _scan_grid(prep: _Prepared, scan_step: float) -> np.ndarray:
+def _scan_grid(prep: _Prepared) -> np.ndarray:
     hi = prep.v_ceiling * (1.0 - 1e-9)
-    grid = np.arange(prep.v_floor, hi, scan_step)
+    grid = np.arange(prep.v_floor, hi, _SCAN_STEP)
     if grid.size < 2:
         grid = np.linspace(prep.v_floor, hi, 8)
     return grid
@@ -791,7 +795,7 @@ def pole_indicator_at(stack: LayerStack, frequencies, velocities) -> np.ndarray:
 
 
 def _chandrupatla(
-    prep: _Prepared, freqs: np.ndarray, v: np.ndarray, q: np.ndarray, rel_tol: float
+    prep: _Prepared, freqs: np.ndarray, v: np.ndarray, q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roots of the pole indicator in sign-changing brackets.
 
@@ -800,7 +804,7 @@ def _chandrupatla(
     145-149, 1997), vectorised over the brackets still open: an
     inverse-quadratic step where the last three points allow it, a bisection
     step otherwise.  A bracket closes when its width is at most
-    max(rel_tol * v, 8 * spacing(v)).  Returns (roots, accepted).  A pole of
+    max(_REL_TOL * v, 8 * spacing(v)).  Returns (roots, accepted).  A pole of
     q (a zero of u3) changes sign too, but |q| grows towards it, so a root is
     accepted only where |q| ended below its value at both starting ends.
     """
@@ -820,7 +824,7 @@ def _chandrupatla(
         x1, f1 = x, f
         width = np.abs(x2 - x1)
         hi = np.maximum(x1, x2)
-        tol = np.maximum(rel_tol * hi, 8.0 * np.spacing(hi))
+        tol = np.maximum(_REL_TOL * hi, 8.0 * np.spacing(hi))
         done = width <= tol
         roots[idx[done]] = np.where(np.abs(f1) < np.abs(f2), x1, x2)[done]
         q_end = np.fmin(np.abs(f1), np.abs(f2))
@@ -849,7 +853,6 @@ def _settle(
     owner: np.ndarray,
     v: np.ndarray,
     q: np.ndarray,
-    rel_tol: float,
 ) -> None:
     """Set roots[j] to the lowest accepted root among frequency j's brackets.
 
@@ -866,7 +869,7 @@ def _settle(
         sel = np.flatnonzero((rank == r) & np.isnan(roots[owner]))
         if not sel.size:
             break
-        x, ok = _chandrupatla(prep, freqs[owner[sel]], v[sel], q[sel], rel_tol)
+        x, ok = _chandrupatla(prep, freqs[owner[sel]], v[sel], q[sel])
         roots[owner[sel[ok]]] = x[ok]
 
 
@@ -876,7 +879,6 @@ def _scan(
     roots: np.ndarray,
     idx: np.ndarray,
     grid: np.ndarray,
-    rel_tol: float,
 ) -> None:
     """Settle frequencies ``idx`` from the cells of the scan grid.
 
@@ -918,20 +920,16 @@ def _scan(
         owner = np.concatenate(owner)
         order = np.argsort(owner, kind="stable")
         _settle(prep, freqs, roots, owner[order], np.concatenate(cells)[order],
-                np.concatenate(q_cells)[order], rel_tol)
+                np.concatenate(q_cells)[order])
         idx = idx[np.isnan(roots[idx]) & (nxt[idx] < n_cells)]
 
 
 def _find_modes(
-    stack: LayerStack,
-    frequencies: np.ndarray,
-    hints: np.ndarray | None,
-    scan_step: float,
-    rel_tol: float,
-) -> tuple[np.ndarray, list[int], _Prepared, np.ndarray]:
+    stack: LayerStack, frequencies: np.ndarray, hints: np.ndarray | None
+) -> np.ndarray:
     """Lowest accepted root per frequency, NaN where none.
 
-    Brackets come from windows of half-width 0.5, 2 and 8 scan steps around
+    Brackets come from windows of the half-widths ``_HINT_WINDOWS`` around
     the hints, clipped to the search window, then, for frequencies still
     open, from the scan's cells (``_scan``).
     """
@@ -941,59 +939,26 @@ def _find_modes(
     freqs = np.asarray(frequencies, dtype=float)
     roots = np.full(freqs.size, np.nan)
     top = prep.v_ceiling * (1.0 - 1e-9)
-    for half_width in () if hints is None else (0.5, 2.0, 8.0):
-        w = half_width * scan_step
+    for w in () if hints is None else _HINT_WINDOWS:
         v = np.clip(np.stack([hints - w, hints + w], axis=1), prep.v_floor, top)
         idx = np.flatnonzero(np.isnan(roots) & (v[:, 0] < v[:, 1]))
         if idx.size:
             q = _indicator(prep, np.repeat(freqs[idx], 2), v[idx].ravel()).reshape(-1, 2)
-            _settle(prep, freqs, roots, idx, v[idx], q, rel_tol)
-    grid = _scan_grid(prep, scan_step)
-    _scan(prep, freqs, roots, np.flatnonzero(np.isnan(roots)), grid, rel_tol)
-    failures = [int(j) for j in np.flatnonzero(np.isnan(roots))]
-    return roots, failures, prep, grid
+            _settle(prep, freqs, roots, idx, v[idx], q)
+    _scan(prep, freqs, roots, np.flatnonzero(np.isnan(roots)), _scan_grid(prep))
+    return roots
 
 
-def saw_phase_velocity(
-    stack: LayerStack,
-    frequency: float,
-    *,
-    scan_step: float = DEFAULT_SCAN_STEP,
-    rel_tol: float = DEFAULT_REL_TOL,
-    hint: float | None = None,
-) -> float:
-    """Phase velocity of the lowest (Rayleigh-like) surface mode at one frequency."""
-    if not frequency > 0:
-        raise ValueError("frequency must be positive")
-    hints = None if hint is None else np.array([hint], dtype=float)
-    roots, failures, prep, grid = _find_modes(
-        stack, np.array([frequency]), hints, scan_step, rel_tol
-    )
-    if failures:
-        y = _surface(_kernel(prep, grid), 2.0 * math.pi * frequency / grid)[1]
-        min_det = float(np.abs(np.linalg.det(y)).min()) if y.size else float("nan")
-        raise NoModeError(
-            f"no surface mode at {frequency:.6g} Hz in window "
-            f"[{prep.v_floor:.1f}, {prep.v_ceiling:.1f}] m/s "
-            f"(min |det Y| over scan: {min_det:.3e})",
-            window=(prep.v_floor, prep.v_ceiling),
-            min_abs_det=min_det,
-        )
-    return float(roots[0])
+def dispersion_curve(stack: LayerStack, frequencies, *, hints=None) -> DispersionCurve:
+    """Phase velocity of the lowest (Rayleigh-like) surface mode per frequency.
 
-
-def dispersion_curve(
-    stack: LayerStack,
-    frequencies,
-    *,
-    hints=None,
-    scan_step: float = DEFAULT_SCAN_STEP,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> DispersionCurve:
-    """saw_phase_velocity evaluated over a sorted frequency grid.
-
-    Adjacent points differing by more than 5 % are flagged as
-    discontinuities on the returned curve rather than rejected.
+    ``frequencies`` must be positive, finite and strictly increasing.
+    ``hints``, one finite velocity per frequency, are tried first; a
+    frequency whose hint windows hold no mode falls back to the scan, so
+    hints change the work done, not the root found.  A frequency with no
+    mode in ``velocity_window(stack)`` raises ``CurveError``.  Adjacent
+    points differing by more than 5 % are flagged as discontinuities on the
+    returned curve rather than rejected.
     """
     freqs = np.asarray(list(frequencies), dtype=float)
     if freqs.size == 0:
@@ -1007,12 +972,14 @@ def dispersion_curve(
         hint_arr = np.asarray(list(hints), dtype=float)
         if hint_arr.shape != freqs.shape:
             raise ValueError("hints must match frequencies in length")
-    roots, failures, prep, _ = _find_modes(stack, freqs, hint_arr, scan_step, rel_tol)
+    roots = _find_modes(stack, freqs, hint_arr)
+    failures = [int(j) for j in np.flatnonzero(np.isnan(roots))]
     if failures:
+        lo, hi = velocity_window(stack)
+        mhz = ", ".join(f"{freqs[j] / 1e6:.6g}" for j in failures)
         raise CurveError(
-            "no surface mode at frequency indices "
-            f"{failures} (of {freqs.size}) in window "
-            f"[{prep.v_floor:.1f}, {prep.v_ceiling:.1f}] m/s",
+            f"no surface mode at {mhz} MHz (frequency indices {failures} of "
+            f"{freqs.size}) in window [{lo:.1f}, {hi:.1f}] m/s",
             indices=failures,
         )
     flags = tuple(

@@ -20,23 +20,13 @@ class DegeneratePointError(SawkitError):
     """
 
 
-class NoModeError(SawkitError):
-    """No surface mode found in the scanned velocity window.
-
-    ``window`` is the (floor, ceiling) of the scan in m/s.  ``min_abs_det``
-    is the smallest |det Y| over the scan at the failing frequency, where Y
-    is the 3x3 surface-traction matrix that ``boundary_matrix`` returns; it
-    vanishes at a mode, so a value far from zero says none was near.
-    """
-
-    def __init__(self, message, window=None, min_abs_det=None):
-        super().__init__(message)
-        self.window = window
-        self.min_abs_det = min_abs_det
-
-
 class CurveError(SawkitError):
-    """Mode search failed at one or more frequencies of a curve."""
+    """No surface mode in the search window at one or more frequencies of a curve.
+
+    ``indices`` lists the failing frequencies' positions in the curve; the
+    message names them, their frequencies in MHz and the (floor, ceiling)
+    velocity window in m/s.
+    """
 
     def __init__(self, message, indices=()):
         super().__init__(message)

@@ -72,10 +72,6 @@ class Waveform:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.samples.size) / self.sample_rate
-
     def energy(self) -> float:
         return float(np.sum(self.samples**2))
 
@@ -390,13 +386,15 @@ def pick_harmonic_peaks(
 
 
 def vph_points(peaks, wavelength: float) -> DispersionCurve:
-    """Dispersion-curve fragment v = f * (wavelength / n) from harmonic peaks."""
+    """Dispersion-curve fragment v = f * (wavelength / n) from harmonic peaks.
+
+    ``peaks`` is a ``PeakPickResult`` or any iterable of ``HarmonicPeak``.
+    """
     if not wavelength > 0:
         raise ValueError("wavelength must be > 0")
-    items = list(peaks.peaks if isinstance(peaks, PeakPickResult) else peaks)
     rows = sorted(
         (p.frequency, p.frequency * wavelength / p.harmonic, p.sigma_f * wavelength / p.harmonic)
-        for p in items
+        for p in peaks
     )
     return DispersionCurve(
         frequencies=tuple(r[0] for r in rows),

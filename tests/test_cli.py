@@ -81,7 +81,7 @@ def test_cmd_dispersion_1a_decreasing(tmp_path, cfg_1a):
     assert all(b < a for a, b in zip(v, v[1:]))
 
 
-def test_cmd_dispersion_no_mode_exit_3(tmp_path):
+def test_cmd_dispersion_no_mode_exit_3(tmp_path, capsys):
     p = tmp_path / "nomode.cfg"
     p.write_text(
         "[stack]\nsubstrate = SiO2_thermal\nlayers = hard\n"
@@ -90,6 +90,8 @@ def test_cmd_dispersion_no_mode_exit_3(tmp_path):
         encoding="utf-8",
     )
     assert run(["dispersion", "--config", p, "--out", tmp_path / "x.csv"]) == 3
+    err = capsys.readouterr().err
+    assert "400, 500 MHz" in err and "indices [0, 1] of 2" in err and " m/s" in err
 
 
 def test_cmd_dispersion_bad_config_exit_2(tmp_path):

@@ -10,7 +10,7 @@ import sawkit as sk
 from sawkit import dispersion
 from sawkit.cli import build_stack, fixture_config_path, load_config
 from sawkit.dispersion import DECAYING, GROWING, PROP_DOWN, PROP_UP
-from sawkit.errors import CurveError, FormatError, NoModeError
+from sawkit.errors import CurveError, FormatError
 from sawkit.materials import stiffness_from_isotropic, stiffness_of
 
 import global_matrix
@@ -136,7 +136,7 @@ def test_boundary_determinant_vanishes_at_rayleigh(iso):
 
 def test_boundary_determinant_vanishes_at_layered_root(stack_1a):
     omega = 2 * math.pi * 200e6
-    root = sk.saw_phase_velocity(stack_1a, 200e6)
+    root = sk.dispersion_curve(stack_1a, [200e6]).velocities[0]
 
     def absdet(v):
         return abs(sk.boundary_matrix(stack_1a, omega, omega / v).determinant)
@@ -149,7 +149,7 @@ def test_boundary_matrix_smoke_over_scan(stack_1a):
     from sawkit.dispersion import _prepare, _scan_grid
 
     prep = _prepare(stack_1a)
-    grid = _scan_grid(prep, 5.0)[::12]
+    grid = _scan_grid(prep)[::12]
     omega = 2 * math.pi * 200e6
     for v in grid:
         bm = sk.boundary_matrix(stack_1a, omega, omega / v)
@@ -184,7 +184,7 @@ def test_g33_pole_at_rayleigh(iso):
 
 def test_g33_matches_rayleigh_root_to_1e6(iso):
     stack = sk.LayerStack(layers=(), substrate=iso)
-    vr_solver = sk.saw_phase_velocity(stack, 200e6)
+    vr_solver = sk.dispersion_curve(stack, [200e6]).velocities[0]
     vr_oracle = sk.rayleigh_velocity_isotropic(iso)
     assert abs(vr_solver - vr_oracle) / vr_oracle < 1e-6
 
@@ -221,19 +221,19 @@ def test_oracle_equivalence_random_materials():
             density=float(rng.uniform(1500, 8000)),
         )
         stack = sk.LayerStack(layers=(), substrate=m)
-        v = sk.saw_phase_velocity(stack, 130e6)
+        v = sk.dispersion_curve(stack, [130e6]).velocities[0]
         vr = sk.rayleigh_velocity_isotropic(m)
         assert abs(v - vr) / vr < 1e-6
 
 
 def test_silicon_anchor(bare_silicon):
-    v = sk.saw_phase_velocity(bare_silicon, 200e6)
+    v = sk.dispersion_curve(bare_silicon, [200e6]).velocities[0]
     assert abs(v - 5080.0) / 5080.0 < 0.005
 
 
 def test_substrate_value_independent_of_frequency(bare_silicon):
-    v1 = sk.saw_phase_velocity(bare_silicon, 60e6)
-    v2 = sk.saw_phase_velocity(bare_silicon, 440e6)
+    v1 = sk.dispersion_curve(bare_silicon, [60e6]).velocities[0]
+    v2 = sk.dispersion_curve(bare_silicon, [440e6]).velocities[0]
     assert v1 == v2
 
 
@@ -261,8 +261,8 @@ def test_1a_curve_monotone_decreasing(curve_1a):
 
 
 def test_1a_zero_frequency_limit(stack_1a, bare_silicon):
-    v_sub = sk.saw_phase_velocity(bare_silicon, 100e6)
-    v_low = sk.saw_phase_velocity(stack_1a, 0.2e6)
+    v_sub = sk.dispersion_curve(bare_silicon, [100e6]).velocities[0]
+    v_low = sk.dispersion_curve(stack_1a, [0.2e6]).velocities[0]
     assert abs(v_low - v_sub) / v_sub < 2e-3
 
 
@@ -311,7 +311,7 @@ def test_curve_determinism(stack_1a):
 def test_curve_matches_per_point_solves(stack_1a, curve_1a):
     # batch evaluation must agree with independent single-frequency solves
     for f, v in list(zip(curve_1a.frequencies, curve_1a.velocities))[::5]:
-        assert sk.saw_phase_velocity(stack_1a, f) == pytest.approx(v, rel=1e-10)
+        assert sk.dispersion_curve(stack_1a, [f]).velocities[0] == pytest.approx(v, rel=1e-10)
 
 
 def test_coarse_sampling_raises_discontinuity_flag(stack_1a):
@@ -331,24 +331,22 @@ def test_curve_input_validation(stack_1a):
         sk.dispersion_curve(stack_1a, [-1e6, 1e6])
 
 
-def test_no_mode_error_reports_window(oxide, silicon):
+def test_curve_error_reports_window(oxide, silicon):
     # stiff fast layer on a slow substrate leaks at high fd: no subsonic mode
     stack = sk.LayerStack(
         layers=(sk.Layer(silicon, 50e-6),), substrate=oxide,
         geometry=sk.PropagationGeometry(),
     )
-    with pytest.raises(NoModeError) as err:
-        sk.saw_phase_velocity(stack, 450e6)
-    assert err.value.window is not None
-    # min |det Y| over the scan: at most |det Y| at any of its velocities
-    omega = 2 * math.pi * 450e6
-    grid = dispersion._scan_grid(dispersion._prepare(stack), dispersion.DEFAULT_SCAN_STEP)
-    sampled = [abs(sk.boundary_matrix(stack, omega, omega / v).determinant)
-               for v in grid[::40]]
-    assert 0 < err.value.min_abs_det <= min(sampled)
-    with pytest.raises(CurveError) as cerr:
+    window = "[{:.1f}, {:.1f}] m/s".format(*sk.velocity_window(stack))
+    with pytest.raises(CurveError) as err:
+        sk.dispersion_curve(stack, [450e6])
+    assert err.value.indices == (0,)
+    assert "450 MHz" in str(err.value) and window in str(err.value)
+    with pytest.raises(CurveError) as err:
         sk.dispersion_curve(stack, [440e6, 460e6])
-    assert cerr.value.indices == (0, 1)
+    assert err.value.indices == (0, 1)
+    msg = str(err.value)
+    assert "440, 460 MHz" in msg and "indices [0, 1] of 2" in msg and window in msg
 
 
 def test_hints_agree_with_scan(stack_1a, curve_1a):
@@ -363,13 +361,13 @@ def test_hint_windows_stay_inside_the_search_window(stack_1a, monkeypatch):
     # windows that are clipped, or dropped when empty; no velocity outside
     # [floor, ceiling) is evaluated and the scan finds the cold root
     floor, ceiling = sk.velocity_window(stack_1a)
-    cold = sk.saw_phase_velocity(stack_1a, 300e6)
+    cold = sk.dispersion_curve(stack_1a, [300e6]).velocities[0]
     seen = []
     indicator = dispersion._indicator
     monkeypatch.setattr(dispersion, "_indicator",
                         lambda prep, f, v: seen.append(v) or indicator(prep, f, v))
     for hint in (7000.0, 100.0, ceiling + 3.0):
-        assert sk.saw_phase_velocity(stack_1a, 300e6, hint=hint) == cold
+        assert sk.dispersion_curve(stack_1a, [300e6], hints=[hint]).velocities[0] == cold
     seen = np.concatenate(seen)
     assert floor <= seen.min() and seen.max() < ceiling
 
@@ -377,7 +375,7 @@ def test_hint_windows_stay_inside_the_search_window(stack_1a, monkeypatch):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_hint_raises_value_error(stack_1a, bad):
     with pytest.raises(ValueError, match="hints must be finite"):
-        sk.saw_phase_velocity(stack_1a, 300e6, hint=bad)
+        sk.dispersion_curve(stack_1a, [300e6], hints=[bad])
     with pytest.raises(ValueError, match="hints must be finite"):
         sk.dispersion_curve(stack_1a, [200e6, 300e6], hints=[4000.0, bad])
 
@@ -407,14 +405,14 @@ def _reference_bisect(prep, f, lo, hi, q_lo, q_hi):
             lo, q_lo = mid, q_mid
         else:
             hi = mid
-        if hi - lo <= max(dispersion.DEFAULT_REL_TOL * hi, 8 * np.spacing(hi)):
+        if hi - lo <= max(dispersion._REL_TOL * hi, 8 * np.spacing(hi)):
             break
     return 0.5 * (lo + hi), abs(q_mid) < q_start
 
 
 def _scan_cells(prep, f):
     """Ends and indicator values of the sign-changing cells of the scan."""
-    grid = dispersion._scan_grid(prep, dispersion.DEFAULT_SCAN_STEP)
+    grid = dispersion._scan_grid(prep)
     q = _indicator_at(prep, f, grid)
     i = np.flatnonzero(np.sign(q[:-1]) * np.sign(q[1:]) < 0)
     return grid[i], grid[i + 1], q[i], q[i + 1]
@@ -434,11 +432,10 @@ def _reference_roots(stack, freqs):
 
 
 def _check_finder(stack, freqs):
-    step, tol = dispersion.DEFAULT_SCAN_STEP, dispersion.DEFAULT_REL_TOL
-    cold, _, _, _ = dispersion._find_modes(stack, freqs, None, step, tol)
+    cold = dispersion._find_modes(stack, freqs, None)
     np.testing.assert_allclose(cold, _reference_roots(stack, freqs), rtol=1e-11)
     hints = cold * (1 + 2e-4 * (-1.0) ** np.arange(len(freqs)))
-    hinted, _, _, _ = dispersion._find_modes(stack, freqs, hints, step, tol)
+    hinted = dispersion._find_modes(stack, freqs, hints)
     np.testing.assert_allclose(hinted, cold, rtol=1e-10)
 
 
@@ -495,7 +492,7 @@ def test_finder_rejects_poles_of_indicator(stack_1a):
     lo, hi, q_lo, q_hi = _scan_cells(prep, f)
     v, q = np.stack([lo, hi], axis=1), np.stack([q_lo, q_hi], axis=1)
     freqs = np.full(lo.size, f)
-    roots, accepted = dispersion._chandrupatla(prep, freqs, v, q, dispersion.DEFAULT_REL_TOL)
+    roots, accepted = dispersion._chandrupatla(prep, freqs, v, q)
     ref = [_reference_bisect(prep, f, *cell) for cell in zip(lo, hi, q_lo, q_hi)]
     assert accepted.tolist() == [ok for _, ok in ref]
     assert accepted.any() and not accepted.all()
@@ -504,7 +501,7 @@ def test_finder_rejects_poles_of_indicator(stack_1a):
     first = np.flatnonzero(~accepted)[0]
     found = np.full(1, np.nan)
     dispersion._settle(prep, freqs[:1], found, np.zeros(lo.size - first, dtype=int),
-                       v[first:], q[first:], dispersion.DEFAULT_REL_TOL)
+                       v[first:], q[first:])
     assert found[0] == pytest.approx(roots[first + 1], rel=1e-12)
 
 
@@ -529,20 +526,18 @@ def _whole_grid_roots(stack, freqs):
     the whole grid in one batch, and every cell of every frequency in one
     ``_settle``."""
     prep = dispersion._prepare(stack)
-    grid = dispersion._scan_grid(prep, dispersion.DEFAULT_SCAN_STEP)
+    grid = dispersion._scan_grid(prep)
     cells = np.lib.stride_tricks.sliding_window_view(grid, 2)
     q = np.lib.stride_tricks.sliding_window_view(
         dispersion._grid_indicator(prep, grid, freqs).T, 2, axis=1)
     roots = np.full(freqs.size, np.nan)
     dispersion._settle(prep, freqs, roots, np.repeat(np.arange(freqs.size), len(cells)),
-                       np.tile(cells, (freqs.size, 1)), q.reshape(-1, 2),
-                       dispersion.DEFAULT_REL_TOL)
+                       np.tile(cells, (freqs.size, 1)), q.reshape(-1, 2))
     return roots
 
 
 def _check_block_scan(stack, freqs):
-    step, tol = dispersion.DEFAULT_SCAN_STEP, dispersion.DEFAULT_REL_TOL
-    roots, _, _, _ = dispersion._find_modes(stack, freqs, None, step, tol)
+    roots = dispersion._find_modes(stack, freqs, None)
     assert np.array_equal(roots, _whole_grid_roots(stack, freqs), equal_nan=True)
 
 
@@ -575,9 +570,8 @@ def test_block_scan_resumes_above_rejected_brackets(stack_1a, monkeypatch):
         dispersion._pole_indicator(g33(prep, grid, 2 * math.pi * freqs[:, None] / grid)).T))
     settle, passes = dispersion._settle, []
     monkeypatch.setattr(dispersion, "_settle", lambda *args: passes.append(1) or settle(*args))
-    step, tol = dispersion.DEFAULT_SCAN_STEP, dispersion.DEFAULT_REL_TOL
-    roots, failures, _, _ = dispersion._find_modes(stack_1a, CURVE_FREQS, None, step, tol)
-    assert len(passes) >= 2 and not failures
+    roots = dispersion._find_modes(stack_1a, CURVE_FREQS, None)
+    assert len(passes) >= 2 and not np.isnan(roots).any()
     np.testing.assert_allclose(roots, pole_and_root(CURVE_FREQS)[1], rtol=1e-10)
     assert np.array_equal(roots, _whole_grid_roots(stack_1a, CURVE_FREQS))
 
@@ -588,7 +582,7 @@ def test_block_scan_resumes_above_rejected_brackets(stack_1a, monkeypatch):
 def _check_against_global_matrix(stack, freqs):
     """Indicator and roots of the 3x3 recursion against the global-matrix oracle."""
     prep = dispersion._prepare(stack)
-    grid = dispersion._scan_grid(prep, dispersion.DEFAULT_SCAN_STEP)
+    grid = dispersion._scan_grid(prep)
     # the scan's mesh, and one batch of mixed wavenumbers through _g33
     f = freqs[np.arange(grid.size) % freqs.size]
     k = 2 * math.pi * f / grid
@@ -605,14 +599,13 @@ def _check_against_global_matrix(stack, freqs):
 
 
 def _check_roots_against_global_matrix(stack, freqs):
-    step, tol = dispersion.DEFAULT_SCAN_STEP, dispersion.DEFAULT_REL_TOL
-    roots, _, _, _ = dispersion._find_modes(stack, freqs, None, step, tol)
+    roots = dispersion._find_modes(stack, freqs, None)
     blocks = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dispersion, "_g33", global_matrix.g33)
         mp.setattr(dispersion, "_grid_indicator",
                    lambda *args: blocks.append(1) or global_matrix.grid_indicator(*args))
-        ref, _, _, _ = dispersion._find_modes(stack, freqs, None, step, tol)
+        ref = dispersion._find_modes(stack, freqs, None)
     assert blocks  # the scan reached the oracle through its seam
     np.testing.assert_allclose(roots, ref, rtol=1e-11)
 
@@ -652,7 +645,7 @@ def _check_closed_form_against_eig(stack, freqs):
     error is unbounded, so the tolerance has a floor at 1e-10 of q's median.
     """
     prep = dispersion._prepare(stack)
-    grid = dispersion._scan_grid(prep, dispersion.DEFAULT_SCAN_STEP)
+    grid = dispersion._scan_grid(prep)
     q_ref = global_matrix.grid_indicator(prep, grid, freqs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(global_matrix, "_wave_fields", dispersion._Medium.waves)
@@ -880,7 +873,7 @@ def test_cold_curve_solves_only_3x3_systems(stack_1a, monkeypatch):
     # from the floor, each grid velocity once, stopping below the ceiling
     # once every frequency has its root
     prep = dispersion._prepare(stack_1a)
-    grid = dispersion._scan_grid(prep, dispersion.DEFAULT_SCAN_STEP)
+    grid = dispersion._scan_grid(prep)
     shapes, scanned, others = set(), [], []
     solve, waves = np.linalg.solve, dispersion._Medium.waves
 

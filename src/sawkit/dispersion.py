@@ -8,20 +8,24 @@ they split into an SH wave and two sagittal waves, whose vertical
 slownesses alpha and polarizations are closed-form in v = omega/k.  Only a
 medium without that symmetry solves for them as a 6-dimensional linear
 eigenproblem in the state vector (displacement, scaled traction).  The
-surface response to a unit normal surface stress comes from a 3x3
+surface response to a unit normal surface stress comes from a
 surface-impedance recursion (Rokhlin & Wang, J. Acoust. Soc. Am. 112(3),
-822-834, 2002).  The substrate's three decaying or downgoing waves give its
-impedance Z = B A^-1.  Each layer's six waves split into three referenced
-at its top (d) and three at its bottom (u); continuity with the impedance
+822-834, 2002).  The substrate's decaying or downgoing waves give its
+impedance Z = B A^-1.  Each layer's waves split into those referenced at
+its top (d) and those at its bottom (u); continuity with the impedance
 below ties the u amplitudes to the d ones, and the traction and
 displacement at the layer's top then give the impedance it presents to the
-layer above.  Every layer exponential
-is e^{ik alpha_d h} or e^{-ik alpha_u h}, at most one in magnitude, so the
-recursion does not grow at large frequency-thickness products the way the
-classical transfer matrix does.  The substrate impedance and the bottom
-layer's coupling do not depend on k, so a velocity scan computes them once
-per block of velocities and runs the rest of the recursion for all its
-frequencies at once, broadcast over a leading frequency axis.
+layer above.  When every medium is orthotropic in the frame the SH wave
+decouples exactly, and since a normal stress does not excite it the
+recursion keeps only the two sagittal waves per direction: its blocks are
+2x2 and solved in closed form.  Otherwise they are 3x3.  Every layer
+exponential is e^{ik alpha_d h} or e^{-ik alpha_u h}, at most one in
+magnitude, so the recursion does not grow at large frequency-thickness
+products the way the classical transfer matrix does.  The substrate
+impedance and the bottom layer's coupling do not depend on k, so a
+velocity scan computes them once per block of velocities and runs the
+rest of the recursion for all its frequencies at once, broadcast over a
+leading frequency axis.
 
 Surface modes are the real poles of that response along the velocity axis:
 the mode finder brackets sign changes of Im(1/u3), from windows around
@@ -67,7 +71,10 @@ _ORTHOTROPIC_TOL = 1e-12  # couplings below this fraction of max|C| count as 0
 _FLIP = np.array([-1.0, 1.0, 1.0, 1.0, -1.0, -1.0])[:, None, None]
 _CONTINUITY_JUMP = 0.05  # adjacent curve points differing more raise a flag
 _SCAN_BLOCK = 64  # grid cells per block of the cold velocity scan
-_E3 = np.array([0.0, 0.0, 1.0])  # unit normal surface stress, scaled traction units
+# rows a1, a3, b1, b3 and waves +alpha_1, +alpha_2, -alpha_1, -alpha_2 of the
+# closed-form waves: the sagittal block, which the SH wave leaves exactly
+_SAGITTAL_ROWS = np.array([0, 2, 3, 5])
+_SAGITTAL_COLS = np.array([0, 1, 3, 4])
 
 DECAYING = "decaying"
 GROWING = "growing"
@@ -493,20 +500,35 @@ def _medium(material: ElasticMaterial, geometry: PropagationGeometry, c_ref: flo
 
 @lru_cache(maxsize=64)
 def _substrate_ceiling(material: ElasticMaterial, geometry: PropagationGeometry) -> float:
-    """Slowest substrate bulk wave along x1 that couples to sagittal motion.
+    """Top of the mode search: the substrate's limiting velocity.
 
-    Branches polarized purely along x2 are decoupled from the (x1, x3)
-    surface-wave problem and do not cut the mode off.
+    Bulk waves along x1 polarized purely along x2 are decoupled from the
+    (x1, x3) surface-wave problem and do not cut the mode off, so the
+    ceiling is at most the slowest sagittally coupled one.  A substrate
+    orthotropic in the frame has it lower where its two sagittal alpha^2
+    meet at a real value >= 0: from there up every sagittal partial wave
+    propagates (Lothe & Barnett, J. Appl. Phys. 47, 428-433, 1976).  They
+    meet where the discriminant of the quadratic in alpha^2 of
+    ``_slowness_squares``, itself a quadratic in X = rho v^2, vanishes.
+    Other substrates keep the bulk-speed ceiling.
     """
-    q = _frame_stiffness(material, geometry).as_cijkl()[:, 0, :, 0]
-    vals, vecs = np.linalg.eigh(q / material.density)
-    best = None
-    for i in range(3):
-        pol = vecs[:, i]
-        if math.hypot(pol[0], pol[2]) > 1e-8:
-            vv = math.sqrt(vals[i])
-            best = vv if best is None else min(best, vv)
-    return best
+    tensor = _frame_stiffness(material, geometry)
+    vals, vecs = np.linalg.eigh(tensor.as_cijkl()[:, 0, :, 0] / material.density)
+    ceiling = min(math.sqrt(val) for val, pol in zip(vals, vecs.T)
+                  if math.hypot(pol[0], pol[2]) > 1e-8)
+    med = _Medium.build(tensor, material.density, float(np.abs(tensor.voigt).max()))
+    if med.moduli is None:
+        return ceiling
+    c11, c13, c33, _, c55, _ = med.moduli
+    # the alpha^2 coefficient is b0 - s X, and disc = (b0 - s X)^2
+    # - 4 C33 C55 (C11 - X)(C55 - X); the coinciding alpha^2 is -b / (2 C33 C55)
+    b0, s = c55 * c55 + c33 * c11 - (c13 + c55) ** 2, c55 + c33
+    disc = ((c33 - c55) ** 2, 4.0 * c33 * c55 * (c11 + c55) - 2.0 * b0 * s,
+            b0 * b0 - 4.0 * c33 * c55 * c11 * c55)
+    for x in np.roots(disc):
+        if x.imag == 0 and x.real > 0 and b0 - s * x.real <= 0:
+            ceiling = min(ceiling, math.sqrt(x.real / med.rho_scaled))
+    return ceiling
 
 
 @lru_cache(maxsize=64)
@@ -527,12 +549,22 @@ def _prepare(stack: LayerStack) -> _Prepared:
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve over stacked 3x3 systems, one system at a time on failure.
+    """a^-1 b over stacked 2x2 or 3x3 systems.
 
-    The systems may stack along any number of leading axes.  An exactly
-    singular system makes only its own entry NaN, which then propagates to
-    that entry's response and nothing else.
+    The systems may stack along any number of leading axes.  A 2x2 system is
+    solved by its adjugate over its determinant, which is forward stable
+    for n = 2 (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, section 1.10.1); a 3x3 one by np.linalg.solve, one system at a
+    time on failure.  An exactly singular system makes only its own entry
+    NaN, which then propagates to that entry's response and nothing else.
     """
+    if a.shape[-1] == 2:
+        det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.where(det == 0, np.nan, 1.0 / det)[..., None]
+        b0, b1 = b[..., 0, :], b[..., 1, :]
+        return np.stack([(a[..., 1, 1, None] * b0 - a[..., 0, 1, None] * b1) * r,
+                         (a[..., 0, 0, None] * b1 - a[..., 1, 0, None] * b0) * r], axis=-2)
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
@@ -546,33 +578,39 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _right_divide(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y x^-1 over stacked 3x3 matrices."""
+    """y x^-1 over stacked 2x2 or 3x3 matrices."""
     return np.swapaxes(_solve(np.swapaxes(x, -1, -2), np.swapaxes(y, -1, -2)), -1, -2)
 
 
 def _coupling(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """S = (B_u - Z A_u)^-1 (B_d - Z A_d) of a layer on a medium of impedance Z.
 
-    ``w`` stacks the layer's displacement rows A over its traction rows B;
-    columns 0-2 are its top-referenced waves (d), columns 3-5 its
-    bottom-referenced ones (u).  Continuity with the medium below gives the
-    bottom-referenced amplitudes as -S E_d times the top-referenced ones.
+    ``w`` stacks the layer's n displacement rows A over its n traction rows
+    B, with n the size of Z; its first n columns are its top-referenced
+    waves (d), the last n its bottom-referenced ones (u).  Continuity with
+    the medium below gives the bottom-referenced amplitudes as -S E_d times
+    the top-referenced ones.
     """
-    g = w[..., 3:, :] - z @ w[..., :3, :]
-    return _solve(g[..., 3:], g[..., :3])
+    n = z.shape[-1]
+    g = w[..., n:, :] - z @ w[..., :n, :]
+    return _solve(g[..., n:], g[..., :n])
 
 
 @dataclass(frozen=True, eq=False)
 class _Kernel:
     """The k-independent part of the surface response at a batch of velocities.
 
+    Every array carries n = 2 waves per direction when all media of the
+    stack take closed-form waves, whose sagittal block (``_SAGITTAL_ROWS``,
+    ``_SAGITTAL_COLS``) is all the normal response sees, and n = 3 otherwise.
     ``valid`` marks the velocities where every medium's waves pass the
-    residual check, the substrate accepts 3 waves and every layer splits
-    3/3.  The remaining fields hold those velocities only: per layer, surface
-    first, (alpha, w, thickness) with w the 6x6 displacement-over-traction
-    wave matrix, top-referenced waves in columns 0-2; and ``bottom``, the
-    bottom layer's coupling S on the substrate, or for a half-space the
-    substrate's 6x3 wave matrix of its accepted waves.
+    residual check, the substrate accepts n waves and every layer splits
+    n/n.  The remaining fields hold those velocities only: per layer,
+    surface first, (alpha, w, thickness) with w the 2n x 2n
+    displacement-over-traction wave matrix, top-referenced waves in the
+    first n columns; and ``bottom``, the bottom layer's n x n coupling S on
+    the substrate, or for a half-space the substrate's 2n x n wave matrix of
+    its accepted waves.
     """
 
     valid: np.ndarray
@@ -581,23 +619,32 @@ class _Kernel:
 
 
 def _kernel(prep: _Prepared, v: np.ndarray) -> _Kernel:
-    """Partial waves of every medium at velocities v, split 3/3 and coupled.
+    """Partial waves of every medium at velocities v, split n/n and coupled.
 
     Media orthotropic in the frame take their waves in closed form
     (``_orthotropic_waves``), which returns the decaying-or-downgoing waves
     first; only a medium without that symmetry solves the eigenproblem
     (``_wave_fields``), whose (Im, Re) eigen order puts the growing waves
-    (Im alpha < 0) first instead.  Columns are reordered at the velocities
-    where the first three are not the decaying-or-downgoing waves, which
-    is every velocity where such a medium has a growing wave.
+    (Im alpha < 0) first instead.  When every medium is closed-form, each
+    keeps only its two sagittal waves per direction (n = 2): the SH wave
+    decouples from them exactly (Stroh 1962), so it does not enter the
+    normal response.  Otherwise all six waves stay (n = 3).  Columns are
+    reordered at the velocities where the first n are not the
+    decaying-or-downgoing waves, which is every velocity where an
+    eigenproblem medium has a growing wave.
     """
+    sagittal = all(med.moduli is not None for med in prep.media)
     split = []
     valid = np.ones(v.shape, dtype=bool)
     for med in prep.media:
         alpha, w, flux, ok = med.waves(v)
+        if sagittal:
+            cols = _SAGITTAL_COLS
+            alpha, w, flux = alpha[:, cols], w[:, _SAGITTAL_ROWS[:, None], cols], flux[:, cols]
+        n = alpha.shape[1] // 2
         down, _ = _masks(alpha, flux)
-        valid &= ok & (down.sum(axis=1) == 3)
-        mixed = np.flatnonzero(~down[:, :3].all(axis=1))
+        valid &= ok & (down.sum(axis=1) == n)
+        mixed = np.flatnonzero(~down[:, :n].all(axis=1))
         if mixed.size:
             # stable order keeps the (Im, Re) eigen ordering within each half
             order = np.argsort(~down[mixed], axis=1, kind="stable")
@@ -605,51 +652,72 @@ def _kernel(prep: _Prepared, v: np.ndarray) -> _Kernel:
             w[mixed] = np.take_along_axis(w[mixed], order[:, None, :], axis=2)
         split.append((alpha, w))
     split = [(alpha[valid], w[valid]) for alpha, w in split]
-    w_sub = split[-1][1][..., :3]
+    w_sub = split[-1][1][..., :n]
     layers = tuple(wave + (h,) for wave, h in zip(split, prep.thicknesses))
     if not layers:
         return _Kernel(valid, layers, w_sub)
-    z_sub = _right_divide(w_sub[:, 3:], w_sub[:, :3])
+    z_sub = _right_divide(w_sub[:, n:], w_sub[:, :n])
     return _Kernel(valid, layers, _coupling(z_sub, layers[-1][1]))
 
 
 def _surface(kern: _Kernel, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Surface displacement X and traction Y per unit amplitude of the top medium.
 
-    The amplitudes are those of the top layer's top-referenced waves (the
-    substrate's accepted waves for a half-space), so the response to a unit
-    normal surface stress is X Y^-1 e3.  ``k`` holds wavenumbers along its
-    last axis, one per velocity of the kernel, and any leading axes (one
-    row per frequency in a scan) broadcast through the recursion; the
-    result covers the kernel's valid velocities only.  A half-space does not
-    depend on k.  From the bottom layer up: T = E_u S E_d, X = A_d - A_u T
-    and Y = B_d - B_u T, and Y X^-1 is the impedance under the next layer.
+    X and Y are n x n, with n the kernel's block size: the rows are the
+    displacement and traction components the kernel keeps, the normal one
+    last, and the columns the amplitudes of the top layer's top-referenced
+    waves (the substrate's accepted waves for a half-space), so the
+    response to a unit normal surface stress is the last row of X Y^-1.
+    ``k`` holds wavenumbers along its last axis, one per velocity of the
+    kernel, and any leading axes (one row per frequency in a scan)
+    broadcast through the recursion; the result covers the kernel's valid
+    velocities only.  A half-space does not depend on k.  From the bottom
+    layer up: T = E_u S E_d, X = A_d - A_u T and Y = B_d - B_u T, and
+    Y X^-1 is the impedance under the next layer.
     """
+    n = kern.bottom.shape[-1]
     if not kern.layers:
-        return kern.bottom[:, :3], kern.bottom[:, 3:]
+        return kern.bottom[:, :n], kern.bottom[:, n:]
     k = k[..., kern.valid, None]
     s = kern.bottom
     for j in range(len(kern.layers) - 1, -1, -1):
         alpha, w, h = kern.layers[j]
-        e_d = np.exp(1j * h * k * alpha[:, :3])
-        e_u = np.exp(-1j * h * k * alpha[:, 3:])
-        xy = w[..., :3] - w[..., 3:] @ (e_u[..., :, None] * s * e_d[..., None, :])
+        e_d = np.exp(1j * h * k * alpha[:, :n])
+        e_u = np.exp(-1j * h * k * alpha[:, n:])
+        xy = w[..., :n] - w[..., n:] @ (e_u[..., :, None] * s * e_d[..., None, :])
         if j:
-            s = _coupling(_right_divide(xy[..., 3:, :], xy[..., :3, :]),
+            s = _coupling(_right_divide(xy[..., n:, :], xy[..., :n, :]),
                           kern.layers[j - 1][1])
-    return xy[..., :3, :], xy[..., 3:, :]
+    return xy[..., :n, :], xy[..., n:, :]
+
+
+def _last_row_cofactors(y: np.ndarray) -> np.ndarray:
+    """Cofactors c of the last row of stacked 2x2 or 3x3 matrices y, so that
+    c . r is the determinant of y with its last row replaced by r."""
+    if y.shape[-1] == 2:
+        return np.stack([-y[..., 0, 1], y[..., 0, 0]], axis=-1)
+    return np.cross(y[..., 0, :], y[..., 1, :])
 
 
 def _response(kern: _Kernel, k: np.ndarray) -> np.ndarray:
     """Surface normal displacement per unit scaled normal surface stress.
 
     Shaped like ``k`` (see ``_surface``); NaN at the kernel's invalid
-    velocities.
+    velocities.  The response is u3 = det(Y with its last row replaced by
+    the last row of X) / det Y, the last row of X Y^-1 by Cramer's rule.
+    Where det Y is exactly 0 (below the substrate threshold Y's rows are
+    real and imaginary, so it can cancel to 0 at a mode) u3 is infinite
+    and the pole indicator Im(1/u3) is 0 there, not NaN.
     """
     x, y = _surface(kern, k)
-    c = _solve(y, np.broadcast_to(_E3[:, None], y.shape[:-2] + (3, 1)))
+    c = _last_row_cofactors(y)
+    num = np.einsum("...j,...j->...", x[..., -1, :], c)
+    den = np.einsum("...j,...j->...", y[..., -1, :], c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u3 = num / den
+    u3[(den == 0) & (num != 0)] = np.inf
     out = np.full(k.shape, np.nan + 0j)
-    out[..., kern.valid] = np.einsum("...j,...j->...", x[..., 2, :], c[..., 0])
+    out[..., kern.valid] = u3
     return out
 
 
@@ -672,7 +740,11 @@ def _pole_indicator(g33: np.ndarray) -> np.ndarray:
 
 
 def boundary_matrix(stack: LayerStack, omega: float, k: float) -> "BoundaryMatrix":
-    """Surface-traction matrix Y of the impedance recursion at one (omega, k)."""
+    """Surface-traction matrix Y of the impedance recursion at one (omega, k).
+
+    2x2 when every medium of the stack is orthotropic in the frame, 3x3
+    otherwise (see ``BoundaryMatrix``).
+    """
     if not (omega > 0 and k > 0):
         raise ValueError("omega and k must be positive")
     kern = _kernel(_prepare(stack), np.array([omega / k]))
@@ -684,7 +756,7 @@ def boundary_matrix(stack: LayerStack, omega: float, k: float) -> "BoundaryMatri
     sign, logabs = np.linalg.slogdet(m)
     return BoundaryMatrix(
         matrix=m,
-        rhs=_E3.copy(),
+        rhs=np.eye(len(m))[-1],
         determinant=sign * np.exp(min(logabs, 700.0)),
         log_abs_det=float(logabs),
         condition_number=float(np.linalg.cond(m)),
@@ -696,10 +768,12 @@ def boundary_matrix(stack: LayerStack, omega: float, k: float) -> "BoundaryMatri
 class BoundaryMatrix:
     """Surface-traction system Y c = rhs at one (omega, k).
 
-    Y (3x3 for every stack) maps the amplitudes of the top layer's
-    top-referenced partial waves (the substrate's accepted waves for a
-    half-space) to the traction at the free surface, after the impedance
-    recursion has imposed continuity at every interface below.  The
+    Y maps the amplitudes of the top layer's top-referenced partial waves
+    (the substrate's accepted waves for a half-space) to the traction at
+    the free surface, after the impedance recursion has imposed continuity
+    at every interface below.  It is 2x2, the sagittal tractions (t13,
+    t33) of the two sagittal waves, when every medium of the stack is
+    orthotropic in the frame and its SH wave decouples; 3x3 otherwise.  The
     right-hand side is the unit normal surface stress in scaled traction
     units.  The determinant vanishes at surface modes; its absolute
     normalization is not physical.
@@ -722,8 +796,9 @@ def surface_green_g33(stack: LayerStack, omega: float, k: float) -> complex:
 
     Scale is arbitrary but consistent for a given stack; only the pole
     locations in velocity are physical.  A defective point, or one where
-    the recursion meets an exactly singular system, raises
-    DegeneratePointError.
+    the recursion below the surface meets an exactly singular system,
+    raises DegeneratePointError; where the surface matrix itself is
+    exactly singular the response is infinite.
     """
     if not (omega > 0 and k > 0):
         raise ValueError("omega and k must be positive")
@@ -743,7 +818,8 @@ def velocity_window(stack: LayerStack) -> tuple[float, float]:
     """(floor, ceiling) of the mode-search window for this stack.
 
     The floor is half the slowest shear speed in the stack; the ceiling is
-    the substrate's slowest sagittally-coupled bulk threshold.
+    the substrate's limiting velocity, at most its slowest sagittally
+    coupled bulk speed along x1.
     """
     prep = _prepare(stack)
     return prep.v_floor, prep.v_ceiling

@@ -1,0 +1,132 @@
+"""Alternating A/B runs of perfbench between two checkouts.
+
+    python3 tools/ab_bench.py --parent DIR --change DIR --workload forward \
+        --pairs 10 --seconds 30 --seed 41 --out BENCH_12.json
+
+Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, one
+after the other, the parent first in even pairs and the change first in odd
+ones.  ``--workload`` may be given more than once; the pairs of one workload
+finish before the next starts.  Every run uses the same ``--seed`` and
+``--seconds``, and each checkout runs its own ``perfbench`` from its own
+root.  The output file holds, per workload, the ``env`` line of the first
+run, every run's metrics and failure counts, and per end-to-end metric
+(names, directions and bounds from the parent's ``BENCHMARK.json``) each
+side's median and quartiles, the pairs each side won, whether the change is
+a gain (it wins at least nine tenths of the pairs and the medians differ by
+more than the parent's interquartile range) and whether it is a regression
+(its median is worse than the parent's by more than the bound).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` run in ``root``: its env line and its result."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
+    lines = proc.stdout.strip().splitlines()
+    env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
+    info = next((json.loads(line[5:]) for line in lines if line.startswith("info ")), None)
+    result = json.loads(lines[-1])
+    return {
+        "env": env,
+        "info": info,
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def summarize(runs: list[dict], declared: list[dict]) -> dict:
+    """Per end-to-end metric: both sides' quartiles, pair wins, gain and regression."""
+    summary = {}
+    pairs = sorted({run["pair"] for run in runs})
+    for metric in declared:
+        name, higher = metric["name"], metric["better"] == "higher"
+        value = {(run["pair"], run["side"]): run["metrics"][name] for run in runs}
+        stats = {side: quartiles([value[p, side] for p in pairs]) for side in SIDES}
+        wins = {side: 0 for side in SIDES}
+        for p in pairs:
+            a, b = value[p, "parent"], value[p, "change"]
+            if a != b:
+                wins["change" if (b > a) == higher else "parent"] += 1
+        parent, change = stats["parent"]["median"], stats["change"]["median"]
+        gained = change - parent if higher else parent - change
+        summary[name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "bound": metric["bound"],
+            **stats,
+            "change_wins": wins["change"],
+            "parent_wins": wins["parent"],
+            "change_vs_parent": change / parent,
+            "gain": wins["change"] >= 0.9 * len(pairs) and gained > stats["parent"]["iqr"],
+            "regression": -gained / parent > metric["bound"],
+        }
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="parent checkout root")
+    parser.add_argument("--change", type=Path, required=True, help="changed checkout root")
+    parser.add_argument("--workload", action="append", required=True,
+                        choices=("invert", "forward", "pipeline"))
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    declared = json.loads((roots["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
+
+    report = {
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "pairs": args.pairs,
+        "workloads": {},
+    }
+    for workload in args.workload:
+        runs = []
+        for pair in range(args.pairs):
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for position, side in enumerate(order):
+                run = run_once(roots[side], workload, args.seed, args.seconds)
+                runs.append({"pair": pair, "side": side, "position": position, **run})
+                ops = run["metrics"]["ops_per_s"]
+                print(f"{workload} pair {pair} {side}: ops_per_s {ops:.3f}, "
+                      f"failed {run['failed']}/{run['attempted']}", file=sys.stderr, flush=True)
+        report["workloads"][workload] = {
+            "env": runs[0]["env"],
+            "runs": [{k: v for k, v in run.items() if k != "env"} for run in runs],
+            "failed": {side: sum(r["failed"] for r in runs if r["side"] == side)
+                       for side in SIDES},
+            "summary": summarize(runs, declared),
+        }
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

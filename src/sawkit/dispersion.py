@@ -21,11 +21,15 @@ recursion keeps only the two sagittal waves per direction: its blocks are
 2x2 and solved in closed form.  Otherwise they are 3x3.  Every layer
 exponential is e^{ik alpha_d h} or e^{-ik alpha_u h}, at most one in
 magnitude, so the recursion does not grow at large frequency-thickness
-products the way the classical transfer matrix does.  The substrate
-impedance and the bottom layer's coupling do not depend on k, so a
-velocity scan computes them once per block of velocities and runs the
-rest of the recursion for all its frequencies at once, broadcast over a
-leading frequency axis.
+products the way the classical transfer matrix does; for a closed-form
+medium alpha_u = -alpha_d exactly, and the two are one exponential.  The
+substrate impedance and the bottom layer's coupling do not depend on k, so
+a velocity scan computes them once per block of velocities and runs the
+rest of the recursion for all its frequencies at once.  Every block of the
+recursion is held entry-major, [row, column, frequency, velocity]: each
+product, solve and determinant is a few whole-array operations over the
+(frequency, velocity) mesh of a scan block or the points of a batch, not a
+loop over thousands of tiny matrices.
 
 Surface modes are the real poles of that response along the velocity axis:
 the mode finder brackets sign changes of Im(1/u3), from windows around
@@ -67,14 +71,17 @@ _PROP_TOL = 1e-8  # |Im alpha| below this (relative) counts as propagating
 _RESIDUAL_TOL = 1e-8  # eigenpair residual above this marks a defective point
 _NUDGE = 1e-9  # relative velocity step off a degenerate point, taken once
 _ORTHOTROPIC_TOL = 1e-12  # couplings below this fraction of max|C| count as 0
-# sign of each (a, b) component from a closed-form +alpha wave to its -alpha twin
-_FLIP = np.array([-1.0, 1.0, 1.0, 1.0, -1.0, -1.0])[:, None, None]
+# sign of each sagittal row a1, a3, b1, b3 from a closed-form +alpha wave to
+# its -alpha twin
+_FLIP = np.array([-1.0, 1.0, 1.0, -1.0])[:, None, None]
 _CONTINUITY_JUMP = 0.05  # adjacent curve points differing more raise a flag
 _SCAN_BLOCK = 64  # grid cells per block of the cold velocity scan
 # rows a1, a3, b1, b3 and waves +alpha_1, +alpha_2, -alpha_1, -alpha_2 of the
 # closed-form waves: the sagittal block, which the SH wave leaves exactly
 _SAGITTAL_ROWS = np.array([0, 2, 3, 5])
 _SAGITTAL_COLS = np.array([0, 1, 3, 4])
+# signs of the cofactors (-Y_01, Y_00) of a 2x2 matrix's last row
+_COFACTOR_SIGNS = np.array([-1.0, 1.0])[:, None, None]
 
 DECAYING = "decaying"
 GROWING = "growing"
@@ -354,6 +361,33 @@ def _slowness_squares(
     return y, pq * disc * sh == 0
 
 
+def _closed_form(med: _Medium, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """alpha (3, m) of the two sagittal waves and SH, the sagittal block of
+    ``_orthotropic_waves`` as [row, wave, velocity] (4, 4, m), and valid.
+
+    The block holds rows a1, a3, b1, b3 (``_SAGITTAL_ROWS``) of the waves
+    +alpha_1, +alpha_2, -alpha_1, -alpha_2 (``_SAGITTAL_COLS``).
+    """
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    c11, c13, c33, _, c55, _ = med.moduli
+    x = med.rho_scaled * v * v
+    y, bad = _slowness_squares(med.moduli, x)
+    if bad.any():
+        v = np.where(bad, v * (1.0 + _NUDGE), v)
+        x = med.rho_scaled * v * v
+        y, bad = _slowness_squares(med.moduli, x)
+    alpha = np.sqrt(y)
+    np.negative(alpha, out=alpha, where=alpha.imag < 0)
+    g, y2, a2 = c13 + c55, y[:2], alpha[:2]
+    w = np.empty((4, 4, v.size), dtype=complex)
+    np.multiply(a2, g, out=w[0, :2])
+    np.subtract(x - c11, c55 * y2, out=w[1, :2])
+    np.multiply(w[1, :2] + g * y2, c55, out=w[2, :2])
+    np.multiply(a2, c33 * w[1, :2] + c13 * g, out=w[3, :2])
+    np.multiply(w[:, :2], _FLIP, out=w[:, 2:])
+    return alpha, w, ~bad
+
+
 def _orthotropic_waves(
     med: _Medium, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -376,29 +410,39 @@ def _orthotropic_waves(
     ``_Medium.build`` requires C13 + C55 != 0.  Such a point is solved at
     v * (1 + _NUDGE) instead, and marked invalid if that is degenerate too.
     """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    c11, c13, c33, c44, c55, _ = med.moduli
-    x = med.rho_scaled * v * v
-    y, bad = _slowness_squares(med.moduli, x)
-    if bad.any():
-        v = np.where(bad, v * (1.0 + _NUDGE), v)
-        x = med.rho_scaled * v * v
-        y, bad = _slowness_squares(med.moduli, x)
-    alpha = np.sqrt(y)
-    np.negative(alpha, out=alpha, where=alpha.imag < 0)
-    g, y2, a2 = c13 + c55, y[:2], alpha[:2]
+    alpha, sagittal, valid = _closed_form(med, v)
     # [component, wave, velocity]: rows a1, a2, a3, b1, b2, b3 of the +alpha
     # waves, then the -alpha ones, which flip the sign of a1, b2 and b3
-    w = np.zeros((6, 6, v.size), dtype=complex)
-    np.multiply(a2, g, out=w[0, :2])
-    np.subtract(x - c11, c55 * y2, out=w[2, :2])
-    np.multiply(w[2, :2] + g * y2, c55, out=w[3, :2])
-    np.multiply(a2, c33 * w[2, :2] + c13 * g, out=w[5, :2])
-    w[1, 2] = 1.0
-    np.multiply(alpha[2], c44, out=w[4, 2])
-    np.multiply(w[:, :3], _FLIP, out=w[:, 3:])
+    w = np.zeros((6, 6, valid.size), dtype=complex)
+    w[_SAGITTAL_ROWS[:, None], _SAGITTAL_COLS] = sagittal
+    w[1, 2] = w[1, 5] = 1.0
+    np.multiply(alpha[2], med.moduli[3], out=w[4, 2])
+    np.negative(w[4, 2], out=w[4, 5])
     flux = (w[:3].conj() * w[3:]).real.sum(axis=0)
-    return np.concatenate([alpha, -alpha]).T, w.transpose(2, 0, 1), flux.T, ~bad
+    return np.concatenate([alpha, -alpha]).T, w.transpose(2, 0, 1), flux.T, valid
+
+
+def _sagittal_waves(
+    med: _Medium, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sagittal part of ``_orthotropic_waves`` in entry-major layout.
+
+    Returns (alpha (4, m), w (4, 4, m), flux (4, m), valid (m,)): rows a1,
+    a3, b1, b3 of the waves +alpha_1, +alpha_2, -alpha_1, -alpha_2, built
+    without the SH wave, which a normal surface stress does not excite.
+    """
+    alpha, w, valid = _closed_form(med, v)
+    flux = (w[:2].conj() * w[2:]).real.sum(axis=0)
+    return np.concatenate([alpha[:2], -alpha[:2]]), w, flux, valid
+
+
+def _full_waves(
+    med: _Medium, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """All six waves of ``med.waves`` in entry-major layout: alpha and flux
+    (6, m), w (6, 6, m)."""
+    alpha, w, flux, valid = med.waves(v)
+    return alpha.T, w.transpose(1, 2, 0), flux.T, valid
 
 
 def _masks(alpha: np.ndarray, flux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -548,52 +592,72 @@ def _prepare(stack: LayerStack) -> _Prepared:
 # --- surface-impedance recursion -------------------------------------------------
 
 
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^-1 b over stacked 2x2 or 3x3 systems.
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over entry-major stacks: a (p, q, ...) and b (q, r, ...) give
+    (p, r, ...), their trailing axes broadcast."""
+    out = a[:, 0, None] * b[0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j, None] * b[j]
+    return out
 
-    The systems may stack along any number of leading axes.  A 2x2 system is
-    solved by its adjugate over its determinant, which is forward stable
-    for n = 2 (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, section 1.10.1); a 3x3 one by np.linalg.solve, one system at a
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b over entry-major stacks of 2x2 or 3x3 systems.
+
+    a is (n, n, ...) and b (n, r, ...), with equal trailing axes.  A 2x2
+    system is solved by its adjugate over its determinant, which is forward
+    stable for n = 2 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 1.10.1), in whole-array arithmetic; a 3x3 one
+    by np.linalg.solve with the two matrix axes moved last, one system at a
     time on failure.  An exactly singular system makes only its own entry
     NaN, which then propagates to that entry's response and nothing else.
     """
-    if a.shape[-1] == 2:
-        det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(det == 0, np.nan, 1.0 / det)[..., None]
-        b0, b1 = b[..., 0, :], b[..., 1, :]
-        return np.stack([(a[..., 1, 1, None] * b0 - a[..., 0, 1, None] * b1) * r,
-                         (a[..., 0, 0, None] * b1 - a[..., 1, 0, None] * b0) * r], axis=-2)
+    if a.shape[0] == 2:
+        det = a[0, 0] * a[1, 1]
+        det -= a[0, 1] * a[1, 0]
+        zero = det == 0
+        if zero.any():
+            det[zero] = np.nan
+        r = np.divide(1.0, det, out=det)
+        out = np.empty(b.shape, dtype=complex)
+        np.multiply(a[1, 1], b[0], out=out[0])
+        out[0] -= a[0, 1] * b[1]
+        np.multiply(a[0, 0], b[1], out=out[1])
+        out[1] -= a[1, 0] * b[0]
+        out *= r
+        return out
+    a, b = np.moveaxis(a, (0, 1), (-2, -1)), np.moveaxis(b, (0, 1), (-2, -1))
     try:
-        return np.linalg.solve(a, b)
+        out = np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         out = np.empty(b.shape, dtype=complex)
-        for i in np.ndindex(out.shape[:-2]):
+        for i in np.ndindex(b.shape[:-2]):
             try:
                 out[i] = np.linalg.solve(a[i], b[i])
             except np.linalg.LinAlgError:
                 out[i] = np.nan
-        return out
+    return np.moveaxis(out, (-2, -1), (0, 1))
 
 
 def _right_divide(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y x^-1 over stacked 2x2 or 3x3 matrices."""
-    return np.swapaxes(_solve(np.swapaxes(x, -1, -2), np.swapaxes(y, -1, -2)), -1, -2)
+    """y x^-1 over entry-major stacks of 2x2 or 3x3 matrices."""
+    return np.swapaxes(_solve(np.swapaxes(x, 0, 1), np.swapaxes(y, 0, 1)), 0, 1)
 
 
 def _coupling(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """S = (B_u - Z A_u)^-1 (B_d - Z A_d) of a layer on a medium of impedance Z.
 
-    ``w`` stacks the layer's n displacement rows A over its n traction rows
-    B, with n the size of Z; its first n columns are its top-referenced
-    waves (d), the last n its bottom-referenced ones (u).  Continuity with
-    the medium below gives the bottom-referenced amplitudes as -S E_d times
-    the top-referenced ones.
+    Entry-major, like every block of the recursion: ``w`` (2n, 2n, ...)
+    stacks the layer's n displacement rows A over its n traction rows B,
+    with n the size of Z (n, n, ...); its first n columns are its
+    top-referenced waves (d), the last n its bottom-referenced ones (u).
+    Continuity with the medium below gives the bottom-referenced amplitudes
+    as -S E_d times the top-referenced ones.
     """
-    n = z.shape[-1]
-    g = w[..., n:, :] - z @ w[..., :n, :]
-    return _solve(g[..., n:], g[..., :n])
+    n = z.shape[0]
+    g = _matmul(z, w[:n])
+    np.subtract(w[n:], g, out=g)
+    return _solve(g[:, n:], g[:, :n])
 
 
 @dataclass(frozen=True, eq=False)
@@ -605,98 +669,105 @@ class _Kernel:
     ``_SAGITTAL_COLS``) is all the normal response sees, and n = 3 otherwise.
     ``valid`` marks the velocities where every medium's waves pass the
     residual check, the substrate accepts n waves and every layer splits
-    n/n.  The remaining fields hold those velocities only: per layer,
-    surface first, (alpha, w, thickness) with w the 2n x 2n
-    displacement-over-traction wave matrix, top-referenced waves in the
-    first n columns; and ``bottom``, the bottom layer's n x n coupling S on
-    the substrate, or for a half-space the substrate's 2n x n wave matrix of
-    its accepted waves.
+    n/n.  The remaining fields hold those velocities only, entry-major:
+    matrix rows and columns lead, and the velocities are the last axis,
+    after a unit axis that broadcasts against the frequencies of a scan
+    block.  Per layer, surface first, they are (alpha_d (n, 1, m), alpha_u,
+    w (2n, 2n, 1, m), thickness): the slownesses of the top-referenced (d)
+    and bottom-referenced (u) waves, and the displacement-over-traction
+    wave matrix with the d waves in its first n columns.  alpha_u is None
+    where it is exactly -alpha_d, as for a closed-form medium whose columns
+    ``_kernel`` did not reorder.  ``bottom`` is the bottom layer's coupling
+    S (n, n, 1, m) on the substrate, or for a half-space the substrate's
+    wave matrix (2n, n, 1, m) of its accepted waves.
     """
 
     valid: np.ndarray
-    layers: tuple[tuple[np.ndarray, np.ndarray, float], ...]
+    layers: tuple[tuple[np.ndarray, np.ndarray | None, np.ndarray, float], ...]
     bottom: np.ndarray
 
 
 def _kernel(prep: _Prepared, v: np.ndarray) -> _Kernel:
     """Partial waves of every medium at velocities v, split n/n and coupled.
 
-    Media orthotropic in the frame take their waves in closed form
-    (``_orthotropic_waves``), which returns the decaying-or-downgoing waves
-    first; only a medium without that symmetry solves the eigenproblem
-    (``_wave_fields``), whose (Im, Re) eigen order puts the growing waves
-    (Im alpha < 0) first instead.  When every medium is closed-form, each
-    keeps only its two sagittal waves per direction (n = 2): the SH wave
-    decouples from them exactly (Stroh 1962), so it does not enter the
-    normal response.  Otherwise all six waves stay (n = 3).  Columns are
-    reordered at the velocities where the first n are not the
-    decaying-or-downgoing waves, which is every velocity where an
-    eigenproblem medium has a growing wave.
+    When every medium is orthotropic in the frame, each takes only its two
+    sagittal waves per direction (n = 2), built in closed form straight in
+    entry-major layout (``_sagittal_waves``): the SH wave decouples from
+    them exactly (Stroh 1962), so it does not enter the normal response.
+    Otherwise all six waves stay (n = 3, ``_full_waves``): closed form
+    where the medium allows it, from the eigenproblem (``_wave_fields``)
+    where it does not.  The closed form returns the decaying-or-downgoing
+    waves first; the eigenproblem's (Im, Re) order puts the growing waves
+    (Im alpha < 0) first instead.  Columns are reordered at the velocities
+    where the first n are not the decaying-or-downgoing waves, which is
+    every velocity where an eigenproblem medium has a growing wave.
     """
     sagittal = all(med.moduli is not None for med in prep.media)
+    waves = _sagittal_waves if sagittal else _full_waves
     split = []
     valid = np.ones(v.shape, dtype=bool)
     for med in prep.media:
-        alpha, w, flux, ok = med.waves(v)
-        if sagittal:
-            cols = _SAGITTAL_COLS
-            alpha, w, flux = alpha[:, cols], w[:, _SAGITTAL_ROWS[:, None], cols], flux[:, cols]
-        n = alpha.shape[1] // 2
+        alpha, w, flux, ok = waves(med, v)
+        n = alpha.shape[0] // 2
         down, _ = _masks(alpha, flux)
-        valid &= ok & (down.sum(axis=1) == n)
-        mixed = np.flatnonzero(~down[:, :n].all(axis=1))
-        if mixed.size:
+        valid &= ok & (down.sum(axis=0) == n)
+        twin = med.moduli is not None  # alpha_u = -alpha_d
+        if not down[:n].all():
+            mixed = np.flatnonzero(~down[:n].all(axis=0))
             # stable order keeps the (Im, Re) eigen ordering within each half
-            order = np.argsort(~down[mixed], axis=1, kind="stable")
-            alpha[mixed] = np.take_along_axis(alpha[mixed], order, axis=1)
-            w[mixed] = np.take_along_axis(w[mixed], order[:, None, :], axis=2)
-        split.append((alpha, w))
-    split = [(alpha[valid], w[valid]) for alpha, w in split]
-    w_sub = split[-1][1][..., :n]
-    layers = tuple(wave + (h,) for wave, h in zip(split, prep.thicknesses))
+            order = np.argsort(~down[:, mixed], axis=0, kind="stable")
+            alpha[:, mixed] = np.take_along_axis(alpha[:, mixed], order, axis=0)
+            w[:, :, mixed] = np.take_along_axis(w[:, :, mixed], order[None], axis=1)
+            twin = False
+        split.append((alpha, w, twin))
+    if not valid.all():
+        split = [(alpha[:, valid], w[:, :, valid], twin) for alpha, w, twin in split]
+    # a unit axis before the velocities broadcasts against a scan's frequencies
+    layers = tuple((alpha[:n, None], None if twin else alpha[n:, None], w[:, :, None], h)
+                   for (alpha, w, twin), h in zip(split, prep.thicknesses))
+    w_sub = split[-1][1][:, :n, None]
     if not layers:
         return _Kernel(valid, layers, w_sub)
-    z_sub = _right_divide(w_sub[:, n:], w_sub[:, :n])
-    return _Kernel(valid, layers, _coupling(z_sub, layers[-1][1]))
+    z_sub = _right_divide(w_sub[n:], w_sub[:n])
+    return _Kernel(valid, layers, _coupling(z_sub, layers[-1][2]))
 
 
 def _surface(kern: _Kernel, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Surface displacement X and traction Y per unit amplitude of the top medium.
 
-    X and Y are n x n, with n the kernel's block size: the rows are the
-    displacement and traction components the kernel keeps, the normal one
-    last, and the columns the amplitudes of the top layer's top-referenced
-    waves (the substrate's accepted waves for a half-space), so the
-    response to a unit normal surface stress is the last row of X Y^-1.
-    ``k`` holds wavenumbers along its last axis, one per velocity of the
-    kernel, and any leading axes (one row per frequency in a scan)
-    broadcast through the recursion; the result covers the kernel's valid
-    velocities only.  A half-space does not depend on k.  From the bottom
-    layer up: T = E_u S E_d, X = A_d - A_u T and Y = B_d - B_u T, and
-    Y X^-1 is the impedance under the next layer.
+    X and Y are n x n, with n the kernel's block size, entry-major: (n, n,
+    F, m) for k of shape (F, m), and (n, n, 1, m) for one of shape (m,).
+    Their rows are the displacement and traction components the kernel
+    keeps, the normal one last, and their columns the amplitudes of the
+    top layer's top-referenced waves (the substrate's accepted waves for a
+    half-space), so the response to a unit normal surface stress is the
+    last row of X Y^-1.  ``k`` holds wavenumbers along its last axis, one
+    per velocity of the kernel, and a leading frequency axis (one row per
+    frequency in a scan block) broadcasts through the recursion; the result
+    covers the kernel's valid velocities only.  A half-space does not
+    depend on k.  From the bottom layer up: T = E_u S E_d, X = A_d - A_u T
+    and Y = B_d - B_u T, and Y X^-1 is the impedance under the next layer.
+    E_d = exp(ik alpha_d h) and E_u = exp(-ik alpha_u h) are diagonal, and
+    where the kernel has alpha_u = -alpha_d they are one exponential.
     """
-    n = kern.bottom.shape[-1]
+    n = kern.bottom.shape[1]
     if not kern.layers:
-        return kern.bottom[:, :n], kern.bottom[:, n:]
-    k = k[..., kern.valid, None]
+        return kern.bottom[:n], kern.bottom[n:]
+    if not kern.valid.all():
+        k = k[..., kern.valid]
     s = kern.bottom
     for j in range(len(kern.layers) - 1, -1, -1):
-        alpha, w, h = kern.layers[j]
-        e_d = np.exp(1j * h * k * alpha[:, :n])
-        e_u = np.exp(-1j * h * k * alpha[:, n:])
-        xy = w[..., :n] - w[..., n:] @ (e_u[..., :, None] * s * e_d[..., None, :])
+        alpha_d, alpha_u, w, h = kern.layers[j]
+        ihk = 1j * h * k
+        e_d = np.exp(ihk * alpha_d)
+        e_u = e_d if alpha_u is None else np.exp(-ihk * alpha_u)
+        t = e_u[:, None] * s
+        t *= e_d
+        xy = _matmul(w[:, n:], t)
+        np.subtract(w[:, :n], xy, out=xy)
         if j:
-            s = _coupling(_right_divide(xy[..., n:, :], xy[..., :n, :]),
-                          kern.layers[j - 1][1])
-    return xy[..., :n, :], xy[..., n:, :]
-
-
-def _last_row_cofactors(y: np.ndarray) -> np.ndarray:
-    """Cofactors c of the last row of stacked 2x2 or 3x3 matrices y, so that
-    c . r is the determinant of y with its last row replaced by r."""
-    if y.shape[-1] == 2:
-        return np.stack([-y[..., 0, 1], y[..., 0, 0]], axis=-1)
-    return np.cross(y[..., 0, :], y[..., 1, :])
+            s = _coupling(_right_divide(xy[n:], xy[:n]), kern.layers[j - 1][2])
+    return xy[:n], xy[n:]
 
 
 def _response(kern: _Kernel, k: np.ndarray) -> np.ndarray:
@@ -704,18 +775,25 @@ def _response(kern: _Kernel, k: np.ndarray) -> np.ndarray:
 
     Shaped like ``k`` (see ``_surface``); NaN at the kernel's invalid
     velocities.  The response is u3 = det(Y with its last row replaced by
-    the last row of X) / det Y, the last row of X Y^-1 by Cramer's rule.
-    Where det Y is exactly 0 (below the substrate threshold Y's rows are
-    real and imaginary, so it can cancel to 0 at a mode) u3 is infinite
-    and the pole indicator Im(1/u3) is 0 there, not NaN.
+    the last row of X) / det Y, the last row of X Y^-1 by Cramer's rule,
+    from the cofactors c of Y's last row: (-Y_01, Y_00) for n = 2, the
+    cross product of Y's first two rows for n = 3.  Where det Y is exactly
+    0 (below the substrate threshold Y's rows are real and imaginary, so it
+    can cancel to 0 at a mode) u3 is infinite and the pole indicator
+    Im(1/u3) is 0 there, not NaN.
     """
     x, y = _surface(kern, k)
-    c = _last_row_cofactors(y)
-    num = np.einsum("...j,...j->...", x[..., -1, :], c)
-    den = np.einsum("...j,...j->...", y[..., -1, :], c)
+    if y.shape[0] == 2:
+        c = y[0, ::-1] * _COFACTOR_SIGNS
+    else:
+        c = np.cross(y[0], y[1], axis=0)
+    num = (x[-1] * c).sum(axis=0)
+    den = (y[-1] * c).sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         u3 = num / den
-    u3[(den == 0) & (num != 0)] = np.inf
+    zero = den == 0
+    if zero.any():
+        u3[zero & (num != 0)] = np.inf
     out = np.full(k.shape, np.nan + 0j)
     out[..., kern.valid] = u3
     return out
@@ -743,7 +821,8 @@ def boundary_matrix(stack: LayerStack, omega: float, k: float) -> "BoundaryMatri
     """Surface-traction matrix Y of the impedance recursion at one (omega, k).
 
     2x2 when every medium of the stack is orthotropic in the frame, 3x3
-    otherwise (see ``BoundaryMatrix``).
+    otherwise (see ``BoundaryMatrix``); taken out of the recursion's
+    entry-major (n, n, 1, 1) block as a plain n x n matrix.
     """
     if not (omega > 0 and k > 0):
         raise ValueError("omega and k must be positive")
@@ -752,7 +831,8 @@ def boundary_matrix(stack: LayerStack, omega: float, k: float) -> "BoundaryMatri
         raise DegeneratePointError(
             f"degenerate partial-wave point at omega={omega:.6g}, k={k:.6g}"
         )
-    m = _surface(kern, np.array([k]))[1][0]
+    y = _surface(kern, np.array([k]))[1]
+    m = y.reshape(y.shape[:2])
     sign, logabs = np.linalg.slogdet(m)
     return BoundaryMatrix(
         matrix=m,

@@ -1,0 +1,63 @@
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "tools" / "ab_bench.py")
+ab_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_bench)
+
+
+def _checkout(path: Path) -> Path:
+    """A checkout holding this repository's benchmark files only."""
+    path.mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", path / "BENCHMARK.json")
+    shutil.copytree(ROOT / "perfbench", path / "perfbench",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return path
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Record run_once calls and answer them with fixed metrics."""
+    calls = []
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+    def fake_run_once(root, workload, seed, seconds):
+        calls.append(root)
+        return {"env": {}, "info": {}, "correct": 1, "attempted": 1, "failed": 0,
+                "metrics": {m["name"]: 1.0 for m in declared}}
+
+    monkeypatch.setattr(ab_bench, "run_once", fake_run_once)
+    return calls
+
+
+def _main(parent, change, out):
+    return ab_bench.main(["--parent", str(parent), "--change", str(change),
+                          "--workload", "forward", "--pairs", "2", "--seconds", "1",
+                          "--seed", "3", "--out", str(out)])
+
+
+def test_refuses_checkouts_with_different_benchmarks(tmp_path, runs, capsys):
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    target = change / "perfbench" / "workloads.py"
+    data = bytearray(target.read_bytes())
+    data[-1] ^= 1  # one byte
+    target.write_bytes(bytes(data))
+    out = tmp_path / "bench.json"
+    assert _main(parent, change, out) == 2
+    assert "perfbench/workloads.py" in capsys.readouterr().err
+    assert runs == [] and not out.exists()
+    # compiled bytecode is not part of the benchmark
+    target.write_bytes((parent / "perfbench" / "workloads.py").read_bytes())
+    (change / "perfbench" / "__pycache__").mkdir()
+    (change / "perfbench" / "__pycache__" / "workloads.cpython-311.pyc").write_bytes(b"\0")
+    assert _main(parent, change, out) == 0
+    assert len(runs) == 4
+    report = json.loads(out.read_text())
+    files = ab_bench.benchmark_files(parent)
+    assert "BENCHMARK.json" in files and "perfbench/run.py" in files
+    assert report["benchmark_digest"] == ab_bench.benchmark_digest(files)

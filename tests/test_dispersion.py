@@ -400,9 +400,10 @@ def test_ceiling_is_the_substrates_limiting_velocity(stack_1a, silicon, monkeypa
     assert (y[:, 2].imag == 0).all() and (y[:, 2].real > 0).all()  # propagating above
     bulk = math.sqrt(min(sub.moduli[0], sub.moduli[4]) / sub.rho_scaled)
     assert bulk - ceiling == pytest.approx(13.277, abs=1e-3)
+    # every bundled medium takes its sagittal waves from _sagittal_waves
     seen = []
-    waves = dispersion._Medium.waves
-    monkeypatch.setattr(dispersion._Medium, "waves",
+    waves = dispersion._sagittal_waves
+    monkeypatch.setattr(dispersion, "_sagittal_waves",
                         lambda med, v: seen.append(v) or waves(med, v))
     top_hints = np.full(CURVE_FREQS.size, ceiling - 1.0)
     roots = {}
@@ -830,13 +831,14 @@ def _check_sagittal_against_full(stack):
     """The 2x2 sagittal recursion against the 3x3 one on the same closed-form
     waves: q on the scan mesh at 35 frequencies, and the roots.
 
-    Setting the sagittal rows and columns to all six keeps the SH wave in
-    every block, which is the 3x3 path of an eigenproblem medium.  Where q
-    crosses zero its relative error is unbounded, so the tolerance has a
-    floor at 1e-10 of q's median.  Near an interface-wave velocity of a
-    layer on the medium below the recursion loses digits whichever block
-    size it runs; at the few mesh points where the two paths differ by more,
-    the 2x2 one must stay within 1e-9 of the global-matrix oracle.
+    Handing the kernel every medium's six closed-form waves in place of its
+    sagittal ones keeps the SH wave in every block, which is the 3x3 path
+    of a stack with an eigenproblem medium.  Where q crosses zero its
+    relative error is unbounded, so the tolerance has a floor at 1e-10 of
+    q's median.  Near an interface-wave velocity of a layer on the medium
+    below the recursion loses digits whichever block size it runs; at the
+    few mesh points where the two paths differ by more, the 2x2 one must
+    stay within 1e-9 of the global-matrix oracle.
     """
     prep = dispersion._prepare(stack)
     assert all(med.moduli is not None for med in prep.media)
@@ -844,9 +846,8 @@ def _check_sagittal_against_full(stack):
     q = dispersion._grid_indicator(prep, grid, CURVE_FREQS)
     roots = dispersion._find_modes(stack, CURVE_FREQS, None)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dispersion, "_SAGITTAL_ROWS", np.arange(6))
-        mp.setattr(dispersion, "_SAGITTAL_COLS", np.arange(6))
-        assert dispersion._kernel(prep, grid[:1]).bottom.shape[-1] == 3
+        mp.setattr(dispersion, "_sagittal_waves", dispersion._full_waves)
+        assert dispersion._kernel(prep, grid[:1]).bottom.shape[1] == 3
         q_full = dispersion._grid_indicator(prep, grid, CURVE_FREQS)
         roots_full = dispersion._find_modes(stack, CURVE_FREQS, None)
     np.testing.assert_allclose(roots, roots_full, rtol=1e-12, atol=0)
@@ -936,7 +937,9 @@ def test_singular_system_spoils_only_its_own_point(stack_1a, monkeypatch, call):
     # substrate impedance and the oxide's coupling to it (per velocity),
     # the impedance at the oxide's top and the film's coupling to it (per
     # frequency); make one exactly singular at one point, once: velocity 3
-    # of a batch, at frequency 1 of a scan block
+    # of a batch, at frequency 1 of a scan block.  The systems are
+    # entry-major, (2, 2, frequencies, velocities), with one frequency in a
+    # batch and for the per-velocity systems of a scan block
     prep = dispersion._prepare(stack_1a)
     v = np.linspace(3600.0, 5000.0, 8)
     f = np.full(v.size, 300e6)
@@ -949,7 +952,7 @@ def test_singular_system_spoils_only_its_own_point(stack_1a, monkeypatch, call):
         seen.append(1)
         if len(seen) == call + 1:
             a = a.copy()
-            a[(1,) * (a.ndim - 3) + (3,)] = 0.0
+            a[:, :, min(1, a.shape[2] - 1), 3] = 0.0
         return solve(a, b)
 
     monkeypatch.setattr(dispersion, "_solve", singular_once)
@@ -984,7 +987,7 @@ def test_singular_surface_matrix_gives_a_zero_indicator(stack_1a, monkeypatch):
 
     def singular_at_3(kern, k):
         x, y = surface(kern, k)
-        y[3, -1] = y[3, 0]
+        y[-1, ..., 3] = y[0, ..., 3]  # entry-major: (2, 2, 1, velocities)
         return x, y
 
     monkeypatch.setattr(dispersion, "_surface", singular_at_3)
@@ -1024,7 +1027,7 @@ def test_cold_curve_makes_no_lapack_solve(stack_1a, silicon, monkeypatch):
     prep = dispersion._prepare(stack_1a)
     grid = dispersion._scan_grid(prep)
     shapes, scanned, others = [], [], []
-    solve, waves = np.linalg.solve, dispersion._Medium.waves
+    solve, waves = np.linalg.solve, dispersion._sagittal_waves
 
     def recording_solve(a, b):
         shapes.append(np.shape(a)[-2:])
@@ -1036,7 +1039,7 @@ def test_cold_curve_makes_no_lapack_solve(stack_1a, silicon, monkeypatch):
         return waves(med, v)
 
     monkeypatch.setattr(np.linalg, "solve", recording_solve)
-    monkeypatch.setattr(dispersion._Medium, "waves", recording_waves)
+    monkeypatch.setattr(dispersion, "_sagittal_waves", recording_waves)
     sk.dispersion_curve(stack_1a, CURVE_FREQS)
     assert shapes == []
     scanned = np.concatenate(scanned)
@@ -1058,6 +1061,58 @@ def test_cold_curve_response_points(stack_1a, monkeypatch):
                         lambda kern, k: points.append(np.size(k)) or response(kern, k))
     sk.dispersion_curve(stack_1a, CURVE_FREQS)
     assert sum(points) <= 20_000
+
+
+def test_one_layer_exponential_per_closed_form_wave(stack_1a, oxide, silicon, monkeypatch):
+    # work guard that does not depend on the machine: a closed-form layer
+    # has alpha_u = -alpha_d exactly, so E_u = E_d and _surface evaluates n
+    # complex exponentials per layer and response point, not 2n; a layer
+    # whose waves come from the eigenproblem keeps both
+    response, exp, points, exps = dispersion._response, dispersion.np.exp, [], []
+
+    def recording_response(kern, k):
+        points.append(np.size(k[..., kern.valid]))
+        return response(kern, k)
+
+    def recording_exp(x, *args, **kwargs):
+        exps.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(dispersion, "_response", recording_response)
+    monkeypatch.setattr(dispersion.np, "exp", recording_exp)
+    sk.dispersion_curve(stack_1a, CURVE_FREQS)
+    assert sum(points) > 0
+    assert sum(exps) == 2 * len(stack_1a.layers) * sum(points)  # n = 2
+    # on Si(111)[1-10] a cubic (Ge) film needs the eigenproblem and the
+    # oxide does not: n = 3, six exponentials for the film, three for the oxide
+    germanium = sk.CubicMaterial(129e9, 48e9, 67e9, 5323.0)
+    si111 = sk.LayerStack(layers=(sk.Layer(germanium, 0.5e-6), sk.Layer(oxide, 0.4e-6)),
+                          substrate=silicon, geometry=SI111)
+    prep = dispersion._prepare(si111)
+    assert [med.moduli is None for med in prep.media] == [True, False, True]
+    points.clear()
+    exps.clear()
+    sk.dispersion_curve(si111, [300e6])
+    assert sum(points) > 0
+    assert sum(exps) == (6 + 3) * sum(points)
+
+
+@pytest.mark.parametrize("thickness_factor", [1, 10])
+def test_block_path_matches_batch_path(thickness_factor):
+    # the recursion broadcasts a scan block's (frequency, velocity) mesh and
+    # a batch's (frequency, velocity) pairs through the same entry-major
+    # code: 35 frequencies x 20 velocities of stack 1A, both ways
+    stack = _bundled_stack("stack_1A", thickness_factor)
+    prep = dispersion._prepare(stack)
+    grid = dispersion._scan_grid(prep)
+    v = grid[:: grid.size // 20][:20]
+    q_block = dispersion._grid_indicator(prep, v, CURVE_FREQS)
+    f_pairs, v_pairs = np.meshgrid(CURVE_FREQS, v)
+    q_batch = dispersion.pole_indicator_at(stack, f_pairs.ravel(), v_pairs.ravel())
+    q_batch = q_batch.reshape(q_block.shape)
+    assert np.isfinite(q_block).all() and np.isfinite(q_batch).all()
+    floor = 1e-10 * np.median(np.abs(q_block))
+    np.testing.assert_allclose(q_batch, q_block, rtol=1e-13, atol=floor)
 
 
 # --- curve container and CSV ----------------------------------------------------

@@ -3,23 +3,29 @@
     python3 tools/ab_bench.py --parent DIR --change DIR --workload forward \
         --pairs 10 --seconds 30 --seed 41 --out BENCH_12.json
 
-Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, one
-after the other, the parent first in even pairs and the change first in odd
-ones.  ``--workload`` may be given more than once; the pairs of one workload
-finish before the next starts.  Every run uses the same ``--seed`` and
-``--seconds``, and each checkout runs its own ``perfbench`` from its own
-root.  The output file holds, per workload, the ``env`` line of the first
-run, every run's metrics and failure counts, and per end-to-end metric
-(names, directions and bounds from the parent's ``BENCHMARK.json``) each
-side's median and quartiles, the pairs each side won, whether the change is
-a gain (it wins at least nine tenths of the pairs and the medians differ by
-more than the parent's interquartile range) and whether it is a regression
-(its median is worse than the parent's by more than the bound).
+Before the first run both checkouts must hold the same benchmark:
+``BENCHMARK.json`` and every file under ``perfbench/`` (``__pycache__``
+aside) are hashed in each, and if they differ the script exits 2, naming
+the first differing file, without starting a run; their common digest goes
+into the output file.  Each pair runs ``perfbench/run.py --trace 0`` once in
+each checkout, one after the other, the parent first in even pairs and the
+change first in odd ones.  ``--workload`` may be given more than once; the
+pairs of one workload finish before the next starts.  Every run uses the
+same ``--seed`` and ``--seconds``, and each checkout runs its own
+``perfbench`` from its own root.  The output file holds, per workload, the
+``env`` line of the first run, every run's metrics and failure counts, and
+per end-to-end metric (names, directions and bounds from the parent's
+``BENCHMARK.json``) each side's median and quartiles, the pairs each side
+won, whether the change is a gain (it wins at least nine tenths of the pairs
+and the medians differ by more than the parent's interquartile range) and
+whether it is a regression (its median is worse than the parent's by more
+than the bound).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -27,6 +33,22 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+
+def benchmark_files(root: Path) -> dict[str, str]:
+    """sha256 of ``BENCHMARK.json`` and of every file under ``perfbench/``
+    in ``root``, by path relative to it; compiled bytecode is skipped."""
+    paths = [root / "BENCHMARK.json"] + sorted(
+        p for p in (root / "perfbench").rglob("*")
+        if p.is_file() and "__pycache__" not in p.relative_to(root).parts)
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in paths if p.is_file()}
+
+
+def benchmark_digest(files: dict[str, str]) -> str:
+    """One sha256 over the (path, hash) pairs of ``benchmark_files``."""
+    text = "".join(f"{name}\0{digest}\n" for name, digest in sorted(files.items()))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -99,9 +121,17 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    files = {side: benchmark_files(root) for side, root in roots.items()}
+    differing = sorted(name for name in files["parent"].keys() | files["change"].keys()
+                       if files["parent"].get(name) != files["change"].get(name))
+    if differing:
+        print(f"the checkouts run different benchmarks: {differing[0]} differs "
+              f"({len(differing)} file(s) in all); no run started", file=sys.stderr)
+        return 2
     declared = json.loads((roots["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
 
     report = {
+        "benchmark_digest": benchmark_digest(files["parent"]),
         "seed": args.seed,
         "seconds": args.seconds,
         "pairs": args.pairs,

@@ -10,9 +10,10 @@ medium without that symmetry solves for them as a 6-dimensional linear
 eigenproblem in the state vector (displacement, scaled traction).  The
 surface response to a unit normal surface stress comes from a
 surface-impedance recursion (Rokhlin & Wang, J. Acoust. Soc. Am. 112(3),
-822-834, 2002).  The substrate's decaying or downgoing waves give its
-impedance Z = B A^-1.  Each layer's waves split into those referenced at
-its top (d) and those at its bottom (u); continuity with the impedance
+822-834, 2002).  Every medium's waves come with the decaying or
+downgoing ones first (``_full_waves``); the substrate's give its impedance
+Z = B A^-1, and a layer's are referenced at its top (d), the rest at its
+bottom (u).  Continuity with the impedance
 below ties the u amplitudes to the d ones, and the traction and
 displacement at the layer's top then give the impedance it presents to the
 layer above.  When every medium is orthotropic in the frame the SH wave
@@ -246,9 +247,9 @@ def _qrt(cijkl: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class _Medium:
     """Constant pieces of the depth-evolution operator for one medium.
 
-    ``waves`` gives its partial waves in closed form when the medium is
-    orthotropic in the frame (``moduli`` set), and from the eigenproblem of
-    ``operator`` otherwise.  A medium with C13 + C55 = 0 takes the
+    Its partial waves come in closed form when the medium is orthotropic in
+    the frame (``moduli`` set), and from the eigenproblem of ``operator``
+    otherwise (``_full_waves``).  A medium with C13 + C55 = 0 takes the
     eigenproblem too: its closed-form sagittal polarization would vanish.
     """
 
@@ -278,10 +279,6 @@ class _Medium:
             moduli = tuple(float(c[i, j]) / c_ref
                            for i, j in ((0, 0), (0, 2), (2, 2), (3, 3), (4, 4), (5, 5)))
         return cls(n0=n0, rho_scaled=rho / c_ref, c_ref=c_ref, moduli=moduli)
-
-    def waves(self, v: np.ndarray):
-        """``_orthotropic_waves`` or ``_wave_fields`` of this medium at velocities v."""
-        return (_wave_fields if self.moduli is None else _orthotropic_waves)(self, v)
 
     def operator(self, v: np.ndarray) -> np.ndarray:
         """Stacked 6x6 operators for velocities v (...,)."""
@@ -362,11 +359,29 @@ def _slowness_squares(
 
 
 def _closed_form(med: _Medium, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """alpha (3, m) of the two sagittal waves and SH, the sagittal block of
-    ``_orthotropic_waves`` as [row, wave, velocity] (4, 4, m), and valid.
+    """Partial waves of a medium orthotropic in the frame, in closed form.
 
-    The block holds rows a1, a3, b1, b3 (``_SAGITTAL_ROWS``) of the waves
-    +alpha_1, +alpha_2, -alpha_1, -alpha_2 (``_SAGITTAL_COLS``).
+    With X = rho v^2, the SH wave has alpha^2 = (X - C66)/C44 and the two
+    sagittal waves solve C33 C55 alpha^4 + [C55 (C55 - X) + C33 (C11 - X)
+    - (C13 + C55)^2] alpha^2 + (C11 - X)(C55 - X) = 0 (Stroh, J. Math.
+    Phys. 41, 77-103, 1962), taken by the stable root formula.  alpha is
+    the root with Im >= 0, paired with -alpha.  The displacements are a =
+    ((C13 + C55) alpha, 0, -(C11 - X + C55 alpha^2)) for a sagittal wave
+    and (0, 1, 0) for SH, and the tractions b = (R^T + alpha T) a, over
+    c_ref like every modulus here.  For an isotropic medium these are the
+    P, SV and SH waves, their columns scaled by (C13 + C55) alpha, (C13 +
+    C55) and 1.  The columns are not normalized: the response does not
+    depend on the basis.  Where some alpha is 0 (v at a bulk speed along
+    x1) its up and down waves coincide, and where the sagittal alpha^2
+    coincide their polarizations do; a sagittal polarization vanishes only
+    where its alpha does, since ``_Medium.build`` requires C13 + C55 != 0.
+    Such a point is solved at v * (1 + _NUDGE) instead, and marked invalid
+    if that is degenerate too.
+
+    Returns alpha (3, m) of the two sagittal waves and SH, the sagittal
+    block as [row, wave, velocity] (4, 4, m), and valid (m,).  The block
+    holds rows a1, a3, b1, b3 (``_SAGITTAL_ROWS``) of the waves +alpha_1,
+    +alpha_2, -alpha_1, -alpha_2 (``_SAGITTAL_COLS``).
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     c11, c13, c33, _, c55, _ = med.moduli
@@ -388,61 +403,51 @@ def _closed_form(med: _Medium, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return alpha, w, ~bad
 
 
-def _orthotropic_waves(
+def _sagittal_waves(
     med: _Medium, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``_wave_fields`` of a medium orthotropic in the frame, in closed form.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sagittal part of ``_full_waves`` for a closed-form medium, n = 2:
+    rows a1, a3, b1, b3 of the waves +alpha_1, +alpha_2, -alpha_1,
+    -alpha_2, without the SH wave, which a normal surface stress does not
+    excite."""
+    alpha, w, valid = _closed_form(med, v)
+    return np.concatenate([alpha[:2], -alpha[:2]]), w, valid
 
-    With X = rho v^2, the SH wave has alpha^2 = (X - C66)/C44 and the two
-    sagittal waves solve C33 C55 alpha^4 + [C55 (C55 - X) + C33 (C11 - X)
-    - (C13 + C55)^2] alpha^2 + (C11 - X)(C55 - X) = 0 (Stroh, J. Math.
-    Phys. 41, 77-103, 1962), taken by the stable root formula.  alpha is
-    the root with Im >= 0, paired with -alpha; the first three columns are
-    the +alpha waves.  The displacements are a = ((C13 + C55) alpha, 0,
-    -(C11 - X + C55 alpha^2)) for a sagittal wave and (0, 1, 0) for SH, and
-    the tractions b = (R^T + alpha T) a, over c_ref like every modulus
-    here.  For an isotropic medium these are the P, SV and SH waves, their
-    columns scaled by (C13 + C55) alpha, (C13 + C55) and 1.  The columns
-    are not normalized: the response does not depend on the basis.  Where
-    some alpha is 0 (v at a bulk speed along x1) its up and down waves
-    coincide, and where the sagittal alpha^2 coincide their polarizations
-    do; a sagittal polarization vanishes only where its alpha does, since
-    ``_Medium.build`` requires C13 + C55 != 0.  Such a point is solved at
-    v * (1 + _NUDGE) instead, and marked invalid if that is degenerate too.
+
+def _full_waves(
+    med: _Medium, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All six partial waves of ``med`` at velocities v, n = 3.
+
+    Both wave producers return entry-major (alpha (2n, m), w (2n, 2n, m),
+    valid (m,)), the rows of w the displacements a over the tractions b /
+    c_ref, with the decaying-or-downgoing waves (``_masks``), which the
+    recursion references to a medium's top, in the first n columns.  In
+    closed form (``_closed_form``) those are the +alpha waves: below the
+    window's ceiling every sagittal alpha of the substrate has Im alpha >
+    0, a propagating SH wave's +alpha carries flux C44 alpha > 0, and in a
+    layer a propagating wave's twin carries exactly the negated flux and
+    the same |E| = 1, so either labelling keeps the recursion bounded.  The
+    eigenproblem (``_wave_fields``) orders by (Im, Re), growing waves
+    first; a stable sort on ``_masks`` moves the decaying-or-downgoing ones
+    ahead, and a velocity without exactly three of them is invalid.
     """
+    if med.moduli is None:
+        alpha, w, flux, valid = _wave_fields(med, v)
+        down, _ = _masks(alpha, flux)
+        order = np.argsort(~down, axis=1, kind="stable")
+        alpha = np.take_along_axis(alpha, order, axis=1)
+        w = np.take_along_axis(w, order[:, None], axis=2)
+        return alpha.T, w.transpose(1, 2, 0), valid & (down.sum(axis=1) == 3)
     alpha, sagittal, valid = _closed_form(med, v)
-    # [component, wave, velocity]: rows a1, a2, a3, b1, b2, b3 of the +alpha
-    # waves, then the -alpha ones, which flip the sign of a1, b2 and b3
+    # rows a1, a2, a3, b1, b2, b3 of the +alpha waves, then the -alpha
+    # ones, which flip the sign of a1, b2 and b3
     w = np.zeros((6, 6, valid.size), dtype=complex)
     w[_SAGITTAL_ROWS[:, None], _SAGITTAL_COLS] = sagittal
     w[1, 2] = w[1, 5] = 1.0
     np.multiply(alpha[2], med.moduli[3], out=w[4, 2])
     np.negative(w[4, 2], out=w[4, 5])
-    flux = (w[:3].conj() * w[3:]).real.sum(axis=0)
-    return np.concatenate([alpha, -alpha]).T, w.transpose(2, 0, 1), flux.T, valid
-
-
-def _sagittal_waves(
-    med: _Medium, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The sagittal part of ``_orthotropic_waves`` in entry-major layout.
-
-    Returns (alpha (4, m), w (4, 4, m), flux (4, m), valid (m,)): rows a1,
-    a3, b1, b3 of the waves +alpha_1, +alpha_2, -alpha_1, -alpha_2, built
-    without the SH wave, which a normal surface stress does not excite.
-    """
-    alpha, w, valid = _closed_form(med, v)
-    flux = (w[:2].conj() * w[2:]).real.sum(axis=0)
-    return np.concatenate([alpha[:2], -alpha[:2]]), w, flux, valid
-
-
-def _full_waves(
-    med: _Medium, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """All six waves of ``med.waves`` in entry-major layout: alpha and flux
-    (6, m), w (6, 6, m)."""
-    alpha, w, flux, valid = med.waves(v)
-    return alpha.T, w.transpose(1, 2, 0), flux.T, valid
+    return np.concatenate([alpha, -alpha]), w, valid
 
 
 def _masks(alpha: np.ndarray, flux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -495,20 +500,14 @@ def partial_waves(
             f"defective partial-wave eigensystem at omega={omega:.6g}, k={k:.6g}; "
             "retry with k perturbed by one part in 1e9"
         )
-    tol = _PROP_TOL * np.maximum(1.0, np.abs(alpha[0]))
-    tags = []
-    for m in range(6):
-        if alpha[0, m].imag > tol[m]:
-            tags.append(DECAYING)
-        elif alpha[0, m].imag < -tol[m]:
-            tags.append(GROWING)
-        else:
-            tags.append(PROP_DOWN if flux[0, m] > 0 else PROP_UP)
+    down, prop = _masks(alpha[0], flux[0])
+    tags = tuple((PROP_DOWN if p else DECAYING) if d else (PROP_UP if p else GROWING)
+                 for d, p in zip(down, prop))
     return PartialWaveSet(
         eigenvalues=alpha[0],
         displacements=vecs[0, :3],
         tractions=vecs[0, 3:] * c_ref,
-        classifications=tuple(tags),
+        classifications=tags,
         operator=med.operator(np.array([v]))[0],
         eigenvectors=vecs[0],
         c_scale=c_ref,
@@ -667,17 +666,16 @@ class _Kernel:
     Every array carries n = 2 waves per direction when all media of the
     stack take closed-form waves, whose sagittal block (``_SAGITTAL_ROWS``,
     ``_SAGITTAL_COLS``) is all the normal response sees, and n = 3 otherwise.
-    ``valid`` marks the velocities where every medium's waves pass the
-    residual check, the substrate accepts n waves and every layer splits
-    n/n.  The remaining fields hold those velocities only, entry-major:
-    matrix rows and columns lead, and the velocities are the last axis,
-    after a unit axis that broadcasts against the frequencies of a scan
-    block.  Per layer, surface first, they are (alpha_d (n, 1, m), alpha_u,
-    w (2n, 2n, 1, m), thickness): the slownesses of the top-referenced (d)
-    and bottom-referenced (u) waves, and the displacement-over-traction
-    wave matrix with the d waves in its first n columns.  alpha_u is None
-    where it is exactly -alpha_d, as for a closed-form medium whose columns
-    ``_kernel`` did not reorder.  ``bottom`` is the bottom layer's coupling
+    ``valid`` marks the velocities where every medium's waves are valid
+    (``_full_waves``).  The remaining fields hold those velocities
+    only, entry-major: matrix rows and columns lead, and the velocities are
+    the last axis, after a unit axis that broadcasts against the
+    frequencies of a scan block.  Per layer, surface first, they are
+    (alpha_d (n, 1, m), alpha_u, w (2n, 2n, 1, m), thickness): the
+    slownesses of the top-referenced (d) and bottom-referenced (u) waves,
+    and the displacement-over-traction wave matrix with the d waves in its
+    first n columns.  alpha_u is None for a closed-form medium, where it is
+    exactly -alpha_d.  ``bottom`` is the bottom layer's coupling
     S (n, n, 1, m) on the substrate, or for a half-space the substrate's
     wave matrix (2n, n, 1, m) of its accepted waves.
     """
@@ -695,31 +693,19 @@ def _kernel(prep: _Prepared, v: np.ndarray) -> _Kernel:
     entry-major layout (``_sagittal_waves``): the SH wave decouples from
     them exactly (Stroh 1962), so it does not enter the normal response.
     Otherwise all six waves stay (n = 3, ``_full_waves``): closed form
-    where the medium allows it, from the eigenproblem (``_wave_fields``)
-    where it does not.  The closed form returns the decaying-or-downgoing
-    waves first; the eigenproblem's (Im, Re) order puts the growing waves
-    (Im alpha < 0) first instead.  Columns are reordered at the velocities
-    where the first n are not the decaying-or-downgoing waves, which is
-    every velocity where an eigenproblem medium has a growing wave.
+    where the medium allows it, from the eigenproblem where it does not.
+    Either producer puts a medium's top-referenced waves, the decaying or
+    downgoing ones, in its first n columns.
     """
     sagittal = all(med.moduli is not None for med in prep.media)
     waves = _sagittal_waves if sagittal else _full_waves
     split = []
     valid = np.ones(v.shape, dtype=bool)
     for med in prep.media:
-        alpha, w, flux, ok = waves(med, v)
-        n = alpha.shape[0] // 2
-        down, _ = _masks(alpha, flux)
-        valid &= ok & (down.sum(axis=0) == n)
-        twin = med.moduli is not None  # alpha_u = -alpha_d
-        if not down[:n].all():
-            mixed = np.flatnonzero(~down[:n].all(axis=0))
-            # stable order keeps the (Im, Re) eigen ordering within each half
-            order = np.argsort(~down[:, mixed], axis=0, kind="stable")
-            alpha[:, mixed] = np.take_along_axis(alpha[:, mixed], order, axis=0)
-            w[:, :, mixed] = np.take_along_axis(w[:, :, mixed], order[None], axis=1)
-            twin = False
-        split.append((alpha, w, twin))
+        alpha, w, ok = waves(med, v)
+        valid &= ok
+        split.append((alpha, w, med.moduli is not None))  # alpha_u = -alpha_d
+    n = alpha.shape[0] // 2
     if not valid.all():
         split = [(alpha[:, valid], w[:, :, valid], twin) for alpha, w, twin in split]
     # a unit axis before the velocities broadcasts against a scan's frequencies

@@ -92,6 +92,15 @@ def solve_response(mat, surface_rows, valid):
     return out
 
 
+def full_wave_fields(med, v):
+    """``dispersion._full_waves`` in the velocity-major ``_wave_fields``
+    layout that ``assemble`` takes: (alpha (m,6), w (m,6,6), flux (m,6),
+    valid (m,)), with flux = Re sum conj(a) b over each wave's rows."""
+    alpha, w, valid = dispersion._full_waves(med, v)
+    flux = (w[:3].conj() * w[3:]).real.sum(axis=0)
+    return alpha.T, w.transpose(2, 0, 1), flux.T, valid
+
+
 def g33(prep, v, k):
     """Drop-in for ``dispersion._g33``."""
     waves = [_wave_fields(med, v) for med in prep.media]

@@ -28,7 +28,9 @@ def runs(monkeypatch):
 
     def fake_run_once(root, workload, seed, seconds):
         calls.append(root)
-        return {"env": {}, "info": {}, "correct": 1, "attempted": 1, "failed": 0,
+        # 10, 40 operations in the parent's runs and 21, 31 in the change's
+        attempted = 10 * len(calls) + (root.name == "change")
+        return {"env": {}, "info": {}, "correct": 1, "attempted": attempted, "failed": 0,
                 "metrics": {m["name"]: 1.0 for m in declared}}
 
     monkeypatch.setattr(ab_bench, "run_once", fake_run_once)
@@ -61,3 +63,4 @@ def test_refuses_checkouts_with_different_benchmarks(tmp_path, runs, capsys):
     files = ab_bench.benchmark_files(parent)
     assert "BENCHMARK.json" in files and "perfbench/run.py" in files
     assert report["benchmark_digest"] == ab_bench.benchmark_digest(files)
+    assert report["workloads"]["forward"]["attempted_median"] == {"parent": 25, "change": 26}

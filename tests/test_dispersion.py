@@ -61,7 +61,7 @@ def test_partial_waves_match_closed_form_slownesses(iso, iso_tensor):
     for v in (0.8 * vt, 0.5 * (vt + vl), 1.2 * vl):
         k = 2 * math.pi * 150e6 / v
         pw = sk.partial_waves(iso_tensor, iso.density, v * k, k)
-        alpha, w, _, valid = med.waves(np.array([v]))
+        alpha, w, _, valid = global_matrix.full_wave_fields(med, np.array([v]))
         assert valid[0]
         np.testing.assert_allclose(
             by_imag(pw.eigenvalues), by_imag(alpha[0]), rtol=1e-9, atol=1e-12
@@ -702,7 +702,7 @@ def _check_closed_form_against_eig(stack, freqs):
     grid = dispersion._scan_grid(prep)
     q_ref = global_matrix.grid_indicator(prep, grid, freqs)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(global_matrix, "_wave_fields", dispersion._Medium.waves)
+        mp.setattr(global_matrix, "_wave_fields", global_matrix.full_wave_fields)
         q = global_matrix.grid_indicator(prep, grid, freqs)
     assert np.array_equal(np.isfinite(q), np.isfinite(q_ref))
     finite = np.isfinite(q_ref)
@@ -762,7 +762,10 @@ CUBIC = st.builds(
 def _check_waves_against_eig(tensor, rho):
     """Closed-form partial waves of one medium against the eigenproblem:
     the slownesses and the span of the decaying-or-downgoing waves, below,
-    between and above its bulk speeds along x1, and exactly at them."""
+    between and above its bulk speeds along x1, and exactly at them.  Both
+    branches of ``_full_waves`` must put exactly the decaying-or-downgoing
+    waves first, the eigenproblem's in their (Im, Re) order within each
+    half."""
     med = dispersion._Medium.build(tensor, rho, float(np.abs(tensor.voigt).max()))
     assert med.moduli is not None
     c11, _, _, _, c55, c66 = med.moduli
@@ -777,11 +780,19 @@ def _check_waves_against_eig(tensor, rho):
     cases = [(med, v, v)] + [(replace(med, rho_scaled=c), one, one * (1 + dispersion._NUDGE))
                              for c in (c11, c55, c66)]
     for m, v, v_ref in cases:
-        alpha, w, flux, valid = m.waves(v)
+        alpha, w, flux, valid = global_matrix.full_wave_fields(m, v)
         alpha_ref, w_ref, flux_ref, valid_ref = dispersion._wave_fields(m, v_ref)
         assert valid.all() and valid_ref.all()
         down, _ = dispersion._masks(alpha, flux)
         down_ref, _ = dispersion._masks(alpha_ref, flux_ref)
+        assert down[:, :3].all() and not down[:, 3:].any()
+        eig = replace(m, moduli=None)
+        alpha_eig, _, flux_eig, valid_eig = global_matrix.full_wave_fields(eig, v_ref)
+        assert np.array_equal(valid_eig, valid_ref)
+        down_eig, _ = dispersion._masks(alpha_eig, flux_eig)
+        assert down_eig[:, :3].all() and not down_eig[:, 3:].any()
+        order = np.argsort(~down_ref, axis=1, kind="stable")
+        assert np.array_equal(alpha_eig, np.take_along_axis(alpha_ref, order, axis=1))
         for i in range(v.size):
             # each slowness has its match in the other set
             dist = np.abs(alpha[i][:, None] - alpha_ref[i][None, :])
@@ -816,6 +827,46 @@ def test_closed_form_matches_eig_other_silicon_cuts(stack_1a, cut, with_layers):
     )
     assert dispersion._prepare(stack).media[-1].moduli is not None
     _check_closed_form_against_eig(stack, FINDER_FREQS)
+
+
+def _check_closed_form_waves_come_split(stack):
+    """``_kernel`` takes a closed-form medium's waves without ``_masks``:
+    at every velocity of the scan grid where they are valid, exactly the
+    first n must be decaying-or-downgoing, for its sagittal waves (n = 2)
+    and for all six (n = 3)."""
+    prep = dispersion._prepare(stack)
+    grid = dispersion._scan_grid(prep)
+    closed = [med for med in prep.media if med.moduli is not None]
+    assert closed
+    for med in closed:
+        for waves in (dispersion._sagittal_waves, dispersion._full_waves):
+            alpha, w, valid = waves(med, grid)
+            n = alpha.shape[0] // 2
+            flux = (w[:n].conj() * w[n:]).real.sum(axis=0)
+            down, _ = dispersion._masks(alpha, flux)
+            assert valid.any()
+            assert down[:n, valid].all() and not down[n:, valid].any()
+
+
+@pytest.mark.parametrize("name, thickness_factor", BUNDLED)
+def test_closed_form_waves_come_split_bundled_stacks(name, thickness_factor):
+    _check_closed_form_waves_come_split(_bundled_stack(name, thickness_factor))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(layers=RANDOM_LAYERS, on_si111=st.booleans())
+def test_closed_form_waves_come_split_random_stacks(layers, on_si111, silicon, oxide, geom):
+    # on Si(111)[1-10] the substrate takes the eigenproblem, its layers not
+    _check_closed_form_waves_come_split(
+        _random_stack(layers, silicon, oxide, SI111 if on_si111 else geom))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(layers=RANDOM_ISOTROPIC_LAYERS, substrate=st.one_of(st.none(), ISOTROPIC))
+def test_closed_form_waves_come_split_random_isotropic_layers(layers, substrate, silicon, geom):
+    stack = sk.LayerStack(layers=tuple(sk.Layer(m, d) for m, d in layers),
+                          substrate=silicon if substrate is None else substrate, geometry=geom)
+    _check_closed_form_waves_come_split(stack)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)

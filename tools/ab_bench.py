@@ -13,8 +13,10 @@ change first in odd ones.  ``--workload`` may be given more than once; the
 pairs of one workload finish before the next starts.  Every run uses the
 same ``--seed`` and ``--seconds``, and each checkout runs its own
 ``perfbench`` from its own root.  The output file holds, per workload, the
-``env`` line of the first run, every run's metrics and failure counts, and
-per end-to-end metric (names, directions and bounds from the parent's
+``env`` line of the first run, every run's metrics and failure counts,
+each side's median number of attempted operations (perfbench keeps every
+operation's output, so ``peak_rss_mb`` grows with it), and per end-to-end
+metric (names, directions and bounds from the parent's
 ``BENCHMARK.json``) each side's median and quartiles, the pairs each side
 won, whether the change is a gain (it wins at least nine tenths of the pairs
 and the medians differ by more than the parent's interquartile range) and
@@ -152,6 +154,9 @@ def main(argv=None) -> int:
             "runs": [{k: v for k, v in run.items() if k != "env"} for run in runs],
             "failed": {side: sum(r["failed"] for r in runs if r["side"] == side)
                        for side in SIDES},
+            "attempted_median": {
+                side: statistics.median(r["attempted"] for r in runs if r["side"] == side)
+                for side in SIDES},
             "summary": summarize(runs, declared),
         }
         args.out.write_text(json.dumps(report, indent=1) + "\n")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -141,12 +142,18 @@ def _parse_float(cfg: RunConfig, section: str, key: str, default=None) -> float:
         if default is None:
             raise ConfigError(f"{cfg.path}: [{section}] missing key {key!r}")
         return default
+    return _finite(cfg, f"[{section}] {key}", sec[key])
+
+
+def _finite(cfg: RunConfig, where: str, text: str) -> float:
+    """``text`` as a finite float; ConfigError naming the file and ``where`` if not."""
     try:
-        return float(sec[key])
+        value = float(text)
     except ValueError:
-        raise ConfigError(
-            f"{cfg.path}: [{section}] {key} = {sec[key]!r} is not a number"
-        ) from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{cfg.path}: {where} = {text!r} is not a finite number")
+    return value
 
 
 def _parse_int(cfg: RunConfig, section: str, key: str, default=None) -> int:
@@ -206,10 +213,7 @@ def _parse_axis(cfg: RunConfig, value: str, what: str) -> tuple[float, float, fl
     parts = value.split()
     if len(parts) != 3:
         raise ConfigError(f"{cfg.path}: {what} must be three numbers, got {value!r}")
-    try:
-        return tuple(float(x) for x in parts)  # type: ignore[return-value]
-    except ValueError:
-        raise ConfigError(f"{cfg.path}: {what} must be numeric, got {value!r}") from None
+    return tuple(_finite(cfg, what, x) for x in parts)  # type: ignore[return-value]
 
 
 def build_stack(cfg: RunConfig) -> LayerStack:
@@ -240,10 +244,7 @@ def build_stack(cfg: RunConfig) -> LayerStack:
             raise ConfigError(f"{cfg.path}: missing section [{key}]")
         if "thickness_um" not in body:
             raise ConfigError(f"{cfg.path}: [{key}] missing key 'thickness_um'")
-        try:
-            thickness = float(body["thickness_um"]) * 1e-6
-        except ValueError:
-            raise ConfigError(f"{cfg.path}: [{key}] thickness_um not numeric") from None
+        thickness = _finite(cfg, f"[{key}] thickness_um", body["thickness_um"]) * 1e-6
         if ("material" in body) == ("sige_c_ge" in body):
             raise ConfigError(
                 f"{cfg.path}: [{key}] needs exactly one of 'material' or 'sige_c_ge'"
@@ -259,8 +260,10 @@ def build_stack(cfg: RunConfig) -> LayerStack:
             else:
                 kwargs = {}
                 if "sige_poisson_ratio" in body:
-                    kwargs["poisson_ratio"] = float(body["sige_poisson_ratio"])
-                material = sige_material(float(body["sige_c_ge"]), **kwargs)
+                    kwargs["poisson_ratio"] = _finite(
+                        cfg, f"[{key}] sige_poisson_ratio", body["sige_poisson_ratio"])
+                material = sige_material(_finite(cfg, f"[{key}] sige_c_ge", body["sige_c_ge"]),
+                                         **kwargs)
         except MaterialError as exc:
             raise ConfigError(f"{cfg.path}: [{key}]: {exc}") from None
         layers.append(Layer(material=material, thickness=thickness))
@@ -482,10 +485,7 @@ def _build_fit_problem(cfg: RunConfig, measured: DispersionCurve) -> FitProblem:
             raise ConfigError(
                 f"{cfg.path}: [fit] {name} must be 'initial lower upper [log]'"
             )
-        try:
-            initial, lower, upper = (float(x) for x in parts)
-        except ValueError:
-            raise ConfigError(f"{cfg.path}: [fit] {name}: non-numeric bounds") from None
+        initial, lower, upper = (_finite(cfg, f"[fit] {name}", x) for x in parts)
         if name == "c_ge":
             internal, scale = "c_ge", 1.0
         else:

@@ -35,7 +35,12 @@ loop over thousands of tiny matrices.
 Surface modes are the real poles of that response along the velocity axis:
 the mode finder brackets sign changes of Im(1/u3), from windows around
 velocity hints or from a velocity scan, and refines them with
-Chandrupatla's bracketed inverse-quadratic/bisection method.
+Chandrupatla's bracketed inverse-quadratic/bisection method.  Every value
+of Im(1/u3) comes from ``_indicator``, for a batch of (frequency,
+velocity) pairs or a scan block's mesh.  Where a medium's waves are
+degenerate (at a bulk speed along x1 its up and down waves coincide) the
+wave producers only flag the velocity, and ``_indicator`` evaluates every
+undefined point once more 1e-9 higher in velocity, k recomputed.
 ``dispersion_curve`` is its one public entry; the scan's 5 m/s step, the
 hint windows and the root tolerance are fixed.  The scan walks up from the
 window's floor in blocks of cells, and a frequency leaves it at the first
@@ -314,23 +319,14 @@ def _wave_fields(
 
     Returns (alpha (m,6), w (m,6,6), flux (m,6), valid (m,)); the rows of
     w are the displacements a over the tractions b scaled by 1/c_ref.  Rows
-    failing the residual or independence check are solved once more after
-    a deterministic velocity nudge, and marked invalid if they fail either
-    check again.
+    failing the residual or independence check are marked invalid, not
+    solved again: ``_indicator`` is the one place that steps off them.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     n = med.operator(v)
     alpha, vecs = _eig_sorted(n)
-    bad = _defective(n, alpha, vecs)
-    valid = np.ones(v.shape, dtype=bool)
-    if bad.any():
-        # isolated degenerate points: nudge v by one part in 1e9 and re-solve
-        n2 = med.operator(v[bad] * (1.0 + _NUDGE))
-        a2, v2 = _eig_sorted(n2)
-        alpha[bad], vecs[bad] = a2, v2
-        valid[bad] = ~_defective(n2, a2, v2)
     flux = np.real(np.einsum("mij,mij->mj", np.conj(vecs[:, :3]), vecs[:, 3:]))
-    return alpha, vecs, flux, valid
+    return alpha, vecs, flux, ~_defective(n, alpha, vecs)
 
 
 def _slowness_squares(
@@ -375,8 +371,8 @@ def _closed_form(med: _Medium, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     x1) its up and down waves coincide, and where the sagittal alpha^2
     coincide their polarizations do; a sagittal polarization vanishes only
     where its alpha does, since ``_Medium.build`` requires C13 + C55 != 0.
-    Such a point is solved at v * (1 + _NUDGE) instead, and marked invalid
-    if that is degenerate too.
+    Such a point is marked invalid, not solved again: ``_indicator`` is the
+    one place that steps off it.
 
     Returns alpha (3, m) of the two sagittal waves and SH, the sagittal
     block as [row, wave, velocity] (4, 4, m), and valid (m,).  The block
@@ -387,10 +383,6 @@ def _closed_form(med: _Medium, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     c11, c13, c33, _, c55, _ = med.moduli
     x = med.rho_scaled * v * v
     y, bad = _slowness_squares(med.moduli, x)
-    if bad.any():
-        v = np.where(bad, v * (1.0 + _NUDGE), v)
-        x = med.rho_scaled * v * v
-        y, bad = _slowness_squares(med.moduli, x)
     alpha = np.sqrt(y)
     np.negative(alpha, out=alpha, where=alpha.imag < 0)
     g, y2, a2 = c13 + c55, y[:2], alpha[:2]
@@ -617,7 +609,8 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         zero = det == 0
         if zero.any():
             det[zero] = np.nan
-        r = np.divide(1.0, det, out=det)
+        with np.errstate(invalid="ignore"):
+            r = np.divide(1.0, det, out=det)
         out = np.empty(b.shape, dtype=complex)
         np.multiply(a[1, 1], b[0], out=out[0])
         out[0] -= a[0, 1] * b[1]
@@ -899,30 +892,23 @@ def _scan_grid(prep: _Prepared) -> np.ndarray:
     return grid
 
 
-def _grid_indicator(
-    prep: _Prepared, grid: np.ndarray, freqs: np.ndarray
-) -> np.ndarray:
-    """Pole indicator on the (velocity grid x frequencies) mesh, shape (nv, nf).
-
-    The kernel is built once for the grid, a block of the scan's velocities;
-    one layer recursion then serves every frequency, broadcast over a
-    leading frequency axis, and a half-space, whose response does not
-    depend on k, runs none.
-    """
-    k = 2.0 * math.pi * freqs[:, None] / grid
-    return _pole_indicator(_response(_kernel(prep, grid), k)).T
-
-
 def _indicator(prep: _Prepared, freqs: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pole indicator at (frequency, velocity) pairs in one batch.
+    """Pole indicator at (frequency, velocity) pairs, or on a scan block's mesh.
 
-    A point with no finite value is evaluated once more at v * (1 + _NUDGE).
+    ``freqs`` and ``v`` are either both (m,), one point per pair, or a scan
+    block's frequencies (F, 1) against its velocities (m,), which gives the
+    (F, m) mesh; either way one kernel serves the whole call, and the layer
+    recursion broadcasts over the frequencies.  This is the one place that
+    steps off an undefined point: every non-finite entry is evaluated once
+    more as the pair (f, v * (1 + _NUDGE)), k recomputed, and stays NaN if
+    that is undefined too.
     """
     q = _pole_indicator(_g33(prep, v, 2.0 * math.pi * freqs / v))
     nan = ~np.isfinite(q)
     if nan.any():
-        bump = v[nan] * (1.0 + _NUDGE)
-        q[nan] = _pole_indicator(_g33(prep, bump, 2.0 * math.pi * freqs[nan] / bump))
+        bump = np.broadcast_to(v, q.shape)[nan] * (1.0 + _NUDGE)
+        f = np.broadcast_to(freqs, q.shape)[nan]
+        q[nan] = _pole_indicator(_g33(prep, bump, 2.0 * math.pi * f / bump))
     return q
 
 
@@ -1025,12 +1011,14 @@ def _scan(
     """Settle frequencies ``idx`` from the cells of the scan grid.
 
     The grid is walked upward in blocks of ``_SCAN_BLOCK`` cells, and one
-    ``_grid_indicator`` call per block evaluates every frequency still
-    scanning; q at a block's lowest velocity is carried from the block
-    below.  A frequency stops after the first block that holds a sign
-    change of q, and that block's cells become its brackets.  Once none is
-    scanning, one ``_settle`` refines every frequency's brackets; one whose
-    brackets were all rejected resumes at its next block in another pass.
+    ``_indicator`` call per block evaluates the (frequency, velocity) mesh
+    of every frequency still scanning, stepping off undefined points as a
+    refinement batch does; q at a block's lowest velocity is carried from
+    the block below.  A frequency stops after the first block that holds a
+    sign change of q, and that block's cells become its brackets.  Once
+    none is scanning, one ``_settle`` refines every frequency's brackets;
+    one whose brackets were all rejected resumes at its next block in
+    another pass.
     Each frequency's brackets are thus tried in ascending velocity order,
     as from a scan of the whole grid, and give the same root, but the
     blocks above the one holding it are never evaluated.
@@ -1046,7 +1034,7 @@ def _scan(
             now = scanning[nxt[scanning] == lo]
             if not now.size:
                 continue
-            q = _grid_indicator(prep, grid[lo + (lo > 0):hi + 1], freqs[now]).T
+            q = _indicator(prep, freqs[now, None], grid[lo + (lo > 0):hi + 1])
             if lo:
                 q = np.concatenate([edge[now, None], q], axis=1)
             edge[now], nxt[now] = q[:, -1], hi
@@ -1092,15 +1080,20 @@ def _find_modes(
 
 
 def dispersion_curve(stack: LayerStack, frequencies, *, hints=None) -> DispersionCurve:
-    """Phase velocity of the lowest (Rayleigh-like) surface mode per frequency.
+    """Phase velocity of one surface mode per frequency.
 
     ``frequencies`` must be positive, finite and strictly increasing.
-    ``hints``, one finite velocity per frequency, are tried first; a
-    frequency whose hint windows hold no mode falls back to the scan, so
-    hints change the work done, not the root found.  A frequency with no
-    mode in ``velocity_window(stack)`` raises ``CurveError``.  Adjacent
-    points differing by more than 5 % are flagged as discontinuities on the
-    returned curve rather than rejected.
+    Without ``hints`` the mode is the lowest (Rayleigh-like) one in
+    ``velocity_window(stack)``, found by the scan.  ``hints``, one finite
+    velocity per frequency, are tried first: the windows of half-width 2.5,
+    10 and 40 m/s around a hint are each one bracket, and the root of the
+    first whose ends change sign around an accepted root is returned,
+    whether or not a lower mode lies below that window.  So a hint close to
+    the lowest mode gives the scan's root, and a hint near a higher mode
+    returns that mode.  A frequency whose hint windows hold no root falls
+    back to the scan.  A frequency with no mode in the window raises
+    ``CurveError``.  Adjacent points differing by more than 5 % are flagged
+    as discontinuities on the returned curve rather than rejected.
     """
     freqs = np.asarray(list(frequencies), dtype=float)
     if freqs.size == 0:
@@ -1142,8 +1135,8 @@ def dispersion_curve(stack: LayerStack, frequencies, *, hints=None) -> Dispersio
 def rayleigh_velocity_isotropic(m: IsotropicMaterial) -> float:
     """Subsonic Rayleigh root of (2 - x^2)^2 = 4 sqrt(1 - r x^2) sqrt(1 - x^2).
 
-    Independent analytic reference for the boundary-matrix path; bisection on
-    x = v/v_t to machine precision.
+    Independent analytic reference for the solver's half-space roots;
+    bisection on x = v/v_t to machine precision.
     """
     vt = m.shear_velocity
     vl = m.longitudinal_velocity

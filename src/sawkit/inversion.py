@@ -82,6 +82,8 @@ class FreeParam:
     def __post_init__(self):
         if self.transform not in ("linear", "log"):
             raise FitError(f"{self.name}: transform must be 'linear' or 'log'")
+        if not all(map(math.isfinite, (self.initial, self.lower, self.upper))):
+            raise FitError(f"{self.name}: initial value and bounds must be finite")
         if not self.lower < self.upper:
             raise FitError(f"{self.name}: bounds must satisfy lower < upper")
         if not self.lower <= self.initial <= self.upper:

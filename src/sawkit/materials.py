@@ -216,8 +216,8 @@ class Layer:
     thickness: float  # m
 
     def __post_init__(self):
-        if not self.thickness > 0:
-            raise MaterialError(f"layer thickness must be > 0, got {self.thickness}")
+        if not 0 < self.thickness < math.inf:
+            raise MaterialError(f"layer thickness must be finite and > 0, got {self.thickness}")
 
 
 @dataclass(frozen=True)

@@ -102,18 +102,15 @@ def full_wave_fields(med, v):
 
 
 def g33(prep, v, k):
-    """Drop-in for ``dispersion._g33``."""
+    """Drop-in for ``dispersion._g33``: partial waves once, one global matrix
+    per point.  k is (m,), one wavenumber per velocity, or a scan block's
+    (F, m), one row per frequency."""
     waves = [_wave_fields(med, v) for med in prep.media]
-    return solve_response(*assemble(prep, waves, k))
+    rows = [solve_response(*assemble(prep, waves, row)) for row in k.reshape(-1, v.size)]
+    return np.stack(rows).reshape(k.shape)
 
 
-def grid_indicator(prep, grid, freqs):
-    """Drop-in for ``dispersion._grid_indicator``: partial waves once, one
-    global matrix per point and frequency."""
-    waves = [_wave_fields(med, grid) for med in prep.media]
-    return np.stack(
-        [dispersion._pole_indicator(
-            solve_response(*assemble(prep, waves, 2.0 * math.pi * f / grid)))
-         for f in freqs],
-        axis=1,
-    )
+def grid_indicator(prep, freqs, grid):
+    """Reference pole indicator on the (frequency x velocity grid) mesh,
+    shape (F, m), through ``g33``, without a nudge."""
+    return dispersion._pole_indicator(g33(prep, grid, 2.0 * math.pi * freqs[:, None] / grid))

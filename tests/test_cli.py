@@ -420,6 +420,35 @@ def test_fit_bounds_line_transform(tmp_path, cfg_1a, curve_1a):
         problem_with("bogus")
 
 
+@pytest.mark.parametrize(
+    "command, section, line, bad",
+    [
+        ("dispersion", "[dispersion] n_points", "n_points = 16", "inf"),
+        ("dispersion", "[dispersion] n_points", "n_points = 16", "nan"),
+        ("synth", "[synthesis] noise_rms", "noise_rms = 0.01", "nan"),
+        ("dispersion", "[layer:film] thickness_um", "thickness_um = 1.02", "inf"),
+        ("fit", "[fit] layer0.thickness_um", "layer0.thickness_um = 0.9 0.3 3.0", "0.9 0.3 -inf"),
+        ("fit", "[fit] c_ge", "c_ge = 0.25 0.0 1.0", "0.25 0.0 inf"),
+        ("dispersion", "[layer:film] sige_c_ge", "sige_c_ge = 0.179", "nan"),
+        ("dispersion", "[stack] normal", "normal = 0 0 1", "0 0 inf"),
+    ],
+)
+def test_non_finite_config_number_exits_2(
+    tmp_path, capsys, cfg_1a, measured_1a_csv, command, section, line, bad
+):
+    # NaN or inf is a config fault naming the file, section and key, not a
+    # traceback, a noise-free waveform or a "no surface mode" exit 3
+    base = cfg_1a.read_text(encoding="utf-8")
+    assert base.count(line) == 1
+    p = tmp_path / "nonfinite.cfg"
+    p.write_text(base.replace(line, f"{line.split(' = ')[0]} = {bad}"), encoding="utf-8")
+    args = [command, measured_1a_csv] if command == "fit" else [command]
+    capsys.readouterr()
+    assert run([*args, "--config", p, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "nonfinite.cfg" in err and section in err and "not a finite number" in err
+
+
 def test_cmd_fit_warns_on_zero_degrees_of_freedom(tmp_path, capsys, cfg_1a):
     # the bundled stack-1A chain extracts 2 points for its 2 free parameters
     wave, measured, out = tmp_path / "w.csv", tmp_path / "m.csv", tmp_path / "fit.txt"

@@ -10,7 +10,7 @@ import sawkit as sk
 from sawkit import dispersion
 from sawkit.cli import build_stack, fixture_config_path, load_config
 from sawkit.dispersion import DECAYING, GROWING, PROP_DOWN, PROP_UP
-from sawkit.errors import CurveError, FormatError
+from sawkit.errors import CurveError, DegeneratePointError, FormatError
 from sawkit.materials import stiffness_from_isotropic, stiffness_of
 
 import global_matrix
@@ -105,6 +105,20 @@ def test_partial_waves_deterministic_ordering(iso, iso_tensor):
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     ims = [x.imag for x in a.eigenvalues]
     assert ims == sorted(ims)
+
+
+def test_degenerate_point_raises_named_error(iso, iso_tensor, stack_1a):
+    # at a bulk speed along x1 a medium's up and down waves coincide: the
+    # wave producers flag the point, and the single-point calls raise there
+    # rather than answer for a velocity 1e-9 off it
+    omega = 2 * math.pi * 200e6
+    with pytest.raises(DegeneratePointError, match="defective"):
+        sk.partial_waves(iso_tensor, iso.density, omega, omega / iso.shear_velocity)
+    oxide_vt = stack_1a.layers[1].material.shear_velocity
+    with pytest.raises(DegeneratePointError):
+        sk.surface_green_g33(stack_1a, omega, omega / oxide_vt)
+    with pytest.raises(DegeneratePointError):
+        sk.boundary_matrix(stack_1a, omega, omega / oxide_vt)
 
 
 def test_partial_waves_rejects_bad_args(iso_tensor):
@@ -583,7 +597,7 @@ def _whole_grid_roots(stack, freqs):
     grid = dispersion._scan_grid(prep)
     cells = np.lib.stride_tricks.sliding_window_view(grid, 2)
     q = np.lib.stride_tricks.sliding_window_view(
-        dispersion._grid_indicator(prep, grid, freqs).T, 2, axis=1)
+        dispersion._indicator(prep, freqs[:, None], grid), 2, axis=1)
     roots = np.full(freqs.size, np.nan)
     dispersion._settle(prep, freqs, roots, np.repeat(np.arange(freqs.size), len(cells)),
                        np.tile(cells, (freqs.size, 1)), q.reshape(-1, 2))
@@ -609,7 +623,8 @@ def test_block_scan_matches_whole_grid_scan_bundled_stacks(name, thickness_facto
 def test_block_scan_resumes_above_rejected_brackets(stack_1a, monkeypatch):
     # a synthetic indicator (v - r)/(v - p) with a pole p of q below the
     # root r: the pole's bracket is rejected, and where r lies in a later
-    # block than p the frequency resumes there in a second pass
+    # block than p the frequency resumes there in a second pass; the one
+    # _g33 patch reaches the scan blocks and the refinement batches alike
     def pole_and_root(f):
         p = 2500.0 + f / 1e6
         return p, p + 100.0 + 2.0 * f / 1e6
@@ -620,14 +635,35 @@ def test_block_scan_resumes_above_rejected_brackets(stack_1a, monkeypatch):
             return -1j * (v - p) / (v - r)
 
     monkeypatch.setattr(dispersion, "_g33", g33)
-    monkeypatch.setattr(dispersion, "_grid_indicator", lambda prep, grid, freqs: (
-        dispersion._pole_indicator(g33(prep, grid, 2 * math.pi * freqs[:, None] / grid)).T))
     settle, passes = dispersion._settle, []
     monkeypatch.setattr(dispersion, "_settle", lambda *args: passes.append(1) or settle(*args))
     roots = dispersion._find_modes(stack_1a, CURVE_FREQS, None)
     assert len(passes) >= 2 and not np.isnan(roots).any()
     np.testing.assert_allclose(roots, pole_and_root(CURVE_FREQS)[1], rtol=1e-10)
     assert np.array_equal(roots, _whole_grid_roots(stack_1a, CURVE_FREQS))
+
+
+def test_scan_steps_off_an_invalid_grid_velocity(stack_1a, monkeypatch):
+    # the grid velocity just below stack 1A's 300 MHz root made invalid, as
+    # a bulk speed of one of its media would be: the scan block evaluates it
+    # once more 1e-9 higher, like a refinement batch, so both cells around
+    # it keep their indicator and the root is still found
+    prep = dispersion._prepare(stack_1a)
+    grid = dispersion._scan_grid(prep)
+    root = sk.dispersion_curve(stack_1a, [300e6]).velocities[0]
+    below = grid[np.searchsorted(grid, root) - 1]
+    assert root == pytest.approx(4332.886, abs=1e-3)
+    assert below == pytest.approx(4332.045, abs=1e-3)
+    waves, flagged = dispersion._sagittal_waves, []
+
+    def invalid_below(med, v):
+        alpha, w, valid = waves(med, v)
+        flagged.append(below in v)
+        return alpha, w, valid & (v != below)
+
+    monkeypatch.setattr(dispersion, "_sagittal_waves", invalid_below)
+    assert sk.dispersion_curve(stack_1a, [300e6]).velocities[0] == pytest.approx(root, rel=1e-12)
+    assert any(flagged)
 
 
 # --- impedance recursion against the global boundary matrix ---------------------
@@ -637,15 +673,12 @@ def _check_against_global_matrix(stack, freqs):
     """Indicator and roots of the impedance recursion against the global-matrix oracle."""
     prep = dispersion._prepare(stack)
     grid = dispersion._scan_grid(prep)
-    # the scan's mesh, and one batch of mixed wavenumbers through _g33
+    # the scan's (frequency, velocity) mesh, and one batch of mixed
+    # wavenumbers, through _g33
     f = freqs[np.arange(grid.size) % freqs.size]
-    k = 2 * math.pi * f / grid
-    for q, q_ref in (
-        (dispersion._grid_indicator(prep, grid, freqs),
-         global_matrix.grid_indicator(prep, grid, freqs)),
-        (dispersion._pole_indicator(dispersion._g33(prep, grid, k)),
-         dispersion._pole_indicator(global_matrix.g33(prep, grid, k))),
-    ):
+    for k in (2 * math.pi * freqs[:, None] / grid, 2 * math.pi * f / grid):
+        q = dispersion._pole_indicator(dispersion._g33(prep, grid, k))
+        q_ref = dispersion._pole_indicator(global_matrix.g33(prep, grid, k))
         assert np.array_equal(np.isfinite(q), np.isfinite(q_ref))
         finite = np.isfinite(q_ref)
         np.testing.assert_allclose(q[finite], q_ref[finite], rtol=1e-10, atol=0)
@@ -654,13 +687,14 @@ def _check_against_global_matrix(stack, freqs):
 
 def _check_roots_against_global_matrix(stack, freqs):
     roots = dispersion._find_modes(stack, freqs, None)
-    blocks = []
+    ranks = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dispersion, "_g33", global_matrix.g33)
-        mp.setattr(dispersion, "_grid_indicator",
-                   lambda *args: blocks.append(1) or global_matrix.grid_indicator(*args))
+        mp.setattr(dispersion, "_g33",
+                   lambda prep, v, k: ranks.append(k.ndim) or global_matrix.g33(prep, v, k))
         ref = dispersion._find_modes(stack, freqs, None)
-    assert blocks  # the scan reached the oracle through its seam
+    # the scan's blocks (a k mesh) and its refinement batches reached the
+    # oracle through the one seam
+    assert set(ranks) == {1, 2}
     np.testing.assert_allclose(roots, ref, rtol=1e-11)
 
 
@@ -700,10 +734,10 @@ def _check_closed_form_against_eig(stack, freqs):
     """
     prep = dispersion._prepare(stack)
     grid = dispersion._scan_grid(prep)
-    q_ref = global_matrix.grid_indicator(prep, grid, freqs)
+    q_ref = global_matrix.grid_indicator(prep, freqs, grid)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(global_matrix, "_wave_fields", global_matrix.full_wave_fields)
-        q = global_matrix.grid_indicator(prep, grid, freqs)
+        q = global_matrix.grid_indicator(prep, freqs, grid)
     assert np.array_equal(np.isfinite(q), np.isfinite(q_ref))
     finite = np.isfinite(q_ref)
     floor = 1e-10 * np.median(np.abs(q_ref[finite]))
@@ -728,9 +762,10 @@ def test_closed_form_matches_eig_random_isotropic_substrate(layers, substrate):
 
 
 def test_closed_form_at_bulk_speeds_matches_eig(stack_1a):
-    # at a layer's v_t or v_l its up and down waves coincide; both paths
-    # solve that medium 1e-9 off it (the eigenproblem when it is defective),
-    # or neither does
+    # at a layer's v_t or v_l its up and down waves coincide: both paths
+    # flag the same such points (the eigenproblem finds its operator
+    # defective there), the oxide's v_t among them, and _indicator
+    # evaluates those once more 1e-9 higher in velocity
     prep = dispersion._prepare(stack_1a)
     eig_prep = replace(prep, media=tuple(replace(m, moduli=None) for m in prep.media))
     speeds = [s for layer in stack_1a.layers
@@ -739,11 +774,14 @@ def test_closed_form_at_bulk_speeds_matches_eig(stack_1a):
     oxide = stack_1a.layers[1].material
     assert oxide.shear_velocity in speeds and oxide.longitudinal_velocity in speeds
     v = np.array(speeds)
-    k = 2 * math.pi * 300e6 / v
-    q = dispersion._pole_indicator(dispersion._g33(prep, v, k))
-    q_eig = dispersion._pole_indicator(dispersion._g33(eig_prep, v, k))
-    assert np.isfinite(q_eig).all()
-    assert np.array_equal(np.isfinite(q), np.isfinite(q_eig))
+    f = np.full(v.size, 300e6)
+    g = dispersion._g33(prep, v, 2 * math.pi * f / v)
+    g_eig = dispersion._g33(eig_prep, v, 2 * math.pi * f / v)
+    assert np.array_equal(np.isnan(g), np.isnan(g_eig))
+    assert np.isnan(g[speeds.index(oxide.shear_velocity)])
+    q = dispersion._indicator(prep, f, v)
+    q_eig = dispersion._indicator(eig_prep, f, v)
+    assert np.isfinite(q).all() and np.isfinite(q_eig).all()
     np.testing.assert_allclose(q, q_eig, rtol=1e-10, atol=0)
 
 
@@ -773,21 +811,24 @@ def _check_waves_against_eig(tensor, rho):
     bulk = bulk[np.r_[True, np.diff(bulk) > 1e-6 * bulk[1:]]]  # distinct speeds
     v = np.concatenate([[0.8 * bulk[0]], 0.5 * (bulk[:-1] + bulk[1:]), [1.2 * bulk[-1]]])
     # the waves depend on rho v^2 / c_ref only, which is exactly the modulus
-    # C of a bulk speed at v = 1 with rho / c_ref = C; there the closed form
-    # solves at v (1 + _NUDGE), as the eigenproblem does where it finds its
-    # operator defective, so the reference is the eigenproblem at that v
+    # C of a bulk speed at v = 1 with rho / c_ref = C; the closed form flags
+    # that point, and both paths must agree at v (1 + _NUDGE), where
+    # _indicator evaluates it once more
     one = np.ones(1)
-    cases = [(med, v, v)] + [(replace(med, rho_scaled=c), one, one * (1 + dispersion._NUDGE))
-                             for c in (c11, c55, c66)]
-    for m, v, v_ref in cases:
+    cases = [(med, v)]
+    for c in (c11, c55, c66):
+        at_bulk = replace(med, rho_scaled=c)
+        assert not dispersion._full_waves(at_bulk, one)[2].any()
+        cases.append((at_bulk, one * (1 + dispersion._NUDGE)))
+    for m, v in cases:
         alpha, w, flux, valid = global_matrix.full_wave_fields(m, v)
-        alpha_ref, w_ref, flux_ref, valid_ref = dispersion._wave_fields(m, v_ref)
+        alpha_ref, w_ref, flux_ref, valid_ref = dispersion._wave_fields(m, v)
         assert valid.all() and valid_ref.all()
         down, _ = dispersion._masks(alpha, flux)
         down_ref, _ = dispersion._masks(alpha_ref, flux_ref)
         assert down[:, :3].all() and not down[:, 3:].any()
         eig = replace(m, moduli=None)
-        alpha_eig, _, flux_eig, valid_eig = global_matrix.full_wave_fields(eig, v_ref)
+        alpha_eig, _, flux_eig, valid_eig = global_matrix.full_wave_fields(eig, v)
         assert np.array_equal(valid_eig, valid_ref)
         down_eig, _ = dispersion._masks(alpha_eig, flux_eig)
         assert down_eig[:, :3].all() and not down_eig[:, 3:].any()
@@ -894,12 +935,12 @@ def _check_sagittal_against_full(stack):
     prep = dispersion._prepare(stack)
     assert all(med.moduli is not None for med in prep.media)
     grid = dispersion._scan_grid(prep)
-    q = dispersion._grid_indicator(prep, grid, CURVE_FREQS)
+    q = dispersion._indicator(prep, CURVE_FREQS[:, None], grid)
     roots = dispersion._find_modes(stack, CURVE_FREQS, None)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dispersion, "_sagittal_waves", dispersion._full_waves)
         assert dispersion._kernel(prep, grid[:1]).bottom.shape[1] == 3
-        q_full = dispersion._grid_indicator(prep, grid, CURVE_FREQS)
+        q_full = dispersion._indicator(prep, CURVE_FREQS[:, None], grid)
         roots_full = dispersion._find_modes(stack, CURVE_FREQS, None)
     np.testing.assert_allclose(roots, roots_full, rtol=1e-12, atol=0)
     assert np.array_equal(np.isfinite(q), np.isfinite(q_full))
@@ -908,7 +949,7 @@ def _check_sagittal_against_full(stack):
     floor = 1e-10 * np.median(np.abs(q_full[finite]))
     i, j = np.nonzero(np.abs(q - q_full) > 1e-10 * np.abs(q_full) + floor)
     if i.size:
-        q_ref = global_matrix.grid_indicator(prep, grid[i], CURVE_FREQS)[np.arange(i.size), j]
+        q_ref = global_matrix.grid_indicator(prep, CURVE_FREQS, grid[j])[i, np.arange(j.size)]
         np.testing.assert_allclose(q[i, j], q_ref, rtol=1e-9, atol=0)
     return i.size
 
@@ -932,10 +973,9 @@ def test_sagittal_recursion_matches_full_random_isotropic_layers(layers, substra
     _check_sagittal_against_full(stack)
 
 
-def test_wave_fields_checks_every_row_before_and_after_the_nudge(iso, iso_tensor, monkeypatch):
+def test_wave_fields_flags_every_failing_row(iso, iso_tensor, monkeypatch):
     # in one batch, row 1 fails the residual check and row 2 has two equal
-    # eigenpairs: both are solved again at v (1 + _NUDGE), and row 2, still
-    # dependent there, is marked invalid
+    # eigenpairs: both are marked invalid, and neither is solved again
     med = dispersion._Medium.build(iso_tensor, iso.density, float(np.abs(iso_tensor.voigt).max()))
     v = np.array([0.7, 0.8, 0.9]) * iso.shear_velocity
     eig_sorted, batches = dispersion._eig_sorted, []
@@ -943,16 +983,15 @@ def test_wave_fields_checks_every_row_before_and_after_the_nudge(iso, iso_tensor
     def faulty_eig_sorted(n):
         alpha, vecs = eig_sorted(n)
         batches.append(n)
-        if len(batches) == 1:
-            alpha[1, 0] *= 2.0
+        alpha[1, 0] *= 2.0
         alpha[-1, 1], vecs[-1, :, 1] = alpha[-1, 0], vecs[-1, :, 0]
         return alpha, vecs
 
     monkeypatch.setattr(dispersion, "_eig_sorted", faulty_eig_sorted)
     _, _, _, valid = dispersion._wave_fields(med, v)
-    assert len(batches) == 2
-    np.testing.assert_array_equal(batches[1], med.operator(v[1:] * (1 + dispersion._NUDGE)))
-    assert valid.tolist() == [True, True, False]
+    assert len(batches) == 1
+    np.testing.assert_array_equal(batches[0], med.operator(v))
+    assert valid.tolist() == [True, False, False]
 
 
 def test_no_eig_on_bundled_stacks(stack_1a, monkeypatch):
@@ -995,8 +1034,9 @@ def test_singular_system_spoils_only_its_own_point(stack_1a, monkeypatch, call):
     v = np.linspace(3600.0, 5000.0, 8)
     f = np.full(v.size, 300e6)
     freqs = np.array([200e6, 300e6, 400e6])
+    k_mesh = 2 * math.pi * freqs[:, None] / v
     clean = dispersion._g33(prep, v, 2 * math.pi * f / v)
-    clean_mesh = dispersion._grid_indicator(prep, v, freqs)
+    clean_mesh = dispersion._pole_indicator(dispersion._g33(prep, v, k_mesh))
     solve, seen = dispersion._solve, []
 
     def singular_once(a, b):
@@ -1015,15 +1055,18 @@ def test_singular_system_spoils_only_its_own_point(stack_1a, monkeypatch, call):
     seen.clear()
     q = dispersion._indicator(prep, f, v)
     assert np.isfinite(q).all()
-    # on the (velocity x frequency) mesh a per-velocity system spoils its
-    # velocity at every frequency, a per-frequency one its own entry only
+    # on the (frequency x velocity) mesh a per-velocity system spoils its
+    # velocity at every frequency, a per-frequency one its own entry only,
+    # and _indicator steps off them as it does off a batch's
     seen.clear()
-    mesh = dispersion._grid_indicator(prep, v, freqs)
+    mesh = dispersion._pole_indicator(dispersion._g33(prep, v, k_mesh))
     assert len(seen) == 4
     spoiled = np.zeros(mesh.shape, dtype=bool)
-    spoiled[3, 1 if call >= 2 else slice(None)] = True
+    spoiled[1 if call >= 2 else slice(None), 3] = True
     assert np.array_equal(~np.isfinite(mesh), spoiled)
     np.testing.assert_allclose(mesh[~spoiled], clean_mesh[~spoiled], rtol=1e-14)
+    seen.clear()
+    assert np.isfinite(dispersion._indicator(prep, freqs[:, None], v)).all()
 
 
 def test_singular_surface_matrix_gives_a_zero_indicator(stack_1a, monkeypatch):
@@ -1061,12 +1104,16 @@ def test_cold_stack_3_curve_meets_no_singular_point(stack_3, monkeypatch):
         return u3
 
     monkeypatch.setattr(dispersion, "_g33", recording_g33)
-    indicator, batches = dispersion._indicator, []
-    monkeypatch.setattr(dispersion, "_indicator",
-                        lambda *args: batches.append(1) or indicator(*args))
+    indicator, blocks, batches = dispersion._indicator, [], []
+
+    def counting_indicator(prep, freqs, v):
+        (blocks if freqs.ndim == 2 else batches).append(1)  # a scan block's (F, 1)
+        return indicator(prep, freqs, v)
+
+    monkeypatch.setattr(dispersion, "_indicator", counting_indicator)
     sk.dispersion_curve(stack_3, CURVE_FREQS)
-    assert np.isfinite(np.concatenate(points)).all()
-    assert 0 < len(batches) <= 4
+    assert np.isfinite(np.concatenate([q.ravel() for q in points])).all()
+    assert blocks and 0 < len(batches) <= 4
 
 
 def test_cold_curve_makes_no_lapack_solve(stack_1a, silicon, monkeypatch):
@@ -1157,8 +1204,8 @@ def test_block_path_matches_batch_path(thickness_factor):
     prep = dispersion._prepare(stack)
     grid = dispersion._scan_grid(prep)
     v = grid[:: grid.size // 20][:20]
-    q_block = dispersion._grid_indicator(prep, v, CURVE_FREQS)
-    f_pairs, v_pairs = np.meshgrid(CURVE_FREQS, v)
+    q_block = dispersion._indicator(prep, CURVE_FREQS[:, None], v)
+    f_pairs, v_pairs = np.meshgrid(CURVE_FREQS, v, indexing="ij")
     q_batch = dispersion.pole_indicator_at(stack, f_pairs.ravel(), v_pairs.ravel())
     q_batch = q_batch.reshape(q_block.shape)
     assert np.isfinite(q_block).all() and np.isfinite(q_batch).all()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,18 @@ def test_free_param_validation():
         sk.FreeParam("c_ge", 0.5, 1.0, 0.0)
     with pytest.raises(FitError):
         sk.FreeParam("c_ge", 2.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "initial, lower, upper",
+    [(1e-6, 0.3e-6, math.inf), (1e-6, -math.inf, 3e-6), (math.nan, 0.3e-6, 3e-6),
+     (1e-6, math.nan, 3e-6), (math.inf, 0.3e-6, math.inf)],
+)
+def test_free_param_rejects_non_finite_numbers(initial, lower, upper):
+    # an infinite upper bound once let the first Jacobian stencil step a
+    # layer's thickness to inf, which then had no surface mode
+    with pytest.raises(FitError, match="finite"):
+        sk.FreeParam("layer0.thickness", initial, lower, upper)
 
 
 # --- residuals -------------------------------------------------------------------

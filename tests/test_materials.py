@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,12 @@ def test_layer_and_geometry_invariants():
         sk.Layer(material=m, thickness=0.0)
     with pytest.raises(MaterialError):
         sk.PropagationGeometry(normal=(0, 0, 1), direction=(0, 0.3, 1))
+
+
+@pytest.mark.parametrize("thickness", [math.inf, -math.inf, math.nan])
+def test_layer_rejects_non_finite_thickness(thickness):
+    with pytest.raises(MaterialError, match="finite"):
+        sk.Layer(material=sk.IsotropicMaterial(70e9, 0.2, 2200), thickness=thickness)
 
 
 # --- stiffness construction ---------------------------------------------------

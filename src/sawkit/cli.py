@@ -350,6 +350,9 @@ def cmd_synth(args) -> int:
             f"{cfg.path}: noise_rms > 0 requires a seed ([run] seed or --seed)"
         )
     rate = _parse_float(cfg, "synthesis", "sample_rate_ghz", 2.0)
+    fwhm = _parse_float(cfg, "synthesis", "pulse_fwhm_ns", 1.2)
+    if not fwhm > 0:
+        raise ConfigError(f"{cfg.path}: [synthesis] pulse_fwhm_ns must be > 0, got {fwhm}")
     curve = _model_curve_for_mask(cfg, stack, mask, rate)
     sec = cfg.section("synthesis")
     n_harm = _parse_int(cfg, "synthesis", "n_harmonics", 0) if "n_harmonics" in sec else None
@@ -357,7 +360,7 @@ def cmd_synth(args) -> int:
         mask,
         curve,
         distance=_parse_float(cfg, "synthesis", "distance_mm", 5.0) * 1e-3,
-        pulse_fwhm=_parse_float(cfg, "synthesis", "pulse_fwhm_ns", 1.2) * 1e-9,
+        pulse_fwhm=fwhm * 1e-9,
         sample_rate=rate * 1e9,
         noise_rms=noise_rms,
         seed=seed,

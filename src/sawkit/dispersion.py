@@ -5,8 +5,9 @@ is a sum of six partial waves e^{ik(x1 + alpha x3)}.  In a medium whose
 stiffness is orthotropic in the propagation frame (every isotropic one, and
 a cubic crystal cut along a symmetry plane, such as Si(001) along [110])
 they split into an SH wave and two sagittal waves, whose vertical
-slownesses alpha and polarizations are closed-form in v = omega/k.  Only a
-medium without that symmetry solves for them as a 6-dimensional linear
+slownesses alpha and polarizations are closed-form in v = omega/k, built
+for all media of a stack in one call over a medium axis.  Only a medium
+without that symmetry solves for them as a 6-dimensional linear
 eigenproblem in the state vector (displacement, scaled traction).  The
 surface response to a unit normal surface stress comes from a
 surface-impedance recursion (Rokhlin & Wang, J. Acoust. Soc. Am. 112(3),
@@ -35,12 +36,15 @@ loop over thousands of tiny matrices.
 Surface modes are the real poles of that response along the velocity axis:
 the mode finder brackets sign changes of Im(1/u3), from windows around
 velocity hints or from a velocity scan, and refines them with
-Chandrupatla's bracketed inverse-quadratic/bisection method.  Every value
-of Im(1/u3) comes from ``_indicator``, for a batch of (frequency,
-velocity) pairs or a scan block's mesh.  Where a medium's waves are
-degenerate (at a bulk speed along x1 its up and down waves coincide) the
-wave producers only flag the velocity, and ``_indicator`` evaluates every
-undefined point once more 1e-9 higher in velocity, k recomputed.
+Chandrupatla's bracketed inverse-quadratic/bisection method.  The ends of
+all hint windows are evaluated in one batch and the windows refined in
+ascending order of width, so a hint returns what trying the windows one
+after another gives.  Every value of Im(1/u3) comes from ``_indicator``,
+for a batch of (frequency, velocity) pairs or a scan block's mesh.  Where
+a medium's waves are degenerate (at a bulk speed along x1 its up and down
+waves coincide) the wave producers only flag the velocity, and
+``_indicator`` evaluates every undefined point once more 1e-9 higher in
+velocity, k recomputed.
 ``dispersion_curve`` is its one public entry; the scan's 5 m/s step, the
 hint windows and the root tolerance are fixed.  The scan walks up from the
 window's floor in blocks of cells, and a frequency leaves it at the first
@@ -79,7 +83,7 @@ _NUDGE = 1e-9  # relative velocity step off a degenerate point, taken once
 _ORTHOTROPIC_TOL = 1e-12  # couplings below this fraction of max|C| count as 0
 # sign of each sagittal row a1, a3, b1, b3 from a closed-form +alpha wave to
 # its -alpha twin
-_FLIP = np.array([-1.0, 1.0, 1.0, -1.0])[:, None, None]
+_FLIP = np.array([-1.0, 1.0, 1.0, -1.0])[:, None, None, None]
 _CONTINUITY_JUMP = 0.05  # adjacent curve points differing more raise a flag
 _SCAN_BLOCK = 64  # grid cells per block of the cold velocity scan
 # rows a1, a3, b1, b3 and waves +alpha_1, +alpha_2, -alpha_1, -alpha_2 of the
@@ -329,23 +333,44 @@ def _wave_fields(
     return alpha, vecs, flux, ~_defective(n, alpha, vecs)
 
 
-def _slowness_squares(
-    moduli: tuple[float, ...], x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class _Stacked:
+    """Closed-form media stacked along a medium axis, each array (..., media, 1)."""
+
+    moduli: np.ndarray  # (6, media, 1): C11, C13, C33, C44, C55, C66 over c_ref
+    rho_scaled: np.ndarray  # rho / c_ref
+    # C55^2 + C33 C11 - (C13 + C55)^2, the alpha^2 coefficient at X = 0, in
+    # float arithmetic per medium: numpy's square of C13 + C55 can differ
+    # from the float power in the last bit
+    b0: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _stacked(media: tuple[_Medium, ...]) -> _Stacked:
+    """The closed-form media ``media`` stacked for ``_closed_form``, in order."""
+    b0 = [c55 * c55 + c33 * c11 - (c13 + c55) ** 2
+          for c11, c13, c33, _, c55, _ in (med.moduli for med in media)]
+    return _Stacked(moduli=np.array([med.moduli for med in media]).T[:, :, None],
+                    rho_scaled=np.array([[med.rho_scaled] for med in media]),
+                    b0=np.array(b0)[:, None])
+
+
+def _slowness_squares(st: _Stacked, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """alpha^2 of the two sagittal waves and the SH wave at x = rho v^2 / c_ref.
 
-    Returns (y (3, m), degenerate (m,)), degenerate where some alpha^2 is 0
+    ``x`` is (media, m), one row per medium of ``st``.  Returns (y (3,
+    media, m), degenerate (media, m)), degenerate where some alpha^2 is 0
     or the two sagittal ones coincide.
     """
-    c11, c13, c33, c44, c55, c66 = moduli
+    c11, c13, c33, c44, c55, c66 = st.moduli
     pq = (c11 - x) * (c55 - x)
-    b = (c55 * c55 + c33 * c11 - (c13 + c55) ** 2) - (c55 + c33) * x
+    b = st.b0 - (c55 + c33) * x
     disc = b * b - (4.0 * c33 * c55) * pq
     r = np.sqrt(disc.astype(complex))
     np.negative(r, out=r, where=b < 0)
     s = -0.5 * (b + r)  # c33 c55 times the root of larger magnitude
     sh = x - c66
-    y = np.empty((3, x.size), dtype=complex)
+    y = np.empty((3,) + x.shape, dtype=complex)
     np.divide(s, c33 * c55, out=y[0])
     np.divide(pq, s, out=y[1])
     np.divide(sh, c44, out=y[2])
@@ -354,8 +379,8 @@ def _slowness_squares(
     return y, pq * disc * sh == 0
 
 
-def _closed_form(med: _Medium, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Partial waves of a medium orthotropic in the frame, in closed form.
+def _closed_form(st: _Stacked, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Partial waves of media orthotropic in the frame, in closed form.
 
     With X = rho v^2, the SH wave has alpha^2 = (X - C66)/C44 and the two
     sagittal waves solve C33 C55 alpha^4 + [C55 (C55 - X) + C33 (C11 - X)
@@ -374,19 +399,23 @@ def _closed_form(med: _Medium, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     Such a point is marked invalid, not solved again: ``_indicator`` is the
     one place that steps off it.
 
-    Returns alpha (3, m) of the two sagittal waves and SH, the sagittal
-    block as [row, wave, velocity] (4, 4, m), and valid (m,).  The block
-    holds rows a1, a3, b1, b3 (``_SAGITTAL_ROWS``) of the waves +alpha_1,
-    +alpha_2, -alpha_1, -alpha_2 (``_SAGITTAL_COLS``).
+    One call serves every medium of ``st`` at once, as whole-array
+    arithmetic over (medium, velocity): the kernel of an all-closed-form
+    stack makes one, and a single medium passes a one-medium stack.
+    Returns alpha (3, media, m) of the two sagittal waves and SH, the
+    sagittal block as [row, wave, medium, velocity] (4, 4, media, m), and
+    valid (media, m).  The block holds rows a1, a3, b1, b3
+    (``_SAGITTAL_ROWS``) of the waves +alpha_1, +alpha_2, -alpha_1,
+    -alpha_2 (``_SAGITTAL_COLS``).
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    c11, c13, c33, _, c55, _ = med.moduli
-    x = med.rho_scaled * v * v
-    y, bad = _slowness_squares(med.moduli, x)
+    c11, c13, c33, _, c55, _ = st.moduli
+    x = st.rho_scaled * v * v
+    y, bad = _slowness_squares(st, x)
     alpha = np.sqrt(y)
     np.negative(alpha, out=alpha, where=alpha.imag < 0)
     g, y2, a2 = c13 + c55, y[:2], alpha[:2]
-    w = np.empty((4, 4, v.size), dtype=complex)
+    w = np.empty((4, 4) + x.shape, dtype=complex)
     np.multiply(a2, g, out=w[0, :2])
     np.subtract(x - c11, c55 * y2, out=w[1, :2])
     np.multiply(w[1, :2] + g * y2, c55, out=w[2, :2])
@@ -396,13 +425,14 @@ def _closed_form(med: _Medium, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 
 
 def _sagittal_waves(
-    med: _Medium, v: np.ndarray
+    st: _Stacked, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sagittal part of ``_full_waves`` for a closed-form medium, n = 2:
+    """The sagittal part of ``_full_waves`` for the closed-form media of
+    ``st`` at once, n = 2: alpha (2n, media, m), w (2n, 2n, media, m) with
     rows a1, a3, b1, b3 of the waves +alpha_1, +alpha_2, -alpha_1,
-    -alpha_2, without the SH wave, which a normal surface stress does not
-    excite."""
-    alpha, w, valid = _closed_form(med, v)
+    -alpha_2, and valid (media, m), without the SH wave, which a normal
+    surface stress does not excite."""
+    alpha, w, valid = _closed_form(st, v)
     return np.concatenate([alpha[:2], -alpha[:2]]), w, valid
 
 
@@ -431,7 +461,7 @@ def _full_waves(
         alpha = np.take_along_axis(alpha, order, axis=1)
         w = np.take_along_axis(w, order[:, None], axis=2)
         return alpha.T, w.transpose(1, 2, 0), valid & (down.sum(axis=1) == 3)
-    alpha, sagittal, valid = _closed_form(med, v)
+    alpha, sagittal, valid = (a[..., 0, :] for a in _closed_form(_stacked((med,)), v))
     # rows a1, a2, a3, b1, b2, b3 of the +alpha waves, then the -alpha
     # ones, which flip the sign of a1, b2 and b3
     w = np.zeros((6, 6, valid.size), dtype=complex)
@@ -554,10 +584,10 @@ def _substrate_ceiling(material: ElasticMaterial, geometry: PropagationGeometry)
     med = _Medium.build(tensor, material.density, float(np.abs(tensor.voigt).max()))
     if med.moduli is None:
         return ceiling
-    c11, c13, c33, _, c55, _ = med.moduli
+    c11, _, c33, _, c55, _ = med.moduli
     # the alpha^2 coefficient is b0 - s X, and disc = (b0 - s X)^2
     # - 4 C33 C55 (C11 - X)(C55 - X); the coinciding alpha^2 is -b / (2 C33 C55)
-    b0, s = c55 * c55 + c33 * c11 - (c13 + c55) ** 2, c55 + c33
+    b0, s = float(_stacked((med,)).b0[0, 0]), c55 + c33
     disc = ((c33 - c55) ** 2, 4.0 * c33 * c55 * (c11 + c55) - 2.0 * b0 * s,
             b0 * b0 - 4.0 * c33 * c55 * c11 * c55)
     for x in np.roots(disc):
@@ -683,22 +713,28 @@ def _kernel(prep: _Prepared, v: np.ndarray) -> _Kernel:
 
     When every medium is orthotropic in the frame, each takes only its two
     sagittal waves per direction (n = 2), built in closed form straight in
-    entry-major layout (``_sagittal_waves``): the SH wave decouples from
-    them exactly (Stroh 1962), so it does not enter the normal response.
-    Otherwise all six waves stay (n = 3, ``_full_waves``): closed form
-    where the medium allows it, from the eigenproblem where it does not.
-    Either producer puts a medium's top-referenced waves, the decaying or
+    entry-major layout: the SH wave decouples from them exactly (Stroh
+    1962), so it does not enter the normal response.  One
+    ``_sagittal_waves`` call builds them for every medium at once, and each
+    medium's are a slice of its medium axis.  Otherwise all six waves stay
+    (n = 3, ``_full_waves``, one call per medium): closed form where the
+    medium allows it, from the eigenproblem where it does not.  Either
+    producer puts a medium's top-referenced waves, the decaying or
     downgoing ones, in its first n columns.
     """
-    sagittal = all(med.moduli is not None for med in prep.media)
-    waves = _sagittal_waves if sagittal else _full_waves
-    split = []
-    valid = np.ones(v.shape, dtype=bool)
-    for med in prep.media:
-        alpha, w, ok = waves(med, v)
-        valid &= ok
-        split.append((alpha, w, med.moduli is not None))  # alpha_u = -alpha_d
-    n = alpha.shape[0] // 2
+    if all(med.moduli is not None for med in prep.media):
+        alpha, w, ok = _sagittal_waves(_stacked(prep.media), v)
+        valid = ok.all(axis=0)
+        # alpha_u = -alpha_d for every medium
+        split = [(alpha[:, i], w[:, :, i], True) for i in range(len(prep.media))]
+    else:
+        split = []
+        valid = np.ones(v.shape, dtype=bool)
+        for med in prep.media:
+            alpha, w, ok = _full_waves(med, v)
+            valid &= ok
+            split.append((alpha, w, med.moduli is not None))
+    n = split[0][0].shape[0] // 2
     if not valid.all():
         split = [(alpha[:, valid], w[:, :, valid], twin) for alpha, w, twin in split]
     # a unit axis before the velocities broadcasts against a scan's frequencies
@@ -1061,20 +1097,28 @@ def _find_modes(
 
     Brackets come from windows of the half-widths ``_HINT_WINDOWS`` around
     the hints, clipped to the search window, then, for frequencies still
-    open, from the scan's cells (``_scan``).
+    open, from the scan's cells (``_scan``).  The ends of every non-empty
+    window of every frequency are evaluated in one ``_indicator`` batch,
+    and one ``_settle`` takes the windows grouped by frequency in ascending
+    order of width: its rounds refine each frequency's narrowest
+    sign-changing window first and a wider one only if that root is
+    rejected, which is what settling the windows one after another gives.
     """
     if hints is not None and not np.isfinite(hints).all():
         raise ValueError("hints must be finite")
     prep = _prepare(stack)
     freqs = np.asarray(frequencies, dtype=float)
     roots = np.full(freqs.size, np.nan)
-    top = prep.v_ceiling * (1.0 - 1e-9)
-    for w in () if hints is None else _HINT_WINDOWS:
-        v = np.clip(np.stack([hints - w, hints + w], axis=1), prep.v_floor, top)
-        idx = np.flatnonzero(np.isnan(roots) & (v[:, 0] < v[:, 1]))
-        if idx.size:
-            q = _indicator(prep, np.repeat(freqs[idx], 2), v[idx].ravel()).reshape(-1, 2)
-            _settle(prep, freqs, roots, idx, v[idx], q)
+    if hints is not None:
+        half = np.asarray(_HINT_WINDOWS)
+        top = prep.v_ceiling * (1.0 - 1e-9)
+        v = np.clip(np.stack([hints[:, None] - half, hints[:, None] + half], axis=2),
+                    prep.v_floor, top)  # (frequency, window, end)
+        owner, window = np.nonzero(v[..., 0] < v[..., 1])
+        if owner.size:
+            v = v[owner, window]
+            q = _indicator(prep, np.repeat(freqs[owner], 2), v.ravel()).reshape(-1, 2)
+            _settle(prep, freqs, roots, owner, v, q)
     _scan(prep, freqs, roots, np.flatnonzero(np.isnan(roots)), _scan_grid(prep))
     return roots
 

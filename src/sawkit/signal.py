@@ -170,6 +170,8 @@ def synthesize_slope_signal(
     """
     if not distance > 0:
         raise SynthesisError("distance must be > 0")
+    if not pulse_fwhm > 0:
+        raise SynthesisError("pulse_fwhm must be > 0")
     if len(curve) < 2:
         raise SynthesisError("dispersion curve must have at least 2 points")
     if noise_rms < 0:

@@ -253,6 +253,22 @@ def test_synth_bad_sample_rate_exit_2(tmp_path, capsys, si_cfg, rate):
     assert "[synthesis] sample_rate_ghz" in err
 
 
+@pytest.mark.parametrize("width", ["-1.2", "0"])
+def test_synth_non_positive_pulse_width_exit_2(tmp_path, capsys, si_cfg, width):
+    # only the square of the width enters the pulse spectrum, so -1.2 gave
+    # 1.2's waveform and exit 0
+    line = "pulse_fwhm_ns = 1.2"
+    base = si_cfg.read_text(encoding="utf-8")
+    assert base.count(line) == 1
+    cfg = tmp_path / "pulse.cfg"
+    cfg.write_text(base.replace(line, f"pulse_fwhm_ns = {width}"), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["synth", "--config", cfg, "--out", tmp_path / "w.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "pulse.cfg" in err and "[synthesis] pulse_fwhm_ns" in err
+    assert not (tmp_path / "w.csv").exists()
+
+
 # --- calibrate -----------------------------------------------------------------------
 
 

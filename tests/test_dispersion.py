@@ -408,17 +408,17 @@ def test_ceiling_is_the_substrates_limiting_velocity(stack_1a, silicon, monkeypa
     sub, ceiling = prep.media[-1], prep.v_ceiling
     assert sk.velocity_window(stack_1a)[1] == ceiling == pytest.approx(5832.897, abs=1e-3)
     x = sub.rho_scaled * (ceiling * np.array([1 - 1e-6, 1.0, 1 + 1e-6])) ** 2
-    y = dispersion._slowness_squares(sub.moduli, x)[0][:2]
+    y = dispersion._slowness_squares(dispersion._stacked((sub,)), x[None])[0][:2, 0]
     assert (y[:, 0].imag != 0).all()  # a decaying pair just below
     assert y[:, 1] == pytest.approx([0.0561536, 0.0561536], rel=1e-5)
     assert (y[:, 2].imag == 0).all() and (y[:, 2].real > 0).all()  # propagating above
     bulk = math.sqrt(min(sub.moduli[0], sub.moduli[4]) / sub.rho_scaled)
     assert bulk - ceiling == pytest.approx(13.277, abs=1e-3)
-    # every bundled medium takes its sagittal waves from _sagittal_waves
+    # every bundled medium takes its waves from _closed_form
     seen = []
-    waves = dispersion._sagittal_waves
-    monkeypatch.setattr(dispersion, "_sagittal_waves",
-                        lambda med, v: seen.append(v) or waves(med, v))
+    closed_form = dispersion._closed_form
+    monkeypatch.setattr(dispersion, "_closed_form",
+                        lambda st, v: seen.append(v) or closed_form(st, v))
     top_hints = np.full(CURVE_FREQS.size, ceiling - 1.0)
     roots = {}
     for case in BUNDLED:
@@ -656,14 +656,104 @@ def test_scan_steps_off_an_invalid_grid_velocity(stack_1a, monkeypatch):
     assert below == pytest.approx(4332.045, abs=1e-3)
     waves, flagged = dispersion._sagittal_waves, []
 
-    def invalid_below(med, v):
-        alpha, w, valid = waves(med, v)
+    def invalid_below(st, v):
+        alpha, w, valid = waves(st, v)
         flagged.append(below in v)
         return alpha, w, valid & (v != below)
 
     monkeypatch.setattr(dispersion, "_sagittal_waves", invalid_below)
     assert sk.dispersion_curve(stack_1a, [300e6]).velocities[0] == pytest.approx(root, rel=1e-12)
     assert any(flagged)
+
+
+# --- one-pass hint windows against the window-by-window loop they replaced ------
+
+
+def _sequential_window_roots(stack, freqs, hints):
+    """The hint windows settled one after another, each with its own endpoint
+    batch and ``_settle``, then the scan for the frequencies still open."""
+    prep = dispersion._prepare(stack)
+    roots = np.full(freqs.size, np.nan)
+    top = prep.v_ceiling * (1.0 - 1e-9)
+    for w in dispersion._HINT_WINDOWS:
+        v = np.clip(np.stack([hints - w, hints + w], axis=1), prep.v_floor, top)
+        idx = np.flatnonzero(np.isnan(roots) & (v[:, 0] < v[:, 1]))
+        if idx.size:
+            q = dispersion._indicator(prep, np.repeat(freqs[idx], 2), v[idx].ravel())
+            dispersion._settle(prep, freqs, roots, idx, v[idx], q.reshape(-1, 2))
+    dispersion._scan(prep, freqs, roots, np.flatnonzero(np.isnan(roots)),
+                     dispersion._scan_grid(prep))
+    return roots
+
+
+@pytest.mark.parametrize("name, thickness_factor", BUNDLED)
+def test_one_pass_windows_match_sequential_windows(name, thickness_factor):
+    # hints near the cold curve, off it by more than the widest window, and
+    # at or above the ceiling, where windows are clipped or dropped
+    stack = _bundled_stack(name, thickness_factor)
+    ceiling = dispersion._prepare(stack).v_ceiling
+    cold = dispersion._find_modes(stack, CURVE_FREQS, None)
+    hints = [cold + offset for offset in (0.0, 3.0, -7.0, 25.0, -60.0, 150.0)]
+    hints += [np.full(CURVE_FREQS.size, ceiling + d) for d in (-1.0, 0.0, 1.0, 45.0)]
+    for h in hints:
+        roots = dispersion._find_modes(stack, CURVE_FREQS, h)
+        assert np.array_equal(roots, _sequential_window_roots(stack, CURVE_FREQS, h))
+
+
+def test_one_pass_windows_take_a_wider_window_after_a_pole(monkeypatch):
+    # on stack 1A x10 a hint of 4320 m/s at 575 MHz has no sign change in
+    # its 2.5 m/s window, a pole of q (4325.57 m/s) in its 10 m/s one and a
+    # root (4283.01 m/s) in its 40 m/s one: the rejected bracket is refined
+    # first and the wider window's root is returned
+    stack = _bundled_stack("stack_1A", 10)
+    hints = np.full(CURVE_FREQS.size, 4320.0)
+    j = 21
+    assert CURVE_FREQS[j] == 575e6
+    chandrupatla, outcomes = dispersion._chandrupatla, []
+
+    def recording(prep, freqs, v, q):
+        x, ok = chandrupatla(prep, freqs, v, q)
+        outcomes.extend(zip(freqs == CURVE_FREQS[j], ok, x))
+        return x, ok
+
+    monkeypatch.setattr(dispersion, "_chandrupatla", recording)
+    roots = dispersion._find_modes(stack, CURVE_FREQS, hints)
+    mine = [(ok, x) for at_j, ok, x in outcomes if at_j]
+    assert [ok for ok, _ in mine] == [False, True]
+    assert mine[0][1] == pytest.approx(4325.574, abs=1e-3)
+    assert roots[j] == mine[1][1] == pytest.approx(4283.015, abs=1e-3)
+    assert np.array_equal(roots, _sequential_window_roots(stack, CURVE_FREQS, hints))
+
+
+def test_hinted_curve_makes_one_window_endpoint_batch(stack_1a, monkeypatch):
+    # work guard that does not depend on the machine: every window of every
+    # frequency has its ends evaluated in one batch, whichever window holds
+    # the root; every other batch is a root iteration (no scan block)
+    cold = dispersion._find_modes(stack_1a, CURVE_FREQS, None)
+    indicator, chandrupatla = dispersion._indicator, dispersion._chandrupatla
+    refining, ends, steps = [], [], []
+
+    def recording_chandrupatla(*args):
+        refining.append(1)
+        try:
+            return chandrupatla(*args)
+        finally:
+            refining.pop()
+
+    def recording_indicator(prep, freqs, v):
+        (steps if refining else ends).append(np.size(v))
+        return indicator(prep, freqs, v)
+
+    monkeypatch.setattr(dispersion, "_chandrupatla", recording_chandrupatla)
+    monkeypatch.setattr(dispersion, "_indicator", recording_indicator)
+    # +25 m/s misses the 2.5 and 10 m/s windows: the root is in the 40 m/s one
+    for offset in (0.0, 25.0):
+        ends.clear()
+        steps.clear()
+        roots = dispersion._find_modes(stack_1a, CURVE_FREQS, cold + offset)
+        np.testing.assert_allclose(roots, cold, rtol=1e-11)
+        assert ends == [2 * len(dispersion._HINT_WINDOWS) * CURVE_FREQS.size]
+        assert steps
 
 
 # --- impedance recursion against the global boundary matrix ---------------------
@@ -877,11 +967,12 @@ def _check_closed_form_waves_come_split(stack):
     and for all six (n = 3)."""
     prep = dispersion._prepare(stack)
     grid = dispersion._scan_grid(prep)
-    closed = [med for med in prep.media if med.moduli is not None]
+    closed = tuple(med for med in prep.media if med.moduli is not None)
     assert closed
-    for med in closed:
-        for waves in (dispersion._sagittal_waves, dispersion._full_waves):
-            alpha, w, valid = waves(med, grid)
+    sagittal = dispersion._sagittal_waves(dispersion._stacked(closed), grid)
+    for i, med in enumerate(closed):
+        for alpha, w, valid in ([a[..., i, :] for a in sagittal],
+                                dispersion._full_waves(med, grid)):
             n = alpha.shape[0] // 2
             flux = (w[:n].conj() * w[n:]).real.sum(axis=0)
             down, _ = dispersion._masks(alpha, flux)
@@ -937,8 +1028,14 @@ def _check_sagittal_against_full(stack):
     grid = dispersion._scan_grid(prep)
     q = dispersion._indicator(prep, CURVE_FREQS[:, None], grid)
     roots = dispersion._find_modes(stack, CURVE_FREQS, None)
+    def full_waves(st, v):
+        # _full_waves of every medium, stacked on the medium axis like
+        # _sagittal_waves' output
+        parts = [dispersion._full_waves(med, v) for med in prep.media]
+        return tuple(np.stack(a, axis=-2) for a in zip(*parts))
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dispersion, "_sagittal_waves", dispersion._full_waves)
+        mp.setattr(dispersion, "_sagittal_waves", full_waves)
         assert dispersion._kernel(prep, grid[:1]).bottom.shape[1] == 3
         q_full = dispersion._indicator(prep, CURVE_FREQS[:, None], grid)
         roots_full = dispersion._find_modes(stack, CURVE_FREQS, None)
@@ -1119,9 +1216,9 @@ def test_cold_stack_3_curve_meets_no_singular_point(stack_3, monkeypatch):
 def test_cold_curve_makes_no_lapack_solve(stack_1a, silicon, monkeypatch):
     # work guard that does not depend on the machine: on stack 1A every
     # linear system is a 2x2 solved in closed form (70 np.linalg.solve
-    # calls with 3x3 blocks), and the scan's substrate waves are found
-    # block by block up from the floor, each grid velocity once, stopping
-    # below the ceiling once every frequency has its root
+    # calls with 3x3 blocks), and the scan's waves (one call for every
+    # medium) are found block by block up from the floor, each grid velocity
+    # once, stopping below the ceiling once every frequency has its root
     prep = dispersion._prepare(stack_1a)
     grid = dispersion._scan_grid(prep)
     shapes, scanned, others = [], [], []
@@ -1131,10 +1228,9 @@ def test_cold_curve_makes_no_lapack_solve(stack_1a, silicon, monkeypatch):
         shapes.append(np.shape(a)[-2:])
         return solve(a, b)
 
-    def recording_waves(med, v):
-        if med is prep.media[-1]:
-            (scanned if np.isin(v, grid).all() else others).append(v)
-        return waves(med, v)
+    def recording_waves(st, v):
+        (scanned if np.isin(v, grid).all() else others).append(v)
+        return waves(st, v)
 
     monkeypatch.setattr(np.linalg, "solve", recording_solve)
     monkeypatch.setattr(dispersion, "_sagittal_waves", recording_waves)
@@ -1148,6 +1244,43 @@ def test_cold_curve_makes_no_lapack_solve(stack_1a, silicon, monkeypatch):
     si111 = sk.LayerStack(layers=stack_1a.layers, substrate=silicon, geometry=SI111)
     sk.dispersion_curve(si111, [300e6])
     assert shapes and set(shapes) == {(3, 3)}
+
+
+@pytest.mark.parametrize("name, thickness_factor", BUNDLED)
+def test_one_closed_form_call_per_kernel(name, thickness_factor, monkeypatch):
+    # work guard that does not depend on the machine: on a stack whose media
+    # are all orthotropic in the frame, one _closed_form call builds every
+    # medium's waves for a kernel, cold or hinted, over 1 to 3 media
+    stack = _bundled_stack(name, thickness_factor)
+    kernel, closed_form, kernels, calls = dispersion._kernel, dispersion._closed_form, [], []
+    monkeypatch.setattr(dispersion, "_kernel",
+                        lambda prep, v: kernels.append(1) or kernel(prep, v))
+    monkeypatch.setattr(dispersion, "_closed_form",
+                        lambda st, v: calls.append(st.moduli.shape) or closed_form(st, v))
+    cold = sk.dispersion_curve(stack, CURVE_FREQS)
+    sk.dispersion_curve(stack, CURVE_FREQS, hints=np.array(cold.velocities) + 3.0)
+    assert kernels and len(calls) == len(kernels)
+    assert set(calls) == {(6, len(stack.layers) + 1, 1)}
+
+
+@pytest.mark.parametrize("name", ["si_bare", "stack_1A", "stack_3"])
+def test_si111_stacks_reach_the_eigenproblem(name, monkeypatch):
+    # the Si(111)[1-10] substrate is not orthotropic in the frame: its waves
+    # still come from _wave_fields, and its closed-form layers each from a
+    # one-medium _closed_form call
+    stack = replace(_bundled_stack(name, 1), geometry=SI111)
+    wave_fields, closed_form = dispersion._wave_fields, dispersion._closed_form
+    eig_media, closed_media = [], []
+    monkeypatch.setattr(dispersion, "_wave_fields",
+                        lambda med, v: eig_media.append(med) or wave_fields(med, v))
+    monkeypatch.setattr(dispersion, "_closed_form",
+                        lambda st, v: closed_media.append(st.moduli.shape[1])
+                        or closed_form(st, v))
+    sk.dispersion_curve(stack, [300e6])
+    prep = dispersion._prepare(stack)
+    assert set(eig_media) == {prep.media[-1]}
+    assert len(closed_media) == len(eig_media) * len(stack.layers)
+    assert set(closed_media) <= {1}
 
 
 def test_cold_curve_response_points(stack_1a, monkeypatch):

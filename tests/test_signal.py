@@ -89,6 +89,12 @@ def test_noise_requires_seed(flat_si, mask24):
         sk.synthesize_slope_signal(mask24, flat_si, 5e-3, noise_rms=0.01)
 
 
+@pytest.mark.parametrize("width", [-1.2e-9, 0.0])
+def test_synthesis_rejects_non_positive_pulse_width(flat_si, mask24, width):
+    with pytest.raises(SynthesisError, match="pulse_fwhm"):
+        sk.synthesize_slope_signal(mask24, flat_si, 5e-3, pulse_fwhm=width)
+
+
 def test_synthesis_coverage_error(mask24):
     narrow = sk.DispersionCurve(frequencies=(100e6, 300e6), velocities=(5080.0, 5080.0))
     with pytest.raises(SynthesisError, match="does not cover"):

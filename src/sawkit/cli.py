@@ -345,6 +345,8 @@ def cmd_synth(args) -> int:
     mask = build_mask(cfg)
     seed = args.seed if args.seed is not None else cfg.seed
     noise_rms = _parse_float(cfg, "synthesis", "noise_rms", 0.0)
+    if noise_rms < 0:
+        raise ConfigError(f"{cfg.path}: [synthesis] noise_rms must be >= 0, got {noise_rms}")
     if noise_rms > 0 and seed is None:
         raise ConfigError(
             f"{cfg.path}: noise_rms > 0 requires a seed ([run] seed or --seed)"
@@ -353,13 +355,19 @@ def cmd_synth(args) -> int:
     fwhm = _parse_float(cfg, "synthesis", "pulse_fwhm_ns", 1.2)
     if not fwhm > 0:
         raise ConfigError(f"{cfg.path}: [synthesis] pulse_fwhm_ns must be > 0, got {fwhm}")
+    distance = _parse_float(cfg, "synthesis", "distance_mm", 5.0)
+    if not distance > 0:
+        raise ConfigError(f"{cfg.path}: [synthesis] distance_mm must be > 0, got {distance}")
+    n_harm = None
+    if "n_harmonics" in cfg.section("synthesis"):
+        n_harm = _parse_int(cfg, "synthesis", "n_harmonics")
+        if n_harm < 1:
+            raise ConfigError(f"{cfg.path}: [synthesis] n_harmonics must be >= 1, got {n_harm}")
     curve = _model_curve_for_mask(cfg, stack, mask, rate)
-    sec = cfg.section("synthesis")
-    n_harm = _parse_int(cfg, "synthesis", "n_harmonics", 0) if "n_harmonics" in sec else None
     w = synthesize_slope_signal(
         mask,
         curve,
-        distance=_parse_float(cfg, "synthesis", "distance_mm", 5.0) * 1e-3,
+        distance=distance * 1e-3,
         pulse_fwhm=fwhm * 1e-9,
         sample_rate=rate * 1e9,
         noise_rms=noise_rms,
@@ -435,17 +443,28 @@ def _read_calibration_csv(path: str) -> list[tuple[float, float]]:
     return list(zip(*columns))
 
 
+def _calibration_value(cfg: RunConfig | None, flag: str, value: float | None, key: str,
+                       default: float) -> float:
+    """The flag's ``value`` if given, else ``[calibration] key`` of ``cfg``, else
+    ``default``; ConfigError naming the flag, or the file, section and key,
+    unless it is finite and positive."""
+    where = flag
+    if value is None:
+        if cfg is None:
+            return default
+        value = _parse_float(cfg, "calibration", key, default)
+        where = f"{cfg.path}: [calibration] {key}"
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{where} must be finite and > 0, got {value!r}")
+    return value
+
+
 def cmd_calibrate(args) -> int:
-    pitch, v_ref = 32.0, 5080.0
     cfg = load_config(args.config) if args.config else None
-    if args.pixel_pitch_um is not None:
-        pitch = args.pixel_pitch_um
-    elif cfg is not None:
-        pitch = _parse_float(cfg, "calibration", "pixel_pitch_um", pitch)
-    if args.v_reference is not None:
-        v_ref = args.v_reference
-    elif cfg is not None:
-        v_ref = _parse_float(cfg, "calibration", "v_reference_m_s", v_ref)
+    pitch = _calibration_value(cfg, "--pixel-pitch-um", args.pixel_pitch_um,
+                               "pixel_pitch_um", 32.0)
+    v_ref = _calibration_value(cfg, "--v-reference", args.v_reference,
+                               "v_reference_m_s", 5080.0)
     rows = _read_calibration_csv(args.measurements)
     result = calibrate_projection_ratio(rows, pixel_pitch=pitch * 1e-6, v_reference=v_ref)
     lines = [

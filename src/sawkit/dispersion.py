@@ -5,26 +5,29 @@ is a sum of six partial waves e^{ik(x1 + alpha x3)}.  In a medium whose
 stiffness is orthotropic in the propagation frame (every isotropic one, and
 a cubic crystal cut along a symmetry plane, such as Si(001) along [110])
 they split into an SH wave and two sagittal waves, whose vertical
-slownesses alpha and polarizations are closed-form in v = omega/k, built
-for all media of a stack in one call over a medium axis.  Only a medium
-without that symmetry solves for them as a 6-dimensional linear
-eigenproblem in the state vector (displacement, scaled traction).  The
-surface response to a unit normal surface stress comes from a
-surface-impedance recursion (Rokhlin & Wang, J. Acoust. Soc. Am. 112(3),
-822-834, 2002).  Every medium's waves come with the decaying or
-downgoing ones first (``_full_waves``); the substrate's give its impedance
-Z = B A^-1, and a layer's are referenced at its top (d), the rest at its
-bottom (u).  Continuity with the impedance
-below ties the u amplitudes to the d ones, and the traction and
-displacement at the layer's top then give the impedance it presents to the
-layer above.  When every medium is orthotropic in the frame the SH wave
-decouples exactly, and since a normal stress does not excite it the
-recursion keeps only the two sagittal waves per direction: its blocks are
-2x2 and solved in closed form.  Otherwise they are 3x3.  Every layer
-exponential is e^{ik alpha_d h} or e^{-ik alpha_u h}, at most one in
-magnitude, so the recursion does not grow at large frequency-thickness
-products the way the classical transfer matrix does; for a closed-form
-medium alpha_u = -alpha_d exactly, and the two are one exponential.  The
+slownesses alpha and polarizations are closed-form in v = omega/k
+(``_closed_form``).  Such a medium's moduli are held once, as a one-medium
+``_Stacked`` on ``_Medium.closed``, and a stack whose media all have one
+joins them on ``_Prepared.closed``, so one call over the medium axis builds
+every medium's waves.  Only a medium without that symmetry solves for them
+as a 6-dimensional linear eigenproblem in the state vector (displacement,
+scaled traction).  The surface response to a unit normal surface stress
+(``_g33``) comes from a surface-impedance recursion (Rokhlin & Wang, J.
+Acoust. Soc. Am. 112(3), 822-834, 2002), which ``_surface`` runs from a
+batch of velocities to the surface matrices in one pass.  Every medium's
+waves come with the decaying or downgoing ones first; the substrate's give
+its impedance Z = B A^-1, and a layer's are referenced at its top (d), the
+rest at its bottom (u).  Continuity with the impedance below ties the u
+amplitudes to the d ones, and the traction and displacement at the layer's
+top then give the impedance it presents to the layer above.  When every
+medium is orthotropic in the frame the SH wave decouples exactly, and
+since a normal stress does not excite it the recursion keeps only the two
+sagittal waves per direction: its blocks are 2x2 and solved in closed
+form.  Otherwise they are 3x3.  Every layer exponential is e^{ik alpha_d h}
+or e^{-ik alpha_u h}, at most one in magnitude, so the recursion does not
+grow at large frequency-thickness products the way the classical transfer
+matrix does; for a closed-form medium alpha_u = -alpha_d exactly, and the
+two are one exponential.  The
 substrate impedance and the bottom layer's coupling do not depend on k, so
 a velocity scan computes them once per block of velocities and runs the
 rest of the recursion for all its frequencies at once.  Every block of the
@@ -253,22 +256,31 @@ def _qrt(cijkl: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
+class _Stacked:
+    """Closed-form media stacked along a medium axis, each array (..., media, 1)."""
+
+    moduli: np.ndarray  # (6, media, 1): C11, C13, C33, C44, C55, C66 over c_ref
+    rho_scaled: np.ndarray  # rho / c_ref
+    # C55^2 + C33 C11 - (C13 + C55)^2, the alpha^2 coefficient at X = 0, in
+    # float arithmetic per medium: numpy's square of C13 + C55 can differ
+    # from the float power in the last bit
+    b0: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class _Medium:
     """Constant pieces of the depth-evolution operator for one medium.
 
     Its partial waves come in closed form when the medium is orthotropic in
-    the frame (``moduli`` set), and from the eigenproblem of ``operator``
-    otherwise (``_full_waves``).  A medium with C13 + C55 = 0 takes the
-    eigenproblem too: its closed-form sagittal polarization would vanish.
+    the frame (``closed`` set, a one-medium ``_Stacked`` for
+    ``_closed_form``), and from the eigenproblem of ``operator`` otherwise
+    (``_full_waves``).  A medium with C13 + C55 = 0 takes the eigenproblem
+    too: its closed-form sagittal polarization would vanish.
     """
 
     n0: np.ndarray  # v-independent part of the 6x6 operator
     rho_scaled: float  # rho / c_ref, multiplies v^2 on the lower-left diagonal
-    c_ref: float
-    # frame moduli (C11, C13, C33, C44, C55, C66) / c_ref of a medium
-    # orthotropic in the frame, whose partial waves are closed-form; None
-    # for one that needs the eigenproblem
-    moduli: tuple[float, ...] | None = None
+    closed: _Stacked | None = None
 
     @classmethod
     def build(cls, tensor: ElasticTensor, rho: float, c_ref: float) -> "_Medium":
@@ -280,14 +292,18 @@ class _Medium:
         n0[3:, :3] = (-q + r @ t_inv @ r.T) / c_ref
         n0[3:, 3:] = -r @ t_inv
         c = tensor.voigt
-        moduli = None
+        closed = None
         # C14-C16, C24-C26, C34-C36, C45, C46 and C56: the couplings that
         # vanish when the frame's coordinate planes are mirror planes
         couplings = np.abs(np.triu(c, 1)[:, 3:]).max()
         if couplings <= _ORTHOTROPIC_TOL * np.abs(c).max() and c[0, 2] + c[4, 4] != 0:
-            moduli = tuple(float(c[i, j]) / c_ref
-                           for i, j in ((0, 0), (0, 2), (2, 2), (3, 3), (4, 4), (5, 5)))
-        return cls(n0=n0, rho_scaled=rho / c_ref, c_ref=c_ref, moduli=moduli)
+            moduli = [float(c[i, j]) / c_ref
+                      for i, j in ((0, 0), (0, 2), (2, 2), (3, 3), (4, 4), (5, 5))]
+            c11, c13, c33, _, c55, _ = moduli
+            closed = _Stacked(moduli=np.array(moduli)[:, None, None],
+                              rho_scaled=np.array([[rho / c_ref]]),
+                              b0=np.array([[c55 * c55 + c33 * c11 - (c13 + c55) ** 2]]))
+        return cls(n0=n0, rho_scaled=rho / c_ref, closed=closed)
 
     def operator(self, v: np.ndarray) -> np.ndarray:
         """Stacked 6x6 operators for velocities v (...,)."""
@@ -331,28 +347,6 @@ def _wave_fields(
     alpha, vecs = _eig_sorted(n)
     flux = np.real(np.einsum("mij,mij->mj", np.conj(vecs[:, :3]), vecs[:, 3:]))
     return alpha, vecs, flux, ~_defective(n, alpha, vecs)
-
-
-@dataclass(frozen=True, eq=False)
-class _Stacked:
-    """Closed-form media stacked along a medium axis, each array (..., media, 1)."""
-
-    moduli: np.ndarray  # (6, media, 1): C11, C13, C33, C44, C55, C66 over c_ref
-    rho_scaled: np.ndarray  # rho / c_ref
-    # C55^2 + C33 C11 - (C13 + C55)^2, the alpha^2 coefficient at X = 0, in
-    # float arithmetic per medium: numpy's square of C13 + C55 can differ
-    # from the float power in the last bit
-    b0: np.ndarray
-
-
-@lru_cache(maxsize=64)
-def _stacked(media: tuple[_Medium, ...]) -> _Stacked:
-    """The closed-form media ``media`` stacked for ``_closed_form``, in order."""
-    b0 = [c55 * c55 + c33 * c11 - (c13 + c55) ** 2
-          for c11, c13, c33, _, c55, _ in (med.moduli for med in media)]
-    return _Stacked(moduli=np.array([med.moduli for med in media]).T[:, :, None],
-                    rho_scaled=np.array([[med.rho_scaled] for med in media]),
-                    b0=np.array(b0)[:, None])
 
 
 def _slowness_squares(st: _Stacked, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -400,13 +394,14 @@ def _closed_form(st: _Stacked, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     one place that steps off it.
 
     One call serves every medium of ``st`` at once, as whole-array
-    arithmetic over (medium, velocity): the kernel of an all-closed-form
-    stack makes one, and a single medium passes a one-medium stack.
-    Returns alpha (3, media, m) of the two sagittal waves and SH, the
-    sagittal block as [row, wave, medium, velocity] (4, 4, media, m), and
-    valid (media, m).  The block holds rows a1, a3, b1, b3
-    (``_SAGITTAL_ROWS``) of the waves +alpha_1, +alpha_2, -alpha_1,
-    -alpha_2 (``_SAGITTAL_COLS``).
+    arithmetic over (medium, velocity): ``_surface`` makes one over
+    ``_Prepared.closed`` for an all-closed-form stack, and ``_full_waves``
+    one over a single medium's ``_Medium.closed``.  Returns alpha (3,
+    media, m) of the two sagittal waves and SH, +alpha only, the sagittal
+    block as [row, wave, medium, velocity] (4, 4, media, m), and valid
+    (media, m).  The block holds rows a1, a3, b1, b3 (``_SAGITTAL_ROWS``)
+    of the waves +alpha_1, +alpha_2, -alpha_1, -alpha_2
+    (``_SAGITTAL_COLS``).
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     c11, c13, c33, _, c55, _ = st.moduli
@@ -424,28 +419,17 @@ def _closed_form(st: _Stacked, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return alpha, w, ~bad
 
 
-def _sagittal_waves(
-    st: _Stacked, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sagittal part of ``_full_waves`` for the closed-form media of
-    ``st`` at once, n = 2: alpha (2n, media, m), w (2n, 2n, media, m) with
-    rows a1, a3, b1, b3 of the waves +alpha_1, +alpha_2, -alpha_1,
-    -alpha_2, and valid (media, m), without the SH wave, which a normal
-    surface stress does not excite."""
-    alpha, w, valid = _closed_form(st, v)
-    return np.concatenate([alpha[:2], -alpha[:2]]), w, valid
-
-
 def _full_waves(
     med: _Medium, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All six partial waves of ``med`` at velocities v, n = 3.
 
-    Both wave producers return entry-major (alpha (2n, m), w (2n, 2n, m),
-    valid (m,)), the rows of w the displacements a over the tractions b /
-    c_ref, with the decaying-or-downgoing waves (``_masks``), which the
-    recursion references to a medium's top, in the first n columns.  In
-    closed form (``_closed_form``) those are the +alpha waves: below the
+    Returns entry-major (alpha (2n, m), w (2n, 2n, m), valid (m,)), the
+    rows of w the displacements a over the tractions b / c_ref, with the
+    decaying-or-downgoing waves (``_masks``), which the recursion
+    references to a medium's top, in the first n columns, as the sagittal
+    block of ``_closed_form`` has them for n = 2.  In closed form (a
+    one-medium ``_closed_form`` call) those are the +alpha waves: below the
     window's ceiling every sagittal alpha of the substrate has Im alpha >
     0, a propagating SH wave's +alpha carries flux C44 alpha > 0, and in a
     layer a propagating wave's twin carries exactly the negated flux and
@@ -454,20 +438,20 @@ def _full_waves(
     first; a stable sort on ``_masks`` moves the decaying-or-downgoing ones
     ahead, and a velocity without exactly three of them is invalid.
     """
-    if med.moduli is None:
+    if med.closed is None:
         alpha, w, flux, valid = _wave_fields(med, v)
         down, _ = _masks(alpha, flux)
         order = np.argsort(~down, axis=1, kind="stable")
         alpha = np.take_along_axis(alpha, order, axis=1)
         w = np.take_along_axis(w, order[:, None], axis=2)
         return alpha.T, w.transpose(1, 2, 0), valid & (down.sum(axis=1) == 3)
-    alpha, sagittal, valid = (a[..., 0, :] for a in _closed_form(_stacked((med,)), v))
+    alpha, sagittal, valid = (a[..., 0, :] for a in _closed_form(med.closed, v))
     # rows a1, a2, a3, b1, b2, b3 of the +alpha waves, then the -alpha
     # ones, which flip the sign of a1, b2 and b3
     w = np.zeros((6, 6, valid.size), dtype=complex)
     w[_SAGITTAL_ROWS[:, None], _SAGITTAL_COLS] = sagittal
     w[1, 2] = w[1, 5] = 1.0
-    np.multiply(alpha[2], med.moduli[3], out=w[4, 2])
+    np.multiply(alpha[2], med.closed.moduli[3, 0], out=w[4, 2])
     np.negative(w[4, 2], out=w[4, 5])
     return np.concatenate([alpha, -alpha]), w, valid
 
@@ -543,9 +527,12 @@ def partial_waves(
 class _Prepared:
     media: tuple[_Medium, ...]  # layers surface-first, substrate last
     thicknesses: tuple[float, ...]
-    c_ref: float
     v_floor: float
     v_ceiling: float
+    # every medium's ``_Medium.closed`` joined in order, for one
+    # ``_closed_form`` call over the stack; None when a medium needs the
+    # eigenproblem
+    closed: _Stacked | None
 
 
 # Stacks realised during a fit share most of their materials, so what
@@ -582,12 +569,12 @@ def _substrate_ceiling(material: ElasticMaterial, geometry: PropagationGeometry)
     ceiling = min(math.sqrt(val) for val, pol in zip(vals, vecs.T)
                   if math.hypot(pol[0], pol[2]) > 1e-8)
     med = _Medium.build(tensor, material.density, float(np.abs(tensor.voigt).max()))
-    if med.moduli is None:
+    if med.closed is None:
         return ceiling
-    c11, _, c33, _, c55, _ = med.moduli
+    c11, _, c33, _, c55, _ = med.closed.moduli.ravel().tolist()
     # the alpha^2 coefficient is b0 - s X, and disc = (b0 - s X)^2
     # - 4 C33 C55 (C11 - X)(C55 - X); the coinciding alpha^2 is -b / (2 C33 C55)
-    b0, s = float(_stacked((med,)).b0[0, 0]), c55 + c33
+    b0, s = med.closed.b0.item(), c55 + c33
     disc = ((c33 - c55) ** 2, 4.0 * c33 * c55 * (c11 + c55) - 2.0 * b0 * s,
             b0 * b0 - 4.0 * c33 * c55 * c11 * c55)
     for x in np.roots(disc):
@@ -601,12 +588,18 @@ def _prepare(stack: LayerStack) -> _Prepared:
     geometry = stack.geometry
     materials = [layer.material for layer in stack.layers] + [stack.substrate]
     c_ref = max(float(np.abs(_frame_stiffness(m, geometry).voigt).max()) for m in materials)
+    media = tuple(_medium(m, geometry, c_ref) for m in materials)
+    parts = [med.closed for med in media]
+    closed = None if None in parts else _Stacked(
+        moduli=np.concatenate([st.moduli for st in parts], axis=1),
+        rho_scaled=np.concatenate([st.rho_scaled for st in parts]),
+        b0=np.concatenate([st.b0 for st in parts]))
     return _Prepared(
-        media=tuple(_medium(m, geometry, c_ref) for m in materials),
+        media=media,
         thicknesses=tuple(layer.thickness for layer in stack.layers),
-        c_ref=c_ref,
         v_floor=0.5 * min(m.shear_velocity for m in materials),
         v_ceiling=_substrate_ceiling(stack.substrate, geometry),
+        closed=closed,
     )
 
 
@@ -682,98 +675,61 @@ def _coupling(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _solve(g[:, n:], g[:, :n])
 
 
-@dataclass(frozen=True, eq=False)
-class _Kernel:
-    """The k-independent part of the surface response at a batch of velocities.
+def _surface(
+    prep: _Prepared, v: np.ndarray, k: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Surface displacement X and traction Y per unit amplitude of the top medium.
 
-    Every array carries n = 2 waves per direction when all media of the
-    stack take closed-form waves, whose sagittal block (``_SAGITTAL_ROWS``,
-    ``_SAGITTAL_COLS``) is all the normal response sees, and n = 3 otherwise.
-    ``valid`` marks the velocities where every medium's waves are valid
-    (``_full_waves``).  The remaining fields hold those velocities
-    only, entry-major: matrix rows and columns lead, and the velocities are
-    the last axis, after a unit axis that broadcasts against the
-    frequencies of a scan block.  Per layer, surface first, they are
-    (alpha_d (n, 1, m), alpha_u, w (2n, 2n, 1, m), thickness): the
-    slownesses of the top-referenced (d) and bottom-referenced (u) waves,
-    and the displacement-over-traction wave matrix with the d waves in its
-    first n columns.  alpha_u is None for a closed-form medium, where it is
-    exactly -alpha_d.  ``bottom`` is the bottom layer's coupling
-    S (n, n, 1, m) on the substrate, or for a half-space the substrate's
-    wave matrix (2n, n, 1, m) of its accepted waves.
+    Returns (valid, X, Y).  ``valid`` (m,) marks the velocities ``v`` (m,)
+    where every medium's waves are valid, and X and Y cover those only.
+    They are n x n and entry-major: (n, n, F, m) for k of shape (F, m), one
+    row per frequency of a scan block, and (n, n, 1, m) for one of shape
+    (m,), one wavenumber per velocity.  When every medium is orthotropic in
+    the frame the SH wave decouples exactly (Stroh 1962) and a normal
+    stress does not excite it, so n = 2: one ``_closed_form`` call over
+    ``prep.closed`` gives every medium's sagittal waves, and each medium's
+    are a slice of its medium axis.  Otherwise n = 3, one ``_full_waves``
+    call per medium: closed form where the medium allows it, from the
+    eigenproblem where it does not.  Either way a medium's top-referenced
+    waves (d), the decaying or downgoing ones, are its first n columns, and
+    its bottom-referenced ones (u) the last n, with slownesses alpha_u =
+    -alpha_d exactly in closed form.
+
+    The substrate's impedance Z = B A^-1 of its accepted waves and the
+    bottom layer's coupling S to it (``_coupling``) do not depend on k:
+    they are formed once per velocity, with a unit axis before the
+    velocities that broadcasts against a scan block's frequencies.  From
+    the bottom layer up: T = E_u S E_d, X = A_d - A_u T and Y = B_d - B_u
+    T, and Y X^-1 is the impedance under the next layer.  E_d = exp(ik
+    alpha_d h) and E_u = exp(-ik alpha_u h) are diagonal, one exponential
+    where alpha_u = -alpha_d.  Rows of X and Y are the displacement and
+    traction components kept, the normal one last, and columns the
+    amplitudes of the top layer's d waves (the substrate's accepted waves
+    for a half-space, which do not depend on k).
     """
-
-    valid: np.ndarray
-    layers: tuple[tuple[np.ndarray, np.ndarray | None, np.ndarray, float], ...]
-    bottom: np.ndarray
-
-
-def _kernel(prep: _Prepared, v: np.ndarray) -> _Kernel:
-    """Partial waves of every medium at velocities v, split n/n and coupled.
-
-    When every medium is orthotropic in the frame, each takes only its two
-    sagittal waves per direction (n = 2), built in closed form straight in
-    entry-major layout: the SH wave decouples from them exactly (Stroh
-    1962), so it does not enter the normal response.  One
-    ``_sagittal_waves`` call builds them for every medium at once, and each
-    medium's are a slice of its medium axis.  Otherwise all six waves stay
-    (n = 3, ``_full_waves``, one call per medium): closed form where the
-    medium allows it, from the eigenproblem where it does not.  Either
-    producer puts a medium's top-referenced waves, the decaying or
-    downgoing ones, in its first n columns.
-    """
-    if all(med.moduli is not None for med in prep.media):
-        alpha, w, ok = _sagittal_waves(_stacked(prep.media), v)
+    if prep.closed is not None:
+        alpha, w, ok = _closed_form(prep.closed, v)
         valid = ok.all(axis=0)
-        # alpha_u = -alpha_d for every medium
-        split = [(alpha[:, i], w[:, :, i], True) for i in range(len(prep.media))]
+        waves = [(alpha[:2, i], None, w[:, :, i]) for i in range(len(prep.media))]
     else:
-        split = []
+        waves = []
         valid = np.ones(v.shape, dtype=bool)
         for med in prep.media:
             alpha, w, ok = _full_waves(med, v)
             valid &= ok
-            split.append((alpha, w, med.moduli is not None))
-    n = split[0][0].shape[0] // 2
-    if not valid.all():
-        split = [(alpha[:, valid], w[:, :, valid], twin) for alpha, w, twin in split]
+            waves.append((alpha[:3], None if med.closed is not None else alpha[3:], w))
+    n = waves[0][0].shape[0]
+    keep = slice(None) if valid.all() else valid
+    k = k[..., keep]
     # a unit axis before the velocities broadcasts against a scan's frequencies
-    layers = tuple((alpha[:n, None], None if twin else alpha[n:, None], w[:, :, None], h)
-                   for (alpha, w, twin), h in zip(split, prep.thicknesses))
-    w_sub = split[-1][1][:, :n, None]
-    if not layers:
-        return _Kernel(valid, layers, w_sub)
-    z_sub = _right_divide(w_sub[n:], w_sub[:n])
-    return _Kernel(valid, layers, _coupling(z_sub, layers[-1][2]))
-
-
-def _surface(kern: _Kernel, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Surface displacement X and traction Y per unit amplitude of the top medium.
-
-    X and Y are n x n, with n the kernel's block size, entry-major: (n, n,
-    F, m) for k of shape (F, m), and (n, n, 1, m) for one of shape (m,).
-    Their rows are the displacement and traction components the kernel
-    keeps, the normal one last, and their columns the amplitudes of the
-    top layer's top-referenced waves (the substrate's accepted waves for a
-    half-space), so the response to a unit normal surface stress is the
-    last row of X Y^-1.  ``k`` holds wavenumbers along its last axis, one
-    per velocity of the kernel, and a leading frequency axis (one row per
-    frequency in a scan block) broadcasts through the recursion; the result
-    covers the kernel's valid velocities only.  A half-space does not
-    depend on k.  From the bottom layer up: T = E_u S E_d, X = A_d - A_u T
-    and Y = B_d - B_u T, and Y X^-1 is the impedance under the next layer.
-    E_d = exp(ik alpha_d h) and E_u = exp(-ik alpha_u h) are diagonal, and
-    where the kernel has alpha_u = -alpha_d they are one exponential.
-    """
-    n = kern.bottom.shape[1]
-    if not kern.layers:
-        return kern.bottom[:n], kern.bottom[n:]
-    if not kern.valid.all():
-        k = k[..., kern.valid]
-    s = kern.bottom
-    for j in range(len(kern.layers) - 1, -1, -1):
-        alpha_d, alpha_u, w, h = kern.layers[j]
-        ihk = 1j * h * k
+    waves = [[None if a is None else a[..., None, keep] for a in medium] for medium in waves]
+    w_sub = waves[-1][2][:, :n]
+    if len(waves) == 1:
+        return valid, w_sub[:n], w_sub[n:]
+    s = _coupling(_right_divide(w_sub[n:], w_sub[:n]), waves[-2][2])
+    for j in range(len(prep.thicknesses) - 1, -1, -1):
+        alpha_d, alpha_u, w = waves[j]
+        ihk = 1j * prep.thicknesses[j] * k
         e_d = np.exp(ihk * alpha_d)
         e_u = e_d if alpha_u is None else np.exp(-ihk * alpha_u)
         t = e_u[:, None] * s
@@ -781,23 +737,24 @@ def _surface(kern: _Kernel, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xy = _matmul(w[:, n:], t)
         np.subtract(w[:, :n], xy, out=xy)
         if j:
-            s = _coupling(_right_divide(xy[n:], xy[:n]), kern.layers[j - 1][2])
-    return xy[:n], xy[n:]
+            s = _coupling(_right_divide(xy[n:], xy[:n]), waves[j - 1][2])
+    return valid, xy[:n], xy[n:]
 
 
-def _response(kern: _Kernel, k: np.ndarray) -> np.ndarray:
-    """Surface normal displacement per unit scaled normal surface stress.
+def _g33(prep: _Prepared, v: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Surface normal displacement u3 per unit scaled normal surface stress.
 
-    Shaped like ``k`` (see ``_surface``); NaN at the kernel's invalid
-    velocities.  The response is u3 = det(Y with its last row replaced by
-    the last row of X) / det Y, the last row of X Y^-1 by Cramer's rule,
-    from the cofactors c of Y's last row: (-Y_01, Y_00) for n = 2, the
-    cross product of Y's first two rows for n = 3.  Where det Y is exactly
-    0 (below the substrate threshold Y's rows are real and imaginary, so it
+    Batched over velocities ``v`` and wavenumbers ``k`` shaped as for
+    ``_surface``; the result is shaped like ``k``, NaN at the velocities
+    whose waves are invalid.  u3 = det(Y with its last row replaced by the
+    last row of X) / det Y, the last row of X Y^-1 by Cramer's rule, from
+    the cofactors c of Y's last row: (-Y_01, Y_00) for n = 2, the cross
+    product of Y's first two rows for n = 3.  Where det Y is exactly 0
+    (below the substrate threshold Y's rows are real and imaginary, so it
     can cancel to 0 at a mode) u3 is infinite and the pole indicator
     Im(1/u3) is 0 there, not NaN.
     """
-    x, y = _surface(kern, k)
+    valid, x, y = _surface(prep, v, k)
     if y.shape[0] == 2:
         c = y[0, ::-1] * _COFACTOR_SIGNS
     else:
@@ -810,13 +767,8 @@ def _response(kern: _Kernel, k: np.ndarray) -> np.ndarray:
     if zero.any():
         u3[zero & (num != 0)] = np.inf
     out = np.full(k.shape, np.nan + 0j)
-    out[..., kern.valid] = u3
+    out[..., valid] = u3
     return out
-
-
-def _g33(prep: _Prepared, v: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Batched surface response u3 at the given (v, k) points."""
-    return _response(_kernel(prep, v), k)
 
 
 def _pole_indicator(g33: np.ndarray) -> np.ndarray:
@@ -841,12 +793,11 @@ def boundary_matrix(stack: LayerStack, omega: float, k: float) -> "BoundaryMatri
     """
     if not (omega > 0 and k > 0):
         raise ValueError("omega and k must be positive")
-    kern = _kernel(_prepare(stack), np.array([omega / k]))
-    if not kern.valid[0]:
+    valid, _, y = _surface(_prepare(stack), np.array([omega / k]), np.array([k]))
+    if not valid[0]:
         raise DegeneratePointError(
             f"degenerate partial-wave point at omega={omega:.6g}, k={k:.6g}"
         )
-    y = _surface(kern, np.array([k]))[1]
     m = y.reshape(y.shape[:2])
     sign, logabs = np.linalg.slogdet(m)
     return BoundaryMatrix(
@@ -933,8 +884,9 @@ def _indicator(prep: _Prepared, freqs: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     ``freqs`` and ``v`` are either both (m,), one point per pair, or a scan
     block's frequencies (F, 1) against its velocities (m,), which gives the
-    (F, m) mesh; either way one kernel serves the whole call, and the layer
-    recursion broadcasts over the frequencies.  This is the one place that
+    (F, m) mesh; either way the waves, substrate impedance and bottom
+    coupling are built once per velocity, and the layer recursion
+    broadcasts over the frequencies.  This is the one place that
     steps off an undefined point: every non-finite entry is evaluated once
     more as the pair (f, v * (1 + _NUDGE)), k recomputed, and stays NaN if
     that is undefined too.

@@ -245,18 +245,16 @@ def _check_fraction(c_ge: float) -> None:
         raise MaterialError(f"germanium fraction must be in [0, 1], got {c_ge}")
 
 
-def mix_young_modulus(c_ge: float, e_si: float = E_SI, e_ge: float = E_GE) -> float:
-    """Young's modulus of a SiGe film by linear mixing between Si and Ge."""
+def mix_young_modulus(c_ge: float) -> float:
+    """Young's modulus of a SiGe film by linear mixing between E_SI and E_GE."""
     _check_fraction(c_ge)
-    if not (e_si > 0 and e_ge > 0):
-        raise MaterialError("mixing endpoints must be positive")
-    return e_si - c_ge * (e_si - e_ge)
+    return E_SI - c_ge * (E_SI - E_GE)
 
 
-def mix_density(c_ge: float, rho_si: float = RHO_SI, rho_ge: float = RHO_GE) -> float:
-    """Density of a SiGe film by linear mixing between Si and Ge."""
+def mix_density(c_ge: float) -> float:
+    """Density of a SiGe film by linear mixing between RHO_SI and RHO_GE."""
     _check_fraction(c_ge)
-    return rho_si + c_ge * (rho_ge - rho_si)
+    return RHO_SI + c_ge * (RHO_GE - RHO_SI)
 
 
 def sige_material(

@@ -21,7 +21,13 @@ def _checkout(path: Path) -> Path:
 
 
 @pytest.fixture
-def runs(monkeypatch):
+def failed():
+    """Failed operations in each run of a side: none unless a test sets them."""
+    return {"parent": 0, "change": 0}
+
+
+@pytest.fixture
+def runs(monkeypatch, failed):
     """Record run_once calls and answer them with fixed metrics."""
     calls = []
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
@@ -30,8 +36,8 @@ def runs(monkeypatch):
         calls.append(root)
         # 10, 40 operations in the parent's runs and 21, 31 in the change's
         attempted = 10 * len(calls) + (root.name == "change")
-        return {"env": {}, "info": {}, "correct": 1, "attempted": attempted, "failed": 0,
-                "metrics": {m["name"]: 1.0 for m in declared}}
+        return {"env": {}, "info": {}, "correct": 1, "attempted": attempted,
+                "failed": failed[root.name], "metrics": {m["name"]: 1.0 for m in declared}}
 
     monkeypatch.setattr(ab_bench, "run_once", fake_run_once)
     return calls
@@ -64,3 +70,23 @@ def test_refuses_checkouts_with_different_benchmarks(tmp_path, runs, capsys):
     assert "BENCHMARK.json" in files and "perfbench/run.py" in files
     assert report["benchmark_digest"] == ab_bench.benchmark_digest(files)
     assert report["workloads"]["forward"]["attempted_median"] == {"parent": 25, "change": 26}
+    assert report["workloads"]["forward"]["failed_share"] == {"parent": 0.0, "change": 0.0}
+    assert report["workloads"]["forward"]["more_failures"] is False
+
+
+@pytest.mark.parametrize("per_run, more", [
+    # 2 of the change's 52 operations against 2 of the parent's 50: a smaller share
+    ({"parent": 1, "change": 1}, False),
+    ({"parent": 0, "change": 1}, True),
+    ({"parent": 1, "change": 0}, False),
+])
+def test_flags_a_larger_share_of_failed_operations(tmp_path, runs, failed, per_run, more):
+    failed.update(per_run)
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    out = tmp_path / "bench.json"
+    assert _main(parent, change, out) == 0
+    report = json.loads(out.read_text())["workloads"]["forward"]
+    assert report["failed"] == {side: 2 * n for side, n in per_run.items()}
+    assert report["failed_share"] == {"parent": 2 * per_run["parent"] / 50,
+                                      "change": 2 * per_run["change"] / 52}
+    assert report["more_failures"] is more

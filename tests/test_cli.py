@@ -1,10 +1,11 @@
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sawkit as sk
-from sawkit.cli import _read_calibration_csv, fixture_config_path, load_config, main
+from sawkit.cli import _read_calibration_csv, build_stack, fixture_config_path, load_config, main
 from sawkit.errors import ConfigError, FormatError
 
 
@@ -51,6 +52,46 @@ def test_config_rejects_unknown_key(tmp_path):
 def test_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/run.cfg")
+
+
+def test_cmd_dispersion_relative_material_db(tmp_path, si_cfg):
+    # [run] material_db is resolved against the config's directory, not the
+    # working directory; the substrate exists only in that database
+    db_text = (Path(sk.__file__).parent / "data" / "materials.db").read_text(encoding="utf-8")
+    assert db_text.count("[silicon]") == 1
+    (tmp_path / "db").mkdir()
+    (tmp_path / "db" / "own.db").write_text(db_text.replace("[silicon]", "[own_silicon]"),
+                                            encoding="utf-8")
+    (tmp_path / "cfg").mkdir()
+    cfg = tmp_path / "cfg" / "own.cfg"
+    base = si_cfg.read_text(encoding="utf-8")
+    assert base.count("seed = 12345") == base.count("substrate = silicon") == 1
+    cfg.write_text(base.replace("seed = 12345", "seed = 12345\nmaterial_db = ../db/own.db")
+                   .replace("substrate = silicon", "substrate = own_silicon"), encoding="utf-8")
+    assert not Path("../db/own.db").exists()
+    out, ref = tmp_path / "own.csv", tmp_path / "ref.csv"
+    assert run(["dispersion", "--config", cfg, "--out", out]) == 0
+    assert run(["dispersion", "--config", si_cfg, "--out", ref]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_cmd_dispersion_sige_poisson_ratio(tmp_path):
+    # [layer:*] sige_poisson_ratio replaces the default film Poisson ratio
+    base = fixture_config_path("stack_3").read_text(encoding="utf-8")
+    line = "sige_c_ge = 0.416"
+    assert base.count(line) == 1
+    cfg = tmp_path / "nu.cfg"
+    cfg.write_text(base.replace(line, line + "\nsige_poisson_ratio = 0.3"), encoding="utf-8")
+    out = tmp_path / "nu.csv"
+    assert run(["dispersion", "--config", cfg, "--out", out]) == 0
+    curve = sk.read_dispersion_csv(out)
+    default = build_stack(load_config(fixture_config_path("stack_3")))
+    film = sk.sige_material(0.416, poisson_ratio=0.3)
+    assert film.poisson_ratio != default.layers[0].material.poisson_ratio
+    stack = sk.LayerStack(layers=(sk.Layer(film, default.layers[0].thickness),),
+                          substrate=default.substrate, geometry=default.geometry)
+    assert curve.velocities == sk.dispersion_curve(stack, curve.frequencies).velocities
+    assert curve.velocities != sk.dispersion_curve(default, curve.frequencies).velocities
 
 
 # --- dispersion command ------------------------------------------------------------
@@ -253,19 +294,30 @@ def test_synth_bad_sample_rate_exit_2(tmp_path, capsys, si_cfg, rate):
     assert "[synthesis] sample_rate_ghz" in err
 
 
-@pytest.mark.parametrize("width", ["-1.2", "0"])
-def test_synth_non_positive_pulse_width_exit_2(tmp_path, capsys, si_cfg, width):
+@pytest.mark.parametrize(
+    "key, old, new",
+    [
+        pytest.param("pulse_fwhm_ns", "1.2", "-1.2", id="-1.2"),
+        pytest.param("pulse_fwhm_ns", "1.2", "0", id="0"),
+        pytest.param("distance_mm", "5", "-5", id="distance_mm"),
+        pytest.param("noise_rms", "0.01", "-1", id="noise_rms"),
+        pytest.param("n_harmonics", "2", "0", id="n_harmonics"),
+    ],
+)
+def test_synth_non_positive_pulse_width_exit_2(tmp_path, capsys, si_cfg, key, old, new):
     # only the square of the width enters the pulse spectrum, so -1.2 gave
-    # 1.2's waveform and exit 0
-    line = "pulse_fwhm_ns = 1.2"
+    # 1.2's waveform and exit 0; the other [synthesis] faults exited 2 with
+    # a message that named neither the file nor the key
     base = si_cfg.read_text(encoding="utf-8")
-    assert base.count(line) == 1
+    head, section, body = base.partition("[synthesis]")
+    line = f"{key} = {old}"
+    assert body.split("[", 1)[0].count(line) == 1
     cfg = tmp_path / "pulse.cfg"
-    cfg.write_text(base.replace(line, f"pulse_fwhm_ns = {width}"), encoding="utf-8")
+    cfg.write_text(head + section + body.replace(line, f"{key} = {new}", 1), encoding="utf-8")
     capsys.readouterr()
     assert run(["synth", "--config", cfg, "--out", tmp_path / "w.csv"]) == 2
     err = capsys.readouterr().err
-    assert "pulse.cfg" in err and "[synthesis] pulse_fwhm_ns" in err
+    assert "pulse.cfg" in err and f"[synthesis] {key}" in err
     assert not (tmp_path / "w.csv").exists()
 
 
@@ -303,6 +355,51 @@ def test_cmd_calibrate_empty_exit_2(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("", encoding="utf-8")
     assert run(["calibrate", p]) == 2
+
+
+def _calibration_cfg(tmp_path, si_cfg, pitch, v_ref):
+    base = si_cfg.read_text(encoding="utf-8")
+    lines = ("pixel_pitch_um = 32", "v_reference_m_s = 5080")
+    assert all(base.count(line) == 1 for line in lines)
+    cfg = tmp_path / "cal.cfg"
+    cfg.write_text(base.replace(lines[0], f"pixel_pitch_um = {pitch}")
+                   .replace(lines[1], f"v_reference_m_s = {v_ref}"), encoding="utf-8")
+    return cfg
+
+
+def test_cmd_calibrate_reads_config(tmp_path, si_cfg):
+    # [calibration] replaces the defaults of 32 um and 5080 m/s
+    meas = tmp_path / "one.csv"
+    f = 9.1 * 4000.0 / (16e-6 * 10)
+    meas.write_text(f"period_pixels,frequency_hz\n10,{f!r}\n", encoding="utf-8")
+    out = tmp_path / "cal.txt"
+    cfg = _calibration_cfg(tmp_path, si_cfg, 16, 4000)
+    assert run(["calibrate", meas, "--config", cfg, "--out", out]) == 0
+    text = out.read_text()
+    assert "pixel pitch: 16.0 um" in text and "reference velocity: 4000.0 m/s" in text
+    r_line = [ln for ln in text.splitlines() if ln.strip().startswith("r =")][0]
+    assert float(r_line.split("=")[1]) == pytest.approx(9.1, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "flags, values, where",
+    [
+        (["--pixel-pitch-um", "-1"], (32, 5080), "--pixel-pitch-um"),
+        (["--v-reference", "0"], (32, 5080), "--v-reference"),
+        ([], (-1, 5080), "[calibration] pixel_pitch_um"),
+        ([], (32, 0), "[calibration] v_reference_m_s"),
+    ],
+    ids=["pitch-flag", "v-reference-flag", "pitch-key", "v-reference-key"],
+)
+def test_cmd_calibrate_non_positive_exit_2(tmp_path, capsys, si_cfg, flags, values, where):
+    meas = tmp_path / "one.csv"
+    meas.write_text("period_pixels,frequency_hz\n10,144537500.0\n", encoding="utf-8")
+    cfg = _calibration_cfg(tmp_path, si_cfg, *values)
+    capsys.readouterr()
+    assert run(["calibrate", meas, "--config", cfg, *flags]) == 2
+    err = capsys.readouterr().err
+    assert where in err and "must be finite and > 0" in err
+    assert ("cal.cfg" in err) == (not flags)
 
 
 # --- input faults ---------------------------------------------------------------------

@@ -408,11 +408,11 @@ def test_ceiling_is_the_substrates_limiting_velocity(stack_1a, silicon, monkeypa
     sub, ceiling = prep.media[-1], prep.v_ceiling
     assert sk.velocity_window(stack_1a)[1] == ceiling == pytest.approx(5832.897, abs=1e-3)
     x = sub.rho_scaled * (ceiling * np.array([1 - 1e-6, 1.0, 1 + 1e-6])) ** 2
-    y = dispersion._slowness_squares(dispersion._stacked((sub,)), x[None])[0][:2, 0]
+    y = dispersion._slowness_squares(sub.closed, x[None])[0][:2, 0]
     assert (y[:, 0].imag != 0).all()  # a decaying pair just below
     assert y[:, 1] == pytest.approx([0.0561536, 0.0561536], rel=1e-5)
     assert (y[:, 2].imag == 0).all() and (y[:, 2].real > 0).all()  # propagating above
-    bulk = math.sqrt(min(sub.moduli[0], sub.moduli[4]) / sub.rho_scaled)
+    bulk = math.sqrt(min(sub.closed.moduli[[0, 4], 0, 0]) / sub.rho_scaled)
     assert bulk - ceiling == pytest.approx(13.277, abs=1e-3)
     # every bundled medium takes its waves from _closed_form
     seen = []
@@ -654,14 +654,14 @@ def test_scan_steps_off_an_invalid_grid_velocity(stack_1a, monkeypatch):
     below = grid[np.searchsorted(grid, root) - 1]
     assert root == pytest.approx(4332.886, abs=1e-3)
     assert below == pytest.approx(4332.045, abs=1e-3)
-    waves, flagged = dispersion._sagittal_waves, []
+    waves, flagged = dispersion._closed_form, []
 
     def invalid_below(st, v):
         alpha, w, valid = waves(st, v)
         flagged.append(below in v)
         return alpha, w, valid & (v != below)
 
-    monkeypatch.setattr(dispersion, "_sagittal_waves", invalid_below)
+    monkeypatch.setattr(dispersion, "_closed_form", invalid_below)
     assert sk.dispersion_curve(stack_1a, [300e6]).velocities[0] == pytest.approx(root, rel=1e-12)
     assert any(flagged)
 
@@ -857,7 +857,8 @@ def test_closed_form_at_bulk_speeds_matches_eig(stack_1a):
     # defective there), the oxide's v_t among them, and _indicator
     # evaluates those once more 1e-9 higher in velocity
     prep = dispersion._prepare(stack_1a)
-    eig_prep = replace(prep, media=tuple(replace(m, moduli=None) for m in prep.media))
+    eig_prep = replace(prep, closed=None,
+                       media=tuple(replace(m, closed=None) for m in prep.media))
     speeds = [s for layer in stack_1a.layers
               for s in (layer.material.shear_velocity, layer.material.longitudinal_velocity)
               if prep.v_floor < s < prep.v_ceiling]
@@ -895,8 +896,8 @@ def _check_waves_against_eig(tensor, rho):
     waves first, the eigenproblem's in their (Im, Re) order within each
     half."""
     med = dispersion._Medium.build(tensor, rho, float(np.abs(tensor.voigt).max()))
-    assert med.moduli is not None
-    c11, _, _, _, c55, c66 = med.moduli
+    assert med.closed is not None
+    c11, _, _, _, c55, c66 = med.closed.moduli.ravel()
     bulk = np.sqrt(np.sort([c11, c55, c66]) / med.rho_scaled)
     bulk = bulk[np.r_[True, np.diff(bulk) > 1e-6 * bulk[1:]]]  # distinct speeds
     v = np.concatenate([[0.8 * bulk[0]], 0.5 * (bulk[:-1] + bulk[1:]), [1.2 * bulk[-1]]])
@@ -907,7 +908,8 @@ def _check_waves_against_eig(tensor, rho):
     one = np.ones(1)
     cases = [(med, v)]
     for c in (c11, c55, c66):
-        at_bulk = replace(med, rho_scaled=c)
+        at_bulk = replace(med, rho_scaled=c,
+                          closed=replace(med.closed, rho_scaled=np.array([[c]])))
         assert not dispersion._full_waves(at_bulk, one)[2].any()
         cases.append((at_bulk, one * (1 + dispersion._NUDGE)))
     for m, v in cases:
@@ -917,7 +919,7 @@ def _check_waves_against_eig(tensor, rho):
         down, _ = dispersion._masks(alpha, flux)
         down_ref, _ = dispersion._masks(alpha_ref, flux_ref)
         assert down[:, :3].all() and not down[:, 3:].any()
-        eig = replace(m, moduli=None)
+        eig = replace(m, closed=None)
         alpha_eig, _, flux_eig, valid_eig = global_matrix.full_wave_fields(eig, v)
         assert np.array_equal(valid_eig, valid_ref)
         down_eig, _ = dispersion._masks(alpha_eig, flux_eig)
@@ -956,23 +958,31 @@ def test_closed_form_matches_eig_other_silicon_cuts(stack_1a, cut, with_layers):
         substrate=stack_1a.substrate,
         geometry=sk.PropagationGeometry(normal=cut[0], direction=cut[1]),
     )
-    assert dispersion._prepare(stack).media[-1].moduli is not None
+    assert dispersion._prepare(stack).media[-1].closed is not None
     _check_closed_form_against_eig(stack, FINDER_FREQS)
 
 
 def _check_closed_form_waves_come_split(stack):
-    """``_kernel`` takes a closed-form medium's waves without ``_masks``:
+    """``_surface`` takes a closed-form medium's waves without ``_masks``:
     at every velocity of the scan grid where they are valid, exactly the
     first n must be decaying-or-downgoing, for its sagittal waves (n = 2)
-    and for all six (n = 3)."""
+    and for all six (n = 3).  The sagittal waves come from the one
+    ``_closed_form`` call over ``_Prepared.closed`` that ``_surface``
+    makes, or beside an eigenproblem medium from each medium's own; their
+    twins' slownesses are -alpha."""
     prep = dispersion._prepare(stack)
     grid = dispersion._scan_grid(prep)
-    closed = tuple(med for med in prep.media if med.moduli is not None)
+    closed = [med for med in prep.media if med.closed is not None]
     assert closed
-    sagittal = dispersion._sagittal_waves(dispersion._stacked(closed), grid)
-    for i, med in enumerate(closed):
-        for alpha, w, valid in ([a[..., i, :] for a in sagittal],
-                                dispersion._full_waves(med, grid)):
+    if prep.closed is not None:  # then every medium is closed-form
+        stacked = dispersion._closed_form(prep.closed, grid)
+        own = [[a[..., i, :] for a in stacked] for i in range(len(closed))]
+    else:
+        own = [[a[..., 0, :] for a in dispersion._closed_form(med.closed, grid)]
+               for med in closed]
+    for med, (alpha, w, valid) in zip(closed, own):
+        sagittal = np.concatenate([alpha[:2], -alpha[:2]]), w, valid
+        for alpha, w, valid in (sagittal, dispersion._full_waves(med, grid)):
             n = alpha.shape[0] // 2
             flux = (w[:n].conj() * w[n:]).real.sum(axis=0)
             down, _ = dispersion._masks(alpha, flux)
@@ -1004,9 +1014,9 @@ def test_closed_form_waves_come_split_random_isotropic_layers(layers, substrate,
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(layers=RANDOM_LAYERS)
 def test_recursion_matches_global_matrix_non_orthotropic_substrate(layers, silicon, oxide):
-    # the substrate keeps the eigenproblem path of _kernel and 3x3 blocks
+    # the substrate keeps the eigenproblem path of _surface and 3x3 blocks
     stack = _random_stack(layers, silicon, oxide, SI111)
-    assert dispersion._prepare(stack).media[-1].moduli is None
+    assert dispersion._prepare(stack).media[-1].closed is None
     _check_against_global_matrix(stack, FINDER_FREQS)
 
 
@@ -1014,9 +1024,10 @@ def _check_sagittal_against_full(stack):
     """The 2x2 sagittal recursion against the 3x3 one on the same closed-form
     waves: q on the scan mesh at 35 frequencies, and the roots.
 
-    Handing the kernel every medium's six closed-form waves in place of its
-    sagittal ones keeps the SH wave in every block, which is the 3x3 path
-    of a stack with an eigenproblem medium.  Where q crosses zero its
+    Dropping ``_Prepared.closed`` hands ``_surface`` every medium's six
+    closed-form waves (``_full_waves``) in place of its sagittal ones, which
+    keeps the SH wave in every block: the 3x3 path of a stack with an
+    eigenproblem medium.  Where q crosses zero its
     relative error is unbounded, so the tolerance has a floor at 1e-10 of
     q's median.  Near an interface-wave velocity of a layer on the medium
     below the recursion loses digits whichever block size it runs; at the
@@ -1024,20 +1035,15 @@ def _check_sagittal_against_full(stack):
     stay within 1e-9 of the global-matrix oracle.
     """
     prep = dispersion._prepare(stack)
-    assert all(med.moduli is not None for med in prep.media)
+    assert all(med.closed is not None for med in prep.media)
     grid = dispersion._scan_grid(prep)
     q = dispersion._indicator(prep, CURVE_FREQS[:, None], grid)
     roots = dispersion._find_modes(stack, CURVE_FREQS, None)
-    def full_waves(st, v):
-        # _full_waves of every medium, stacked on the medium axis like
-        # _sagittal_waves' output
-        parts = [dispersion._full_waves(med, v) for med in prep.media]
-        return tuple(np.stack(a, axis=-2) for a in zip(*parts))
-
+    full = replace(prep, closed=None)
+    assert dispersion._surface(full, grid[:1], np.ones(1))[2].shape[0] == 3
+    q_full = dispersion._indicator(full, CURVE_FREQS[:, None], grid)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dispersion, "_sagittal_waves", full_waves)
-        assert dispersion._kernel(prep, grid[:1]).bottom.shape[1] == 3
-        q_full = dispersion._indicator(prep, CURVE_FREQS[:, None], grid)
+        mp.setattr(dispersion, "_prepare", lambda stack: full)
         roots_full = dispersion._find_modes(stack, CURVE_FREQS, None)
     np.testing.assert_allclose(roots, roots_full, rtol=1e-12, atol=0)
     assert np.array_equal(np.isfinite(q), np.isfinite(q_full))
@@ -1176,10 +1182,10 @@ def test_singular_surface_matrix_gives_a_zero_indicator(stack_1a, monkeypatch):
     clean = dispersion._pole_indicator(dispersion._g33(prep, v, k))
     surface = dispersion._surface
 
-    def singular_at_3(kern, k):
-        x, y = surface(kern, k)
+    def singular_at_3(prep, v, k):
+        valid, x, y = surface(prep, v, k)
         y[-1, ..., 3] = y[0, ..., 3]  # entry-major: (2, 2, 1, velocities)
-        return x, y
+        return valid, x, y
 
     monkeypatch.setattr(dispersion, "_surface", singular_at_3)
     q = dispersion._pole_indicator(dispersion._g33(prep, v, k))
@@ -1222,7 +1228,7 @@ def test_cold_curve_makes_no_lapack_solve(stack_1a, silicon, monkeypatch):
     prep = dispersion._prepare(stack_1a)
     grid = dispersion._scan_grid(prep)
     shapes, scanned, others = [], [], []
-    solve, waves = np.linalg.solve, dispersion._sagittal_waves
+    solve, waves = np.linalg.solve, dispersion._closed_form
 
     def recording_solve(a, b):
         shapes.append(np.shape(a)[-2:])
@@ -1233,12 +1239,12 @@ def test_cold_curve_makes_no_lapack_solve(stack_1a, silicon, monkeypatch):
         return waves(st, v)
 
     monkeypatch.setattr(np.linalg, "solve", recording_solve)
-    monkeypatch.setattr(dispersion, "_sagittal_waves", recording_waves)
+    monkeypatch.setattr(dispersion, "_closed_form", recording_waves)
     sk.dispersion_curve(stack_1a, CURVE_FREQS)
     assert shapes == []
-    scanned = np.concatenate(scanned)
-    assert 0 < scanned.size < grid.size
-    assert np.array_equal(scanned, grid[:scanned.size])
+    swept = np.concatenate(scanned)
+    assert 0 < swept.size < grid.size
+    assert np.array_equal(swept, grid[:swept.size])
     assert max(map(np.size, others)) <= 35
     # a substrate whose SH wave couples keeps 3x3 systems throughout
     si111 = sk.LayerStack(layers=stack_1a.layers, substrate=silicon, geometry=SI111)
@@ -1250,16 +1256,16 @@ def test_cold_curve_makes_no_lapack_solve(stack_1a, silicon, monkeypatch):
 def test_one_closed_form_call_per_kernel(name, thickness_factor, monkeypatch):
     # work guard that does not depend on the machine: on a stack whose media
     # are all orthotropic in the frame, one _closed_form call builds every
-    # medium's waves for a kernel, cold or hinted, over 1 to 3 media
+    # medium's waves for a _g33 batch, cold or hinted, over 1 to 3 media
     stack = _bundled_stack(name, thickness_factor)
-    kernel, closed_form, kernels, calls = dispersion._kernel, dispersion._closed_form, [], []
-    monkeypatch.setattr(dispersion, "_kernel",
-                        lambda prep, v: kernels.append(1) or kernel(prep, v))
+    g33, closed_form, batches, calls = dispersion._g33, dispersion._closed_form, [], []
+    monkeypatch.setattr(dispersion, "_g33",
+                        lambda prep, v, k: batches.append(1) or g33(prep, v, k))
     monkeypatch.setattr(dispersion, "_closed_form",
                         lambda st, v: calls.append(st.moduli.shape) or closed_form(st, v))
     cold = sk.dispersion_curve(stack, CURVE_FREQS)
     sk.dispersion_curve(stack, CURVE_FREQS, hints=np.array(cold.velocities) + 3.0)
-    assert kernels and len(calls) == len(kernels)
+    assert batches and len(calls) == len(batches)
     assert set(calls) == {(6, len(stack.layers) + 1, 1)}
 
 
@@ -1287,9 +1293,9 @@ def test_cold_curve_response_points(stack_1a, monkeypatch):
     # work guard that does not depend on the machine: (velocity, frequency)
     # points through the layer recursion for a cold 35-point curve; a scan
     # of the whole grid at every frequency takes 28 069
-    response, points = dispersion._response, []
-    monkeypatch.setattr(dispersion, "_response",
-                        lambda kern, k: points.append(np.size(k)) or response(kern, k))
+    g33, points = dispersion._g33, []
+    monkeypatch.setattr(dispersion, "_g33",
+                        lambda prep, v, k: points.append(np.size(k)) or g33(prep, v, k))
     sk.dispersion_curve(stack_1a, CURVE_FREQS)
     assert sum(points) <= 20_000
 
@@ -1299,17 +1305,18 @@ def test_one_layer_exponential_per_closed_form_wave(stack_1a, oxide, silicon, mo
     # has alpha_u = -alpha_d exactly, so E_u = E_d and _surface evaluates n
     # complex exponentials per layer and response point, not 2n; a layer
     # whose waves come from the eigenproblem keeps both
-    response, exp, points, exps = dispersion._response, dispersion.np.exp, [], []
+    surface, exp, points, exps = dispersion._surface, dispersion.np.exp, [], []
 
-    def recording_response(kern, k):
-        points.append(np.size(k[..., kern.valid]))
-        return response(kern, k)
+    def recording_surface(prep, v, k):
+        valid, x, y = surface(prep, v, k)
+        points.append(np.size(k[..., valid]))
+        return valid, x, y
 
     def recording_exp(x, *args, **kwargs):
         exps.append(np.size(x))
         return exp(x, *args, **kwargs)
 
-    monkeypatch.setattr(dispersion, "_response", recording_response)
+    monkeypatch.setattr(dispersion, "_surface", recording_surface)
     monkeypatch.setattr(dispersion.np, "exp", recording_exp)
     sk.dispersion_curve(stack_1a, CURVE_FREQS)
     assert sum(points) > 0
@@ -1320,7 +1327,7 @@ def test_one_layer_exponential_per_closed_form_wave(stack_1a, oxide, silicon, mo
     si111 = sk.LayerStack(layers=(sk.Layer(germanium, 0.5e-6), sk.Layer(oxide, 0.4e-6)),
                           substrate=silicon, geometry=SI111)
     prep = dispersion._prepare(si111)
-    assert [med.moduli is None for med in prep.media] == [True, False, True]
+    assert [med.closed is None for med in prep.media] == [True, False, True]
     points.clear()
     exps.clear()
     sk.dispersion_curve(si111, [300e6])

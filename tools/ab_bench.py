@@ -14,7 +14,10 @@ pairs of one workload finish before the next starts.  Every run uses the
 same ``--seed`` and ``--seconds``, and each checkout runs its own
 ``perfbench`` from its own root.  The output file holds, per workload, the
 ``env`` line of the first run, every run's metrics and failure counts,
-each side's median number of attempted operations (perfbench keeps every
+each side's failed operations and their share of its attempted ones, with
+``more_failures`` set where the change's share is the larger (a larger
+share of failed operations rejects a change as a regression does), each
+side's median number of attempted operations (perfbench keeps every
 operation's output, so ``peak_rss_mb`` grows with it), and per end-to-end
 metric (names, directions and bounds from the parent's
 ``BENCHMARK.json``) each side's median and quartiles, the pairs each side
@@ -78,6 +81,18 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
 def quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def failures(runs: list[dict]) -> dict:
+    """Each side's failed operations summed over its runs, their share of its
+    attempted operations, and whether the change's share is the larger."""
+    failed, share = {}, {}
+    for side in SIDES:
+        failed[side] = sum(r["failed"] for r in runs if r["side"] == side)
+        attempted = sum(r["attempted"] for r in runs if r["side"] == side)
+        share[side] = failed[side] / attempted if attempted else 0.0
+    return {"failed": failed, "failed_share": share,
+            "more_failures": share["change"] > share["parent"]}
 
 
 def summarize(runs: list[dict], declared: list[dict]) -> dict:
@@ -152,13 +167,15 @@ def main(argv=None) -> int:
         report["workloads"][workload] = {
             "env": runs[0]["env"],
             "runs": [{k: v for k, v in run.items() if k != "env"} for run in runs],
-            "failed": {side: sum(r["failed"] for r in runs if r["side"] == side)
-                       for side in SIDES},
+            **failures(runs),
             "attempted_median": {
                 side: statistics.median(r["attempted"] for r in runs if r["side"] == side)
                 for side in SIDES},
             "summary": summarize(runs, declared),
         }
+        if report["workloads"][workload]["more_failures"]:
+            print(f"{workload}: the change failed a larger share of its operations",
+                  file=sys.stderr, flush=True)
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

@@ -298,25 +298,32 @@ def fixture_config_path(name: str) -> Path:
 # --- subcommands --------------------------------------------------------------------
 
 
+def _dispersion_value(cfg: RunConfig, flag: str, value, key: str, parse):
+    """The flag's ``value`` if given, else ``[dispersion] key`` of ``cfg`` read
+    by ``parse``, with where it came from: the flag, or the file, section
+    and key."""
+    if value is not None:
+        return value, flag
+    return parse(cfg, "dispersion", key), f"{cfg.path}: [dispersion] {key}"
+
+
 def cmd_dispersion(args) -> int:
     cfg = load_config(args.config)
     stack = build_stack(cfg)
-    f_min = args.f_min_mhz if args.f_min_mhz is not None else _parse_float(
-        cfg, "dispersion", "f_min_mhz"
-    )
-    f_max = args.f_max_mhz if args.f_max_mhz is not None else _parse_float(
-        cfg, "dispersion", "f_max_mhz"
-    )
-    n = args.n_points if args.n_points is not None else _parse_int(
-        cfg, "dispersion", "n_points"
-    )
+    f_min, f_min_at = _dispersion_value(cfg, "--f-min-mhz", args.f_min_mhz, "f_min_mhz",
+                                        _parse_float)
+    f_max, f_max_at = _dispersion_value(cfg, "--f-max-mhz", args.f_max_mhz, "f_max_mhz",
+                                        _parse_float)
+    n, n_at = _dispersion_value(cfg, "--n-points", args.n_points, "n_points", _parse_int)
     if n < 0:
-        raise ConfigError("n_points must be >= 0")
+        raise ConfigError(f"{n_at} must be >= 0, got {n}")
     if n == 0:
         curve = DispersionCurve((), ())
     else:
-        if not 0 < f_min < f_max:
-            raise ConfigError(f"need 0 < f_min < f_max, got {f_min}, {f_max} MHz")
+        if not f_min > 0:
+            raise ConfigError(f"{f_min_at} must be > 0, got {f_min}")
+        if not f_min < f_max:
+            raise ConfigError(f"{f_min_at} = {f_min} must be below {f_max_at} = {f_max}")
         freqs = np.linspace(f_min * 1e6, f_max * 1e6, n)
         curve = dispersion_curve(stack, freqs)
     _write_text(args.out, dispersion_csv_text(curve))

@@ -27,17 +27,30 @@ def failed():
 
 
 @pytest.fixture
-def runs(monkeypatch, failed):
+def broken():
+    """Runs that go wrong, by (side, pair): an exit code, or 0 for a run that
+    exits cleanly with an incorrect result.  None unless a test sets them."""
+    return {}
+
+
+@pytest.fixture
+def runs(monkeypatch, failed, broken):
     """Record run_once calls and answer them with fixed metrics."""
     calls = []
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     def fake_run_once(root, workload, seed, seconds):
         calls.append(root)
+        code = broken.get((root.name, (len(calls) - 1) // 2))
+        if code:
+            return {"exit_code": code, "stderr_tail": "Traceback: boom", "env": None,
+                    "info": None, "correct": False, "attempted": None, "failed": None,
+                    "metrics": None}
         # 10, 40 operations in the parent's runs and 21, 31 in the change's
         attempted = 10 * len(calls) + (root.name == "change")
-        return {"env": {}, "info": {}, "correct": 1, "attempted": attempted,
-                "failed": failed[root.name], "metrics": {m["name"]: 1.0 for m in declared}}
+        return {"exit_code": 0, "stderr_tail": "", "env": {}, "info": {},
+                "correct": code is None, "attempted": attempted, "failed": failed[root.name],
+                "metrics": {m["name"]: float(len(calls)) for m in declared}}
 
     monkeypatch.setattr(ab_bench, "run_once", fake_run_once)
     return calls
@@ -72,6 +85,8 @@ def test_refuses_checkouts_with_different_benchmarks(tmp_path, runs, capsys):
     assert report["workloads"]["forward"]["attempted_median"] == {"parent": 25, "change": 26}
     assert report["workloads"]["forward"]["failed_share"] == {"parent": 0.0, "change": 0.0}
     assert report["workloads"]["forward"]["more_failures"] is False
+    assert report["workloads"]["forward"]["bad_runs"] == []
+    assert report["workloads"]["forward"]["any_bad_run"] is False
 
 
 @pytest.mark.parametrize("per_run, more", [
@@ -90,3 +105,40 @@ def test_flags_a_larger_share_of_failed_operations(tmp_path, runs, failed, per_r
     assert report["failed_share"] == {"parent": 2 * per_run["parent"] / 50,
                                       "change": 2 * per_run["change"] / 52}
     assert report["more_failures"] is more
+
+
+def test_keeps_the_report_when_a_run_fails_or_is_incorrect(tmp_path, runs, broken):
+    # pair 1's change run exits 3 and pair 0's parent run is not correct:
+    # both are listed, the workload is flagged, the report is written, and
+    # the failure counts, attempted operations and metrics are taken over
+    # the correct runs only, the metrics over the two pairs whose runs are
+    # both correct (pairs 2 and 3)
+    broken.update({("change", 1): 3, ("parent", 0): 0})
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    out = tmp_path / "bench.json"
+    assert ab_bench.main(["--parent", str(parent), "--change", str(change),
+                          "--workload", "forward", "--pairs", "4", "--seconds", "1",
+                          "--seed", "3", "--out", str(out)]) == 1
+    assert len(runs) == 8
+    report = json.loads(out.read_text())["workloads"]["forward"]
+    assert report["any_bad_run"] is True
+    assert report["bad_runs"] == [
+        {"side": "parent", "pair": 0, "exit_code": 0, "correct": False, "stderr_tail": ""},
+        {"side": "change", "pair": 1, "exit_code": 3, "correct": False,
+         "stderr_tail": "Traceback: boom"},
+    ]
+    assert [r["exit_code"] for r in report["runs"]] == [0, 0, 3, 0, 0, 0, 0, 0]
+    summary = report["summary"]["ops_per_s"]
+    # the runs' metrics are their call numbers: pairs 2 and 3 give parent
+    # 5, 8 and change 6, 7; the incorrect parent run (call 1) is left out
+    assert (summary["parent"]["q1"], summary["parent"]["q3"]) == (5.75, 7.25)
+    assert (summary["change"]["q1"], summary["change"]["q3"]) == (6.25, 6.75)
+    assert (summary["change_wins"], summary["parent_wins"]) == (1, 1)
+    # attempted operations are 10 per call (+1 in the change), correct runs only
+    assert report["attempted_median"] == {"parent": 50, "change": 61}
+    assert report["failed"] == {"parent": 0, "change": 0}
+    # over two pairs, neither has two correct runs
+    runs.clear()
+    assert _main(parent, change, out) == 1
+    report = json.loads(out.read_text())["workloads"]["forward"]
+    assert report["summary"] == {} and len(report["bad_runs"]) == 2

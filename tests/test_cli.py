@@ -142,6 +142,34 @@ def test_cmd_dispersion_bad_config_exit_2(tmp_path):
                 "--f-min-mhz", "50", "--f-max-mhz", "100"]) == 2
 
 
+@pytest.mark.parametrize(
+    "key, old, new, flags, where",
+    [
+        ("n_points", "10", "-3", [], "[dispersion] n_points"),
+        ("n_points", "10", "10", ["--n-points", "-2"], "--n-points"),
+        ("f_min_mhz", "50", "600", [], "[dispersion] f_min_mhz"),
+        ("f_min_mhz", "50", "50", ["--f-min-mhz", "600"], "--f-min-mhz"),
+        ("f_min_mhz", "50", "50", ["--f-min-mhz", "0"], "--f-min-mhz"),
+    ],
+    ids=["n-points-key", "n-points-flag", "f-min-key", "f-min-flag", "f-min-zero-flag"],
+)
+def test_cmd_dispersion_bad_settings_name_their_source(tmp_path, capsys, si_cfg, key, old, new,
+                                                       flags, where):
+    # a negative point count or a band with f_min >= f_max (or f_min <= 0)
+    # exited 2 with a message that named neither the file nor the key, nor
+    # the flag
+    base = si_cfg.read_text(encoding="utf-8")
+    line = f"{key} = {old}"
+    assert base.count(line) == 1
+    cfg = tmp_path / "band.cfg"
+    cfg.write_text(base.replace(line, f"{key} = {new}"), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["dispersion", "--config", cfg, *flags, "--out", tmp_path / "d.csv"]) == 2
+    err = capsys.readouterr().err
+    assert (where if flags else f"band.cfg: {where}") in err
+    assert not (tmp_path / "d.csv").exists()
+
+
 # --- synth / extract pipeline ---------------------------------------------------------
 
 

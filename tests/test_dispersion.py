@@ -423,7 +423,7 @@ def test_ceiling_is_the_substrates_limiting_velocity(stack_1a, silicon, monkeypa
     roots = {}
     for case in BUNDLED:
         stack = _bundled_stack(*case)
-        roots[case] = dispersion._find_modes(stack, CURVE_FREQS, None)
+        roots[case] = dispersion._find_modes(stack, CURVE_FREQS, None)[0]
         dispersion._find_modes(stack, CURVE_FREQS, top_hints)
     assert np.concatenate(seen).max() < ceiling
     prepare = dispersion._prepare
@@ -431,7 +431,7 @@ def test_ceiling_is_the_substrates_limiting_velocity(stack_1a, silicon, monkeypa
         stack = _bundled_stack(*case)
         at_bulk = replace(prepare(stack), v_ceiling=bulk)
         monkeypatch.setattr(dispersion, "_prepare", lambda stack: at_bulk)
-        assert np.array_equal(dispersion._find_modes(stack, CURVE_FREQS, None), roots[case])
+        assert np.array_equal(dispersion._find_modes(stack, CURVE_FREQS, None)[0], roots[case])
     # a substrate whose SH wave couples keeps its slowest sagittally coupled
     # bulk speed along x1, an eigenvalue of the Christoffel matrix
     si111 = sk.LayerStack(layers=(), substrate=silicon, geometry=SI111)
@@ -500,10 +500,10 @@ def _reference_roots(stack, freqs):
 
 
 def _check_finder(stack, freqs):
-    cold = dispersion._find_modes(stack, freqs, None)
+    cold = dispersion._find_modes(stack, freqs, None)[0]
     np.testing.assert_allclose(cold, _reference_roots(stack, freqs), rtol=1e-11)
     hints = cold * (1 + 2e-4 * (-1.0) ** np.arange(len(freqs)))
-    hinted = dispersion._find_modes(stack, freqs, hints)
+    hinted = dispersion._find_modes(stack, freqs, hints)[0]
     np.testing.assert_allclose(hinted, cold, rtol=1e-10)
 
 
@@ -605,14 +605,16 @@ def _whole_grid_roots(stack, freqs):
 
 
 def _check_block_scan(stack, freqs):
-    roots = dispersion._find_modes(stack, freqs, None)
+    roots = dispersion._find_modes(stack, freqs, None)[0]
     assert np.array_equal(roots, _whole_grid_roots(stack, freqs), equal_nan=True)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(layers=RANDOM_LAYERS)
-def test_block_scan_matches_whole_grid_scan_random_stacks(layers, silicon, oxide, geom):
-    _check_block_scan(_random_stack(layers, silicon, oxide, geom), CURVE_FREQS)
+@given(layers=RANDOM_LAYERS, on_si111=st.booleans())
+def test_block_scan_matches_whole_grid_scan_random_stacks(layers, on_si111, silicon, oxide, geom):
+    # on Si(111)[1-10] the count and the scan take the 3x3 path
+    _check_block_scan(_random_stack(layers, silicon, oxide, SI111 if on_si111 else geom),
+                      CURVE_FREQS)
 
 
 @pytest.mark.parametrize("name, thickness_factor", BUNDLED)
@@ -635,9 +637,13 @@ def test_block_scan_resumes_above_rejected_brackets(stack_1a, monkeypatch):
             return -1j * (v - p) / (v - r)
 
     monkeypatch.setattr(dispersion, "_g33", g33)
+    # the mode count reads the stack's waves, not the synthetic indicator:
+    # an undefined ladder starts every frequency at the floor
+    monkeypatch.setattr(dispersion, "_mode_count",
+                        lambda prep, f, v: np.full(np.broadcast(f, v).shape, np.nan))
     settle, passes = dispersion._settle, []
     monkeypatch.setattr(dispersion, "_settle", lambda *args: passes.append(1) or settle(*args))
-    roots = dispersion._find_modes(stack_1a, CURVE_FREQS, None)
+    roots = dispersion._find_modes(stack_1a, CURVE_FREQS, None)[0]
     assert len(passes) >= 2 and not np.isnan(roots).any()
     np.testing.assert_allclose(roots, pole_and_root(CURVE_FREQS)[1], rtol=1e-10)
     assert np.array_equal(roots, _whole_grid_roots(stack_1a, CURVE_FREQS))
@@ -666,6 +672,145 @@ def test_scan_steps_off_an_invalid_grid_velocity(stack_1a, monkeypatch):
     assert any(flagged)
 
 
+# --- Wittrick-Williams mode count -----------------------------------------------
+
+COUNT_FREQS = np.array([50e6, 320e6, 400e6, 900e6])
+# stack 1A x10 hides a weakly coupled mode below the scan's root at these
+# frequencies, at q's roots on a fine grid; at 900 MHz q shows no sign
+# change there down to a 1e-4 m/s grid
+HIDDEN_MODES = {320e6: 3827.19, 400e6: 3785.60, 900e6: 3727.72}
+COUNT_CASES = [(name, factor, False) for name, factor in BUNDLED] + [
+    (name, 1, True) for name in ("si_bare", "stack_1A", "stack_3")]
+
+
+def _count_step(prep, freqs, lo, hi, tol=1e-4):
+    """Where the count first rises in (lo, hi], per frequency, by bisection:
+    the count is 0 at lo and not at hi."""
+    while (hi - lo).max() > tol:
+        mid = 0.5 * (lo + hi)
+        up = dispersion._mode_count(prep, freqs, mid) > 0
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("name, thickness_factor, on_si111", COUNT_CASES)
+def test_mode_count_first_steps_at_the_lowest_mode(name, thickness_factor, on_si111):
+    # on a 0.5 m/s grid from the floor to the ceiling the count is 0 at the
+    # floor and never decreases; it first steps in the grid cell of the
+    # scan's root, bisected onto it within 1e-3 m/s, except where stack
+    # 1A x10 hides a lower mode: there it steps within 0.01 m/s of that
+    # mode, and the curve flags the point
+    stack = _bundled_stack(name, thickness_factor)
+    if on_si111:
+        stack = replace(stack, geometry=SI111)
+    prep = dispersion._prepare(stack)
+    grid = np.arange(prep.v_floor, prep.v_ceiling * (1 - 1e-9), 0.5)
+    count = dispersion._mode_count(prep, COUNT_FREQS[:, None], grid)
+    curve = sk.dispersion_curve(stack, COUNT_FREQS)
+    assert np.isfinite(count).all()
+    assert (count[:, 0] == 0).all() and (np.diff(count, axis=1) >= 0).all()
+    first = np.argmax(count > 0, axis=1)
+    assert (first > 0).all()
+    step = _count_step(prep, COUNT_FREQS, grid[first - 1], grid[first])
+    roots = np.array(curve.velocities)
+    hidden = np.array([name == "stack_1A" and thickness_factor == 10 and f in HIDDEN_MODES
+                       for f in COUNT_FREQS])
+    assert curve.lower_modes == tuple(np.flatnonzero(hidden))
+    cell = np.searchsorted(grid, roots)
+    assert np.array_equal(first[~hidden], cell[~hidden])
+    np.testing.assert_allclose(step[~hidden], roots[~hidden], rtol=0, atol=1e-3)
+    for f, v, root in zip(COUNT_FREQS[hidden], step[hidden], roots[hidden]):
+        assert abs(v - HIDDEN_MODES[f]) <= 0.01 and v < root - 50.0
+
+
+def test_cold_curve_flags_points_above_a_lower_mode():
+    # from 300 MHz up the cold curve of stack 1A x10 returns a mode above a
+    # weakly coupled one, with up to 6 modes below it; only the 5 % jump at
+    # index 10 is a discontinuity.  The other bundled stacks, also with
+    # their layers x10, flag nothing, and hinted points are not checked
+    stack = _bundled_stack("stack_1A", 10)
+    curve = sk.dispersion_curve(stack, CURVE_FREQS)
+    assert curve.lower_modes == tuple(range(10, 35)) and curve.discontinuities == (10,)
+    below = dispersion._mode_count(dispersion._prepare(stack), CURVE_FREQS,
+                                   np.array(curve.velocities) * (1 - 1e-6))
+    assert (below[:10] == 0).all() and (below[10:] >= 1).all() and below.max() == 6
+    assert sk.dispersion_curve(stack, CURVE_FREQS, hints=curve.velocities).lower_modes == ()
+    for name, factor in BUNDLED[:-1] + [("stack_2", 10), ("stack_3", 10), ("sio2_on_si", 10)]:
+        assert sk.dispersion_curve(_bundled_stack(name, factor), CURVE_FREQS).lower_modes == ()
+
+
+@pytest.mark.parametrize("fault", ["not finite", "decreasing"])
+def test_scan_starts_at_the_floor_where_the_ladder_fails(stack_1a, monkeypatch, fault):
+    # one frequency's ladder made NaN at one block, or 1 at the first block
+    # and 0 above: that frequency scans from the floor, and it alone; the
+    # others start where their counts allow, and no root moves
+    prep = dispersion._prepare(stack_1a)
+    grid = dispersion._scan_grid(prep)
+    roots = dispersion._find_modes(stack_1a, CURVE_FREQS, None)[0]
+    starts = dispersion._start_cells(prep, CURVE_FREQS, grid)
+    assert (starts > 0).all()
+    j, mode_count = 17, dispersion._mode_count
+
+    def faulty_count(prep, freqs, v):
+        count = mode_count(prep, freqs, v)
+        if count.ndim == 2:  # the ladder, one row per frequency
+            if fault == "not finite":
+                count[j, 3] = np.nan
+            else:
+                count[j] = 0.0
+                count[j, 0] = 1.0
+        return count
+
+    monkeypatch.setattr(dispersion, "_mode_count", faulty_count)
+    faulty_starts = dispersion._start_cells(prep, CURVE_FREQS, grid)
+    assert faulty_starts[j] == 0
+    assert np.array_equal(np.delete(faulty_starts, j), np.delete(starts, j))
+    indicator, at_floor = dispersion._indicator, []
+
+    def recording_indicator(prep, freqs, v):
+        f, u = np.broadcast_arrays(freqs, v)
+        at_floor.extend(f[u <= grid[1]].tolist())
+        return indicator(prep, freqs, v)
+
+    monkeypatch.setattr(dispersion, "_indicator", recording_indicator)
+    assert np.array_equal(dispersion._find_modes(stack_1a, CURVE_FREQS, None)[0], roots)
+    assert at_floor == [CURVE_FREQS[j]] * 2  # q at the floor, then at the next grid velocity
+
+
+def _orthotropic_rayleigh_velocity(tensor, rho):
+    """Rayleigh speed of a half-space orthotropic in the frame: the root X =
+    rho v^2 of C33 C55 (C11 - X) X^2 = (C55 - X)(C11 C33 - C13^2 - C33 X)^2
+    (Chadwick, Proc. R. Soc. A 349, 1976) on (0, C55), where it is -C55
+    (C11 C33 - C13^2)^2 < 0 at 0 and positive at C55, bisected to the last
+    bit."""
+    c = tensor.voigt
+    c11, c13, c33, c55 = c[0, 0], c[0, 2], c[2, 2], c[4, 4]
+
+    def secular(x):
+        return c33 * c55 * (c11 - x) * x * x - (c55 - x) * (c11 * c33 - c13**2 - c33 * x) ** 2
+
+    lo, hi = 0.0, min(c11, c55)
+    assert secular(lo) < 0 < secular(hi)
+    while hi - lo > 2 * np.spacing(hi):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if secular(mid) < 0 else (lo, mid)
+    return math.sqrt(0.5 * (lo + hi) / rho)
+
+
+def test_bare_silicon_matches_the_orthotropic_secular_equation(bare_silicon, silicon, geom):
+    # the exact Rayleigh speed of Si(001)[110], independent of the partial
+    # waves and the recursion: the curve agrees to 1e-12, and the count
+    # first steps in the scan-grid cell that holds it
+    exact = _orthotropic_rayleigh_velocity(stiffness_of(silicon, geom), silicon.density)
+    assert exact == pytest.approx(5082.619655974, abs=1e-8)
+    curve = sk.dispersion_curve(bare_silicon, CURVE_FREQS)
+    np.testing.assert_allclose(curve.velocities, exact, rtol=1e-12, atol=0)
+    prep = dispersion._prepare(bare_silicon)
+    grid = dispersion._scan_grid(prep)
+    count = dispersion._mode_count(prep, CURVE_FREQS[:, None], grid)
+    assert (np.argmax(count > 0, axis=1) == np.searchsorted(grid, exact)).all()
+
+
 # --- one-pass hint windows against the window-by-window loop they replaced ------
 
 
@@ -692,11 +837,11 @@ def test_one_pass_windows_match_sequential_windows(name, thickness_factor):
     # at or above the ceiling, where windows are clipped or dropped
     stack = _bundled_stack(name, thickness_factor)
     ceiling = dispersion._prepare(stack).v_ceiling
-    cold = dispersion._find_modes(stack, CURVE_FREQS, None)
+    cold = dispersion._find_modes(stack, CURVE_FREQS, None)[0]
     hints = [cold + offset for offset in (0.0, 3.0, -7.0, 25.0, -60.0, 150.0)]
     hints += [np.full(CURVE_FREQS.size, ceiling + d) for d in (-1.0, 0.0, 1.0, 45.0)]
     for h in hints:
-        roots = dispersion._find_modes(stack, CURVE_FREQS, h)
+        roots = dispersion._find_modes(stack, CURVE_FREQS, h)[0]
         assert np.array_equal(roots, _sequential_window_roots(stack, CURVE_FREQS, h))
 
 
@@ -717,7 +862,7 @@ def test_one_pass_windows_take_a_wider_window_after_a_pole(monkeypatch):
         return x, ok
 
     monkeypatch.setattr(dispersion, "_chandrupatla", recording)
-    roots = dispersion._find_modes(stack, CURVE_FREQS, hints)
+    roots = dispersion._find_modes(stack, CURVE_FREQS, hints)[0]
     mine = [(ok, x) for at_j, ok, x in outcomes if at_j]
     assert [ok for ok, _ in mine] == [False, True]
     assert mine[0][1] == pytest.approx(4325.574, abs=1e-3)
@@ -729,7 +874,7 @@ def test_hinted_curve_makes_one_window_endpoint_batch(stack_1a, monkeypatch):
     # work guard that does not depend on the machine: every window of every
     # frequency has its ends evaluated in one batch, whichever window holds
     # the root; every other batch is a root iteration (no scan block)
-    cold = dispersion._find_modes(stack_1a, CURVE_FREQS, None)
+    cold = dispersion._find_modes(stack_1a, CURVE_FREQS, None)[0]
     indicator, chandrupatla = dispersion._indicator, dispersion._chandrupatla
     refining, ends, steps = [], [], []
 
@@ -750,7 +895,7 @@ def test_hinted_curve_makes_one_window_endpoint_batch(stack_1a, monkeypatch):
     for offset in (0.0, 25.0):
         ends.clear()
         steps.clear()
-        roots = dispersion._find_modes(stack_1a, CURVE_FREQS, cold + offset)
+        roots = dispersion._find_modes(stack_1a, CURVE_FREQS, cold + offset)[0]
         np.testing.assert_allclose(roots, cold, rtol=1e-11)
         assert ends == [2 * len(dispersion._HINT_WINDOWS) * CURVE_FREQS.size]
         assert steps
@@ -776,12 +921,12 @@ def _check_against_global_matrix(stack, freqs):
 
 
 def _check_roots_against_global_matrix(stack, freqs):
-    roots = dispersion._find_modes(stack, freqs, None)
+    roots = dispersion._find_modes(stack, freqs, None)[0]
     ranks = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dispersion, "_g33",
                    lambda prep, v, k: ranks.append(k.ndim) or global_matrix.g33(prep, v, k))
-        ref = dispersion._find_modes(stack, freqs, None)
+        ref = dispersion._find_modes(stack, freqs, None)[0]
     # the scan's blocks (a k mesh) and its refinement batches reached the
     # oracle through the one seam
     assert set(ranks) == {1, 2}
@@ -1038,13 +1183,13 @@ def _check_sagittal_against_full(stack):
     assert all(med.closed is not None for med in prep.media)
     grid = dispersion._scan_grid(prep)
     q = dispersion._indicator(prep, CURVE_FREQS[:, None], grid)
-    roots = dispersion._find_modes(stack, CURVE_FREQS, None)
+    roots = dispersion._find_modes(stack, CURVE_FREQS, None)[0]
     full = replace(prep, closed=None)
     assert dispersion._surface(full, grid[:1], np.ones(1))[2].shape[0] == 3
     q_full = dispersion._indicator(full, CURVE_FREQS[:, None], grid)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dispersion, "_prepare", lambda stack: full)
-        roots_full = dispersion._find_modes(stack, CURVE_FREQS, None)
+        roots_full = dispersion._find_modes(stack, CURVE_FREQS, None)[0]
     np.testing.assert_allclose(roots, roots_full, rtol=1e-12, atol=0)
     assert np.array_equal(np.isfinite(q), np.isfinite(q_full))
     finite = np.isfinite(q_full)
@@ -1208,9 +1353,11 @@ def test_cold_stack_3_curve_meets_no_singular_point(stack_3, monkeypatch):
 
     monkeypatch.setattr(dispersion, "_g33", recording_g33)
     indicator, blocks, batches = dispersion._indicator, [], []
+    grid = dispersion._scan_grid(dispersion._prepare(stack_3))
 
     def counting_indicator(prep, freqs, v):
-        (blocks if freqs.ndim == 2 else batches).append(1)  # a scan block's (F, 1)
+        # a scan block's (F, 1), or the pairs at the scan's starts
+        (blocks if freqs.ndim == 2 or np.isin(v, grid).all() else batches).append(1)
         return indicator(prep, freqs, v)
 
     monkeypatch.setattr(dispersion, "_indicator", counting_indicator)
@@ -1222,34 +1369,64 @@ def test_cold_stack_3_curve_meets_no_singular_point(stack_3, monkeypatch):
 def test_cold_curve_makes_no_lapack_solve(stack_1a, silicon, monkeypatch):
     # work guard that does not depend on the machine: on stack 1A every
     # linear system is a 2x2 solved in closed form (70 np.linalg.solve
-    # calls with 3x3 blocks), and the scan's waves (one call for every
-    # medium) are found block by block up from the floor, each grid velocity
-    # once, stopping below the ceiling once every frequency has its root
+    # calls with 3x3 blocks) and every inertia of the mode count a 2x2 one
+    # in closed form, so no np.linalg routine runs.  The count's own waves
+    # are the ladder, at the midpoint of each block's first cell, and one
+    # batch just below the 35 roots.  The scan evaluates each (frequency,
+    # grid velocity) pair once, in ascending order, from the block the count
+    # starts that frequency at (above the floor for every one) up to below
+    # the ceiling, stopping once the frequency has its root; on sio2_on_si
+    # and 1A x10 some frequencies carry q into a block where others start
     prep = dispersion._prepare(stack_1a)
     grid = dispersion._scan_grid(prep)
-    shapes, scanned, others = [], [], []
-    solve, waves = np.linalg.solve, dispersion._closed_form
-
-    def recording_solve(a, b):
-        shapes.append(np.shape(a)[-2:])
-        return solve(a, b)
+    calls, scanned, others = [], [], []
+    waves, indicator = dispersion._closed_form, dispersion._indicator
+    for name in ("solve", "inv", "det", "eig", "eigh", "eigvalsh"):
+        def recording(a, *args, _name=name, _routine=getattr(np.linalg, name)):
+            calls.append((_name, np.shape(a)[-2:]))
+            return _routine(a, *args)
+        monkeypatch.setattr(np.linalg, name, recording)
 
     def recording_waves(st, v):
-        (scanned if np.isin(v, grid).all() else others).append(v)
+        if not np.isin(v, grid).all():
+            others.append(v)
         return waves(st, v)
 
-    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    def recording_indicator(prep, f, v):
+        if np.isin(v, grid).all():
+            scanned.append([a.ravel() for a in np.broadcast_arrays(f, v)])
+        return indicator(prep, f, v)
+
     monkeypatch.setattr(dispersion, "_closed_form", recording_waves)
-    sk.dispersion_curve(stack_1a, CURVE_FREQS)
-    assert shapes == []
-    swept = np.concatenate(scanned)
-    assert 0 < swept.size < grid.size
-    assert np.array_equal(swept, grid[:swept.size])
+    monkeypatch.setattr(dispersion, "_indicator", recording_indicator)
+    curve = sk.dispersion_curve(stack_1a, CURVE_FREQS)
+    assert calls == []
+    starts = np.arange(0, grid.size - 1, dispersion._SCAN_BLOCK)
+    assert np.array_equal(others[0], 0.5 * (grid[starts] + grid[starts + 1]))
+    assert np.array_equal(others[-1], np.array(curve.velocities) * (1 - 1e-6))
     assert max(map(np.size, others)) <= 35
-    # a substrate whose SH wave couples keeps 3x3 systems throughout
+    for stack in (stack_1a, _bundled_stack("sio2_on_si", 1), _bundled_stack("stack_1A", 10)):
+        grid = dispersion._scan_grid(dispersion._prepare(stack))
+        scanned.clear()
+        sk.dispersion_curve(stack, CURVE_FREQS)
+        f, v = (np.concatenate(a) for a in zip(*scanned))
+        assert set(f) == set(CURVE_FREQS)
+        for freq in CURVE_FREQS:
+            swept = v[f == freq]
+            first = np.searchsorted(grid, swept[0])
+            assert first > 0 and first % dispersion._SCAN_BLOCK == 0
+            assert np.array_equal(swept, grid[first:first + swept.size])
+            assert first + swept.size < grid.size
+    assert calls == []
+    # a substrate whose SH wave couples keeps 3x3 systems throughout, and
+    # its count takes 3x3 eigenvalues
     si111 = sk.LayerStack(layers=stack_1a.layers, substrate=silicon, geometry=SI111)
+    dispersion._prepare(si111)  # each medium's 6x6 Mandel eigenvalues
+    calls.clear()
     sk.dispersion_curve(si111, [300e6])
-    assert shapes and set(shapes) == {(3, 3)}
+    routines = {name for name, _ in calls}
+    assert {"solve", "eigvalsh"} <= routines
+    assert {shape for name, shape in calls if name in ("solve", "eigvalsh")} == {(3, 3)}
 
 
 @pytest.mark.parametrize("name, thickness_factor", BUNDLED)
@@ -1257,15 +1434,21 @@ def test_one_closed_form_call_per_kernel(name, thickness_factor, monkeypatch):
     # work guard that does not depend on the machine: on a stack whose media
     # are all orthotropic in the frame, one _closed_form call builds every
     # medium's waves for a _g33 batch, cold or hinted, over 1 to 3 media
+    # and for a _mode_count batch: a cold curve makes two, the ladder that
+    # starts its scan and the count just below its roots
     stack = _bundled_stack(name, thickness_factor)
     g33, closed_form, batches, calls = dispersion._g33, dispersion._closed_form, [], []
+    mode_count, counts = dispersion._mode_count, []
     monkeypatch.setattr(dispersion, "_g33",
                         lambda prep, v, k: batches.append(1) or g33(prep, v, k))
+    monkeypatch.setattr(dispersion, "_mode_count",
+                        lambda prep, f, v: counts.append(1) or mode_count(prep, f, v))
     monkeypatch.setattr(dispersion, "_closed_form",
                         lambda st, v: calls.append(st.moduli.shape) or closed_form(st, v))
     cold = sk.dispersion_curve(stack, CURVE_FREQS)
+    assert len(counts) == 2
     sk.dispersion_curve(stack, CURVE_FREQS, hints=np.array(cold.velocities) + 3.0)
-    assert batches and len(calls) == len(batches)
+    assert batches and len(calls) == len(batches) + len(counts)
     assert set(calls) == {(6, len(stack.layers) + 1, 1)}
 
 
@@ -1291,32 +1474,45 @@ def test_si111_stacks_reach_the_eigenproblem(name, monkeypatch):
 
 def test_cold_curve_response_points(stack_1a, monkeypatch):
     # work guard that does not depend on the machine: (velocity, frequency)
-    # points through the layer recursion for a cold 35-point curve; a scan
-    # of the whole grid at every frequency takes 28 069
+    # points through the layer recursion for a cold 35-point curve (a scan
+    # of the whole grid at every frequency takes 28 069, from the floor
+    # 16 558 in 14 _indicator batches), and the mode count's points: the
+    # (35 frequencies x 13 blocks) ladder and 35 points below the roots
     g33, points = dispersion._g33, []
+    indicator, batches = dispersion._indicator, []
+    mode_count, counted = dispersion._mode_count, []
     monkeypatch.setattr(dispersion, "_g33",
                         lambda prep, v, k: points.append(np.size(k)) or g33(prep, v, k))
+    monkeypatch.setattr(dispersion, "_indicator",
+                        lambda prep, f, v: batches.append(1) or indicator(prep, f, v))
+    monkeypatch.setattr(dispersion, "_mode_count",
+                        lambda prep, f, v: counted.append(np.broadcast(f, v).size)
+                        or mode_count(prep, f, v))
     sk.dispersion_curve(stack_1a, CURVE_FREQS)
-    assert sum(points) <= 20_000
+    assert sum(points) <= 3_000
+    assert len(batches) <= 10
+    assert counted == [35 * 13, 35]
 
 
 def test_one_layer_exponential_per_closed_form_wave(stack_1a, oxide, silicon, monkeypatch):
     # work guard that does not depend on the machine: a closed-form layer
-    # has alpha_u = -alpha_d exactly, so E_u = E_d and _surface evaluates n
-    # complex exponentials per layer and response point, not 2n; a layer
-    # whose waves come from the eigenproblem keeps both
-    surface, exp, points, exps = dispersion._surface, dispersion.np.exp, [], []
+    # has alpha_u = -alpha_d exactly, so E_u = E_d and _surface and
+    # _mode_count evaluate n complex exponentials per layer and point, not
+    # 2n (the count once per layer, however many sublayers it splits it
+    # into); a layer whose waves come from the eigenproblem keeps both.  The
+    # points are those of every _waves batch, the recursion's and the count's
+    waves, exp, points, exps = dispersion._waves, dispersion.np.exp, [], []
 
-    def recording_surface(prep, v, k):
-        valid, x, y = surface(prep, v, k)
-        points.append(np.size(k[..., valid]))
-        return valid, x, y
+    def recording_waves(prep, v, k):
+        out = waves(prep, v, k)
+        points.append(np.size(out[2]))
+        return out
 
     def recording_exp(x, *args, **kwargs):
         exps.append(np.size(x))
         return exp(x, *args, **kwargs)
 
-    monkeypatch.setattr(dispersion, "_surface", recording_surface)
+    monkeypatch.setattr(dispersion, "_waves", recording_waves)
     monkeypatch.setattr(dispersion.np, "exp", recording_exp)
     sk.dispersion_curve(stack_1a, CURVE_FREQS)
     assert sum(points) > 0

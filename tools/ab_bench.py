@@ -24,7 +24,12 @@ metric (names, directions and bounds from the parent's
 won, whether the change is a gain (it wins at least nine tenths of the pairs
 and the medians differ by more than the parent's interquartile range) and
 whether it is a regression (its median is worse than the parent's by more
-than the bound).
+than the bound).  A run that exits non-zero, or whose result is not
+correct, is listed under ``bad_runs`` (side, pair, exit code, stderr tail)
+and sets ``any_bad_run``; the report is still written, the failure counts,
+attempted operations and metrics are taken over the runs with a correct
+result only (the metrics over the pairs whose two runs both have one), and
+the script exits 1 after the last workload.
 """
 
 from __future__ import annotations
@@ -57,18 +62,22 @@ def benchmark_digest(files: dict[str, str]) -> str:
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run in ``root``: its env line and its result."""
+    """One ``perfbench/run.py`` run in ``root``: its exit code, the tail of its
+    stderr, its env line and its result; a run that exits non-zero has no
+    result (``correct`` False, the counts and ``metrics`` None)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    run = {"exit_code": proc.returncode, "stderr_tail": proc.stderr[-2000:], "env": None,
+           "info": None, "correct": False, "attempted": None, "failed": None, "metrics": None}
     if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n"
-                           f"{proc.stderr[-2000:]}")
+        return run
     lines = proc.stdout.strip().splitlines()
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
     info = next((json.loads(line[5:]) for line in lines if line.startswith("info ")), None)
     result = json.loads(lines[-1])
     return {
+        **run,
         "env": env,
         "info": info,
         "correct": result["correct"],
@@ -83,22 +92,42 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def done(run: dict) -> bool:
+    """Whether ``run`` exited cleanly with a correct result."""
+    return run["metrics"] is not None and bool(run["correct"])
+
+
 def failures(runs: list[dict]) -> dict:
-    """Each side's failed operations summed over its runs, their share of its
-    attempted operations, and whether the change's share is the larger."""
+    """Each side's failed operations summed over its runs with a correct
+    result, their share of its attempted operations, and whether the
+    change's share is the larger."""
     failed, share = {}, {}
     for side in SIDES:
-        failed[side] = sum(r["failed"] for r in runs if r["side"] == side)
-        attempted = sum(r["attempted"] for r in runs if r["side"] == side)
+        done_runs = [r for r in runs if r["side"] == side and done(r)]
+        failed[side] = sum(r["failed"] for r in done_runs)
+        attempted = sum(r["attempted"] for r in done_runs)
         share[side] = failed[side] / attempted if attempted else 0.0
     return {"failed": failed, "failed_share": share,
             "more_failures": share["change"] > share["parent"]}
 
 
+def bad_runs(runs: list[dict]) -> list[dict]:
+    """The runs that exited non-zero or whose result is not correct: side,
+    pair, exit code and the tail of stderr."""
+    return [{key: run[key] for key in ("side", "pair", "exit_code", "correct", "stderr_tail")}
+            for run in runs if run["exit_code"] != 0 or not run["correct"]]
+
+
 def summarize(runs: list[dict], declared: list[dict]) -> dict:
-    """Per end-to-end metric: both sides' quartiles, pair wins, gain and regression."""
+    """Per end-to-end metric: both sides' quartiles, pair wins, gain and
+    regression, over the pairs whose two runs both have a correct result;
+    empty when fewer than two pairs do."""
     summary = {}
-    pairs = sorted({run["pair"] for run in runs})
+    ok = {(run["pair"], run["side"]) for run in runs if done(run)}
+    pairs = sorted(p for p, side in ok if side == "parent" and (p, "change") in ok)
+    if len(pairs) < 2:
+        return summary
+    runs = [run for run in runs if run["pair"] in pairs]
     for metric in declared:
         name, higher = metric["name"], metric["better"] == "higher"
         value = {(run["pair"], run["side"]): run["metrics"][name] for run in runs}
@@ -161,23 +190,35 @@ def main(argv=None) -> int:
             for position, side in enumerate(order):
                 run = run_once(roots[side], workload, args.seed, args.seconds)
                 runs.append({"pair": pair, "side": side, "position": position, **run})
+                if run["metrics"] is None:
+                    print(f"{workload} pair {pair} {side}: exited {run['exit_code']}",
+                          file=sys.stderr, flush=True)
+                    continue
                 ops = run["metrics"]["ops_per_s"]
                 print(f"{workload} pair {pair} {side}: ops_per_s {ops:.3f}, "
-                      f"failed {run['failed']}/{run['attempted']}", file=sys.stderr, flush=True)
+                      f"failed {run['failed']}/{run['attempted']}, correct {run['correct']}",
+                      file=sys.stderr, flush=True)
+        bad = bad_runs(runs)
         report["workloads"][workload] = {
-            "env": runs[0]["env"],
+            "env": next((run["env"] for run in runs if run["env"] is not None), None),
             "runs": [{k: v for k, v in run.items() if k != "env"} for run in runs],
             **failures(runs),
+            "bad_runs": bad,
+            "any_bad_run": bool(bad),
             "attempted_median": {
-                side: statistics.median(r["attempted"] for r in runs if r["side"] == side)
+                side: statistics.median([r["attempted"] for r in runs
+                                         if r["side"] == side and done(r)] or [0])
                 for side in SIDES},
             "summary": summarize(runs, declared),
         }
         if report["workloads"][workload]["more_failures"]:
             print(f"{workload}: the change failed a larger share of its operations",
                   file=sys.stderr, flush=True)
+        if bad:
+            print(f"{workload}: {len(bad)} run(s) exited non-zero or were not correct",
+                  file=sys.stderr, flush=True)
         args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    return 1 if any(w["any_bad_run"] for w in report["workloads"].values()) else 0
 
 
 if __name__ == "__main__":

@@ -56,6 +56,16 @@ evaluated.  Evaluating the response instead of a raw determinant keeps the
 mode indicator independent of eigenvector normalization, which is what
 makes bracketed root finding reliable here.
 
+One batch of pairs may also span several stacks of one layer count, each
+owning a consecutive group of pairs.  A stack's own prep holds each
+medium's moduli with a point axis of 1, which serves every velocity;
+``_joined`` gives each medium's arrays and each layer thickness a point
+axis of one entry per pair, taken from the pair's own stack, so every pair
+gets exactly the value its stack's own batch gives.  A batch costs nearly
+the same at 35 pairs as at 210, so a fit's Jacobian evaluates its fitted
+stack and every stepped one in a single ``_indicator`` call.  Scan meshes
+and the mode count take one stack's prep.
+
 The velocities below the lowest mode are skipped with proof.
 ``_mode_count`` counts the modes below v at k = omega / v by the
 Wittrick-Williams algorithm (Q. J. Mech. Appl. Math. 24, 263-284, 1971):
@@ -82,13 +92,13 @@ in 14 batches to 2 414 in 10, plus 455 count points; one more count batch,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CurveError, DegeneratePointError, FormatError
+from .errors import CurveError, DegeneratePointError, FormatError, StackJoinError
 from .materials import (
     ElasticMaterial,
     ElasticTensor,
@@ -283,14 +293,28 @@ def _qrt(cijkl: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class _Stacked:
-    """Closed-form media stacked along a medium axis, each array (..., media, 1)."""
+    """Closed-form media stacked along a medium axis, each array (..., media,
+    points).  The point axis is 1, one medium for every velocity of a
+    batch, or m, one per (frequency, velocity) pair (``_joined``)."""
 
-    moduli: np.ndarray  # (6, media, 1): C11, C13, C33, C44, C55, C66 over c_ref
+    moduli: np.ndarray  # (6, media, points): C11, C13, C33, C44, C55, C66 over c_ref
     rho_scaled: np.ndarray  # rho / c_ref
     # C55^2 + C33 C11 - (C13 + C55)^2, the alpha^2 coefficient at X = 0, in
     # float arithmetic per medium: numpy's square of C13 + C55 can differ
     # from the float power in the last bit
     b0: np.ndarray
+
+
+def _combine(parts: list[_Stacked], fn) -> _Stacked:
+    """The ``_Stacked`` whose every array is ``fn`` of that array of each of ``parts``."""
+    return _Stacked(**{name: fn([getattr(st, name) for st in parts])
+                       for name in ("moduli", "rho_scaled", "b0")})
+
+
+def _at_points(a, sel):
+    """``a`` at the points ``sel`` of its trailing point axis; a float, or a
+    point axis of 1, serves every point and is returned as it is."""
+    return a if np.ndim(a) == 0 or a.shape[-1] == 1 else a[..., sel]
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,10 +325,12 @@ class _Medium:
     the frame (``closed`` set, a one-medium ``_Stacked`` for
     ``_closed_form``), and from the eigenproblem of ``operator`` otherwise
     (``_full_waves``).  A medium with C13 + C55 = 0 takes the eigenproblem
-    too: its closed-form sagittal polarization would vanish.
+    too: its closed-form sagittal polarization would vanish.  In a joined
+    prep (``_joined``) ``closed``, or else ``n0`` and ``rho_scaled``, hold
+    one entry per (frequency, velocity) pair.
     """
 
-    n0: np.ndarray  # v-independent part of the 6x6 operator
+    n0: np.ndarray  # v-independent part of the 6x6 operator, (6, 6) or (m, 6, 6)
     rho_scaled: float  # rho / c_ref, multiplies v^2 on the lower-left diagonal
     # s^2 = c_min / (2 rho), with c_min the smallest eigenvalue of the Mandel
     # stiffness: a slab of the medium clamped on both faces has no mode below
@@ -558,7 +584,8 @@ def partial_waves(
 @dataclass(frozen=True, eq=False)
 class _Prepared:
     media: tuple[_Medium, ...]  # layers surface-first, substrate last
-    thicknesses: tuple[float, ...]
+    # a float per layer, or an (m,) array over a joined prep's pairs
+    thicknesses: tuple
     v_floor: float
     v_ceiling: float
     # every medium's ``_Medium.closed`` joined in order, for one
@@ -621,18 +648,78 @@ def _prepare(stack: LayerStack) -> _Prepared:
     materials = [layer.material for layer in stack.layers] + [stack.substrate]
     c_ref = max(float(np.abs(_frame_stiffness(m, geometry).voigt).max()) for m in materials)
     media = tuple(_medium(m, geometry, c_ref) for m in materials)
-    parts = [med.closed for med in media]
-    closed = None if None in parts else _Stacked(
-        moduli=np.concatenate([st.moduli for st in parts], axis=1),
-        rho_scaled=np.concatenate([st.rho_scaled for st in parts]),
-        b0=np.concatenate([st.b0 for st in parts]))
     return _Prepared(
         media=media,
         thicknesses=tuple(layer.thickness for layer in stack.layers),
         v_floor=0.5 * min(m.shear_velocity for m in materials),
         v_ceiling=_substrate_ceiling(stack.substrate, geometry),
-        closed=closed,
+        closed=_medium_axis(media),
     )
+
+
+def _medium_axis(media: tuple[_Medium, ...]) -> _Stacked | None:
+    """Every medium's ``closed`` joined along the medium axis, None when a
+    medium needs the eigenproblem."""
+    parts = [med.closed for med in media]
+    return None if None in parts else _combine(parts, lambda a: np.concatenate(a, axis=-2))
+
+
+def _joined(preps: list[_Prepared], sizes) -> _Prepared:
+    """One prep for a batch of pairs in which ``preps[i]`` owns the next
+    ``sizes[i]`` pairs, so that one ``_indicator`` call evaluates each
+    stack at its own pairs.
+
+    Each thickness and each medium gets a point axis, one entry per pair:
+    the trailing axis of a closed-form medium's ``closed`` arrays, and for
+    one without a closed form an (m, 6, 6) ``n0`` and an (m,)
+    ``rho_scaled``, which ``_Medium.operator`` broadcasts.  Every entry is
+    its own stack's, so each pair gets the value its own stack's batch
+    gives, even where the stacks' ``c_ref`` differ (a fitted isotropic
+    layer that is the stiffest medium rescales it at every step).  Stacks
+    that differ in layer count, or whose medium at one depth has a closed
+    form in some of them only, raise ``StackJoinError``.  Only
+    ``_indicator`` takes a joined prep: its velocity window is NaN, and a
+    medium's ``s2`` (read by the mode count only) and a closed-form
+    medium's unused eigenproblem pieces are the first stack's.
+    """
+    if len({len(prep.media) for prep in preps}) > 1:
+        raise StackJoinError("stacks with different layer counts cannot share a batch")
+
+    def join(arrays):
+        return np.repeat(np.concatenate(arrays, axis=-1), sizes, axis=-1)
+
+    media = []
+    for i, meds in enumerate(zip(*(prep.media for prep in preps))):
+        parts = [med.closed for med in meds]
+        if None not in parts:
+            media.append(replace(meds[0], closed=_combine(parts, join)))
+        elif all(st is None for st in parts):
+            media.append(replace(meds[0], rho_scaled=join([[med.rho_scaled] for med in meds]),
+                                 n0=np.repeat([med.n0 for med in meds], sizes, axis=0)))
+        else:
+            raise StackJoinError(f"medium {i} (surface-first) has a closed form "
+                                 "in some of the stacks only")
+    return _Prepared(
+        media=tuple(media),
+        thicknesses=tuple(np.repeat(h, sizes) for h in zip(*(p.thicknesses for p in preps))),
+        v_floor=math.nan,
+        v_ceiling=math.nan,
+        closed=_medium_axis(media),
+    )
+
+
+def _take(prep: _Prepared, sel) -> _Prepared:
+    """``prep`` at the points ``sel`` of its point axis (``_at_points``)."""
+
+    def cut(med):
+        if med.closed is not None:
+            return replace(med, closed=_combine([med.closed], lambda a: _at_points(a[0], sel)))
+        return replace(med, rho_scaled=_at_points(med.rho_scaled, sel),
+                       n0=med.n0 if med.n0.ndim == 2 else med.n0[sel])
+
+    media = tuple(map(cut, prep.media))
+    return replace(prep, media=media, closed=_medium_axis(media),
+                   thicknesses=tuple(_at_points(h, sel) for h in prep.thicknesses))
 
 
 # --- surface-impedance recursion -------------------------------------------------
@@ -711,12 +798,14 @@ def _waves(prep: _Prepared, v: np.ndarray, k: np.ndarray) -> tuple:
     """Every medium's partial waves at velocities ``v``, for ``_surface``
     and ``_mode_count``.
 
-    Returns (valid, v, k, waves): ``valid`` (m,) marks the velocities where
-    every medium's waves are valid, and ``v``, ``k`` and the waves cover
-    those only.  ``waves`` holds one (alpha_d, alpha_u, w) per medium,
-    surface-first, alpha_u None where it is -alpha_d exactly; each array
-    has a unit axis before the velocities, which broadcasts against a scan
-    block's frequencies.  See ``_surface`` for n and the columns.
+    Returns (valid, v, k, h, waves): ``valid`` (m,) marks the velocities
+    where every medium's waves are valid, and ``v``, ``k``, the layer
+    thicknesses ``h`` (each a float or, for a joined prep, one per pair)
+    and the waves cover those only.  ``waves`` holds one (alpha_d,
+    alpha_u, w) per medium, surface-first, alpha_u None where it is
+    -alpha_d exactly; each array has a unit axis before the velocities,
+    which broadcasts against a scan block's frequencies.  See ``_surface``
+    for n and the columns.
     """
     if prep.closed is not None:
         alpha, w, ok = _closed_form(prep.closed, v)
@@ -731,7 +820,8 @@ def _waves(prep: _Prepared, v: np.ndarray, k: np.ndarray) -> tuple:
             waves.append((alpha[:3], None if med.closed is not None else alpha[3:], w))
     keep = slice(None) if valid.all() else valid
     waves = [[None if a is None else a[..., None, keep] for a in medium] for medium in waves]
-    return valid, v[keep], k[..., keep], waves
+    h = [_at_points(t, keep) for t in prep.thicknesses]
+    return valid, v[keep], k[..., keep], h, waves
 
 
 def _surface(
@@ -766,15 +856,15 @@ def _surface(
     amplitudes of the top layer's d waves (the substrate's accepted waves
     for a half-space, which do not depend on k).
     """
-    valid, _, k, waves = _waves(prep, v, k)
+    valid, _, k, h, waves = _waves(prep, v, k)
     n = waves[0][0].shape[0]
     w_sub = waves[-1][2][:, :n]
     if len(waves) == 1:
         return valid, w_sub[:n], w_sub[n:]
     s = _coupling(_right_divide(w_sub[n:], w_sub[:n]), waves[-2][2])
-    for j in range(len(prep.thicknesses) - 1, -1, -1):
+    for j in range(len(h) - 1, -1, -1):
         alpha_d, alpha_u, w = waves[j]
-        ihk = 1j * prep.thicknesses[j] * k
+        ihk = 1j * h[j] * k
         e_d = np.exp(ihk * alpha_d)
         e_u = e_d if alpha_u is None else np.exp(-ihk * alpha_u)
         t = e_u[:, None] * s
@@ -957,16 +1047,16 @@ def _mode_count(prep: _Prepared, freqs: np.ndarray, v: np.ndarray) -> np.ndarray
     k, so J(v) = 0 proves that no mode, and no root of the pole indicator,
     lies below v.
     """
-    valid, v, k, waves = _waves(prep, v, 2.0 * math.pi * freqs / v)
+    valid, v, k, hs, waves = _waves(prep, v, 2.0 * math.pi * freqs / v)
     n = waves[0][0].shape[0]
     w_sub = waves[-1][2][:, :n]
     below = -1j * _right_divide(w_sub[n:], w_sub[:n])
     count = np.zeros(np.broadcast_shapes(k.shape, below.shape[2:]))
     eye = np.eye(n).reshape(n, n, 1, 1)
-    for j in range(len(prep.thicknesses) - 1, -1, -1):
+    for j in range(len(hs) - 1, -1, -1):
         alpha_d, alpha_u, w = waves[j]
         slow = np.sqrt(np.maximum(v * v / prep.media[j].s2 - 1.0, 0.0))
-        h = prep.thicknesses[j]
+        h = hs[j]
         parts = int(np.max(k * h * slow / math.pi, initial=0.0)) + 1
         ihk = 1j * (h / parts) * k
         e_d = np.exp(ihk * alpha_d)
@@ -1023,17 +1113,18 @@ def _indicator(prep: _Prepared, freqs: np.ndarray, v: np.ndarray) -> np.ndarray:
     block's frequencies (F, 1) against its velocities (m,), which gives the
     (F, m) mesh; either way the waves, substrate impedance and bottom
     coupling are built once per velocity, and the layer recursion
-    broadcasts over the frequencies.  This is the one place that
-    steps off an undefined point: every non-finite entry is evaluated once
-    more as the pair (f, v * (1 + _NUDGE)), k recomputed, and stays NaN if
-    that is undefined too.
+    broadcasts over the frequencies.  Pairs may take a joined prep
+    (``_joined``), one stack per group of pairs.  This is the one place
+    that steps off an undefined point: every non-finite entry is evaluated
+    once more as the pair (f, v * (1 + _NUDGE)), k recomputed, with the
+    prep taken at those points, and stays NaN if that is undefined too.
     """
     q = _pole_indicator(_g33(prep, v, 2.0 * math.pi * freqs / v))
     nan = ~np.isfinite(q)
     if nan.any():
         bump = np.broadcast_to(v, q.shape)[nan] * (1.0 + _NUDGE)
         f = np.broadcast_to(freqs, q.shape)[nan]
-        q[nan] = _pole_indicator(_g33(prep, bump, 2.0 * math.pi * f / bump))
+        q[nan] = _pole_indicator(_g33(_take(prep, nan), bump, 2.0 * math.pi * f / bump))
     return q
 
 

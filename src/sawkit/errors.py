@@ -20,6 +20,14 @@ class DegeneratePointError(SawkitError):
     """
 
 
+class StackJoinError(SawkitError):
+    """Stacks that cannot share one batched indicator evaluation.
+
+    They differ in layer count, or their medium at one depth has a closed
+    form in some of them only.
+    """
+
+
 class CurveError(SawkitError):
     """No surface mode in the search window at one or more frequencies of a curve.
 

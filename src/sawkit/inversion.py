@@ -24,10 +24,12 @@ The Jacobian needs no curve solve.  Each model velocity v* the fit holds is
 a root of the pole indicator q = Im(1/u3), so by the implicit function
 theorem dv*/dtheta = -(dq/dtheta)/(dq/dv) at (f, v*).  dq/dv is a central
 difference at v*(1 +- 1e-7) and dq/dtheta one over the parameter step at
-fixed v*: 1 + 2p batched indicator evaluations for p parameters.  Only when
-q does not change sign across some root's v-stencil, or an entry is not
-finite, is the whole Jacobian taken as central differences of re-solved
-roots (2p curve solves).
+fixed v*.  All (2 + 2p) N pairs of N points and p parameters, the v-stencil
+on the fitted stack and each parameter's stepped stacks at v*, are one
+batched indicator evaluation over a joined prep, one stack per group of
+pairs.  Only when q does not change sign across some root's v-stencil, or
+an entry is not finite, is the whole Jacobian taken as central differences
+of re-solved roots (2p curve solves).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dispersion import DispersionCurve, dispersion_curve, pole_indicator_at
+from .dispersion import DispersionCurve, _indicator, _joined, _prepare, dispersion_curve
 from .errors import FitError
 from .materials import IsotropicMaterial, LayerStack, mix_density, mix_young_modulus
 
@@ -263,21 +265,19 @@ def _jacobian(
     docstring's fallback condition holds."""
     freqs = np.asarray(problem.measured.frequencies)
     v = np.asarray(model, dtype=float)
-    n = v.size
-    q = pole_indicator_at(
-        problem.realize(values),
-        np.tile(freqs, 2),
-        np.concatenate([v * (1.0 + _ROOT_STEP), v * (1.0 - _ROOT_STEP)]),
-    )
-    q_up, q_dn = q[:n], q[n:]
+    stencil = list(_stencil(problem, values))
+    # the v-stencil on the centre stack, then each parameter's up and down
+    # stack at v, all in one batch
+    sets = [values, values] + [s for pair in stencil for s in pair]
+    prep = _joined([_prepare(problem.realize(s)) for s in sets], [v.size] * len(sets))
+    stencil_v = [v * (1.0 + _ROOT_STEP), v * (1.0 - _ROOT_STEP)] + [v] * (len(sets) - 2)
+    q = _indicator(prep, np.tile(freqs, len(sets)), np.concatenate(stencil_v))
+    q_up, q_dn, *q_theta = q.reshape(len(sets), v.size)
     if not (q_up * q_dn < 0).all():
         return _fd_jacobian(problem, values)
     dq_dv = (q_up - q_dn) / (2.0 * _ROOT_STEP * v)
-    cols = []
-    for p, (up, dn) in zip(problem.free, _stencil(problem, values)):
-        q_p = pole_indicator_at(problem.realize(up), freqs, v)
-        q_m = pole_indicator_at(problem.realize(dn), freqs, v)
-        cols.append(-(q_p - q_m) / (up[p.name] - dn[p.name]) / dq_dv)
+    cols = [-(q_p - q_m) / (up[p.name] - dn[p.name]) / dq_dv
+            for p, (up, dn), q_p, q_m in zip(problem.free, stencil, q_theta[::2], q_theta[1::2])]
     jac = np.column_stack(cols) / problem.sigmas[:, None]
     if not np.isfinite(jac).all():
         return _fd_jacobian(problem, values)

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import sawkit as sk
-from sawkit.errors import FitError
+from sawkit.errors import FitError, StackJoinError
 from sawkit.inversion import (
     WEAKLY_DETERMINED,
     WELL_DETERMINED,
@@ -233,6 +234,38 @@ def test_curve_solves_after_the_loop_are_one_jacobian(problem_1a, monkeypatch):
     assert solves["total"] == before
 
 
+def test_one_indicator_batch_per_jacobian(problem_1a, monkeypatch):
+    # Work-count guard: a Jacobian evaluates the v-stencil on the fitted
+    # stack and every parameter's stepped stacks in one _indicator batch of
+    # (2 + 2p) N pairs, and a fit takes one Jacobian per iteration plus one
+    # at the solution
+    import sawkit.dispersion as dsp
+    import sawkit.inversion as inv
+
+    batches, per_jacobian = [], []
+    jacobian = inv._jacobian
+
+    def counting(indicator):
+        def wrapper(prep, freqs, v):
+            batches.append(np.size(v))
+            return indicator(prep, freqs, v)
+        return wrapper
+
+    def marking_jacobian(*args):
+        start = len(batches)
+        jac = jacobian(*args)
+        per_jacobian.append(batches[start:])
+        return jac
+
+    monkeypatch.setattr(dsp, "_indicator", counting(dsp._indicator))
+    monkeypatch.setattr(inv, "_indicator", counting(inv._indicator))
+    monkeypatch.setattr(inv, "_jacobian", marking_jacobian)
+    res = sk.fit_parameters(problem_1a)
+    n, p = len(problem_1a.measured), len(problem_1a.free)
+    assert len(per_jacobian) == res.n_iterations + 1
+    assert per_jacobian == [[(2 + 2 * p) * n]] * len(per_jacobian)
+
+
 _FREQS_07 = np.linspace(50e6, 900e6, 35)
 # (stack builder, criterion-7 start, truth) of the two criterion-7 stacks
 _STACKS_07 = {
@@ -306,16 +339,18 @@ def test_jacobian_fallback_is_finite_differences(problem_1a, monkeypatch, fault)
     values = {"c_ge": 0.2, "layer0.thickness": 1.0e-6}
     model = inv._model(problem_1a, sk.residuals(problem_1a, values))
     if fault.startswith("nan"):
-        indicator = inv.pole_indicator_at
-        batch = 2 * len(model) if fault == "nan_in_v_stencil" else len(model)
+        # the batch holds the v-stencil (up, then down) on the fitted stack,
+        # then each parameter's up and down stack at the model roots
+        indicator, n = inv._indicator, len(model)
+        at = 3 if fault == "nan_in_v_stencil" else 5 * n + 3
 
-        def nan_at_one_stencil_point(stack, freqs, v):
-            q = indicator(stack, freqs, v)
-            if len(v) == batch:
-                q[3] = np.nan
+        def nan_at_one_stencil_point(prep, freqs, v):
+            assert len(v) == 6 * n
+            q = indicator(prep, freqs, v)
+            q[at] = np.nan
             return q
 
-        monkeypatch.setattr(inv, "pole_indicator_at", nan_at_one_stencil_point)
+        monkeypatch.setattr(inv, "_indicator", nan_at_one_stencil_point)
     else:
         # 1e-5 off its root the stencil no longer brackets the root
         model[5] *= 1.0 + 1e-5
@@ -327,6 +362,103 @@ def test_jacobian_fallback_is_finite_differences(problem_1a, monkeypatch, fault)
     jac = inv._jacobian(problem_1a, values, model)
     assert len(calls) == 1
     assert np.array_equal(jac, fallback(problem_1a, values))
+
+
+# --- one batch over the stencil stacks ----------------------------------------------
+
+# along [1-10] on Si(111) the substrate's waves come from the eigenproblem
+SI111 = sk.PropagationGeometry(normal=(1, 1, 1), direction=(1, -1, 0))
+
+
+def _stencil_stacks(problem, values):
+    """A Jacobian's stacks: the fitted one, then each parameter's up and down."""
+    import sawkit.inversion as inv
+
+    sets = [values] + [s for pair in inv._stencil(problem, values) for s in pair]
+    return [problem.realize(s) for s in sets]
+
+
+def _check_joined(stacks, freqs, v):
+    """One _indicator call over the joined prep, stack i at the pairs
+    (freqs[i], v[i]), equals each stack's own batch exactly; returns the
+    joined prep and its pairs."""
+    import sawkit.dispersion as dsp
+
+    preps = [dsp._prepare(stack) for stack in stacks]
+    joined = dsp._joined(preps, [x.size for x in v])
+    f_all, v_all = np.concatenate(freqs), np.concatenate(v)
+    q = dsp._indicator(joined, f_all, v_all)
+    own = [dsp._indicator(prep, f, x) for prep, f, x in zip(preps, freqs, v)]
+    assert np.isfinite(q).all()
+    assert np.array_equal(q, np.concatenate(own))
+    return joined, f_all, v_all
+
+
+def _pairs(problem, count):
+    """Pairs of ``count`` groups near the measured curve, group i its
+    points from i on, offset by i - count // 2 parts in 1e4."""
+    f = np.asarray(problem.measured.frequencies)
+    v = np.asarray(problem.measured.velocities)
+    return ([f[i:] for i in range(count)],
+            [v[i:] * (1.0 + 1e-4 * (i - count // 2)) for i in range(count)])
+
+
+def test_joined_prep_matches_each_stack_criterion_07(silicon, oxide, geom):
+    stacks = []
+    for which in ("1A", "2"):
+        truth = dict(zip(("c_ge", "layer0.thickness"), _STACKS_07[which][2]))
+        stacks += _stencil_stacks(_criterion_07_problem(silicon, oxide, geom, which), truth)
+    problem = _criterion_07_problem(silicon, oxide, geom, "1A")
+    _check_joined(stacks, *_pairs(problem, len(stacks)))
+
+
+@pytest.mark.parametrize("geometry, young_modulus", [("001", 150e9), ("111", 150e9),
+                                                     ("111", 300e9)])
+def test_joined_prep_matches_each_stack_material_fields(
+    silicon, oxide, geom, geometry, young_modulus
+):
+    # on Si(111)[1-10] the substrate takes the eigenproblem; a 300 GPa film
+    # is the stiffest medium, so each step of its moduli rescales c_ref and
+    # with it the substrate's eigenproblem
+    import sawkit.dispersion as dsp
+
+    free = (sk.FreeParam("layer0.young_modulus", young_modulus, 50e9, 400e9),
+            sk.FreeParam("layer0.poisson_ratio", 0.22, 0.1, 0.4),
+            sk.FreeParam("layer0.thickness", 1.0e-6, 0.3e-6, 3e-6))
+    problem = _criterion_07_problem(silicon, oxide, geom, "1A", free)
+    if geometry == "111":
+        problem = replace(problem, template=replace(problem.template, geometry=SI111))
+    values = {p.name: p.initial for p in free}
+    stacks = _stencil_stacks(problem, values)
+    shared = len({id(dsp._prepare(stack).media[-1]) for stack in stacks}) == 1
+    assert shared == (young_modulus < 200e9)
+    _check_joined(stacks, *_pairs(problem, len(stacks)))
+
+
+def test_joined_prep_steps_off_an_undefined_pair(silicon, oxide, geom):
+    # a pair at the oxide's shear speed is undefined: the nudge evaluates it
+    # once more on the joined prep taken at that pair, its own stack's
+    import sawkit.dispersion as dsp
+
+    problem = _criterion_07_problem(silicon, oxide, geom, "1A")
+    stacks = _stencil_stacks(problem, {"c_ge": 0.179, "layer0.thickness": 1.02e-6})
+    freqs, v = _pairs(problem, len(stacks))
+    v[3][4] = oxide.shear_velocity  # in the group of the thicker film
+    joined, f_all, v_all = _check_joined(stacks, freqs, v)
+    g = dsp._g33(joined, v_all, 2 * np.pi * f_all / v_all)
+    assert np.flatnonzero(np.isnan(g)).tolist() == [sum(f.size for f in freqs[:3]) + 4]
+
+
+def test_stacks_that_cannot_share_a_batch_raise(silicon, oxide, geom):
+    import sawkit.dispersion as dsp
+
+    stack_1a = make_stack_1a(silicon, oxide, geom)
+    with pytest.raises(StackJoinError, match="layer counts"):
+        dsp._joined([dsp._prepare(stack_1a), dsp._prepare(make_stack_3(silicon, geom))], [1, 1])
+    # the substrate has a closed form along Si(001)[110] but not along Si(111)[1-10]
+    si111 = replace(stack_1a, geometry=SI111)
+    with pytest.raises(StackJoinError, match="medium 2"):
+        dsp._joined([dsp._prepare(stack_1a), dsp._prepare(si111)], [1, 1])
 
 
 def test_log_transform_matches_linear(silicon, oxide, geom, curve_1a):

@@ -66,6 +66,7 @@ from .inversion import (
     write_estimates_csv,
 )
 from .materials import (
+    DEFAULT_FILM_POISSON,
     Layer,
     LayerStack,
     MaterialDb,
@@ -85,31 +86,53 @@ from .signal import (
     waveform_csv_text,
 )
 
-_KNOWN_KEYS = {
-    "run": {"seed", "material_db"},
-    "stack": {"substrate", "normal", "propagation", "layers"},
-    "layer": {"material", "sige_c_ge", "sige_poisson_ratio", "thickness_um"},
-    "dispersion": {"f_min_mhz", "f_max_mhz", "n_points"},
-    "mask": {"period_um", "duty", "n_periods"},
+_REQUIRED = object()  # the default of a numeric key that must be given
+
+# Every key of every section.  A numeric key maps to (parse, default, lower
+# bound, strict), read by _number; a default of None makes it optional.  Text
+# keys, and [run] seed (int() reads it exactly at any size), map to None.
+_KEYS = {
+    "run": {"seed": None, "material_db": None},
+    "stack": {"substrate": None, "normal": None, "propagation": None, "layers": None},
+    "layer": {  # sige_material checks c_ge and the Poisson ratio
+        "material": None,
+        "sige_c_ge": (float, None, None, False),
+        "sige_poisson_ratio": (float, DEFAULT_FILM_POISSON, None, False),
+        "thickness_um": (float, _REQUIRED, 0, True),
+    },
+    "dispersion": {
+        "f_min_mhz": (float, _REQUIRED, 0, True),
+        "f_max_mhz": (float, _REQUIRED, None, False),
+        "n_points": (int, _REQUIRED, 0, False),
+    },
+    "mask": {  # MaskSpec checks their ranges
+        "period_um": (float, _REQUIRED, None, False),
+        "duty": (float, 0.5, None, False),
+        "n_periods": (int, _REQUIRED, None, False),
+    },
     "synthesis": {
-        "distance_mm",
-        "pulse_fwhm_ns",
-        "sample_rate_ghz",
-        "noise_rms",
-        "n_harmonics",
+        "distance_mm": (float, 5.0, 0, True),
+        "pulse_fwhm_ns": (float, 1.2, 0, True),
+        "sample_rate_ghz": (float, 2.0, 0, True),
+        "noise_rms": (float, 0.0, 0, False),
+        "n_harmonics": (int, None, 1, False),
     },
     "extraction": {
-        "v_hint_m_s",
-        "n_harmonics",
-        "min_prominence",
-        "window",
-        "zero_pad_factor",
+        "v_hint_m_s": (float, _REQUIRED, 0, True),
+        "n_harmonics": (int, 3, 1, False),
+        "min_prominence": (float, 0.05, None, False),
+        "window": None,
+        "zero_pad_factor": (int, 4, 1, False),
     },
-    "calibration": {"pixel_pitch_um", "v_reference_m_s"},
+    "calibration": {
+        "pixel_pitch_um": (float, 32.0, 0, True),
+        "v_reference_m_s": (float, 5080.0, 0, True),
+    },
+    "fit": {"free": None, "couple_layer": (int, 0, 0, False)},
 }
 
-# [fit] keys: 'free', 'couple_layer', plus one 'initial lower upper [log]'
-# line per free parameter; parameter names carry unit suffixes.
+# [fit] also takes one 'initial lower upper [log]' line per free parameter,
+# named with a unit suffix.
 _FIT_PARAM_UNITS = {
     "c_ge": ("c_ge", 1.0),
     "thickness_um": ("thickness", 1e-6),
@@ -136,15 +159,6 @@ class RunConfig:
         return self.sections[name]
 
 
-def _parse_float(cfg: RunConfig, section: str, key: str, default=None) -> float:
-    sec = cfg.section(section)
-    if key not in sec:
-        if default is None:
-            raise ConfigError(f"{cfg.path}: [{section}] missing key {key!r}")
-        return default
-    return _finite(cfg, f"[{section}] {key}", sec[key])
-
-
 def _finite(cfg: RunConfig, where: str, text: str) -> float:
     """``text`` as a finite float; ConfigError naming the file and ``where`` if not."""
     try:
@@ -156,11 +170,28 @@ def _finite(cfg: RunConfig, where: str, text: str) -> float:
     return value
 
 
-def _parse_int(cfg: RunConfig, section: str, key: str, default=None) -> int:
-    v = _parse_float(cfg, section, key, default)
-    if v != int(v):
-        raise ConfigError(f"{cfg.path}: [{section}] {key} must be an integer")
-    return int(v)
+def _number(cfg: RunConfig | None, section: str, key: str, flag: str | None = None, value=None):
+    """The ``flag``'s ``value`` if given, else ``[section] key`` of ``cfg``,
+    else the key's default in ``_KEYS``.  ConfigError naming the flag, or
+    the file, section and key, if a required key is missing, or unless the
+    value is finite, whole for an int key and inside the key's bound."""
+    parse, default, lower, strict = _KEYS[section.partition(":")[0]][key]
+    where = flag
+    if value is None:
+        text = cfg.section(section).get(key) if cfg else None
+        if text is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"{cfg.path}: [{section}] missing key {key!r}")
+            return default
+        where = f"{cfg.path}: [{section}] {key}"
+        value = _finite(cfg, f"[{section}] {key}", text)
+    if math.isfinite(value) and parse(value) == value:
+        value = parse(value)
+        if lower is None or value > lower or value == lower and not strict:
+            return value
+    bound = "" if lower is None else f" and {'>' if strict else '>='} {lower}"
+    raise ConfigError(
+        f"{where} must be {'an integer' if parse is int else 'finite'}{bound}, got {value!r}")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -181,15 +212,13 @@ def load_config(path: str | Path) -> RunConfig:
     sections: dict[str, dict[str, str]] = {}
     for name in parser.sections():
         kind = "layer" if name.startswith("layer:") else name
-        if kind != "fit" and kind not in _KNOWN_KEYS:
+        if kind not in _KEYS:
             raise ConfigError(f"{p}: unknown section [{name}]")
         body = dict(parser.items(name))
-        if kind != "fit":
-            unknown = set(body) - _KNOWN_KEYS[kind]
-            if unknown:
-                raise ConfigError(
-                    f"{p}: [{name}] unknown key(s) {sorted(unknown)}"
-                )
+        known = set(_KEYS[kind]).union(body.get("free", "").split() if kind == "fit" else ())
+        unknown = set(body) - known
+        if unknown:
+            raise ConfigError(f"{p}: [{name}] unknown key(s) {sorted(unknown)}")
         sections[name] = body
 
     run = sections.get("run", {})
@@ -242,9 +271,7 @@ def build_stack(cfg: RunConfig) -> LayerStack:
         body = cfg.section(key)
         if not body:
             raise ConfigError(f"{cfg.path}: missing section [{key}]")
-        if "thickness_um" not in body:
-            raise ConfigError(f"{cfg.path}: [{key}] missing key 'thickness_um'")
-        thickness = _finite(cfg, f"[{key}] thickness_um", body["thickness_um"]) * 1e-6
+        thickness = _number(cfg, key, "thickness_um") * 1e-6
         if ("material" in body) == ("sige_c_ge" in body):
             raise ConfigError(
                 f"{cfg.path}: [{key}] needs exactly one of 'material' or 'sige_c_ge'"
@@ -258,12 +285,8 @@ def build_stack(cfg: RunConfig) -> LayerStack:
                     )
                 material = cfg.db[mat_name]
             else:
-                kwargs = {}
-                if "sige_poisson_ratio" in body:
-                    kwargs["poisson_ratio"] = _finite(
-                        cfg, f"[{key}] sige_poisson_ratio", body["sige_poisson_ratio"])
-                material = sige_material(_finite(cfg, f"[{key}] sige_c_ge", body["sige_c_ge"]),
-                                         **kwargs)
+                material = sige_material(_number(cfg, key, "sige_c_ge"),
+                                         _number(cfg, key, "sige_poisson_ratio"))
         except MaterialError as exc:
             raise ConfigError(f"{cfg.path}: [{key}]: {exc}") from None
         layers.append(Layer(material=material, thickness=thickness))
@@ -271,9 +294,9 @@ def build_stack(cfg: RunConfig) -> LayerStack:
 
 
 def build_mask(cfg: RunConfig) -> MaskSpec:
-    period = _parse_float(cfg, "mask", "period_um") * 1e-6
-    duty = _parse_float(cfg, "mask", "duty", 0.5)
-    n_periods = _parse_int(cfg, "mask", "n_periods")
+    period = _number(cfg, "mask", "period_um") * 1e-6
+    duty = _number(cfg, "mask", "duty")
+    n_periods = _number(cfg, "mask", "n_periods")
     try:
         return MaskSpec(period=period, duty=duty, n_periods=n_periods)
     except ValueError as exc:
@@ -298,34 +321,17 @@ def fixture_config_path(name: str) -> Path:
 # --- subcommands --------------------------------------------------------------------
 
 
-def _dispersion_value(cfg: RunConfig, flag: str, value, key: str, parse):
-    """The flag's ``value`` if given, else ``[dispersion] key`` of ``cfg`` read
-    by ``parse``, with where it came from: the flag, or the file, section
-    and key."""
-    if value is not None:
-        return value, flag
-    return parse(cfg, "dispersion", key), f"{cfg.path}: [dispersion] {key}"
-
-
 def cmd_dispersion(args) -> int:
     cfg = load_config(args.config)
     stack = build_stack(cfg)
-    f_min, f_min_at = _dispersion_value(cfg, "--f-min-mhz", args.f_min_mhz, "f_min_mhz",
-                                        _parse_float)
-    f_max, f_max_at = _dispersion_value(cfg, "--f-max-mhz", args.f_max_mhz, "f_max_mhz",
-                                        _parse_float)
-    n, n_at = _dispersion_value(cfg, "--n-points", args.n_points, "n_points", _parse_int)
-    if n < 0:
-        raise ConfigError(f"{n_at} must be >= 0, got {n}")
-    if n == 0:
-        curve = DispersionCurve((), ())
-    else:
-        if not f_min > 0:
-            raise ConfigError(f"{f_min_at} must be > 0, got {f_min}")
-        if not f_min < f_max:
-            raise ConfigError(f"{f_min_at} = {f_min} must be below {f_max_at} = {f_max}")
-        freqs = np.linspace(f_min * 1e6, f_max * 1e6, n)
-        curve = dispersion_curve(stack, freqs)
+    f_min = _number(cfg, "dispersion", "f_min_mhz", "--f-min-mhz", args.f_min_mhz)
+    f_max = _number(cfg, "dispersion", "f_max_mhz", "--f-max-mhz", args.f_max_mhz)
+    n = _number(cfg, "dispersion", "n_points", "--n-points", args.n_points)
+    if n and not f_min < f_max:
+        at = {k: flag if getattr(args, k) is not None else f"{cfg.path}: [dispersion] {k}"
+              for k, flag in (("f_min_mhz", "--f-min-mhz"), ("f_max_mhz", "--f-max-mhz"))}
+        raise ConfigError(f"{at['f_min_mhz']} = {f_min} must be below {at['f_max_mhz']} = {f_max}")
+    curve = dispersion_curve(stack, np.linspace(f_min * 1e6, f_max * 1e6, n))
     _write_text(args.out, dispersion_csv_text(curve))
     return 0
 
@@ -351,25 +357,15 @@ def cmd_synth(args) -> int:
     stack = build_stack(cfg)
     mask = build_mask(cfg)
     seed = args.seed if args.seed is not None else cfg.seed
-    noise_rms = _parse_float(cfg, "synthesis", "noise_rms", 0.0)
-    if noise_rms < 0:
-        raise ConfigError(f"{cfg.path}: [synthesis] noise_rms must be >= 0, got {noise_rms}")
+    noise_rms = _number(cfg, "synthesis", "noise_rms")
     if noise_rms > 0 and seed is None:
         raise ConfigError(
             f"{cfg.path}: noise_rms > 0 requires a seed ([run] seed or --seed)"
         )
-    rate = _parse_float(cfg, "synthesis", "sample_rate_ghz", 2.0)
-    fwhm = _parse_float(cfg, "synthesis", "pulse_fwhm_ns", 1.2)
-    if not fwhm > 0:
-        raise ConfigError(f"{cfg.path}: [synthesis] pulse_fwhm_ns must be > 0, got {fwhm}")
-    distance = _parse_float(cfg, "synthesis", "distance_mm", 5.0)
-    if not distance > 0:
-        raise ConfigError(f"{cfg.path}: [synthesis] distance_mm must be > 0, got {distance}")
-    n_harm = None
-    if "n_harmonics" in cfg.section("synthesis"):
-        n_harm = _parse_int(cfg, "synthesis", "n_harmonics")
-        if n_harm < 1:
-            raise ConfigError(f"{cfg.path}: [synthesis] n_harmonics must be >= 1, got {n_harm}")
+    rate = _number(cfg, "synthesis", "sample_rate_ghz")
+    fwhm = _number(cfg, "synthesis", "pulse_fwhm_ns")
+    distance = _number(cfg, "synthesis", "distance_mm")
+    n_harm = _number(cfg, "synthesis", "n_harmonics")
     curve = _model_curve_for_mask(cfg, stack, mask, rate)
     w = synthesize_slope_signal(
         mask,
@@ -407,19 +403,15 @@ def _merge_curves(parts: list[DispersionCurve]) -> DispersionCurve:
 def cmd_extract(args) -> int:
     cfg = load_config(args.config)
     sec = cfg.section("extraction", required=True)
-    v_hint = _parse_float(cfg, "extraction", "v_hint_m_s")
-    n_harm = _parse_int(cfg, "extraction", "n_harmonics", 3)
-    if n_harm < 1:
-        raise ConfigError(f"{cfg.path}: [extraction] n_harmonics must be >= 1, got {n_harm}")
-    min_prom = _parse_float(cfg, "extraction", "min_prominence", 0.05)
+    v_hint = _number(cfg, "extraction", "v_hint_m_s")
+    n_harm = _number(cfg, "extraction", "n_harmonics")
+    min_prom = _number(cfg, "extraction", "min_prominence")
     window = sec.get("window", "hann")
     if window not in ("none", "hann"):
         raise ConfigError(
             f"{cfg.path}: [extraction] window must be 'none' or 'hann', got {window!r}"
         )
-    zpf = _parse_int(cfg, "extraction", "zero_pad_factor", 4)
-    if zpf < 1:
-        raise ConfigError(f"{cfg.path}: [extraction] zero_pad_factor must be >= 1, got {zpf}")
+    zpf = _number(cfg, "extraction", "zero_pad_factor")
     parts = []
     for path in args.waveforms:
         w = read_waveform_csv(path)
@@ -450,28 +442,11 @@ def _read_calibration_csv(path: str) -> list[tuple[float, float]]:
     return list(zip(*columns))
 
 
-def _calibration_value(cfg: RunConfig | None, flag: str, value: float | None, key: str,
-                       default: float) -> float:
-    """The flag's ``value`` if given, else ``[calibration] key`` of ``cfg``, else
-    ``default``; ConfigError naming the flag, or the file, section and key,
-    unless it is finite and positive."""
-    where = flag
-    if value is None:
-        if cfg is None:
-            return default
-        value = _parse_float(cfg, "calibration", key, default)
-        where = f"{cfg.path}: [calibration] {key}"
-    if not 0 < value < math.inf:
-        raise ConfigError(f"{where} must be finite and > 0, got {value!r}")
-    return value
-
-
 def cmd_calibrate(args) -> int:
     cfg = load_config(args.config) if args.config else None
-    pitch = _calibration_value(cfg, "--pixel-pitch-um", args.pixel_pitch_um,
-                               "pixel_pitch_um", 32.0)
-    v_ref = _calibration_value(cfg, "--v-reference", args.v_reference,
-                               "v_reference_m_s", 5080.0)
+    pitch = _number(cfg, "calibration", "pixel_pitch_um", "--pixel-pitch-um",
+                    args.pixel_pitch_um)
+    v_ref = _number(cfg, "calibration", "v_reference_m_s", "--v-reference", args.v_reference)
     rows = _read_calibration_csv(args.measurements)
     result = calibrate_projection_ratio(rows, pixel_pitch=pitch * 1e-6, v_reference=v_ref)
     lines = [
@@ -493,11 +468,9 @@ def cmd_calibrate(args) -> int:
 def _build_fit_problem(cfg: RunConfig, measured: DispersionCurve) -> FitProblem:
     stack = build_stack(cfg)
     sec = cfg.section("fit", required=True)
-    if "free" not in sec:
-        raise ConfigError(f"{cfg.path}: [fit] missing key 'free'")
-    names = sec["free"].split()
+    names = sec.get("free", "").split()
     if not names:
-        raise ConfigError(f"{cfg.path}: [fit] 'free' lists no parameters")
+        raise ConfigError(f"{cfg.path}: [fit] 'free' is missing or lists no parameters")
     free = []
     for name in names:
         if name not in sec:
@@ -537,13 +510,7 @@ def _build_fit_problem(cfg: RunConfig, measured: DispersionCurve) -> FitProblem:
             raise ConfigError(f"{cfg.path}: [fit] {name}: {exc}") from None
     coupling = None
     if any(p.name == "c_ge" for p in free):
-        layer_idx = 0
-        if "couple_layer" in sec:
-            layer_idx = _parse_int(cfg, "fit", "couple_layer")
-        coupling = SiGeCoupling(layer_index=layer_idx)
-    extra = set(sec) - {"free", "couple_layer"} - set(names)
-    if extra:
-        raise ConfigError(f"{cfg.path}: [fit] unknown key(s) {sorted(extra)}")
+        coupling = SiGeCoupling(layer_index=_number(cfg, "fit", "couple_layer"))
     try:
         return FitProblem(
             template=stack, free=tuple(free), measured=measured, coupling=coupling
@@ -761,10 +728,8 @@ def main(argv=None) -> int:
         MaterialError,
         SynthesisError,
         FitError,
+        OSError,
     ) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

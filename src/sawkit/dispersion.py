@@ -1293,8 +1293,8 @@ def _scan(
 
 def _find_modes(
     stack: LayerStack, frequencies: np.ndarray, hints: np.ndarray | None
-) -> np.ndarray:
-    """Lowest accepted root per frequency, NaN where none.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest accepted root per frequency, NaN where none, and the frequencies scanned.
 
     Brackets come from windows of the half-widths ``_HINT_WINDOWS`` around
     the hints, clipped to the search window, then, for frequencies still

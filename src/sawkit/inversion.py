@@ -119,6 +119,8 @@ class FitProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "free", tuple(self.free))
+        if not self.free:
+            raise FitError("fit problem has no free parameters")
         names = [p.name for p in self.free]
         if len(set(names)) != len(names):
             raise FitError(f"duplicate free parameter names in {names}")

@@ -155,7 +155,6 @@ def synthesize_slope_signal(
     distance: float,
     pulse_fwhm: float = 1.2e-9,
     sample_rate: float = 2e9,
-    duration: float | None = None,
     noise_rms: float = 0.0,
     seed: int | None = None,
     n_harmonics: int | None = None,
@@ -167,6 +166,7 @@ def synthesize_slope_signal(
     and the Gaussian spectrum of the excitation pulse.  With explicit
     ``n_harmonics`` the curve must cover every harmonic; by default the
     harmonic count is capped by curve coverage and the Nyquist margin.
+    The waveform runs to 1.2 times the end of the latest burst.
     """
     if not distance > 0:
         raise SynthesisError("distance must be > 0")
@@ -227,16 +227,7 @@ def synthesize_slope_signal(
         bursts.append((f_n, amp, t_arrive, t_span))
         t_end = max(t_end, t_arrive + t_span)
 
-    needed = 1.2 * t_end
-    if duration is None:
-        duration = needed
-    elif duration < t_end:
-        raise SynthesisError(
-            f"duration {duration:.4g} s does not cover the wavetrain "
-            f"(needs {t_end:.4g} s)"
-        )
-
-    n_samples = int(round(duration * sample_rate))
+    n_samples = int(round(1.2 * t_end * sample_rate))
     t = np.arange(n_samples) / sample_rate
     x = np.zeros(n_samples)
     for f_n, amp, t_arrive, t_span in bursts:

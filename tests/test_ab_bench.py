@@ -142,3 +142,29 @@ def test_keeps_the_report_when_a_run_fails_or_is_incorrect(tmp_path, runs, broke
     assert _main(parent, change, out) == 1
     report = json.loads(out.read_text())["workloads"]["forward"]
     assert report["summary"] == {} and len(report["bad_runs"]) == 2
+
+
+@pytest.mark.parametrize("better, parent, change, unresolved", [
+    # both sides tight: the medians resolve a change of 5 %
+    ("lower", [1.0, 1.0, 1.01, 0.99], [1.05, 1.05, 1.06, 1.04], False),
+    # the parent's runs spread wider than the bound: a change within it
+    # cannot be told from none
+    ("lower", [0.5, 0.8, 1.2, 1.5], [1.0, 1.0, 1.0, 1.0], True),
+    # ... unless every change run is better than every parent run
+    ("lower", [0.5, 0.8, 1.2, 1.5], [0.4, 0.4, 0.4, 0.4], False),
+    ("higher", [0.5, 0.8, 1.2, 1.5], [0.4, 0.4, 0.4, 0.4], True),
+    ("higher", [0.5, 0.8, 1.2, 1.5], [1.6, 1.6, 1.6, 1.6], False),
+    # tight parent, wide change: the medians differ by 45 %, which the
+    # change's spread cannot resolve
+    ("lower", [1.0, 1.0, 1.01, 0.99], [1.0, 1.2, 1.7, 1.9], True),
+])
+def test_flags_a_metric_whose_spread_exceeds_its_bound(better, parent, change, unresolved):
+    runs = [{"pair": pair, "side": side, "metrics": {"t": values[pair]}, "correct": True}
+            for side, values in (("parent", parent), ("change", change))
+            for pair in range(len(values))]
+    declared = [{"name": "t", "unit": "s", "better": better, "bound": 0.25}]
+    summary = ab_bench.summarize(runs, declared)["t"]
+    assert summary["unresolved"] is unresolved
+    # the regression flag reads the medians alone, as before
+    ratio = summary["change_vs_parent"]
+    assert summary["regression"] is ((ratio - 1 if better == "lower" else 1 - ratio) > 0.25)

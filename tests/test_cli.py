@@ -1,3 +1,4 @@
+import configparser
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -5,7 +6,14 @@ import numpy as np
 import pytest
 
 import sawkit as sk
-from sawkit.cli import _read_calibration_csv, build_stack, fixture_config_path, load_config, main
+from sawkit.cli import (
+    _KEYS,
+    _read_calibration_csv,
+    build_stack,
+    fixture_config_path,
+    load_config,
+    main,
+)
 from sawkit.errors import ConfigError, FormatError
 
 
@@ -47,6 +55,20 @@ def test_config_rejects_unknown_key(tmp_path):
     p.write_text("[stack]\nsubstrate = silicon\nshoe_size = 42\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="shoe_size"):
         load_config(p)
+
+
+def test_readme_config_block_names_every_key():
+    # the README's run-configuration block shows every key of every
+    # section, and no other; a [fit] bounds line is named in 'free'
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Run configuration", 1)[1].split("```ini\n", 1)[1].split("```")[0]
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    parser.read_string(block)
+    shown = {}
+    for name in parser.sections():
+        keys = set(parser[name]) - set(parser[name].get("free", "").split())
+        shown.setdefault(name.partition(":")[0], set()).update(keys)
+    assert shown == {kind: set(keys) for kind, keys in _KEYS.items()}
 
 
 def test_config_missing_file():
@@ -150,8 +172,10 @@ def test_cmd_dispersion_bad_config_exit_2(tmp_path):
         ("f_min_mhz", "50", "600", [], "[dispersion] f_min_mhz"),
         ("f_min_mhz", "50", "50", ["--f-min-mhz", "600"], "--f-min-mhz"),
         ("f_min_mhz", "50", "50", ["--f-min-mhz", "0"], "--f-min-mhz"),
+        ("f_max_mhz", "500", "500", ["--f-max-mhz", "inf"], "--f-max-mhz"),
     ],
-    ids=["n-points-key", "n-points-flag", "f-min-key", "f-min-flag", "f-min-zero-flag"],
+    ids=["n-points-key", "n-points-flag", "f-min-key", "f-min-flag", "f-min-zero-flag",
+         "f-max-inf-flag"],
 )
 def test_cmd_dispersion_bad_settings_name_their_source(tmp_path, capsys, si_cfg, key, old, new,
                                                        flags, where):
@@ -588,6 +612,33 @@ def test_non_finite_config_number_exits_2(
     assert run([*args, "--config", p, "--out", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
     assert "nonfinite.cfg" in err and section in err and "not a finite number" in err
+
+
+@pytest.mark.parametrize(
+    "config, command, section, line",
+    [
+        ("stack_1A", "dispersion", "[layer:film] thickness_um", "thickness_um = 1.02"),
+        ("si_bare", "extract", "[extraction] v_hint_m_s", "v_hint_m_s = 5080"),
+    ],
+)
+def test_negative_config_number_names_its_key(
+    tmp_path, capsys, si_wave_text, config, command, section, line
+):
+    # a negative thickness exited 2 with a message naming neither the file
+    # nor the key; a negative velocity hint exited 4, its fundamental
+    # outside the spectrum
+    base = fixture_config_path(config).read_text(encoding="utf-8")
+    assert base.count(line) == 1
+    p = tmp_path / "negative.cfg"
+    p.write_text(base.replace(line, f"{line.split(' = ')[0]} = -1"), encoding="utf-8")
+    wave = tmp_path / "w.csv"
+    wave.write_text(si_wave_text, encoding="utf-8")
+    args = [command, wave] if command == "extract" else [command]
+    capsys.readouterr()
+    assert run([*args, "--config", p, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "negative.cfg" in err and f"{section} must be finite and > 0" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_fit_warns_on_zero_degrees_of_freedom(tmp_path, capsys, cfg_1a):

@@ -85,6 +85,13 @@ def test_problem_requires_coupling_for_c_ge(silicon, oxide, geom, curve_1a):
         )
 
 
+def test_problem_rejects_no_free_parameters(silicon, oxide, geom, curve_1a):
+    # fit_parameters and identifiability_report failed inside the Jacobian
+    # with numpy's "need at least one array to concatenate"
+    with pytest.raises(FitError, match="no free parameters"):
+        sk.FitProblem(template=make_stack_1a(silicon, oxide, geom), free=(), measured=curve_1a)
+
+
 def test_free_param_validation():
     with pytest.raises(FitError):
         sk.FreeParam("c_ge", 0.5, 1.0, 0.0)

@@ -108,11 +108,6 @@ def test_synthesis_nyquist_guard(flat_si, mask24):
         )
 
 
-def test_synthesis_duration_guard(flat_si, mask24):
-    with pytest.raises(SynthesisError, match="duration"):
-        sk.synthesize_slope_signal(mask24, flat_si, 5e-3, duration=1e-6)
-
-
 # --- spectrum ------------------------------------------------------------------
 
 

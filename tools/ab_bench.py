@@ -22,11 +22,15 @@ operation's output, so ``peak_rss_mb`` grows with it), and per end-to-end
 metric (names, directions and bounds from the parent's
 ``BENCHMARK.json``) each side's median and quartiles, the pairs each side
 won, whether the change is a gain (it wins at least nine tenths of the pairs
-and the medians differ by more than the parent's interquartile range) and
+and the medians differ by more than the parent's interquartile range),
 whether it is a regression (its median is worse than the parent's by more
-than the bound).  A run that exits non-zero, or whose result is not
-correct, is listed under ``bad_runs`` (side, pair, exit code, stderr tail)
-and sets ``any_bad_run``; the report is still written, the failure counts,
+than the bound) and whether it is unresolved (the interquartile range of
+either side's runs exceeds the bound times that side's median, so the
+medians cannot tell a change within the bound from none, and not every
+run of the change is better than every run of the parent).  A run that
+exits non-zero, or whose result is not correct, is listed under
+``bad_runs`` (side, pair, exit code, stderr tail) and sets
+``any_bad_run``; the report is still written, the failure counts,
 attempted operations and metrics are taken over the runs with a correct
 result only (the metrics over the pairs whose two runs both have one), and
 the script exits 1 after the last workload.
@@ -119,9 +123,9 @@ def bad_runs(runs: list[dict]) -> list[dict]:
 
 
 def summarize(runs: list[dict], declared: list[dict]) -> dict:
-    """Per end-to-end metric: both sides' quartiles, pair wins, gain and
-    regression, over the pairs whose two runs both have a correct result;
-    empty when fewer than two pairs do."""
+    """Per end-to-end metric: both sides' quartiles, pair wins, gain,
+    regression and unresolved, over the pairs whose two runs both have a
+    correct result; empty when fewer than two pairs do."""
     summary = {}
     ok = {(run["pair"], run["side"]) for run in runs if done(run)}
     pairs = sorted(p for p, side in ok if side == "parent" and (p, "change") in ok)
@@ -131,7 +135,8 @@ def summarize(runs: list[dict], declared: list[dict]) -> dict:
     for metric in declared:
         name, higher = metric["name"], metric["better"] == "higher"
         value = {(run["pair"], run["side"]): run["metrics"][name] for run in runs}
-        stats = {side: quartiles([value[p, side] for p in pairs]) for side in SIDES}
+        seen = {side: [value[p, side] for p in pairs] for side in SIDES}
+        stats = {side: quartiles(seen[side]) for side in SIDES}
         wins = {side: 0 for side in SIDES}
         for p in pairs:
             a, b = value[p, "parent"], value[p, "change"]
@@ -139,6 +144,12 @@ def summarize(runs: list[dict], declared: list[dict]) -> dict:
                 wins["change" if (b > a) == higher else "parent"] += 1
         parent, change = stats["parent"]["median"], stats["change"]["median"]
         gained = change - parent if higher else parent - change
+        wide = any(stats[side]["iqr"] > metric["bound"] * abs(stats[side]["median"])
+                   for side in SIDES)
+        if higher:
+            clear = min(seen["change"]) > max(seen["parent"])
+        else:
+            clear = max(seen["change"]) < min(seen["parent"])
         summary[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -149,6 +160,7 @@ def summarize(runs: list[dict], declared: list[dict]) -> dict:
             "change_vs_parent": change / parent,
             "gain": wins["change"] >= 0.9 * len(pairs) and gained > stats["parent"]["iqr"],
             "regression": -gained / parent > metric["bound"],
+            "unresolved": wide and not clear,
         }
     return summary
 

@@ -32,6 +32,7 @@ import configparser
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -131,10 +132,9 @@ _KEYS = {
     "fit": {"free": None, "couple_layer": (int, 0, 0, False)},
 }
 
-# [fit] also takes one 'initial lower upper [log]' line per free parameter,
-# named with a unit suffix.
+# [fit] also takes one 'initial lower upper [log]' line per free parameter:
+# 'c_ge', or 'layer<i>.' and one of these fields with its unit suffix.
 _FIT_PARAM_UNITS = {
-    "c_ge": ("c_ge", 1.0),
     "thickness_um": ("thickness", 1e-6),
     "young_modulus_gpa": ("young_modulus", 1e9),
     "density_kg_m3": ("density", 1.0),
@@ -659,7 +659,10 @@ def cmd_plot(args) -> int:
 # --- entry point ---------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; ``main`` runs the
+    subcommand ``cmd_<name>`` it names, looked up when called."""
     parser = argparse.ArgumentParser(
         prog="sawkit",
         description="SAW dispersion modeling, signal extraction, and film fitting",
@@ -673,19 +676,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-max-mhz", type=float, dest="f_max_mhz")
     p.add_argument("--n-points", type=int, dest="n_points")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_dispersion)
 
     p = sub.add_parser("synth", help="synthesize a mask-excited slope waveform CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("extract", help="extract dispersion points from waveform CSVs")
     p.add_argument("waveforms", nargs="+")
     p.add_argument("--config", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("calibrate", help="projection ratio from silicon measurements")
     p.add_argument("measurements")
@@ -693,28 +693,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pixel-pitch-um", type=float, dest="pixel_pitch_um")
     p.add_argument("--v-reference", type=float, dest="v_reference")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("fit", help="fit stack parameters to a measured curve")
     p.add_argument("measured")
     p.add_argument("--config", required=True)
     p.add_argument("--out")
     p.add_argument("--estimates-csv", dest="estimates_csv")
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("plot", help="SVG plot of measured and model curves")
     p.add_argument("curves", nargs="*")
     p.add_argument("--model", action="append")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_plot)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (CurveError, DegeneratePointError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

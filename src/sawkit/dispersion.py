@@ -39,10 +39,16 @@ loop over thousands of tiny matrices.
 Surface modes are the real poles of that response along the velocity axis:
 the mode finder brackets sign changes of Im(1/u3), from windows around
 velocity hints or from a velocity scan, and refines them with
-Chandrupatla's bracketed inverse-quadratic/bisection method.  The ends of
-all hint windows are evaluated in one batch and the windows refined in
-ascending order of width, so a hint returns what trying the windows one
-after another gives.  Every value of Im(1/u3) comes from ``_indicator``,
+Chandrupatla's bracketed method, which opens with a regula-falsi step and
+goes on by inverse-quadratic or bisection steps.  The windows' half-widths
+run from 1 mm/s, which a hint from a model's own prediction lands within,
+to 40 m/s; their ends are evaluated in one batch and the windows refined
+in ascending order of width, so a hint returns what trying the windows one
+after another gives.  A frequency none of whose windows changes sign
+scans at once, and its cells join the windows in one refinement pass, so
+a curve with some hints missed refines once, not twice; only a frequency
+whose sign-changing windows were all rejected scans afterwards.  Every
+value of Im(1/u3) comes from ``_indicator``,
 for a batch of (frequency, velocity) pairs or a scan block's mesh.  Where
 a medium's waves are degenerate (at a bulk speed along x1 its up and down
 waves coincide) the wave producers only flag the velocity, and
@@ -110,7 +116,7 @@ from .materials import (
 
 _SCAN_STEP = 5.0  # m/s, velocity step of the cold scan's grid
 _REL_TOL = 1e-12  # relative bracket width at which a root is accepted
-_HINT_WINDOWS = (2.5, 10.0, 40.0)  # m/s, half-widths of the windows around hints
+_HINT_WINDOWS = (0.001, 0.05, 2.5, 10.0, 40.0)  # m/s, half-widths of the windows around hints
 _PROP_TOL = 1e-8  # |Im alpha| below this (relative) counts as propagating
 _RESIDUAL_TOL = 1e-8  # eigenpair residual above this marks a defective point
 _NUDGE = 1e-9  # relative velocity step off a degenerate point, taken once
@@ -1138,6 +1144,12 @@ def pole_indicator_at(stack: LayerStack, frequencies, velocities) -> np.ndarray:
     return _indicator(_prepare(stack), freqs, np.asarray(velocities, dtype=float))
 
 
+def _tolerance(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(width, tol) of brackets [x1, x2]: one closes once width <= tol."""
+    hi = np.maximum(x1, x2)
+    return np.abs(x2 - x1), np.maximum(_REL_TOL * hi, 8.0 * np.spacing(hi))
+
+
 def _chandrupatla(
     prep: _Prepared, freqs: np.ndarray, v: np.ndarray, q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -1145,12 +1157,14 @@ def _chandrupatla(
 
     ``v`` holds the ends of each bracket, shape (n, 2), and ``q`` the
     indicator there.  Chandrupatla's method (Adv. Eng. Software 28(3),
-    145-149, 1997), vectorised over the brackets still open: an
-    inverse-quadratic step where the last three points allow it, a bisection
-    step otherwise.  A bracket closes when its width is at most
-    max(_REL_TOL * v, 8 * spacing(v)).  Returns (roots, accepted).  A pole of
-    q (a zero of u3) changes sign too, but |q| grows towards it, so a root is
-    accepted only where |q| ended below its value at both starting ends.
+    145-149, 1997), vectorised over the brackets still open: a regula-falsi
+    step first, then an inverse-quadratic step where the last three points
+    allow it and a bisection step otherwise.  Every step keeps at least
+    half the tolerance from the bracket's ends.  A bracket closes when its
+    width is at most max(_REL_TOL * v, 8 * spacing(v)).  Returns (roots,
+    accepted).  A pole of q (a zero of u3) changes sign too, but |q| grows
+    towards it, so a root is accepted only where |q| ended below its value
+    at both starting ends.
     """
     roots = np.empty(len(v))
     accepted = np.zeros(len(v), dtype=bool)
@@ -1158,7 +1172,12 @@ def _chandrupatla(
     # x1 is the newest point, x2 the other end of the bracket and x3 the
     # point the last step dropped from it
     idx, (x1, x2), (f1, f2) = np.arange(len(v)), v.T, q.T
-    t = np.full(len(v), 0.5)
+    width, tol = _tolerance(x1, x2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = f1 / (f1 - f2)
+    t[np.isnan(t)] = 0.5
+    t_min = np.minimum(0.5 * tol / width, 0.5)
+    t = np.clip(t, t_min, 1.0 - t_min)
     while idx.size:
         x = x1 + t * (x2 - x1)
         f = _indicator(prep, freqs[idx], x)
@@ -1166,9 +1185,7 @@ def _chandrupatla(
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
         x1, f1 = x, f
-        width = np.abs(x2 - x1)
-        hi = np.maximum(x1, x2)
-        tol = np.maximum(_REL_TOL * hi, 8.0 * np.spacing(hi))
+        width, tol = _tolerance(x1, x2)
         done = width <= tol
         roots[idx[done]] = np.where(np.abs(f1) < np.abs(f2), x1, x2)[done]
         q_end = np.fmin(np.abs(f1), np.abs(f2))
@@ -1239,6 +1256,7 @@ def _scan(
     roots: np.ndarray,
     idx: np.ndarray,
     grid: np.ndarray,
+    windows: tuple | None = None,
 ) -> None:
     """Settle frequencies ``idx`` from the cells of the scan grid.
 
@@ -1251,8 +1269,10 @@ def _scan(
     or, at a frequency's start, from one batch over the starting pairs.
     A frequency stops after the first block that holds a sign change of q,
     and that block's cells become its brackets.  Once none is scanning, one
-    ``_settle`` refines every frequency's brackets; one whose brackets were
-    all rejected resumes at its next block in another pass.
+    ``_settle`` refines every frequency's brackets, together with
+    ``windows``, the (owner, ends, q) brackets of other frequencies, in
+    ``_settle``'s order; a scanned frequency whose brackets were all
+    rejected resumes at its next block in another pass.
     Each frequency's brackets are thus tried in ascending velocity order,
     as from a scan of the whole grid, and give the same root: the cells
     skipped below a start hold no mode, so no accepted root, and the blocks
@@ -1264,12 +1284,13 @@ def _scan(
     if idx.size:
         nxt[idx] = _start_cells(prep, freqs[idx], grid)
         edge[idx] = _indicator(prep, freqs[idx], grid[nxt[idx]])
-    while idx.size:
-        owner, cells, q_cells = [], [], []
+    pending = [windows] if windows is not None else []
+    while idx.size or pending:
         scanning = idx
-        for lo in range(nxt[idx].min(), n_cells, _SCAN_BLOCK):
+        for lo in range(nxt[idx].min(initial=n_cells), n_cells, _SCAN_BLOCK):
             hi = min(lo + _SCAN_BLOCK, n_cells)
-            now = scanning[nxt[scanning] == lo]
+            at = np.flatnonzero(nxt[scanning] == lo)
+            now = scanning[at]
             if not now.size:
                 continue
             q = np.concatenate([edge[now, None],
@@ -1277,17 +1298,17 @@ def _scan(
             edge[now], nxt[now] = q[:, -1], hi
             q = np.lib.stride_tricks.sliding_window_view(q, 2, axis=1)
             hit = (np.sign(q).prod(axis=2) < 0).any(axis=1)
-            owner.append(np.repeat(now[hit], hi - lo))
-            cells.append(np.tile(np.lib.stride_tricks.sliding_window_view(
-                grid[lo:hi + 1], 2), (hit.sum(), 1)))
-            q_cells.append(q[hit].reshape(-1, 2))
-            scanning = np.setdiff1d(scanning, now[hit])
+            pending.append((np.repeat(now[hit], hi - lo),
+                            np.tile(np.lib.stride_tricks.sliding_window_view(
+                                grid[lo:hi + 1], 2), (hit.sum(), 1)),
+                            q[hit].reshape(-1, 2)))
+            scanning = np.delete(scanning, at[hit])
             if not scanning.size:
                 break
-        owner = np.concatenate(owner)
+        owner, v, q = (np.concatenate(a) for a in zip(*pending))
         order = np.argsort(owner, kind="stable")
-        _settle(prep, freqs, roots, owner[order], np.concatenate(cells)[order],
-                np.concatenate(q_cells)[order])
+        _settle(prep, freqs, roots, owner[order], v[order], q[order])
+        pending = []
         idx = idx[np.isnan(roots[idx]) & (nxt[idx] < n_cells)]
 
 
@@ -1297,20 +1318,24 @@ def _find_modes(
     """Lowest accepted root per frequency, NaN where none, and the frequencies scanned.
 
     Brackets come from windows of the half-widths ``_HINT_WINDOWS`` around
-    the hints, clipped to the search window, then, for frequencies still
-    open, from the scan's cells (``_scan``).  The ends of every non-empty
-    window of every frequency are evaluated in one ``_indicator`` batch,
-    and one ``_settle`` takes the windows grouped by frequency in ascending
-    order of width: its rounds refine each frequency's narrowest
-    sign-changing window first and a wider one only if that root is
-    rejected, which is what settling the windows one after another gives.
-    Returns (roots, cold), ``cold`` the indices of the frequencies scanned.
+    the hints, clipped to the search window, and from the scan's cells
+    (``_scan``).  The ends of every non-empty window of every frequency are
+    evaluated in one ``_indicator`` batch.  A frequency none of whose
+    windows changes sign scans at once, and one ``_settle`` takes the
+    sign-changing windows, grouped by frequency in ascending order of
+    width, together with the scan's cells: its rounds refine each
+    frequency's narrowest sign-changing window first and a wider one only
+    if that root is rejected, which is what settling the windows one after
+    another gives.  Only a frequency whose sign-changing windows were all
+    rejected scans afterwards.  Returns (roots, cold), ``cold`` the indices
+    of the frequencies scanned.
     """
     if hints is not None and not np.isfinite(hints).all():
         raise ValueError("hints must be finite")
     prep = _prepare(stack)
     freqs = np.asarray(frequencies, dtype=float)
     roots = np.full(freqs.size, np.nan)
+    miss, windows = np.ones(freqs.size, dtype=bool), None
     if hints is not None:
         half = np.asarray(_HINT_WINDOWS)
         top = prep.v_ceiling * (1.0 - 1e-9)
@@ -1320,36 +1345,20 @@ def _find_modes(
         if owner.size:
             v = v[owner, window]
             q = _indicator(prep, np.repeat(freqs[owner], 2), v.ravel()).reshape(-1, 2)
-            _settle(prep, freqs, roots, owner, v, q)
-    cold = np.flatnonzero(np.isnan(roots))
-    _scan(prep, freqs, roots, cold, _scan_grid(prep))
-    return roots, cold
+            change = np.sign(q).prod(axis=1) < 0
+            windows = owner[change], v[change], q[change]
+            miss[windows[0]] = False
+    grid = _scan_grid(prep)
+    _scan(prep, freqs, roots, np.flatnonzero(miss), grid, windows)
+    rejected = np.isnan(roots) & ~miss
+    _scan(prep, freqs, roots, np.flatnonzero(rejected), grid)
+    return roots, np.flatnonzero(miss | rejected)
 
 
-def dispersion_curve(stack: LayerStack, frequencies, *, hints=None) -> DispersionCurve:
-    """Phase velocity of one surface mode per frequency.
-
-    ``frequencies`` must be positive, finite and strictly increasing.
-    Without ``hints`` the mode is the lowest root of the pole indicator in
-    ``velocity_window(stack)`` that the scan's 5 m/s cells separate from
-    its poles: the lowest (Rayleigh-like) mode, unless that mode shares a
-    cell with a pole or barely moves the surface.  A scanned point where
-    the mode count 1e-6 below the returned velocity is not 0 (a lower mode
-    exists, or the count is undefined) is listed in the curve's
-    ``lower_modes``; hinted points are not checked.  ``hints``, one finite
-    velocity per frequency, are tried first: the windows of half-width 2.5,
-    10 and 40 m/s around a hint are each one bracket, and the root of the
-    first whose ends change sign around an accepted root is returned,
-    whether or not a lower mode lies below that window.  So a hint close to
-    the lowest mode gives the scan's root, and a hint near a higher mode
-    returns that mode.  A frequency whose hint windows hold no root falls
-    back to the scan.  A frequency with no mode in the window raises
-    ``CurveError``.  Adjacent points differing by more than 5 % are flagged
-    as discontinuities on the returned curve rather than rejected.
-    """
-    freqs = np.asarray(list(frequencies), dtype=float)
-    if freqs.size == 0:
-        return DispersionCurve(frequencies=(), velocities=())
+def _curve_roots(stack: LayerStack, freqs: np.ndarray, hints) -> tuple[np.ndarray, np.ndarray]:
+    """(roots, cold) of ``_find_modes`` at the non-empty ``freqs``, after
+    ``dispersion_curve``'s checks of its arguments; ``CurveError`` where a
+    frequency has no mode."""
     if not (np.isfinite(freqs).all() and (freqs > 0).all()):
         raise ValueError("frequencies must be positive and finite")
     if np.any(np.diff(freqs) <= 0):
@@ -1369,15 +1378,49 @@ def dispersion_curve(stack: LayerStack, frequencies, *, hints=None) -> Dispersio
             f"{freqs.size}) in window [{lo:.1f}, {hi:.1f}] m/s",
             indices=failures,
         )
+    return roots, cold
+
+
+def _lower_modes(stack: LayerStack, freqs: np.ndarray, roots: np.ndarray) -> tuple[int, ...]:
+    """Indices of the points where the mode count ``_BELOW_ROOT`` below the
+    root is not 0: a lower mode exists there, or the count is undefined."""
+    if not freqs.size:
+        return ()
+    below = _mode_count(_prepare(stack), freqs, roots * (1.0 - _BELOW_ROOT))
+    return tuple(int(j) for j in np.flatnonzero(below != 0))
+
+
+def dispersion_curve(stack: LayerStack, frequencies, *, hints=None) -> DispersionCurve:
+    """Phase velocity of one surface mode per frequency.
+
+    ``frequencies`` must be positive, finite and strictly increasing.
+    Without ``hints`` the mode is the lowest root of the pole indicator in
+    ``velocity_window(stack)`` that the scan's 5 m/s cells separate from
+    its poles: the lowest (Rayleigh-like) mode, unless that mode shares a
+    cell with a pole or barely moves the surface.  A scanned point where
+    the mode count 1e-6 below the returned velocity is not 0 (a lower mode
+    exists, or the count is undefined) is listed in the curve's
+    ``lower_modes``; hinted points are not checked.  ``hints``, one finite
+    velocity per frequency, are tried first: the windows of half-width
+    0.001, 0.05, 2.5, 10 and 40 m/s around a hint are each one bracket, and
+    the root of the first whose ends change sign around an accepted root is
+    returned, whether or not a lower mode lies below that window.  So a
+    hint close to the lowest mode gives the scan's root, and a hint near a
+    higher mode returns that mode.  A frequency whose hint windows hold no
+    root falls back to the scan.  A frequency with no mode in the window
+    raises ``CurveError``.  Adjacent points differing by more than 5 % are
+    flagged as discontinuities on the returned curve rather than rejected.
+    """
+    freqs = np.asarray(list(frequencies), dtype=float)
+    if freqs.size == 0:
+        return DispersionCurve(frequencies=(), velocities=())
+    roots, cold = _curve_roots(stack, freqs, hints)
     flags = tuple(
         i
         for i in range(1, freqs.size)
         if abs(roots[i] - roots[i - 1]) > _CONTINUITY_JUMP * roots[i - 1]
     )
-    lower = ()
-    if cold.size:
-        below = _mode_count(_prepare(stack), freqs[cold], roots[cold] * (1.0 - _BELOW_ROOT))
-        lower = tuple(int(j) for j in cold[below != 0])
+    lower = tuple(int(cold[j]) for j in _lower_modes(stack, freqs[cold], roots[cold]))
     return DispersionCurve(
         frequencies=tuple(freqs),
         velocities=tuple(float(r) for r in roots),

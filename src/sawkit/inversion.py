@@ -30,6 +30,14 @@ batched indicator evaluation over a joined prep, one stack per group of
 pairs.  Only when q does not change sign across some root's v-stencil, or
 an entry is not finite, is the whole Jacobian taken as central differences
 of re-solved roots (2p curve solves).
+
+Each trial step searches its model roots around the velocities that the
+Jacobian predicts for it, measured + sigma * (r + J dtheta) with dtheta the
+clamped step, so the narrowest hint windows hold them and few refinement
+rounds close them; ``residuals`` hints from the measured velocities.  The
+residual solves make no mode count.  At the solution one count 1e-6 below
+the model velocities certifies them: ``FitResult.lower_modes`` lists the
+points with a mode below, where the model may follow a higher mode.
 """
 
 from __future__ import annotations
@@ -42,7 +50,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .dispersion import DispersionCurve, _indicator, _joined, _prepare, dispersion_curve
+from .dispersion import (
+    DispersionCurve,
+    _curve_roots,
+    _indicator,
+    _joined,
+    _lower_modes,
+    _prepare,
+)
 from .errors import FitError
 from .materials import IsotropicMaterial, LayerStack, mix_density, mix_young_modulus
 
@@ -184,17 +199,20 @@ class FitProblem:
 
 def residuals(problem: FitProblem, params: Mapping[str, float]) -> np.ndarray:
     """Weighted velocity residuals (model - measured)/sigma at the measured points."""
+    return _residuals(problem, params, problem.measured.velocities)
+
+
+def _residuals(problem: FitProblem, params: Mapping[str, float], hints) -> np.ndarray:
+    """``residuals`` with the model roots searched around ``hints`` (m/s, one
+    per point) and no mode count below the points it scans."""
     for p in problem.free:
         if p.name in params and not p.lower <= params[p.name] <= p.upper:
             raise FitError(
                 f"{p.name} = {params[p.name]} outside bounds [{p.lower}, {p.upper}]"
             )
-    stack = problem.realize(params)
-    model = dispersion_curve(
-        stack, problem.measured.frequencies, hints=problem.measured.velocities
-    )
-    dv = np.asarray(model.velocities) - np.asarray(problem.measured.velocities)
-    return dv / problem.sigmas
+    freqs = np.asarray(problem.measured.frequencies)
+    roots, _ = _curve_roots(problem.realize(params), freqs, hints)
+    return (roots - np.asarray(problem.measured.velocities)) / problem.sigmas
 
 
 @dataclass(frozen=True)
@@ -221,6 +239,9 @@ class FitResult:
     converged: bool
     message: str
     bound_hits: tuple[str, ...] = ()
+    # indices of the points with a mode counted below the final model
+    # velocity: there the model may follow a higher mode
+    lower_modes: tuple[int, ...] = ()
 
     def sigma(self, name: str) -> float:
         """1-sigma uncertainty of one estimate from the covariance diagonal."""
@@ -415,7 +436,10 @@ def fit_parameters(
     Damping adapts by factors of 10; bounds are enforced by clamping, and
     parameters pinned at a bound are reported in ``bound_hits``.
     Convergence requires a relative step below ``step_tol`` or a relative
-    cost change below ``cost_tol``.
+    cost change below ``cost_tol``.  Each trial step searches its model
+    roots around the velocities the Jacobian predicts for it.  At the
+    solution one mode count just below the model velocities lists the
+    points with a lower mode in ``lower_modes``.
     """
     free = problem.free
     n = len(free)
@@ -433,6 +457,7 @@ def fit_parameters(
     for it in range(1, max_iter + 1):
         values = _values(free, z)
         dtheta_dz = [values[p.name] if p.transform == "log" else 1.0 for p in free]
+        theta = np.array([values[p.name] for p in free])
         jac_theta = _jacobian(problem, values, _model(problem, r))
         jac = jac_theta * dtheta_dz
         jtj = jac.T @ jac
@@ -449,7 +474,8 @@ def fit_parameters(
             vals_new = _values(free, z_new)
             # re-internalize after clamping so bound hits stay consistent
             z_new = np.array([_to_internal(p, vals_new[p.name]) for p in free])
-            r_new = residuals(problem, vals_new)
+            step = np.array([vals_new[p.name] for p in free]) - theta
+            r_new = _residuals(problem, vals_new, _model(problem, r + jac_theta @ step))
             cost_new = float(r_new @ r_new)
             if cost_new < cost:
                 accepted = True
@@ -484,7 +510,8 @@ def fit_parameters(
     if converged:
         # the last iteration's Jacobian, at most one small step away
         values, r = _finish(free, values, jac_theta, r)
-    jac = _jacobian(problem, values, _model(problem, r))
+    model = _model(problem, r)
+    jac = _jacobian(problem, values, model)
     bound_hits = tuple(
         p.name
         for p in free
@@ -509,6 +536,8 @@ def fit_parameters(
         converged=converged,
         message=message,
         bound_hits=bound_hits,
+        lower_modes=_lower_modes(problem.realize(values),
+                                 np.asarray(problem.measured.frequencies), model),
     )
 
 
@@ -559,6 +588,12 @@ def format_fit_report(problem: FitProblem, result: FitResult) -> str:
     weak = [n for n, f in result.identifiability.items() if f != WELL_DETERMINED]
     if weak:
         lines += ["", f"warning: parameter(s) {', '.join(weak)} are not well determined"]
+    if result.lower_modes:
+        mhz = ", ".join(f"{problem.measured.frequencies[j] / 1e6:.6g}"
+                        for j in result.lower_modes)
+        lines += ["", f"warning: a lower mode lies below the model at {mhz} MHz "
+                      f"(point indices {list(result.lower_modes)}); the model may "
+                      "follow a higher mode there"]
     return "\n".join(lines) + "\n"
 
 

@@ -695,6 +695,48 @@ def test_removed_config_keys_rejected(
     assert key in err
 
 
+def test_cmd_fit_rejects_a_layer_c_ge_naming_fit_exit_2(tmp_path, capsys, cfg_1a,
+                                                        measured_1a_csv):
+    # c_ge binds through the coupling, so only the bare name is a parameter
+    text = cfg_1a.read_text(encoding="utf-8")
+    text = text.replace("free = c_ge layer0.thickness_um",
+                        "free = c_ge layer0.thickness_um layer0.c_ge\n"
+                        "layer0.c_ge = 0.3 0.0 1.0")
+    assert "layer0.c_ge = 0.3" in text
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run(["fit", measured_1a_csv, "--config", cfg]) == 2
+    assert f"{cfg}: [fit] unknown parameter 'layer0.c_ge'" in capsys.readouterr().err
+
+
+def test_fit_report_flags_no_lower_mode_on_bundled_configs(tmp_path, capsys):
+    # each bundled fit config against its own stack's curve: the model
+    # follows the lowest mode at every point, so the certificate is clean
+    from sawkit.cli import _build_fit_problem
+
+    for name in ("stack_1A", "stack_1A_duty30", "stack_2", "stack_3"):
+        cfg = load_config(fixture_config_path(name))
+        curve = sk.dispersion_curve(build_stack(cfg), np.linspace(50e6, 900e6, 12))
+        measured = sk.DispersionCurve(curve.frequencies, curve.velocities,
+                                      sigmas=tuple(0.001 * v for v in curve.velocities))
+        problem = _build_fit_problem(cfg, measured)
+        result = sk.fit_parameters(problem)
+        assert result.lower_modes == (), name
+        assert "lower mode" not in sk.format_fit_report(problem, result)
+
+
+def test_main_builds_its_parser_once(tmp_path, si_cfg):
+    from sawkit.cli import _build_parser
+
+    parser = _build_parser()
+    for n in (3, 4):
+        out = tmp_path / f"d{n}.csv"
+        assert run(["dispersion", "--config", si_cfg, "--n-points", n, "--out", out]) == 0
+        assert len(sk.read_dispersion_csv(out)) == n
+    assert _build_parser() is parser
+
+
 def test_cmd_fit_malformed_csv_exit_2(tmp_path, cfg_1a):
     p = tmp_path / "bad.csv"
     p.write_text("frequency_hz,phase_velocity_m_per_s\n1e6,4000\n2e6,oops\n",

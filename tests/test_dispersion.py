@@ -901,6 +901,58 @@ def test_hinted_curve_makes_one_window_endpoint_batch(stack_1a, monkeypatch):
         assert steps
 
 
+def test_cold_hints_on_stack_1a_x10_return_the_cold_curve():
+    # at 750 MHz a pole of q lies 2.08 m/s above the cold root, inside the
+    # 2.5 and 10 m/s windows, whose ends then agree in sign; the 40 m/s
+    # window alone would return a higher mode (4306.836 m/s), but the
+    # 1 mm/s window around the hint closes on the cold root itself
+    stack = _bundled_stack("stack_1A", 10)
+    cold = sk.dispersion_curve(stack, CURVE_FREQS)
+    hinted = sk.dispersion_curve(stack, CURVE_FREQS, hints=cold.velocities)
+    assert CURVE_FREQS[28] == 750e6
+    assert hinted.velocities[28] == pytest.approx(4280.056, abs=1e-3)
+    np.testing.assert_allclose(hinted.velocities, cold.velocities, rtol=1e-12, atol=0)
+
+
+def test_mixed_hint_hits_and_misses_settle_in_one_pass(stack_1a, monkeypatch):
+    # hints on the cold roots at even points and 200 m/s off at odd ones:
+    # the missed points scan at once, and their cells share the refinement
+    # batches of the hit windows, so the curve equals its two subsets
+    # solved apart, point by point, in fewer _indicator batches
+    cold = dispersion._find_modes(stack_1a, CURVE_FREQS, None)[0]
+    hit = np.arange(CURVE_FREQS.size) % 2 == 0
+    hints = np.where(hit, cold, cold + 200.0)
+    indicator, batches = dispersion._indicator, []
+    monkeypatch.setattr(dispersion, "_indicator",
+                        lambda *args: batches.append(1) or indicator(*args))
+    roots, scanned = dispersion._find_modes(stack_1a, CURVE_FREQS, hints)
+    together = len(batches)
+    batches.clear()
+    apart = np.full(CURVE_FREQS.size, np.nan)
+    apart[hit] = dispersion._find_modes(stack_1a, CURVE_FREQS[hit], hints[hit])[0]
+    apart[~hit] = dispersion._find_modes(stack_1a, CURVE_FREQS[~hit], None)[0]
+    assert np.array_equal(roots, apart)
+    assert np.array_equal(scanned, np.flatnonzero(~hit))
+    assert together < len(batches)
+
+
+def test_regula_falsi_start_closes_a_narrow_window_in_two_rounds(stack_1a, monkeypatch):
+    # a bracket from 1 mm/s below a root to 3 mm/s above: the secant through
+    # its ends lands within the tolerance, and the next step, held half a
+    # tolerance off it, closes the bracket (a bisection start takes three)
+    freqs = CURVE_FREQS[:5]
+    cold = dispersion._find_modes(stack_1a, freqs, None)[0]
+    prep = dispersion._prepare(stack_1a)
+    v = cold[:, None] + np.array([-1e-3, 3e-3])
+    indicator, rounds = dispersion._indicator, []
+    q = indicator(prep, np.repeat(freqs, 2), v.ravel()).reshape(-1, 2)
+    monkeypatch.setattr(dispersion, "_indicator",
+                        lambda *args: rounds.append(1) or indicator(*args))
+    roots, ok = dispersion._chandrupatla(prep, freqs, v, q)
+    assert ok.all() and len(rounds) <= 2
+    np.testing.assert_allclose(roots, cold, rtol=2e-12, atol=0)
+
+
 # --- impedance recursion against the global boundary matrix ---------------------
 
 

@@ -1,5 +1,8 @@
+import importlib.util
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,7 +209,7 @@ def test_curve_solves_after_the_loop_are_one_jacobian(problem_1a, monkeypatch):
 
     solves = {"total": 0, "in_jacobian": 0, "residual_calls": 0}
     jacobian_starts = []
-    solve, jacobian, resid = inv.dispersion_curve, inv._jacobian, inv.residuals
+    solve, jacobian, resid = inv._curve_roots, inv._jacobian, inv._residuals
 
     def counting_solve(*args, **kwargs):
         solves["total"] += 1
@@ -222,10 +225,11 @@ def test_curve_solves_after_the_loop_are_one_jacobian(problem_1a, monkeypatch):
         solves["residual_calls"] += 1
         return resid(*args, **kwargs)
 
-    monkeypatch.setattr(inv, "dispersion_curve", counting_solve)
+    monkeypatch.setattr(inv, "_curve_roots", counting_solve)
     monkeypatch.setattr(inv, "_jacobian", marking_jacobian)
-    monkeypatch.setattr(inv, "residuals", counting_residuals)
+    monkeypatch.setattr(inv, "_residuals", counting_residuals)
     res = sk.fit_parameters(problem_1a)
+    assert solves["total"] > 0
     assert solves["in_jacobian"] == 0
     assert solves["total"] == jacobian_starts[-1]
     # one Jacobian per iteration plus the one at the solution
@@ -271,6 +275,87 @@ def test_one_indicator_batch_per_jacobian(problem_1a, monkeypatch):
     n, p = len(problem_1a.measured), len(problem_1a.free)
     assert len(per_jacobian) == res.n_iterations + 1
     assert per_jacobian == [[(2 + 2 * p) * n]] * len(per_jacobian)
+
+
+# --- self hints and the lower-mode certificate ---------------------------------
+
+
+@pytest.fixture(scope="module")
+def invert_seed_7():
+    """Fit problems 0-39 of the benchmark's ``invert`` workload at seed 7."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve their module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    workload = module.Invert(7, Path("unused"))
+    return [workload.make_input(i) for i in range(40)]
+
+
+def test_self_hinted_fits_match_measured_hints_in_fewer_batches(invert_seed_7, monkeypatch):
+    # Differential test and work guard that does not depend on the machine:
+    # each trial step hints from the roots the Jacobian predicts for it, and
+    # the seed-7 fits keep the estimates and iteration counts of hinting
+    # every step from the measured curve (41.3 indicator batches per fit
+    # before), in at most 31 batches per fit.  A fit makes two mode counts:
+    # the first residual's scan start and the certificate at the solution.
+    import sawkit.dispersion as dsp
+    import sawkit.inversion as inv
+
+    counts = {"_indicator": 0, "_mode_count": 0}
+
+    def counting(fn, key):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    for module, key in ((dsp, "_indicator"), (inv, "_indicator"), (dsp, "_mode_count")):
+        monkeypatch.setattr(module, key, counting(getattr(module, key), key))
+    fits = [sk.fit_parameters(p) for p in invert_seed_7]
+    n = len(fits)
+    assert counts["_indicator"] <= 31 * n
+    assert counts["_mode_count"] == 2 * n
+    assert all(r.converged and r.lower_modes == () for r in fits)
+
+    residuals = inv._residuals
+    monkeypatch.setattr(inv, "_residuals", lambda problem, params, hints:
+                        residuals(problem, params, problem.measured.velocities))
+    counts["_indicator"] = 0
+    measured = [sk.fit_parameters(p) for p in invert_seed_7]
+    assert counts["_indicator"] > 31 * n
+    for a, b in zip(fits, measured):
+        assert a.n_iterations == b.n_iterations
+        for name, value in a.estimates.items():
+            assert value == pytest.approx(b.estimates[name], rel=1e-9, abs=0)
+
+
+def test_fit_certificate_flags_points_on_a_higher_mode(silicon, oxide, geom):
+    # stack 1A with its layers x10: its cold curve passes a lower mode from
+    # 300 MHz up (its lower_modes are indices 10-34).  A fit to that curve
+    # from the truth keeps those roots, and its certificate, one mode count
+    # just below the model velocities, lists the same points for the report
+    base = make_stack_1a(silicon, oxide, geom)
+    stack = replace(base, layers=tuple(replace(l, thickness=10 * l.thickness)
+                                       for l in base.layers))
+    cold = sk.dispersion_curve(stack, _FREQS_07)
+    assert cold.lower_modes == tuple(range(10, 35))
+    problem = sk.FitProblem(
+        template=stack,
+        free=(sk.FreeParam("c_ge", 0.179, 0.0, 1.0),
+              sk.FreeParam("layer0.thickness", 10.2e-6, 3e-6, 30e-6)),
+        measured=sk.DispersionCurve(cold.frequencies, cold.velocities,
+                                    sigmas=tuple(0.001 * v for v in cold.velocities)),
+        coupling=sk.SiGeCoupling(0),
+    )
+    result = sk.fit_parameters(problem)
+    assert result.lower_modes == cold.lower_modes
+    report = format_fit_report(problem, result)
+    assert "warning: a lower mode lies below the model at 300, 325," in report
+    assert "(point indices [10, 11," in report
 
 
 _FREQS_07 = np.linspace(50e6, 900e6, 35)

@@ -111,6 +111,7 @@ from .materials import (
     IsotropicMaterial,
     LayerStack,
     PropagationGeometry,
+    isotropic_voigt,
     stiffness_of,
 )
 
@@ -205,7 +206,7 @@ def _csv_text(header: str, columns, meta: dict | None = None) -> str:
     lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
     lines.append(header)
     row = ",".join(["%r"] * (header.count(",") + 1))
-    lines.extend(row % values for values in zip(*columns))
+    lines.extend(map(row.__mod__, zip(*columns)))
     return "\n".join(lines) + "\n"
 
 
@@ -292,9 +293,20 @@ def read_dispersion_csv(path: str | Path) -> DispersionCurve:
 # --- partial waves ------------------------------------------------------------
 
 
-def _qrt(cijkl: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Q, R, T) contractions of the stiffness tensor for x1 propagation, x3 depth."""
-    return cijkl[:, 0, :, 0], cijkl[:, 0, :, 2], cijkl[:, 2, :, 2]
+# Voigt indices of the index pairs (i, 1) and (i, 3), i = 1, 2, 3: the rows
+# and columns of Q = C_i1k1, R = C_i1k3 and T = C_i3k3 in the 6x6 matrix
+_X1, _X3 = [0, 5, 4], [4, 3, 2]
+_QRT_ROWS = np.array([_X1, _X1, _X3])[:, :, None]
+_QRT_COLS = np.array([_X1, _X3, _X3])[:, None, :]
+# Voigt indices of C11, C13, C33, C44, C55 and C66
+_MODULI = (np.array([0, 0, 2, 3, 4, 5]), np.array([0, 2, 2, 3, 4, 5]))
+
+
+def _qrt(c: np.ndarray) -> np.ndarray:
+    """(Q, R, T) = (C_i1k1, C_i1k3, C_i3k3) for x1 propagation and x3 depth,
+    stacked (3, 3, 3) and read by index from the 6x6 Voigt matrix ``c``: the
+    entries the full 3x3x3x3 tensor holds there."""
+    return c[_QRT_ROWS, _QRT_COLS]
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,9 +343,13 @@ class _Medium:
     the frame (``closed`` set, a one-medium ``_Stacked`` for
     ``_closed_form``), and from the eigenproblem of ``operator`` otherwise
     (``_full_waves``).  A medium with C13 + C55 = 0 takes the eigenproblem
-    too: its closed-form sagittal polarization would vanish.  In a joined
-    prep (``_joined``) ``closed``, or else ``n0`` and ``rho_scaled``, hold
-    one entry per (frequency, velocity) pair.
+    too: its closed-form sagittal polarization would vanish.  ``build``
+    reads every piece from the 6x6 Voigt matrix, with no 3x3x3x3 tensor,
+    and for an isotropic medium with no linear algebra.  ``n0`` is built
+    for a closed-form medium too: ``operator`` gives its eigenproblem, the
+    reference its closed form is checked against.  In a joined prep
+    (``_joined``) ``closed``, or else ``n0`` and ``rho_scaled``, hold one
+    entry per (frequency, velocity) pair.
     """
 
     n0: np.ndarray  # v-independent part of the 6x6 operator, (6, 6) or (m, 6, 6)
@@ -345,26 +361,52 @@ class _Medium:
     closed: _Stacked | None = None
 
     @classmethod
-    def build(cls, tensor: ElasticTensor, rho: float, c_ref: float) -> "_Medium":
-        q, r, t = _qrt(tensor.as_cijkl())
-        t_inv = np.linalg.inv(t)
-        n0 = np.zeros((6, 6))
-        n0[:3, :3] = -t_inv @ r.T
-        n0[:3, 3:] = t_inv * c_ref
-        n0[3:, :3] = (-q + r @ t_inv @ r.T) / c_ref
-        n0[3:, 3:] = -r @ t_inv
-        c = tensor.voigt
-        mandel = np.sqrt([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
-        s2 = float(np.linalg.eigvalsh(mandel[:, None] * c * mandel)[0]) / (2.0 * rho)
+    def build(cls, c: np.ndarray, rho: float, c_ref: float,
+              isotropic: bool = False) -> "_Medium":
+        """The medium of Voigt stiffness ``c`` (6x6, Pa, in the frame) and
+        density ``rho``, its moduli over ``c_ref``.
+
+        An ``isotropic`` one (``c`` from ``isotropic_voigt``) takes no
+        linear algebra: T^-1 is diagonal, so every entry of ``n0`` is at
+        most one product, which is what the matrix products give; the
+        Mandel stiffness has the eigenvalues 3 lambda + 2 mu and 2 mu; and
+        the closed form always applies, since C13 + C55 = lambda + mu > 0.
+        """
+        if isotropic:
+            lam, mu, c11 = c.item(0, 1), c.item(3, 3), c.item(0, 0)
+            # T = diag(mu, mu, C11), Q = diag(C11, mu, mu), R_13 = lambda, R_31 = mu
+            t1, t3 = 1.0 / mu, 1.0 / c11
+            n0 = np.zeros((6, 6))
+            n0[0, 2], n0[2, 0] = -(t1 * mu), -(t3 * lam)  # -T^-1 R^T
+            n0[0, 3] = n0[1, 4] = t1 * c_ref  # T^-1 c_ref
+            n0[2, 5] = t3 * c_ref
+            n0[3, 0] = (-c11 + lam * t3 * lam) / c_ref  # (R T^-1 R^T - Q) / c_ref
+            n0[4, 1] = -mu / c_ref
+            n0[5, 2] = (-mu + mu * t1 * mu) / c_ref
+            n0[3, 5], n0[5, 3] = -(lam * t3), -(mu * t1)  # -R T^-1
+            c_min = min(2.0 * mu, 3.0 * lam + 2.0 * mu)
+            orthotropic = True
+        else:
+            q, r, t = _qrt(c)
+            t_inv = np.linalg.inv(t)
+            n0 = np.zeros((6, 6))
+            n0[:3, :3] = -t_inv @ r.T
+            n0[:3, 3:] = t_inv * c_ref
+            n0[3:, :3] = (-q + r @ t_inv @ r.T) / c_ref
+            n0[3:, 3:] = -r @ t_inv
+            mandel = np.sqrt([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+            c_min = float(np.linalg.eigvalsh(mandel[:, None] * c * mandel)[0])
+            # C14-C16, C24-C26, C34-C36, C45, C46 and C56: the couplings that
+            # vanish when the frame's coordinate planes are mirror planes
+            couplings = np.abs(np.triu(c, 1)[:, 3:]).max()
+            orthotropic = (couplings <= _ORTHOTROPIC_TOL * np.abs(c).max()
+                           and c[0, 2] + c[4, 4] != 0)
+        s2 = c_min / (2.0 * rho)
         closed = None
-        # C14-C16, C24-C26, C34-C36, C45, C46 and C56: the couplings that
-        # vanish when the frame's coordinate planes are mirror planes
-        couplings = np.abs(np.triu(c, 1)[:, 3:]).max()
-        if couplings <= _ORTHOTROPIC_TOL * np.abs(c).max() and c[0, 2] + c[4, 4] != 0:
-            moduli = [float(c[i, j]) / c_ref
-                      for i, j in ((0, 0), (0, 2), (2, 2), (3, 3), (4, 4), (5, 5))]
-            c11, c13, c33, _, c55, _ = moduli
-            closed = _Stacked(moduli=np.array(moduli)[:, None, None],
+        if orthotropic:
+            moduli = c[_MODULI] / c_ref
+            c11, c13, c33, _, c55, _ = moduli.tolist()
+            closed = _Stacked(moduli=moduli[:, None, None],
                               rho_scaled=np.array([[rho / c_ref]]),
                               b0=np.array([[c55 * c55 + c33 * c11 - (c13 + c55) ** 2]]))
         return cls(n0=n0, rho_scaled=rho / c_ref, s2=s2, closed=closed)
@@ -562,7 +604,7 @@ def partial_waves(
     if not rho > 0:
         raise ValueError("rho must be positive")
     c_ref = float(np.abs(tensor.voigt).max())
-    med = _Medium.build(tensor, rho, c_ref)
+    med = _Medium.build(tensor.voigt, rho, c_ref)
     v = omega / k
     alpha, vecs, flux, valid = _wave_fields(med, np.array([v]))
     if not valid[0]:
@@ -602,17 +644,25 @@ class _Prepared:
 
 # Stacks realised during a fit share most of their materials, so what
 # depends on one material and the geometry (plus c_ref for a medium) is
-# cached by value across stacks, and ``_prepare`` only assembles it.
+# cached by value across stacks, and ``_prepare`` only assembles it.  A fit
+# step makes a new film material, whose miss costs little: an isotropic
+# medium comes from its Lame constants with no ``ElasticTensor``, no
+# 3x3x3x3 tensor and no linear algebra (``_Medium.build``).  The cubic
+# substrate's rotation and validation are made once per geometry.
 
 
 @lru_cache(maxsize=64)
-def _frame_stiffness(material: ElasticMaterial, geometry: PropagationGeometry) -> ElasticTensor:
-    return stiffness_of(material, geometry)
+def _frame_stiffness(material: ElasticMaterial, geometry: PropagationGeometry) -> np.ndarray:
+    """The 6x6 Voigt stiffness (Pa) of ``material`` in the frame of ``geometry``."""
+    if isinstance(material, IsotropicMaterial):
+        return isotropic_voigt(material)
+    return stiffness_of(material, geometry).voigt
 
 
 @lru_cache(maxsize=64)
 def _medium(material: ElasticMaterial, geometry: PropagationGeometry, c_ref: float) -> _Medium:
-    return _Medium.build(_frame_stiffness(material, geometry), material.density, c_ref)
+    return _Medium.build(_frame_stiffness(material, geometry), material.density, c_ref,
+                         isinstance(material, IsotropicMaterial))
 
 
 @lru_cache(maxsize=64)
@@ -629,11 +679,11 @@ def _substrate_ceiling(material: ElasticMaterial, geometry: PropagationGeometry)
     ``_slowness_squares``, itself a quadratic in X = rho v^2, vanishes.
     Other substrates keep the bulk-speed ceiling.
     """
-    tensor = _frame_stiffness(material, geometry)
-    vals, vecs = np.linalg.eigh(tensor.as_cijkl()[:, 0, :, 0] / material.density)
+    c = _frame_stiffness(material, geometry)
+    vals, vecs = np.linalg.eigh(_qrt(c)[0] / material.density)
     ceiling = min(math.sqrt(val) for val, pol in zip(vals, vecs.T)
                   if math.hypot(pol[0], pol[2]) > 1e-8)
-    med = _Medium.build(tensor, material.density, float(np.abs(tensor.voigt).max()))
+    med = _medium(material, geometry, float(np.abs(c).max()))
     if med.closed is None:
         return ceiling
     c11, _, c33, _, c55, _ = med.closed.moduli.ravel().tolist()
@@ -652,7 +702,7 @@ def _substrate_ceiling(material: ElasticMaterial, geometry: PropagationGeometry)
 def _prepare(stack: LayerStack) -> _Prepared:
     geometry = stack.geometry
     materials = [layer.material for layer in stack.layers] + [stack.substrate]
-    c_ref = max(float(np.abs(_frame_stiffness(m, geometry).voigt).max()) for m in materials)
+    c_ref = float(np.abs([_frame_stiffness(m, geometry) for m in materials]).max())
     media = tuple(_medium(m, geometry, c_ref) for m in materials)
     return _Prepared(
         media=media,

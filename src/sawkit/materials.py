@@ -271,8 +271,15 @@ def sige_material(
 # --- stiffness construction --------------------------------------------------
 
 
-def stiffness_from_isotropic(m: IsotropicMaterial) -> ElasticTensor:
-    """Voigt stiffness from (E, nu) via the Lame constants."""
+def isotropic_voigt(m: IsotropicMaterial) -> np.ndarray:
+    """6x6 Voigt matrix (Pa) from (E, nu) via the Lame constants, read-only.
+
+    Every isotropic Voigt matrix is formed here.  The solver's stack
+    preparation takes it as it is: the bounds of ``IsotropicMaterial``
+    already make it positive definite, its eigenvalues being E / (1 - 2 nu),
+    E / (1 + nu) and E / (2 (1 + nu)).  ``stiffness_from_isotropic`` wraps
+    it in a validated ``ElasticTensor``.
+    """
     nu = m.poisson_ratio
     if abs(nu - 0.5) < 1e-12:
         raise MaterialError("nu = 0.5 is an incompressible (singular) material")
@@ -282,7 +289,13 @@ def stiffness_from_isotropic(m: IsotropicMaterial) -> ElasticTensor:
     v[:3, :3] = lam
     v[0, 0] = v[1, 1] = v[2, 2] = lam + 2.0 * mu
     v[3, 3] = v[4, 4] = v[5, 5] = mu
-    return ElasticTensor(v)
+    v.setflags(write=False)
+    return v
+
+
+def stiffness_from_isotropic(m: IsotropicMaterial) -> ElasticTensor:
+    """Voigt stiffness from (E, nu) via the Lame constants (``isotropic_voigt``)."""
+    return ElasticTensor(isotropic_voigt(m))
 
 
 def stiffness_from_cubic(

@@ -78,7 +78,7 @@ class Waveform:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Amplitude spectrum of a waveform (|rfft| bins)."""
+    """Amplitude spectrum of a waveform (|rfft| bins over ``nfft`` points)."""
 
     frequencies: np.ndarray
     amplitudes: np.ndarray
@@ -86,22 +86,46 @@ class Spectrum:
     zero_pad_factor: int
     n_samples: int
     sample_rate: float
+    nfft: int  # FFT length: the samples, then zeros
 
     @property
     def bin_width(self) -> float:
         return float(self.frequencies[1] - self.frequencies[0])
 
     def energy(self) -> float:
-        """Parseval sum; equals the waveform energy for window='none', no padding."""
+        """Parseval sum; equals the waveform energy for window='none'."""
         a2 = self.amplitudes**2
-        nfft = self.n_samples * self.zero_pad_factor
         total = a2[0] + 2.0 * a2[1:-1].sum()
-        total += a2[-1] if nfft % 2 == 0 else 2.0 * a2[-1]
-        return float(total / nfft)
+        total += a2[-1] if self.nfft % 2 == 0 else 2.0 * a2[-1]
+        return float(total / self.nfft)
+
+
+def _fft_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n (n >= 1): a length the FFT takes fast.
+
+    A length with a large prime factor can take ten times as long or more:
+    27 576 = 2^3 3^2 383, say, against 27 648 = 2^10 3^3.
+    """
+    best = 1 << (n - 1).bit_length()  # the smallest power of two
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power-of-two multiple of p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def spectrum(w: Waveform, window: str = "none", zero_pad_factor: int = 1) -> Spectrum:
-    """Amplitude spectrum of a waveform with optional Hann window and padding."""
+    """Amplitude spectrum of a waveform with optional Hann window and padding.
+
+    The samples are padded with zeros to ``_fft_length(len(w) *
+    zero_pad_factor)`` points, so the factor is a minimum: the bins are
+    sample_rate / nfft apart, at most as wide as sample_rate / (len(w) *
+    zero_pad_factor).
+    """
     if len(w) < 16:
         raise ValueError(f"waveform too short for a spectrum: {len(w)} < 16 samples")
     if zero_pad_factor < 1:
@@ -112,7 +136,7 @@ def spectrum(w: Waveform, window: str = "none", zero_pad_factor: int = 1) -> Spe
         x = w.samples * np.hanning(len(w))
     else:
         raise ValueError(f"window must be 'none' or 'hann', got {window!r}")
-    nfft = len(w) * zero_pad_factor
+    nfft = _fft_length(len(w) * zero_pad_factor)
     amps = np.abs(np.fft.rfft(x, nfft))
     freqs = np.fft.rfftfreq(nfft, 1.0 / w.sample_rate)
     amps.setflags(write=False)
@@ -124,6 +148,7 @@ def spectrum(w: Waveform, window: str = "none", zero_pad_factor: int = 1) -> Spe
         zero_pad_factor=zero_pad_factor,
         n_samples=len(w),
         sample_rate=w.sample_rate,
+        nfft=nfft,
     )
 
 
@@ -452,9 +477,8 @@ def waveform_csv_text(w: Waveform) -> str:
     if w.mask is not None:
         meta.update(mask_period_m=w.mask.period, mask_duty=w.mask.duty,
                     mask_n_periods=w.mask.n_periods, mask_kind=w.mask.kind)
-    dt = 1.0 / w.sample_rate
-    times = (i * dt for i in range(len(w)))
-    return _csv_text(WAVEFORM_HEADER, (times, map(float, w.samples)), meta)
+    times = (np.arange(len(w)) * (1.0 / w.sample_rate)).tolist()
+    return _csv_text(WAVEFORM_HEADER, (times, w.samples.tolist()), meta)
 
 
 def write_waveform_csv(w: Waveform, path: str | Path) -> None:

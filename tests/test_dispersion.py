@@ -52,7 +52,7 @@ def test_partial_waves_match_closed_form_slownesses(iso, iso_tensor):
     # take the closed form.  Same slownesses, and the same span of
     # decaying-or-downgoing waves, below v_t, between v_t and v_l, above v_l.
     c_ref = float(np.abs(iso_tensor.voigt).max())
-    med = dispersion._Medium.build(iso_tensor, iso.density, c_ref)
+    med = dispersion._Medium.build(iso_tensor.voigt, iso.density, c_ref)
     vt, vl = iso.shear_velocity, iso.longitudinal_velocity
 
     def by_imag(arr):
@@ -1092,7 +1092,7 @@ def _check_waves_against_eig(tensor, rho):
     branches of ``_full_waves`` must put exactly the decaying-or-downgoing
     waves first, the eigenproblem's in their (Im, Re) order within each
     half."""
-    med = dispersion._Medium.build(tensor, rho, float(np.abs(tensor.voigt).max()))
+    med = dispersion._Medium.build(tensor.voigt, rho, float(np.abs(tensor.voigt).max()))
     assert med.closed is not None
     c11, _, _, _, c55, c66 = med.closed.moduli.ravel()
     bulk = np.sqrt(np.sort([c11, c55, c66]) / med.rho_scaled)
@@ -1145,6 +1145,80 @@ def test_closed_form_waves_match_eig_random_cubic_cuts(material, cut):
 @given(material=ISOTROPIC)
 def test_closed_form_waves_match_eig_random_isotropic(material):
     _check_waves_against_eig(stiffness_from_isotropic(material), material.density)
+
+
+# --- the prep against the 3x3x3x3 tensor path -------------------------------------
+
+
+def _tensor_medium(material, geometry, c_ref):
+    """Oracle: the medium built through a validated ``ElasticTensor`` and
+    its 3x3x3x3 expansion, with ``inv``, the Mandel ``eigvalsh`` and the
+    coupling scan for every medium."""
+    tensor = stiffness_of(material, geometry)
+    cijkl, c, rho = tensor.as_cijkl(), tensor.voigt, material.density
+    q, r, t = cijkl[:, 0, :, 0], cijkl[:, 0, :, 2], cijkl[:, 2, :, 2]
+    assert np.array_equal(dispersion._qrt(c), [q, r, t])
+    t_inv = np.linalg.inv(t)
+    n0 = np.zeros((6, 6))
+    n0[:3, :3] = -t_inv @ r.T
+    n0[:3, 3:] = t_inv * c_ref
+    n0[3:, :3] = (-q + r @ t_inv @ r.T) / c_ref
+    n0[3:, 3:] = -r @ t_inv
+    mandel = np.sqrt([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+    s2 = float(np.linalg.eigvalsh(mandel[:, None] * c * mandel)[0]) / (2.0 * rho)
+    closed = None
+    couplings = np.abs(np.triu(c, 1)[:, 3:]).max()
+    if couplings <= 1e-12 * np.abs(c).max() and c[0, 2] + c[4, 4] != 0:
+        moduli = [float(c[i, j]) / c_ref
+                  for i, j in ((0, 0), (0, 2), (2, 2), (3, 3), (4, 4), (5, 5))]
+        c11, c13, c33, _, c55, _ = moduli
+        closed = dispersion._Stacked(
+            moduli=np.array(moduli)[:, None, None], rho_scaled=np.array([[rho / c_ref]]),
+            b0=np.array([[c55 * c55 + c33 * c11 - (c13 + c55) ** 2]]))
+    return dispersion._Medium(n0=n0, rho_scaled=rho / c_ref, s2=s2, closed=closed)
+
+
+def _check_medium(med, ref):
+    assert np.array_equal(med.n0, ref.n0)
+    assert med.rho_scaled == ref.rho_scaled
+    assert med.s2 == pytest.approx(ref.s2, rel=1e-12, abs=0)
+    assert (med.closed is None) == (ref.closed is None)
+    if ref.closed is not None:
+        for name in ("moduli", "rho_scaled", "b0"):
+            assert np.array_equal(getattr(med.closed, name), getattr(ref.closed, name))
+
+
+@pytest.mark.parametrize("name, thickness_factor", BUNDLED)
+def test_prep_matches_tensor_path_bundled_stacks(name, thickness_factor):
+    # the prep reads Q, R and T from the Voigt matrix by index and builds
+    # isotropic media from their Lame constants with no linear algebra; the
+    # media match the tensor path's, and so do the mode counts on the
+    # (frequency x velocity) mesh
+    stack = _bundled_stack(name, thickness_factor)
+    prep = dispersion._prepare(stack)
+    materials = [layer.material for layer in stack.layers] + [stack.substrate]
+    c_ref = max(float(np.abs(stiffness_of(m, stack.geometry).voigt).max()) for m in materials)
+    media = tuple(_tensor_medium(m, stack.geometry, c_ref) for m in materials)
+    for med, ref in zip(prep.media, media, strict=True):
+        _check_medium(med, ref)
+    oracle = replace(prep, media=media, closed=dispersion._medium_axis(media))
+    v = np.linspace(prep.v_floor, prep.v_ceiling * (1.0 - 1e-9), 400)
+    count = dispersion._mode_count(prep, CURVE_FREQS[:, None], v)
+    assert count.shape == (35, 400) and np.isfinite(count).all()
+    assert np.array_equal(count, dispersion._mode_count(oracle, CURVE_FREQS[:, None], v))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(material=st.builds(sk.IsotropicMaterial, young_modulus=st.floats(1e9, 500e9),
+                          poisson_ratio=st.floats(-0.9, 0.49),
+                          density=st.floats(1000.0, 20000.0)))
+def test_isotropic_medium_matches_tensor_path(material, geom):
+    # at the film's own c_ref, as a stack's stiffest medium, and under a
+    # stiffer one
+    own = float(np.abs(stiffness_from_isotropic(material).voigt).max())
+    for c_ref in (own, 2.5 * own + 1e9):
+        _check_medium(dispersion._medium(material, geom, c_ref),
+                      _tensor_medium(material, geom, c_ref))
 
 
 @pytest.mark.parametrize("cut", [((0, 0, 1), (1, 0, 0)), ((1, 1, 0), (0, 0, 1))])
@@ -1276,7 +1350,8 @@ def test_sagittal_recursion_matches_full_random_isotropic_layers(layers, substra
 def test_wave_fields_flags_every_failing_row(iso, iso_tensor, monkeypatch):
     # in one batch, row 1 fails the residual check and row 2 has two equal
     # eigenpairs: both are marked invalid, and neither is solved again
-    med = dispersion._Medium.build(iso_tensor, iso.density, float(np.abs(iso_tensor.voigt).max()))
+    med = dispersion._Medium.build(iso_tensor.voigt, iso.density,
+                                   float(np.abs(iso_tensor.voigt).max()))
     v = np.array([0.7, 0.8, 0.9]) * iso.shear_velocity
     eig_sorted, batches = dispersion._eig_sorted, []
 

@@ -333,6 +333,34 @@ def test_self_hinted_fits_match_measured_hints_in_fewer_batches(invert_seed_7, m
             assert value == pytest.approx(b.estimates[name], rel=1e-9, abs=0)
 
 
+def test_fit_steps_build_films_without_tensors(invert_seed_7, monkeypatch):
+    # Work guard that does not depend on the machine: every c_ge step makes
+    # a new film material, and the prep builds it from its Lame constants,
+    # with no ElasticTensor and no 3x3x3x3 expansion (13.2 of each per
+    # seed-7 fit before; the substrate's are made once).  The prep cache
+    # keeps its traffic, 21.2 misses and 14.7 hits per fit from empty
+    # caches: the gain is in cheaper misses, not in a cache outliving a fit.
+    import sawkit.dispersion as dsp
+    import sawkit.materials as mat
+
+    counts = {"__post_init__": 0, "as_cijkl": 0}
+
+    def counting(fn, key):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    for key in counts:
+        monkeypatch.setattr(mat.ElasticTensor, key, counting(getattr(mat.ElasticTensor, key), key))
+    for cached in (dsp._prepare, dsp._frame_stiffness, dsp._medium, dsp._substrate_ceiling):
+        cached.cache_clear()
+    n = len([sk.fit_parameters(p) for p in invert_seed_7])
+    assert counts["__post_init__"] <= 0.1 * n and counts["as_cijkl"] <= 0.1 * n
+    info = dsp._prepare.cache_info()
+    assert (info.misses, info.hits) == (847, 588)
+
+
 def test_fit_certificate_flags_points_on_a_higher_mode(silicon, oxide, geom):
     # stack 1A with its layers x10: its cold curve passes a lower mode from
     # 300 MHz up (its lower_modes are indices 10-34).  A fit to that curve

@@ -154,10 +154,39 @@ def test_spectrum_parseval(flat_si, mask24):
     assert abs(s.energy() - w.energy()) / w.energy() < 1e-9
 
 
+def _smooth_at_least(n):
+    """The smallest 2^a 3^b 5^c >= n, by counting up."""
+    m = n
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
 def test_spectrum_bin_spacing(flat_si, mask24):
+    # the padded length is the smallest 5-smooth one >= 4n: 4n = 27 592 =
+    # 2^3 3449 here, padded to 27 648 = 2^10 3^3
     w = sk.synthesize_slope_signal(mask24, flat_si, 5e-3)
     s = sk.spectrum(w, window="hann", zero_pad_factor=4)
-    assert s.bin_width == pytest.approx(w.sample_rate / (len(w) * 4))
+    assert s.nfft == _smooth_at_least(4 * len(w))
+    assert s.bin_width == pytest.approx(w.sample_rate / s.nfft)
+
+
+def test_spectrum_pads_to_the_smallest_5_smooth_length():
+    rng = np.random.default_rng(4)
+    for n in [16, 17, 31, 97, 100, 121, 127, 1000, 6894, 9629, 11228]:
+        w = sk.Waveform(samples=rng.normal(size=n), sample_rate=1e9, distance=1.0)
+        for factor in (1, 2, 3, 4, 7):
+            s = sk.spectrum(w, window="none", zero_pad_factor=factor)
+            assert s.nfft == _smooth_at_least(n * factor)
+            assert s.amplitudes.size == s.nfft // 2 + 1
+            assert abs(s.energy() - w.energy()) <= 1e-9 * w.energy()
+    assert [sk.signal._fft_length(n) for n in range(1, 3000)] == [
+        _smooth_at_least(n) for n in range(1, 3000)]
 
 
 def test_spectrum_rejects_short_input():
@@ -308,6 +337,15 @@ def test_waveform_csv_text_deterministic(flat_si, mask24):
     a = sk.synthesize_slope_signal(mask24, flat_si, 5e-3, noise_rms=0.01, seed=7)
     b = sk.synthesize_slope_signal(mask24, flat_si, 5e-3, noise_rms=0.01, seed=7)
     assert waveform_csv_text(a) == waveform_csv_text(b)
+
+
+def test_waveform_csv_text_matches_row_by_row_text(flat_si, mask24):
+    w = sk.synthesize_slope_signal(mask24, flat_si, 5e-3, noise_rms=0.01, seed=7)
+    dt = 1.0 / w.sample_rate
+    rows = "".join("%r,%r\n" % (i * dt, float(x)) for i, x in enumerate(w.samples))
+    text = waveform_csv_text(w)
+    assert text.endswith("time_s,amplitude\n" + rows)
+    assert text.count("\n") == len(w) + 1 + text.count("# ")
 
 
 def test_waveform_csv_text_golden():

@@ -471,7 +471,7 @@ def _build_fit_problem(cfg: RunConfig, measured: DispersionCurve) -> FitProblem:
     names = sec.get("free", "").split()
     if not names:
         raise ConfigError(f"{cfg.path}: [fit] 'free' is missing or lists no parameters")
-    free = []
+    free, keys = [], {}
     for name in names:
         if name not in sec:
             raise ConfigError(
@@ -496,6 +496,7 @@ def _build_fit_problem(cfg: RunConfig, measured: DispersionCurve) -> FitProblem:
                 raise ConfigError(f"{cfg.path}: [fit] unknown parameter {name!r}")
             fld, scale = _FIT_PARAM_UNITS[field]
             internal = f"{prefix}.{fld}"
+        keys[internal] = name
         try:
             free.append(
                 FreeParam(
@@ -516,6 +517,8 @@ def _build_fit_problem(cfg: RunConfig, measured: DispersionCurve) -> FitProblem:
             template=stack, free=tuple(free), measured=measured, coupling=coupling
         )
     except FitError as exc:
+        if exc.param in keys:
+            raise ConfigError(f"{cfg.path}: [fit] {keys[exc.param]}: {exc.reason}") from None
         raise ConfigError(f"{cfg.path}: {exc}") from None
 
 

@@ -58,7 +58,12 @@ class ExtractionError(SawkitError):
 
 
 class FitError(SawkitError):
-    """Invalid fit problem definition."""
+    """Invalid fit problem definition; ``param`` names the free parameter at
+    fault, if one is, and ``reason`` is the message without it."""
+
+    def __init__(self, reason, param=None):
+        super().__init__(reason if param is None else f"{param!r}: {reason}")
+        self.reason, self.param = reason, param
 
 
 class ConfigError(SawkitError):

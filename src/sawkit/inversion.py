@@ -13,12 +13,11 @@ The minimizer is a damped Gauss-Newton (Levenberg-style) iteration with
 box bounds enforced by clamping.  One Jacobian, taken in the parameters'
 original units, serves every purpose: the iteration steps in internal
 coordinates z, which for a ``transform="log"`` parameter is log(theta), and
-reaches them by the chain rule dr/dz = dr/dtheta * theta.  A converged fit
-ends with one small undamped Gauss-Newton step (``_finish``).  At the
-solution the same Jacobian is computed once and gives both the covariance
-and the identifiability flags, whose thresholds are the module constants
-below.  The covariance takes given sigmas as absolute; without sigmas it is
-scaled by chi^2/(N - p).
+reaches them by the chain rule dr/dz = dr/dtheta * theta.  A fit stops on
+the Gauss-Newton step of a Jacobian, with no curve solve to confirm it, and
+that Jacobian gives both the covariance and the identifiability flags,
+whose thresholds are the module constants below.  The covariance takes
+given sigmas as absolute; without sigmas it is scaled by chi^2/(N - p).
 
 The Jacobian needs no curve solve.  Each model velocity v* the fit holds is
 a root of the pole indicator q = Im(1/u3), so by the implicit function
@@ -80,9 +79,9 @@ _SENSITIVITY_FLOOR = 1e-3
 # ~7 while the no-oxide thin-film case sits near ~90, so 30 separates them
 # with margin on both sides.
 _CONDITION_LIMIT = 30.0
-# Largest cost drop (chi^2 units) the final Gauss-Newton step may promise:
-# one that small cannot be told from the model's rounding noise by a cost
-# evaluation, so it is taken without one.
+# Largest cost drop (chi^2 units) the Gauss-Newton step a fit stops on may
+# promise: one that small cannot be told from the model's rounding noise by
+# a cost evaluation, so the step is taken without one.
 _FINISH_DROP = 1e-6
 
 
@@ -147,22 +146,22 @@ class FitProblem:
     def _check_name(self, name: str) -> None:
         if name == "c_ge":
             if self.coupling is None:
-                raise FitError("'c_ge' requires a SiGeCoupling binding")
+                raise FitError("requires a SiGeCoupling binding", name)
             if not 0 <= self.coupling.layer_index < len(self.template.layers):
                 raise FitError(
-                    f"coupling layer index {self.coupling.layer_index} out of range"
+                    f"coupling layer index {self.coupling.layer_index} out of range", name
                 )
             return
         m = _LAYER_FIELD.match(name)
         if not m:
-            raise FitError(f"unknown parameter name {name!r}")
+            raise FitError("unknown parameter name", name)
         idx = int(m.group(1))
         if not 0 <= idx < len(self.template.layers):
-            raise FitError(f"{name!r}: layer index out of range")
+            raise FitError("layer index out of range", name)
         if m.group(2) != "thickness" and not isinstance(
             self.template.layers[idx].material, IsotropicMaterial
         ):
-            raise FitError(f"{name!r}: material fields are fittable on isotropic layers only")
+            raise FitError("material fields are fittable on isotropic layers only", name)
 
     @property
     def sigmas(self) -> np.ndarray:
@@ -388,32 +387,6 @@ def _identifiability(
     )
 
 
-def _finish(
-    free: tuple[FreeParam, ...], values: dict[str, float], jac: np.ndarray, r: np.ndarray
-) -> tuple[dict[str, float], np.ndarray]:
-    """Estimates and weighted residuals after one undamped Gauss-Newton step.
-
-    At the minimum the cost changes by less than the rounding noise of the
-    roots, so comparing costs pins the estimates only to about
-    sigma * sqrt(noise): two starts, or a linear and a log parameter, stop
-    at points that differ by that much.  The step -J^+ r from the Jacobian
-    in hand resolves the minimum to about sigma * noise.  It is taken only
-    when it promises a cost drop below _FINISH_DROP; parameters at a bound
-    stay there, and the residuals follow the step linearly.
-    """
-    theta = np.array([values[p.name] for p in free])
-    movable = np.array([p.lower < t < p.upper for p, t in zip(free, theta)])
-    if not movable.any():
-        return values, r
-    step = np.zeros(len(free))
-    step[movable] = np.linalg.lstsq(jac[:, movable], -r, rcond=None)[0]
-    drop = jac @ step
-    if not drop @ drop <= _FINISH_DROP:
-        return values, r
-    new = np.clip(theta + step, [p.lower for p in free], [p.upper for p in free])
-    return {p.name: float(t) for p, t in zip(free, new)}, r + jac @ (new - theta)
-
-
 def _covariance_scaled(problem: FitProblem) -> bool:
     """True when the covariance is scaled by chi^2/(N - p): no sigmas, N > p.
 
@@ -434,9 +407,15 @@ def fit_parameters(
     """Damped Gauss-Newton minimization of the weighted residuals.
 
     Damping adapts by factors of 10; bounds are enforced by clamping, and
-    parameters pinned at a bound are reported in ``bound_hits``.
-    Convergence requires a relative step below ``step_tol`` or a relative
-    cost change below ``cost_tol``.  Each trial step searches its model
+    parameters pinned at a bound are reported in ``bound_hits``.  Each
+    iteration's Jacobian first gives the Gauss-Newton step -J^+ r, re-solved
+    with the parameters held that sit on a bound it points out of.  The fit
+    converges on that step, its residuals following it linearly, when each
+    component is below ``step_tol`` relative to max(|z|, 1) and it promises
+    a cost drop ||J step||^2 of at most ``_FINISH_DROP``; it resolves the
+    minimum to about sigma * rounding noise, where cost comparisons reach
+    sigma * sqrt(noise).  An accepted trial step with a relative cost change
+    below ``cost_tol`` also converges.  Each trial step searches its model
     roots around the velocities the Jacobian predicts for it.  At the
     solution one mode count just below the model velocities lists the
     points with a lower mode in ``lower_modes``.
@@ -454,12 +433,27 @@ def fit_parameters(
     converged = False
     message = "iteration cap reached"
     it = 0
+    jac_theta = None
     for it in range(1, max_iter + 1):
         values = _values(free, z)
         dtheta_dz = [values[p.name] if p.transform == "log" else 1.0 for p in free]
         theta = np.array([values[p.name] for p in free])
         jac_theta = _jacobian(problem, values, _model(problem, r))
         jac = jac_theta * dtheta_dz
+        delta = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        held = np.array([(t == p.lower and d < 0) or (t == p.upper and d > 0)
+                         for p, t, d in zip(free, theta, delta)])
+        if held.any():
+            delta[held] = 0.0
+            delta[~held] = np.linalg.lstsq(jac[:, ~held], -r, rcond=None)[0]
+        drop = jac @ delta
+        if ((np.abs(delta) / np.maximum(np.abs(z + delta), 1.0)).max() < step_tol
+                and drop @ drop <= _FINISH_DROP):
+            values = _values(free, z + delta)
+            r = r + jac_theta @ (np.array([values[p.name] for p in free]) - theta)
+            converged = True
+            message = f"converged (Gauss-Newton step < {step_tol:g})"
+            break
         jtj = jac.T @ jac
         jtr = jac.T @ r
         accepted = False
@@ -494,35 +488,30 @@ def fit_parameters(
                 else "damping saturated without improvement"
             )
             break
-        step = np.abs(z_new - z) / np.maximum(np.abs(z_new), 1.0)
         rel_drop = (cost - cost_new) / max(cost, 1e-300)
         z, r, cost = z_new, r_new, cost_new
-        if step.max() < step_tol:
-            converged = True
-            message = f"converged (relative step < {step_tol:g})"
-            break
+        jac_theta = None
         if rel_drop < cost_tol:
             converged = True
             message = f"converged (relative cost change < {cost_tol:g})"
             break
 
-    values = _values(free, z)
-    if converged:
-        # the last iteration's Jacobian, at most one small step away
-        values, r = _finish(free, values, jac_theta, r)
+    if jac_theta is None:
+        # the loop ended on an accepted step, away from its last Jacobian
+        values = _values(free, z)
+        jac_theta = _jacobian(problem, values, _model(problem, r))
     model = _model(problem, r)
-    jac = _jacobian(problem, values, model)
     bound_hits = tuple(
         p.name
         for p in free
         if values[p.name] in (p.lower, p.upper)
     )
     dv = r * problem.sigmas
-    covariance = np.linalg.pinv(jac.T @ jac)
+    covariance = np.linalg.pinv(jac_theta.T @ jac_theta)
     covariance = 0.5 * (covariance + covariance.T)
     if _covariance_scaled(problem):
         covariance *= float(r @ r) / (len(problem.measured) - len(free))
-    report = _identifiability(problem, values, jac)
+    report = _identifiability(problem, values, jac_theta)
     flags = dict(report.flags)
     for name in bound_hits:
         flags[name] = FIXED

@@ -74,6 +74,10 @@ class IsotropicMaterial:
             raise MaterialError(
                 f"poisson_ratio must be in (-1, 0.5), got {self.poisson_ratio}"
             )
+        if 0.5 - self.poisson_ratio < 1e-12:
+            raise MaterialError(
+                f"poisson_ratio {self.poisson_ratio} is incompressible (singular)"
+            )
         if not self.density > 0:
             raise MaterialError(f"density must be > 0, got {self.density}")
 
@@ -280,9 +284,6 @@ def isotropic_voigt(m: IsotropicMaterial) -> np.ndarray:
     E / (1 + nu) and E / (2 (1 + nu)).  ``stiffness_from_isotropic`` wraps
     it in a validated ``ElasticTensor``.
     """
-    nu = m.poisson_ratio
-    if abs(nu - 0.5) < 1e-12:
-        raise MaterialError("nu = 0.5 is an incompressible (singular) material")
     lam = m.lame_lambda
     mu = m.shear_modulus
     v = np.zeros((6, 6))

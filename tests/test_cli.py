@@ -710,6 +710,38 @@ def test_cmd_fit_rejects_a_layer_c_ge_naming_fit_exit_2(tmp_path, capsys, cfg_1a
     assert f"{cfg}: [fit] unknown parameter 'layer0.c_ge'" in capsys.readouterr().err
 
 
+_FIT_1A = ("free = c_ge layer0.thickness_um", "layer0.thickness_um = 0.9 0.3 3.0")
+
+
+@pytest.mark.parametrize(
+    "edits, fault",
+    [
+        ([*zip(_FIT_1A, ("free = c_ge layer7.thickness_um", "layer7.thickness_um = 0.9 0.3 3.0"))],
+         "[fit] layer7.thickness_um: layer index out of range"),
+        ([("material = SiO2_thermal", "material = silicon"),
+          *zip(_FIT_1A, ("free = c_ge layer1.young_modulus_gpa",
+                         "layer1.young_modulus_gpa = 150 50 400"))],
+         "[fit] layer1.young_modulus_gpa: material fields are fittable on isotropic "
+         "layers only"),
+    ],
+    ids=["layer-index", "cubic-layer"],
+)
+def test_cmd_fit_problem_faults_name_their_fit_key_exit_2(
+    tmp_path, capsys, cfg_1a, measured_1a_csv, edits, fault
+):
+    # a fault the fit problem finds in one parameter names the [fit] key as
+    # the config writes it; it named the library's 'layer7.thickness' alone
+    text = cfg_1a.read_text(encoding="utf-8")
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run(["fit", measured_1a_csv, "--config", cfg]) == 2
+    assert f"error: {cfg}: {fault}\n" in capsys.readouterr().err
+
+
 def test_fit_report_flags_no_lower_mode_on_bundled_configs(tmp_path, capsys):
     # each bundled fit config against its own stack's curve: the model
     # follows the lowest mode at every point, so the certificate is clean

@@ -87,6 +87,14 @@ def test_material_invariants():
         sk.CubicMaterial(c11=100e9, c12=-60e9, c44=50e9, density=1000)
 
 
+def test_isotropic_material_rejects_an_incompressible_poisson_ratio():
+    # within 1e-12 of 0.5 the Lame lambda is singular: construction fails,
+    # not the prep of a later stack holding the material
+    with pytest.raises(MaterialError, match="incompressible"):
+        sk.IsotropicMaterial(70e9, 0.5 - 1e-13, 2000)
+    sk.IsotropicMaterial(70e9, 0.5 - 1e-11, 2000)
+
+
 def test_layer_and_geometry_invariants():
     m = sk.IsotropicMaterial(70e9, 0.2, 2200)
     with pytest.raises(MaterialError):

@@ -132,7 +132,7 @@ _KEYS = {
     "fit": {"free": None, "couple_layer": (int, 0, 0, False)},
 }
 
-# [fit] also takes one 'initial lower upper [log]' line per free parameter:
+# [fit] also takes one 'initial lower upper' line per free parameter:
 # 'c_ge', or 'layer<i>.' and one of these fields with its unit suffix.
 _FIT_PARAM_UNITS = {
     "thickness_um": ("thickness", 1e-6),
@@ -476,17 +476,11 @@ def _build_fit_problem(cfg: RunConfig, measured: DispersionCurve) -> FitProblem:
         if name not in sec:
             raise ConfigError(
                 f"{cfg.path}: [fit] missing bounds line for {name!r} "
-                "(expected 'initial lower upper [log]')"
+                "(expected 'initial lower upper')"
             )
         parts = sec[name].split()
-        transform = "linear"
-        if len(parts) == 4 and parts[3] == "log":
-            transform = "log"
-            parts = parts[:3]
         if len(parts) != 3:
-            raise ConfigError(
-                f"{cfg.path}: [fit] {name} must be 'initial lower upper [log]'"
-            )
+            raise ConfigError(f"{cfg.path}: [fit] {name} must be 'initial lower upper'")
         initial, lower, upper = (_finite(cfg, f"[fit] {name}", x) for x in parts)
         if name == "c_ge":
             internal, scale = "c_ge", 1.0
@@ -504,7 +498,6 @@ def _build_fit_problem(cfg: RunConfig, measured: DispersionCurve) -> FitProblem:
                     initial=initial * scale,
                     lower=lower * scale,
                     upper=upper * scale,
-                    transform=transform,
                 )
             )
         except FitError as exc:

@@ -1184,16 +1184,6 @@ def _indicator(prep: _Prepared, freqs: np.ndarray, v: np.ndarray) -> np.ndarray:
     return q
 
 
-def pole_indicator_at(stack: LayerStack, frequencies, velocities) -> np.ndarray:
-    """Pole indicator Im(1/u3) of ``stack`` at (frequency, velocity) pairs.
-
-    One batch over all pairs; NaN where the response stays undefined after
-    the 1e-9 nudge.  Its zeros along the velocity axis are the surface modes.
-    """
-    freqs = np.asarray(frequencies, dtype=float)
-    return _indicator(_prepare(stack), freqs, np.asarray(velocities, dtype=float))
-
-
 def _tolerance(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(width, tol) of brackets [x1, x2]: one closes once width <= tol."""
     hi = np.maximum(x1, x2)

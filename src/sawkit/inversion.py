@@ -9,12 +9,13 @@ Free parameters address the stack template by name:
   ``layer<i>.poisson_ratio``, ``layer<i>.density`` — direct layer fields
   in SI units.
 
-The minimizer is a damped Gauss-Newton (Levenberg-style) iteration with
-box bounds enforced by clamping.  One Jacobian, taken in the parameters'
-original units, serves every purpose: the iteration steps in internal
-coordinates z, which for a ``transform="log"`` parameter is log(theta), and
-reaches them by the chain rule dr/dz = dr/dtheta * theta.  A fit stops on
-the Gauss-Newton step of a Jacobian, with no curve solve to confirm it, and
+The minimizer is projected Gauss-Newton with a backtracking line search
+(Nocedal & Wright, Numerical Optimization, 2nd ed., sections 10.3 and
+3.1).  Each iteration solves one Gauss-Newton step -J^+ r, holding the
+parameters that sit on a bound it points out of, and tries it whole, then
+halved, clamped to the bounds, until the cost drops.  One Jacobian, taken
+in the parameters' own units, serves every purpose.  A fit stops on the
+Gauss-Newton step of a Jacobian, with no curve solve to confirm it, and
 that Jacobian gives both the covariance and the identifiability flags,
 whose thresholds are the module constants below.  The covariance takes
 given sigmas as absolute; without sigmas it is scaled by chi^2/(N - p).
@@ -87,17 +88,14 @@ _FINISH_DROP = 1e-6
 
 @dataclass(frozen=True)
 class FreeParam:
-    """One fitted parameter with bounds and an optional log transform."""
+    """One fitted parameter with its starting value and bounds."""
 
     name: str
     initial: float
     lower: float
     upper: float
-    transform: str = "linear"
 
     def __post_init__(self):
-        if self.transform not in ("linear", "log"):
-            raise FitError(f"{self.name}: transform must be 'linear' or 'log'")
         if not all(map(math.isfinite, (self.initial, self.lower, self.upper))):
             raise FitError(f"{self.name}: initial value and bounds must be finite")
         if not self.lower < self.upper:
@@ -106,8 +104,6 @@ class FreeParam:
             raise FitError(
                 f"{self.name}: initial {self.initial} outside [{self.lower}, {self.upper}]"
             )
-        if self.transform == "log" and self.lower <= 0:
-            raise FitError(f"{self.name}: log transform requires a positive lower bound")
 
 
 @dataclass(frozen=True)
@@ -248,17 +244,8 @@ class FitResult:
         return math.sqrt(max(self.covariance[idx, idx], 0.0))
 
 
-def _to_internal(p: FreeParam, value: float) -> float:
-    return math.log(value) if p.transform == "log" else value
-
-
-def _from_internal(p: FreeParam, z: float) -> float:
-    v = math.exp(z) if p.transform == "log" else float(z)
-    return min(max(v, p.lower), p.upper)
-
-
-def _values(free: tuple[FreeParam, ...], z: np.ndarray) -> dict[str, float]:
-    return {p.name: _from_internal(p, z[i]) for i, p in enumerate(free)}
+def _values(free: tuple[FreeParam, ...], theta: np.ndarray) -> dict[str, float]:
+    return {p.name: float(t) for p, t in zip(free, theta)}
 
 
 def _stencil(problem: FitProblem, values: dict[str, float]):
@@ -404,21 +391,23 @@ def fit_parameters(
     step_tol: float = 1e-6,
     cost_tol: float = 1e-10,
 ) -> FitResult:
-    """Damped Gauss-Newton minimization of the weighted residuals.
+    """Projected Gauss-Newton minimization of the weighted residuals.
 
-    Damping adapts by factors of 10; bounds are enforced by clamping, and
-    parameters pinned at a bound are reported in ``bound_hits``.  Each
-    iteration's Jacobian first gives the Gauss-Newton step -J^+ r, re-solved
+    Each iteration's Jacobian gives the Gauss-Newton step -J^+ r, re-solved
     with the parameters held that sit on a bound it points out of.  The fit
     converges on that step, its residuals following it linearly, when each
-    component is below ``step_tol`` relative to max(|z|, 1) and it promises
-    a cost drop ||J step||^2 of at most ``_FINISH_DROP``; it resolves the
-    minimum to about sigma * rounding noise, where cost comparisons reach
-    sigma * sqrt(noise).  An accepted trial step with a relative cost change
-    below ``cost_tol`` also converges.  Each trial step searches its model
-    roots around the velocities the Jacobian predicts for it.  At the
-    solution one mode count just below the model velocities lists the
-    points with a lower mode in ``lower_modes``.
+    component is below ``step_tol`` relative to max(|theta|, 1) and it
+    promises a cost drop ||J step||^2 of at most ``_FINISH_DROP``; it
+    resolves the minimum to about sigma * rounding noise, where cost
+    comparisons reach sigma * sqrt(noise).  Otherwise the trials are
+    theta + 2^-k step for k = 0..29, clamped to the bounds, and the first
+    that lowers the cost is taken; an accepted trial with a relative cost
+    change below ``cost_tol`` also converges.  When none lowers it, the fit
+    has converged if the residual is orthogonal to the Jacobian's columns.
+    Parameters left on a bound are reported in ``bound_hits``.  Each trial
+    searches its model roots around the velocities the Jacobian predicts
+    for it.  At the solution one mode count just below the model velocities
+    lists the points with a lower mode in ``lower_modes``.
     """
     free = problem.free
     n = len(free)
@@ -426,80 +415,62 @@ def fit_parameters(
         raise FitError(
             f"{len(problem.measured)} measured points cannot constrain {n} parameters"
         )
-    z = np.array([_to_internal(p, p.initial) for p in free])
-    r = residuals(problem, _values(free, z))
+    lower = np.array([p.lower for p in free])
+    upper = np.array([p.upper for p in free])
+    theta = np.array([p.initial for p in free])
+    r = residuals(problem, _values(free, theta))
     cost = float(r @ r)
-    lam = 1e-3
     converged = False
     message = "iteration cap reached"
     it = 0
-    jac_theta = None
+    jac = None
     for it in range(1, max_iter + 1):
-        values = _values(free, z)
-        dtheta_dz = [values[p.name] if p.transform == "log" else 1.0 for p in free]
-        theta = np.array([values[p.name] for p in free])
-        jac_theta = _jacobian(problem, values, _model(problem, r))
-        jac = jac_theta * dtheta_dz
+        jac = _jacobian(problem, _values(free, theta), _model(problem, r))
         delta = np.linalg.lstsq(jac, -r, rcond=None)[0]
-        held = np.array([(t == p.lower and d < 0) or (t == p.upper and d > 0)
-                         for p, t, d in zip(free, theta, delta)])
+        held = ((theta == lower) & (delta < 0)) | ((theta == upper) & (delta > 0))
         if held.any():
             delta[held] = 0.0
             delta[~held] = np.linalg.lstsq(jac[:, ~held], -r, rcond=None)[0]
         drop = jac @ delta
-        if ((np.abs(delta) / np.maximum(np.abs(z + delta), 1.0)).max() < step_tol
+        if ((np.abs(delta) / np.maximum(np.abs(theta + delta), 1.0)).max() < step_tol
                 and drop @ drop <= _FINISH_DROP):
-            values = _values(free, z + delta)
-            r = r + jac_theta @ (np.array([values[p.name] for p in free]) - theta)
+            theta_new = np.clip(theta + delta, lower, upper)
+            r = r + jac @ (theta_new - theta)
+            theta = theta_new
             converged = True
             message = f"converged (Gauss-Newton step < {step_tol:g})"
             break
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        accepted = False
-        for _ in range(30):
-            damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-30))
-            try:
-                delta = np.linalg.solve(damped, -jtr)
-            except np.linalg.LinAlgError:
-                lam = min(lam * 10.0, 1e12)
-                continue
-            z_new = z + delta
-            vals_new = _values(free, z_new)
-            # re-internalize after clamping so bound hits stay consistent
-            z_new = np.array([_to_internal(p, vals_new[p.name]) for p in free])
-            step = np.array([vals_new[p.name] for p in free]) - theta
-            r_new = _residuals(problem, vals_new, _model(problem, r + jac_theta @ step))
+        for k in range(30):
+            theta_new = np.clip(theta + 0.5**k * delta, lower, upper)
+            r_new = _residuals(problem, _values(free, theta_new),
+                               _model(problem, r + jac @ (theta_new - theta)))
             cost_new = float(r_new @ r_new)
             if cost_new < cost:
-                accepted = True
-                lam = max(lam / 10.0, 1e-12)
                 break
-            lam = min(lam * 10.0, 1e12)
-        if not accepted:
-            # no strictly lower point found: accept as converged when the
+        else:
+            # no halving lowered the cost: accept as converged when the
             # residual is orthogonal to the Jacobian columns (at the minimum)
             col_norm = np.linalg.norm(jac, axis=0) * max(np.linalg.norm(r), 1e-300)
-            g_rel = float((np.abs(jtr) / np.maximum(col_norm, 1e-300)).max())
+            g_rel = float((np.abs(jac.T @ r) / np.maximum(col_norm, 1e-300)).max())
             converged = g_rel < 1e-4
             message = (
                 "converged (residual orthogonal to Jacobian)"
                 if converged
-                else "damping saturated without improvement"
+                else "no step lowered the cost"
             )
             break
         rel_drop = (cost - cost_new) / max(cost, 1e-300)
-        z, r, cost = z_new, r_new, cost_new
-        jac_theta = None
+        theta, r, cost = theta_new, r_new, cost_new
+        jac = None
         if rel_drop < cost_tol:
             converged = True
             message = f"converged (relative cost change < {cost_tol:g})"
             break
 
-    if jac_theta is None:
+    values = _values(free, theta)
+    if jac is None:
         # the loop ended on an accepted step, away from its last Jacobian
-        values = _values(free, z)
-        jac_theta = _jacobian(problem, values, _model(problem, r))
+        jac = _jacobian(problem, values, _model(problem, r))
     model = _model(problem, r)
     bound_hits = tuple(
         p.name
@@ -507,11 +478,11 @@ def fit_parameters(
         if values[p.name] in (p.lower, p.upper)
     )
     dv = r * problem.sigmas
-    covariance = np.linalg.pinv(jac_theta.T @ jac_theta)
+    covariance = np.linalg.pinv(jac.T @ jac)
     covariance = 0.5 * (covariance + covariance.T)
     if _covariance_scaled(problem):
         covariance *= float(r @ r) / (len(problem.measured) - len(free))
-    report = _identifiability(problem, values, jac_theta)
+    report = _identifiability(problem, values, jac)
     flags = dict(report.flags)
     for name in bound_hits:
         flags[name] = FIXED

@@ -565,24 +565,19 @@ def test_cmd_fit_sample3_warns_but_succeeds(tmp_path, capsys, silicon, geom):
     assert "layer0.thickness" in captured.err
 
 
-def test_fit_bounds_line_transform(tmp_path, cfg_1a, curve_1a):
-    from sawkit.cli import _build_fit_problem
-
+def test_fit_bounds_line_transform(tmp_path, capsys, cfg_1a, measured_1a_csv):
+    # a [fit] bounds line is exactly 'initial lower upper': a fourth token,
+    # 'log' included, exits 2 and names the key
     base = cfg_1a.read_text(encoding="utf-8")
     line = "layer0.thickness_um = 0.9 0.3 3.0"
-    assert line in base
-
-    def problem_with(suffix):
-        p = tmp_path / f"fit_{suffix}.cfg"
-        p.write_text(base.replace(line, f"{line} {suffix}"), encoding="utf-8")
-        return _build_fit_problem(load_config(p), curve_1a)
-
-    free = {fp.name: fp for fp in problem_with("log").free}
-    assert free["layer0.thickness"].transform == "log"
-    assert free["layer0.thickness"].lower == pytest.approx(0.3e-6)
-    assert free["c_ge"].transform == "linear"
-    with pytest.raises(ConfigError):
-        problem_with("bogus")
+    assert base.count(line) == 1
+    for token in ("log", "bogus"):
+        cfg = tmp_path / f"fit_{token}.cfg"
+        cfg.write_text(base.replace(line, f"{line} {token}"), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["fit", measured_1a_csv, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {cfg}: [fit] layer0.thickness_um must be 'initial lower upper'" in err
 
 
 @pytest.mark.parametrize(
@@ -740,6 +735,31 @@ def test_cmd_fit_problem_faults_name_their_fit_key_exit_2(
     capsys.readouterr()
     assert run(["fit", measured_1a_csv, "--config", cfg]) == 2
     assert f"error: {cfg}: {fault}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["stack_2", "stack_3"])
+def test_bundled_chain_fits_take_one_curve_solve_per_iteration(tmp_path, monkeypatch, name):
+    # Work guard that does not depend on the machine: the synth -> extract
+    # -> fit chain of a bundled config at synth seed 3 fits its 2 points in
+    # 4 curve solves; a damped step whose damping alternated up and down
+    # between rejected and accepted trials took 9 (stack 2) and 30 (stack 3)
+    import sawkit.inversion as inv
+
+    cfg = fixture_config_path(name)
+    wave, measured, report = tmp_path / "w.csv", tmp_path / "m.csv", tmp_path / "fit.txt"
+    assert run(["synth", "--config", cfg, "--seed", 3, "--out", wave]) == 0
+    assert run(["extract", wave, "--config", cfg, "--out", measured]) == 0
+    solves = []
+    curve_roots = inv._curve_roots
+
+    def counting(*args):
+        solves.append(args)
+        return curve_roots(*args)
+
+    monkeypatch.setattr(inv, "_curve_roots", counting)
+    assert run(["fit", measured, "--config", cfg, "--out", report]) == 0
+    assert "status: converged (Gauss-Newton step < 1e-06)" in report.read_text(encoding="utf-8")
+    assert len(solves) <= 4
 
 
 def test_fit_report_flags_no_lower_mode_on_bundled_configs(tmp_path, capsys):

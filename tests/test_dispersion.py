@@ -1669,7 +1669,7 @@ def test_block_path_matches_batch_path(thickness_factor):
     v = grid[:: grid.size // 20][:20]
     q_block = dispersion._indicator(prep, CURVE_FREQS[:, None], v)
     f_pairs, v_pairs = np.meshgrid(CURVE_FREQS, v, indexing="ij")
-    q_batch = dispersion.pole_indicator_at(stack, f_pairs.ravel(), v_pairs.ravel())
+    q_batch = dispersion._indicator(dispersion._prepare(stack), f_pairs.ravel(), v_pairs.ravel())
     q_batch = q_batch.reshape(q_block.shape)
     assert np.isfinite(q_block).all() and np.isfinite(q_batch).all()
     floor = 1e-10 * np.median(np.abs(q_block))

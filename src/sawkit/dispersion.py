@@ -1395,14 +1395,19 @@ def _find_modes(
     return roots, np.flatnonzero(miss | rejected)
 
 
-def _curve_roots(stack: LayerStack, freqs: np.ndarray, hints) -> tuple[np.ndarray, np.ndarray]:
-    """(roots, cold) of ``_find_modes`` at the non-empty ``freqs``, after
-    ``dispersion_curve``'s checks of its arguments; ``CurveError`` where a
-    frequency has no mode."""
+def _check_frequencies(freqs: np.ndarray) -> None:
+    """``dispersion_curve``'s check of its non-empty ``freqs``."""
     if not (np.isfinite(freqs).all() and (freqs > 0).all()):
         raise ValueError("frequencies must be positive and finite")
     if np.any(np.diff(freqs) <= 0):
         raise ValueError("frequencies must be strictly increasing")
+
+
+def _curve_roots(stack: LayerStack, freqs: np.ndarray, hints) -> tuple[np.ndarray, np.ndarray]:
+    """(roots, cold) of ``_find_modes`` at the non-empty ``freqs``, after
+    ``dispersion_curve``'s checks of its arguments; ``CurveError`` where a
+    frequency has no mode."""
+    _check_frequencies(freqs)
     hint_arr = None
     if hints is not None:
         hint_arr = np.asarray(list(hints), dtype=float)

@@ -34,10 +34,14 @@ of re-solved roots (2p curve solves).
 Each trial step searches its model roots around the velocities that the
 Jacobian predicts for it, measured + sigma * (r + J dtheta) with dtheta the
 clamped step, so the narrowest hint windows hold them and few refinement
-rounds close them; ``residuals`` hints from the measured velocities.  The
-residual solves make no mode count.  At the solution one count 1e-6 below
-the model velocities certifies them: ``FitResult.lower_modes`` lists the
-points with a mode below, where the model may follow a higher mode.
+rounds close them.  ``residuals``, which starts each fit, hints from the
+measured velocities moved one Newton step of its model's pole indicator,
+taken from one batch over the Jacobian's v-stencil at those velocities, so
+its windows hold the model roots wherever the measured curve lies near
+them, with no scan.  The residual solves make no mode count.  At the
+solution one count 1e-6 below the model velocities certifies them:
+``FitResult.lower_modes`` lists the points with a mode below, where the
+model may follow a higher mode.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ import numpy as np
 
 from .dispersion import (
     DispersionCurve,
+    _check_frequencies,
     _curve_roots,
     _indicator,
     _joined,
@@ -193,21 +198,55 @@ class FitProblem:
 
 
 def residuals(problem: FitProblem, params: Mapping[str, float]) -> np.ndarray:
-    """Weighted velocity residuals (model - measured)/sigma at the measured points."""
-    return _residuals(problem, params, problem.measured.velocities)
+    """Weighted velocity residuals (model - measured)/sigma at the measured points.
 
-
-def _residuals(problem: FitProblem, params: Mapping[str, float], hints) -> np.ndarray:
-    """``residuals`` with the model roots searched around ``hints`` (m/s, one
-    per point) and no mode count below the points it scans."""
+    The model roots are searched around the measured velocities v moved one
+    Newton step of the model's pole indicator q, v - q / (dq/dv), with q
+    and dq/dv from one batch at v(1 +- 1e-7), the Jacobian's v-stencil.  A
+    point whose step is not finite or leaves ``velocity_window`` keeps its
+    measured velocity.  A model whose root lies near its measured point is
+    then found in the narrow hint windows; a measured point on another
+    branch leads to that branch's root, as any hint does.  A step that
+    overshoots, where q is nearly flat or a pole lies close by, can lead to
+    another branch's root, or to a scan, at a point whose measured velocity
+    alone would have found the root in its windows.
+    """
     for p in problem.free:
         if p.name in params and not p.lower <= params[p.name] <= p.upper:
             raise FitError(
                 f"{p.name} = {params[p.name]} outside bounds [{p.lower}, {p.upper}]"
             )
+    _check_frequencies(np.asarray(problem.measured.frequencies))
+    stack = problem.realize(params)
+    prep = _prepare(stack)
+    v = np.asarray(problem.measured.velocities, dtype=float)
+    q_up, q_dn, dq_dv, _ = _v_stencil(problem, prep, v, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hints = v - 0.5 * (q_up + q_dn) / dq_dv
+        inside = (prep.v_floor <= hints) & (hints <= prep.v_ceiling)  # False at NaN
+    return _residuals(problem, stack, np.where(inside, hints, v))
+
+
+def _residuals(problem: FitProblem, stack: LayerStack, hints) -> np.ndarray:
+    """``residuals`` of the model ``stack`` with its roots searched around
+    ``hints`` (m/s, one per point) and no mode count below the points it
+    scans."""
     freqs = np.asarray(problem.measured.frequencies)
-    roots, _ = _curve_roots(problem.realize(params), freqs, hints)
+    roots, _ = _curve_roots(stack, freqs, hints)
     return (roots - np.asarray(problem.measured.velocities)) / problem.sigmas
+
+
+def _v_stencil(problem: FitProblem, prep, v: np.ndarray, count: int):
+    """One ``_indicator`` batch on ``prep``, one stack or ``count`` stacks
+    joined along the measured points: at v(1 +- ``_ROOT_STEP``) on the first
+    two, v (m/s) one velocity per point, and at v on the others.  Returns
+    (q_up, q_dn, dq/dv, [q of each further stack])."""
+    freqs = np.asarray(problem.measured.frequencies)
+    stencil_v = [v * (1.0 + _ROOT_STEP), v * (1.0 - _ROOT_STEP)] + [v] * (count - 2)
+    q = _indicator(prep, np.tile(freqs, count), np.concatenate(stencil_v))
+    q_up, q_dn, *rest = q.reshape(count, v.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return q_up, q_dn, (q_up - q_dn) / (2.0 * _ROOT_STEP * v), rest
 
 
 @dataclass(frozen=True)
@@ -272,19 +311,15 @@ def _jacobian(
     their original units, at the model velocities ``model`` (m/s) of
     ``values``: implicit at the roots, or ``_fd_jacobian`` where the module
     docstring's fallback condition holds."""
-    freqs = np.asarray(problem.measured.frequencies)
     v = np.asarray(model, dtype=float)
     stencil = list(_stencil(problem, values))
     # the v-stencil on the centre stack, then each parameter's up and down
     # stack at v, all in one batch
     sets = [values, values] + [s for pair in stencil for s in pair]
     prep = _joined([_prepare(problem.realize(s)) for s in sets], [v.size] * len(sets))
-    stencil_v = [v * (1.0 + _ROOT_STEP), v * (1.0 - _ROOT_STEP)] + [v] * (len(sets) - 2)
-    q = _indicator(prep, np.tile(freqs, len(sets)), np.concatenate(stencil_v))
-    q_up, q_dn, *q_theta = q.reshape(len(sets), v.size)
+    q_up, q_dn, dq_dv, q_theta = _v_stencil(problem, prep, v, len(sets))
     if not (q_up * q_dn < 0).all():
         return _fd_jacobian(problem, values)
-    dq_dv = (q_up - q_dn) / (2.0 * _ROOT_STEP * v)
     cols = [-(q_p - q_m) / (up[p.name] - dn[p.name]) / dq_dv
             for p, (up, dn), q_p, q_m in zip(problem.free, stencil, q_theta[::2], q_theta[1::2])]
     jac = np.column_stack(cols) / problem.sigmas[:, None]
@@ -404,10 +439,12 @@ def fit_parameters(
     that lowers the cost is taken; an accepted trial with a relative cost
     change below ``cost_tol`` also converges.  When none lowers it, the fit
     has converged if the residual is orthogonal to the Jacobian's columns.
-    Parameters left on a bound are reported in ``bound_hits``.  Each trial
-    searches its model roots around the velocities the Jacobian predicts
-    for it.  At the solution one mode count just below the model velocities
-    lists the points with a lower mode in ``lower_modes``.
+    Parameters left on a bound are reported in ``bound_hits``.  The start
+    searches its model roots around the measured velocities moved one
+    Newton step of the start model's pole indicator (``residuals``), and
+    each trial around the velocities the Jacobian predicts for it.  At the
+    solution one mode count just below the model velocities lists the
+    points with a lower mode in ``lower_modes``.
     """
     free = problem.free
     n = len(free)
@@ -442,7 +479,7 @@ def fit_parameters(
             break
         for k in range(30):
             theta_new = np.clip(theta + 0.5**k * delta, lower, upper)
-            r_new = _residuals(problem, _values(free, theta_new),
+            r_new = _residuals(problem, problem.realize(_values(free, theta_new)),
                                _model(problem, r + jac @ (theta_new - theta)))
             cost_new = float(r_new @ r_new)
             if cost_new < cost:

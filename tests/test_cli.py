@@ -742,24 +742,38 @@ def test_bundled_chain_fits_take_one_curve_solve_per_iteration(tmp_path, monkeyp
     # Work guard that does not depend on the machine: the synth -> extract
     # -> fit chain of a bundled config at synth seed 3 fits its 2 points in
     # 4 curve solves; a damped step whose damping alternated up and down
-    # between rejected and accepted trials took 9 (stack 2) and 30 (stack 3)
+    # between rejected and accepted trials took 9 (stack 2) and 30 (stack 3).
+    # The start solve, hinted one Newton step of the start model's indicator
+    # from the measured points, finds the measured hints' roots with no scan
+    # (each chain scanned one point before), so the fit's one mode count is
+    # its certificate.
+    import sawkit.dispersion as dsp
     import sawkit.inversion as inv
 
     cfg = fixture_config_path(name)
     wave, measured, report = tmp_path / "w.csv", tmp_path / "m.csv", tmp_path / "fit.txt"
     assert run(["synth", "--config", cfg, "--seed", 3, "--out", wave]) == 0
     assert run(["extract", wave, "--config", cfg, "--out", measured]) == 0
-    solves = []
-    curve_roots = inv._curve_roots
+    solves, mode_counts = [], []
+    curve_roots, mode_count = inv._curve_roots, dsp._mode_count
 
     def counting(*args):
-        solves.append(args)
-        return curve_roots(*args)
+        solves.append((args, curve_roots(*args)))
+        return solves[-1][1]
+
+    def counting_modes(*args):
+        mode_counts.append(len(solves))
+        return mode_count(*args)
 
     monkeypatch.setattr(inv, "_curve_roots", counting)
+    monkeypatch.setattr(dsp, "_mode_count", counting_modes)
     assert run(["fit", measured, "--config", cfg, "--out", report]) == 0
     assert "status: converged (Gauss-Newton step < 1e-06)" in report.read_text(encoding="utf-8")
     assert len(solves) <= 4
+    (stack, freqs, _), (roots, cold) = solves[0]
+    assert cold.size == 0 and mode_counts == [len(solves)]
+    reference, _ = curve_roots(stack, freqs, sk.read_dispersion_csv(measured).velocities)
+    np.testing.assert_allclose(roots, reference, rtol=1e-12, atol=0)
 
 
 def test_fit_report_flags_no_lower_mode_on_bundled_configs(tmp_path, capsys):

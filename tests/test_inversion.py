@@ -156,6 +156,24 @@ def test_residuals_reject_out_of_bounds(problem_1a):
         sk.residuals(problem_1a, {"c_ge": 1.5, "layer0.thickness": 1e-6})
 
 
+def test_residuals_check_frequencies_before_any_indicator(problem_1a, monkeypatch):
+    # a measured curve with a frequency that dispersion_curve rejects (the
+    # curve itself takes f <= 0) is rejected before the start's indicator
+    # batch evaluates the model there
+    import sawkit.inversion as inv
+
+    curve = problem_1a.measured
+    measured = sk.DispersionCurve((0.0,) + curve.frequencies[1:], curve.velocities)
+    problem = replace(problem_1a, measured=measured)
+
+    def no_indicator(*args):
+        raise AssertionError("indicator evaluated before the frequency check")
+
+    monkeypatch.setattr(inv, "_indicator", no_indicator)
+    with pytest.raises(ValueError, match="frequencies must be positive and finite"):
+        sk.residuals(problem, {"c_ge": 0.2, "layer0.thickness": 1e-6})
+
+
 # --- fitting ----------------------------------------------------------------------
 
 
@@ -301,12 +319,15 @@ def invert_seed_7():
 
 def test_self_hinted_fits_match_measured_hints_in_fewer_batches(invert_seed_7, monkeypatch):
     # Differential test and work guard that does not depend on the machine:
-    # each trial step hints from the roots the Jacobian predicts for it, and
-    # the seed-7 fits keep the estimates and iteration counts of hinting
-    # every step from the measured curve (41.3 indicator batches per fit
-    # before), in at most 27 batches per fit (31 while each fit confirmed
-    # its last step with a curve solve).  A fit makes two mode counts:
-    # the first residual's scan start and the certificate at the solution.
+    # each trial step hints from the roots the Jacobian predicts for it, the
+    # start from the measured curve moved one Newton step of the start
+    # model's indicator, and the seed-7 fits keep the estimates and
+    # iteration counts of hinting every solve from the measured curve (41.3
+    # indicator batches per fit before), in at most 22 batches per fit (26
+    # while the start hinted from the measured curve and scanned the 24.4
+    # points per fit its windows missed, 31 while each fit confirmed its
+    # last step with a curve solve).  A fit makes one mode count, the
+    # certificate at the solution: the start scans no point.
     import sawkit.dispersion as dsp
     import sawkit.inversion as inv
 
@@ -322,20 +343,173 @@ def test_self_hinted_fits_match_measured_hints_in_fewer_batches(invert_seed_7, m
         monkeypatch.setattr(module, key, counting(getattr(module, key), key))
     fits = [sk.fit_parameters(p) for p in invert_seed_7]
     n = len(fits)
-    assert counts["_indicator"] <= 27 * n
-    assert counts["_mode_count"] == 2 * n
+    assert counts["_indicator"] <= 22 * n
+    assert counts["_mode_count"] == n
     assert all(r.converged and r.lower_modes == () for r in fits)
 
     residuals = inv._residuals
-    monkeypatch.setattr(inv, "_residuals", lambda problem, params, hints:
-                        residuals(problem, params, problem.measured.velocities))
-    counts["_indicator"] = 0
+    monkeypatch.setattr(inv, "_residuals", lambda problem, stack, hints:
+                        residuals(problem, stack, problem.measured.velocities))
+    counts["_indicator"] = counts["_mode_count"] = 0
     measured = [sk.fit_parameters(p) for p in invert_seed_7]
-    assert counts["_indicator"] > 27 * n
+    assert counts["_indicator"] > 22 * n
+    assert counts["_mode_count"] == 2 * n
     for a, b in zip(fits, measured):
         assert a.n_iterations == b.n_iterations
         for name, value in a.estimates.items():
             assert value == pytest.approx(b.estimates[name], rel=1e-9, abs=0)
+
+
+def _start_solves(monkeypatch):
+    """Records (hints, roots, cold) of every ``_find_modes`` call and counts
+    the ``_mode_count`` calls in ``counts``."""
+    import sawkit.dispersion as dsp
+
+    solves, counts = [], {"_mode_count": 0}
+    find_modes, mode_count = dsp._find_modes, dsp._mode_count
+
+    def recording(stack, freqs, hints):
+        roots, cold = find_modes(stack, freqs, hints)
+        solves.append((hints, roots, cold))
+        return roots, cold
+
+    def counting(*args):
+        counts["_mode_count"] += 1
+        return mode_count(*args)
+
+    monkeypatch.setattr(dsp, "_find_modes", recording)
+    monkeypatch.setattr(dsp, "_mode_count", counting)
+    return solves, counts
+
+
+def test_newton_hinted_start_matches_measured_hints_without_a_scan(invert_seed_7, monkeypatch):
+    # Differential test and work guard: the start solve hints from the
+    # measured curve moved one Newton step of the start model's indicator.
+    # On the seed-7 fits it finds the roots that hinting from the measured
+    # curve finds, where 24.4 points per fit missed their windows and
+    # scanned after a mode count, with no scan and no mode count.
+    import sawkit.inversion as inv
+
+    solves, counts = _start_solves(monkeypatch)
+    for problem in invert_seed_7:
+        start = {p.name: p.initial for p in problem.free}
+        model = inv._model(problem, sk.residuals(problem, start))
+        (hints, roots, cold), = solves
+        assert cold.size == 0 and counts["_mode_count"] == 0
+        assert not np.array_equal(hints, problem.measured.velocities)
+        measured = inv._model(problem, inv._residuals(
+            problem, problem.realize(start), problem.measured.velocities))
+        np.testing.assert_allclose(model, measured, rtol=1e-12, atol=0)
+        solves.clear()
+        counts["_mode_count"] = 0
+
+
+@pytest.mark.parametrize("fault", ["flat", "nan", "far"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_start_point_without_a_newton_step_keeps_its_measured_hint(
+    invert_seed_7, monkeypatch, fault
+):
+    # where the start model's indicator stencil gives no finite Newton step
+    # (q equal at both ends, or NaN), or one far outside the search window
+    # (q nearly flat), the point keeps its measured velocity as its hint,
+    # which misses its windows there and scans; the fit runs on, with no
+    # non-finite hint and no warning
+    import sawkit.inversion as inv
+
+    problem, j = invert_seed_7[0], 34
+    expected = sk.fit_parameters(problem)
+    n = len(problem.measured)
+    indicator = inv._indicator
+
+    def faulty_newton_batch(prep, freqs, v):
+        assert len(v) == 2 * n  # the v-stencil up, then down, at the measured velocities
+        monkeypatch.setattr(inv, "_indicator", indicator)
+        q = indicator(prep, freqs, v)
+        q[j + n] = {"flat": q[j], "nan": np.nan, "far": q[j] * (1.0 - 1e-12)}[fault]
+        return q
+
+    monkeypatch.setattr(inv, "_indicator", faulty_newton_batch)
+    solves, _ = _start_solves(monkeypatch)
+    res = sk.fit_parameters(problem)
+    hints, _, cold = solves[0]
+    measured = np.asarray(problem.measured.velocities)
+    assert hints[j] == measured[j] and np.isfinite(hints).all()
+    assert (hints != measured).sum() == n - 1
+    assert cold.tolist() == [j]
+    assert res.converged and res.n_iterations == expected.n_iterations
+    for name, value in res.estimates.items():
+        assert value == pytest.approx(expected.estimates[name], rel=1e-9, abs=0)
+
+
+def _stack_1a_x10_thickness_fit(silicon, oxide, geom, shift=None):
+    """(problem, cold curve, start) of stack 1A with its layers x10, layer-0
+    thickness fitted from 0.85x the truth on its cold curve with 0.1 %
+    noise; ``shift`` (index, m/s) moves one measured point."""
+    base = make_stack_1a(silicon, oxide, geom)
+    stack = replace(base, layers=tuple(replace(l, thickness=10 * l.thickness)
+                                       for l in base.layers))
+    cold = sk.dispersion_curve(stack, _FREQS_07)
+    v = np.asarray(cold.velocities)
+    noisy = v * (1.0 + np.random.default_rng(2).normal(0.0, 0.001, v.size))
+    if shift is not None:
+        noisy[shift[0]] += shift[1]
+    problem = sk.FitProblem(
+        template=stack,
+        free=(sk.FreeParam("layer0.thickness", 0.85 * 10.2e-6, 3e-6, 30e-6),),
+        measured=sk.DispersionCurve(cold.frequencies, tuple(noisy),
+                                    sigmas=tuple(0.001 * v)),
+    )
+    return problem, cold, {"layer0.thickness": 0.85 * 10.2e-6}
+
+
+def _start_models(problem, start):
+    """Start model velocities (m/s) of ``residuals`` and of hinting from the
+    measured velocities."""
+    import sawkit.inversion as inv
+
+    measured = problem.measured.velocities
+    return (inv._model(problem, sk.residuals(problem, start)),
+            inv._model(problem, inv._residuals(problem, problem.realize(start), measured)))
+
+
+def test_newton_hinted_start_follows_the_measured_branch(silicon, oxide, geom):
+    # at 300 MHz (index 10) the measured point lies on a higher branch than
+    # the start model's lowest mode, and the Newton hint follows that branch
+    # (4068.71 m/s) where the measured hint missed its windows and scanned
+    # down to 3840.81 m/s; every other start root is the measured hint's.
+    # As for any hint near a higher mode, the certificate at the solution
+    # lists the points with a lower mode
+    problem, cold, start = _stack_1a_x10_thickness_fit(silicon, oxide, geom)
+    model, measured = _start_models(problem, start)
+    assert model[10] == pytest.approx(4068.71, abs=0.01)
+    assert measured[10] == pytest.approx(3840.81, abs=0.01)
+    others = np.arange(model.size) != 10
+    np.testing.assert_allclose(model[others], measured[others], rtol=1e-12, atol=0)
+    result = sk.fit_parameters(problem)
+    assert result.converged
+    assert result.lower_modes == cold.lower_modes == tuple(range(10, 35))
+
+
+def test_newton_step_past_a_near_pole_leads_to_the_next_branch(silicon, oxide, geom):
+    # at 750 MHz (index 28) the start model has a root at 4274.93 m/s and a
+    # pole 7.2 m/s above it.  A measured point 30 m/s below the root holds
+    # it in its 40 m/s hint window, but the Newton step from there, taken on
+    # the tangent of an indicator that bends towards the pole, overshoots
+    # past the pole, and the start follows the branch above it
+    # (4309.86 m/s), as a hint there does.  The certificate at the solution
+    # lists that point
+    problem, _, start = _stack_1a_x10_thickness_fit(silicon, oxide, geom)
+    root = _start_models(problem, start)[0][28]
+    assert root == pytest.approx(4274.93, abs=0.01)
+    problem, _, start = _stack_1a_x10_thickness_fit(
+        silicon, oxide, geom, shift=(28, root - 30.0 - problem.measured.velocities[28]))
+    model, measured = _start_models(problem, start)
+    assert measured[28] == pytest.approx(root, rel=1e-12)
+    assert model[28] == pytest.approx(4309.86, abs=0.01)
+    others = ~np.isin(np.arange(model.size), (10, 28))
+    np.testing.assert_allclose(model[others], measured[others], rtol=1e-12, atol=0)
+    result = sk.fit_parameters(problem)
+    assert result.converged and 28 in result.lower_modes
 
 
 def test_fit_steps_build_films_without_tensors(invert_seed_7, monkeypatch):
@@ -343,9 +517,11 @@ def test_fit_steps_build_films_without_tensors(invert_seed_7, monkeypatch):
     # a new film material, and the prep builds it from its Lame constants,
     # with no ElasticTensor and no 3x3x3x3 expansion (13.2 of each per
     # seed-7 fit before; the substrate's are made once).  The prep cache
-    # traffic, 16.25 misses and 12.75 hits per fit from empty caches, is
+    # traffic, 16.25 misses and 13.75 hits per fit from empty caches, is
     # pinned so that neither a cache outliving a fit nor extra steps show
-    # as a gain (21.2 and 14.7 while fits confirmed their last step).
+    # as a gain (12.75 hits before the start's Newton batch, one more hit
+    # per fit; 21.2 misses and 14.7 hits while fits confirmed their last
+    # step).
     import sawkit.dispersion as dsp
     import sawkit.materials as mat
 
@@ -364,7 +540,7 @@ def test_fit_steps_build_films_without_tensors(invert_seed_7, monkeypatch):
     n = len([sk.fit_parameters(p) for p in invert_seed_7])
     assert counts["__post_init__"] <= 0.1 * n and counts["as_cijkl"] <= 0.1 * n
     info = dsp._prepare.cache_info()
-    assert (info.misses, info.hits) == (650, 510)
+    assert (info.misses, info.hits) == (650, 550)
 
 
 def test_default_tolerance_fits_match_tight_ones(invert_seed_7):
@@ -472,18 +648,19 @@ def test_fit_ends_when_no_halved_step_lowers_the_cost(problem_1a, monkeypatch):
     # is not orthogonal to the Jacobian and the fit does not converge
     import sawkit.inversion as inv
 
-    residuals, trials = inv._residuals, []
+    residuals, calls = inv._residuals, []
 
-    def costlier(problem, params, hints):
-        r = residuals(problem, params, hints)
-        if hints is problem.measured.velocities:  # the start
+    def costlier(problem, stack, hints):
+        r = residuals(problem, stack, hints)
+        calls.append(stack)
+        if len(calls) == 1:  # the start
             return r
-        trials.append(dict(params))
         return r + 1e6
 
     monkeypatch.setattr(inv, "_residuals", costlier)
     res = sk.fit_parameters(problem_1a)
     assert not res.converged and res.message == "no step lowered the cost"
+    trials = calls[1:]
     assert res.n_iterations == 1 and 0 < len(trials) <= 30
     assert res.estimates == {p.name: p.initial for p in problem_1a.free}
 
@@ -593,6 +770,9 @@ def test_jacobian_fallback_is_finite_differences(problem_1a, monkeypatch, fault)
 
         def nan_at_one_stencil_point(prep, freqs, v):
             assert len(v) == 6 * n
+            # the fault hits the Jacobian's batch only, not the Newton
+            # batch of each residual evaluation of the fallback
+            monkeypatch.setattr(inv, "_indicator", indicator)
             q = indicator(prep, freqs, v)
             q[at] = np.nan
             return q

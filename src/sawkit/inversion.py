@@ -13,10 +13,12 @@ The minimizer is projected Gauss-Newton with a backtracking line search
 (Nocedal & Wright, Numerical Optimization, 2nd ed., sections 10.3 and
 3.1).  Each iteration solves one Gauss-Newton step -J^+ r, holding the
 parameters that sit on a bound it points out of, and tries it whole, then
-halved, clamped to the bounds, until the cost drops.  One Jacobian, taken
-in the parameters' own units, serves every purpose.  A fit stops on the
-Gauss-Newton step of a Jacobian, with no curve solve to confirm it, and
-that Jacobian gives both the covariance and the identifiability flags,
+halved, clamped to the bounds, until the cost drops.  The difference and
+Gauss-Newton steps, the stop test, the covariance and the flags are all
+taken on J diag(s), s = max(|theta|, 1e-3 (upper - lower)) per parameter,
+so no parameter's units weigh on them (More, LNM 630, 1978).  A fit stops
+on the Gauss-Newton step of a Jacobian, with no curve solve to confirm it,
+and that Jacobian gives both the covariance and the identifiability flags,
 whose thresholds are the module constants below.  The covariance takes
 given sigmas as absolute; without sigmas it is scaled by chi^2/(N - p).
 
@@ -74,7 +76,7 @@ _LAYER_FIELD = re.compile(
     r"^layer(\d+)\.(thickness|young_modulus|poisson_ratio|density)$"
 )
 
-# Central-difference step of the Jacobian, relative to each parameter value.
+# Central-difference step of the Jacobian, relative to each parameter's scale.
 _FD_STEP = 1e-4
 # Velocity step of dq/dv at a root, relative to the root.
 _ROOT_STEP = 1e-7
@@ -287,12 +289,18 @@ def _values(free: tuple[FreeParam, ...], theta: np.ndarray) -> dict[str, float]:
     return {p.name: float(t) for p, t in zip(free, theta)}
 
 
+def _scales(problem: FitProblem, theta) -> np.ndarray:
+    """Scale s of each free parameter at ``theta``, its values in order:
+    max(|theta|, 1e-3 (upper - lower)).  The fit works on J diag(s)."""
+    return np.array([max(abs(t), 1e-3 * (p.upper - p.lower)) for p, t in zip(problem.free, theta)])
+
+
 def _stencil(problem: FitProblem, values: dict[str, float]):
-    """(up, down) parameter sets of each column's central difference, with
-    the step clamped at the bounds."""
-    for p in problem.free:
+    """(up, down) parameter sets of each column's central difference, a
+    step of ``_FD_STEP`` times the parameter's scale clamped at the bounds."""
+    steps = _FD_STEP * _scales(problem, values.values())
+    for p, h in zip(problem.free, steps):
         theta = values[p.name]
-        h = _FD_STEP * max(abs(theta), 1e-3 * (p.upper - p.lower))
         yield (
             {**values, p.name: min(theta + h, p.upper)},
             {**values, p.name: max(theta - h, p.lower)},
@@ -349,21 +357,19 @@ def identifiability_report(
     below 1e-3, or when the condition number exceeds 30: the near-null
     singular direction then marks one unconstrained parameter combination,
     and the least sensitive of its participants is flagged (repeatedly,
-    until the remainder conditions).
+    until the remainder conditions).  ``params`` must name every free
+    parameter and no other.
     """
+    missing = [p.name for p in problem.free if p.name not in params]
+    if missing:
+        raise FitError(f"missing parameter(s) {missing}")
     values = {p.name: float(params[p.name]) for p in problem.free}
-    model = _model(problem, residuals(problem, values))
-    return _identifiability(problem, values, _jacobian(problem, values, model))
+    jac = _jacobian(problem, values, _model(problem, residuals(problem, params)))
+    return _identifiability(problem, jac * _scales(problem, values.values()))
 
 
-def _identifiability(
-    problem: FitProblem, values: dict[str, float], jac: np.ndarray
-) -> IdentifiabilityReport:
-    """The flags of ``identifiability_report`` from a Jacobian at ``values``."""
-    scales = np.array(
-        [max(abs(values[p.name]), 1e-3 * (p.upper - p.lower)) for p in problem.free]
-    )
-    jt = jac * scales
+def _identifiability(problem: FitProblem, jt: np.ndarray) -> IdentifiabilityReport:
+    """The flags of ``identifiability_report`` from the Jacobian J diag(s)."""
     sens = np.linalg.norm(jt, axis=0)
     top = sens.max() if sens.size else 0.0
     rel = sens / top if top > 0 else np.zeros_like(sens)
@@ -428,23 +434,23 @@ def fit_parameters(
 ) -> FitResult:
     """Projected Gauss-Newton minimization of the weighted residuals.
 
-    Each iteration's Jacobian gives the Gauss-Newton step -J^+ r, re-solved
-    with the parameters held that sit on a bound it points out of.  The fit
+    Each iteration's Jacobian J gives the Gauss-Newton step -S (J S)^+ r, S
+    the diagonal of the parameter scales (module docstring), re-solved with
+    the parameters held that sit on a bound it points out of.  The fit
     converges on that step, its residuals following it linearly, when each
-    component is below ``step_tol`` relative to max(|theta|, 1) and it
-    promises a cost drop ||J step||^2 of at most ``_FINISH_DROP``; it
-    resolves the minimum to about sigma * rounding noise, where cost
-    comparisons reach sigma * sqrt(noise).  Otherwise the trials are
-    theta + 2^-k step for k = 0..29, clamped to the bounds, and the first
-    that lowers the cost is taken; an accepted trial with a relative cost
-    change below ``cost_tol`` also converges.  When none lowers it, the fit
-    has converged if the residual is orthogonal to the Jacobian's columns.
-    Parameters left on a bound are reported in ``bound_hits``.  The start
-    searches its model roots around the measured velocities moved one
-    Newton step of the start model's pole indicator (``residuals``), and
-    each trial around the velocities the Jacobian predicts for it.  At the
-    solution one mode count just below the model velocities lists the
-    points with a lower mode in ``lower_modes``.
+    component is below ``step_tol`` times its scale and it promises a cost
+    drop ||J step||^2 of at most ``_FINISH_DROP``; it resolves the minimum
+    to about sigma * rounding noise, where cost comparisons reach sigma *
+    sqrt(noise).  Otherwise the trials are theta + 2^-k step for k = 0..29,
+    clamped to the bounds, and the first that lowers the cost is taken; an
+    accepted trial with a relative cost change below ``cost_tol`` also
+    converges.  When none lowers it, the fit has converged if the residual
+    is orthogonal to the Jacobian's columns.  Parameters left on a bound are
+    reported in ``bound_hits``.  The start searches its model roots around
+    the measured velocities moved one Newton step of the start model's pole
+    indicator (``residuals``), and each trial around the velocities the
+    Jacobian predicts for it.  At the solution one mode count just below the
+    model velocities lists the points with a lower mode in ``lower_modes``.
     """
     free = problem.free
     n = len(free)
@@ -463,14 +469,15 @@ def fit_parameters(
     jac = None
     for it in range(1, max_iter + 1):
         jac = _jacobian(problem, _values(free, theta), _model(problem, r))
-        delta = np.linalg.lstsq(jac, -r, rcond=None)[0]
-        held = ((theta == lower) & (delta < 0)) | ((theta == upper) & (delta > 0))
+        s = _scales(problem, theta)
+        step = np.linalg.lstsq(jac * s, -r, rcond=None)[0]
+        held = ((theta == lower) & (step < 0)) | ((theta == upper) & (step > 0))
         if held.any():
-            delta[held] = 0.0
-            delta[~held] = np.linalg.lstsq(jac[:, ~held], -r, rcond=None)[0]
+            step[held] = 0.0
+            step[~held] = np.linalg.lstsq(jac[:, ~held] * s[~held], -r, rcond=None)[0]
+        delta = s * step
         drop = jac @ delta
-        if ((np.abs(delta) / np.maximum(np.abs(theta + delta), 1.0)).max() < step_tol
-                and drop @ drop <= _FINISH_DROP):
+        if np.abs(step).max() < step_tol and drop @ drop <= _FINISH_DROP:
             theta_new = np.clip(theta + delta, lower, upper)
             r = r + jac @ (theta_new - theta)
             theta = theta_new
@@ -515,11 +522,12 @@ def fit_parameters(
         if values[p.name] in (p.lower, p.upper)
     )
     dv = r * problem.sigmas
-    covariance = np.linalg.pinv(jac.T @ jac)
-    covariance = 0.5 * (covariance + covariance.T)
+    s = _scales(problem, theta)
+    ps = s[:, None] * np.linalg.pinv(jac * s)
+    covariance = ps @ ps.T
     if _covariance_scaled(problem):
         covariance *= float(r @ r) / (len(problem.measured) - len(free))
-    report = _identifiability(problem, values, jac)
+    report = _identifiability(problem, jac * s)
     flags = dict(report.flags)
     for name in bound_hits:
         flags[name] = FIXED

@@ -811,6 +811,22 @@ def test_bare_silicon_matches_the_orthotropic_secular_equation(bare_silicon, sil
     assert (np.argmax(count > 0, axis=1) == np.searchsorted(grid, exact)).all()
 
 
+@pytest.mark.parametrize("kh", [67.0, 77.0, 87.0])
+@pytest.mark.parametrize("c_ge", [0.0, 0.416, 1.0])
+def test_thick_film_root_is_the_film_rayleigh_wave(silicon, geom, c_ge, kh):
+    # a film many wavelengths thick carries its own Rayleigh wave, which
+    # decays long before it reaches the substrate: at kh 67-87 the root is
+    # the film's half-space Rayleigh speed, the root of its own secular
+    # equation, independent of the recursion and of the substrate
+    film = sk.sige_material(c_ge)
+    vr = sk.rayleigh_velocity_isotropic(film)
+    f = 900e6
+    stack = sk.LayerStack(layers=(sk.Layer(film, kh * vr / (2 * math.pi * f)),),
+                          substrate=silicon, geometry=geom)
+    v = sk.dispersion_curve(stack, [f]).velocities[0]
+    assert v == pytest.approx(vr, rel=1e-12, abs=0)
+
+
 # --- one-pass hint windows against the window-by-window loop they replaced ------
 
 

@@ -2,6 +2,7 @@ import importlib.util
 import math
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,32 @@ def test_noise_free_recovery_stack2(silicon, oxide, geom):
     assert res.converged
     assert abs(res.estimates["c_ge"] - 0.624) / 0.624 < 1e-6
     assert abs(res.estimates["layer0.thickness"] - 0.71e-6) / 0.71e-6 < 1e-6
+
+
+def test_young_modulus_density_and_thickness_round_trip(silicon, geom):
+    # the paper's measurement on stack 3's film: E in Pa, rho in kg/m^3 and
+    # d in m give a raw cond(J) near 1e18, where a step and covariance taken
+    # in those units dropped E's direction (E stayed at its start, with
+    # sigma 0); on the parameter-scaled Jacobian each estimate ends within
+    # 3 sigma of the truth
+    film = sk.sige_material(0.416)
+    stack = make_stack_3(silicon, geom)
+    freqs = np.linspace(50e6, 900e6, 35)
+    v = np.asarray(sk.dispersion_curve(stack, freqs).velocities)
+    noisy = v * (1.0 + np.random.default_rng(0).normal(0.0, 0.001, v.size))
+    e, rho, d = film.young_modulus, film.density, 0.9e-6
+    prob = sk.FitProblem(
+        template=stack,
+        free=(sk.FreeParam("layer0.young_modulus", 0.9 * e, 0.5 * e, 1.5 * e),
+              sk.FreeParam("layer0.density", 1.1 * rho, 0.5 * rho, 1.5 * rho),
+              sk.FreeParam("layer0.thickness", 0.9 * d, 0.3 * d, 3 * d)),
+        measured=sk.DispersionCurve(freqs, noisy, sigmas=0.001 * v),
+    )
+    res = sk.fit_parameters(prob)
+    assert res.converged
+    for name, x in zip(res.estimates, (e, rho, d)):
+        assert res.sigma(name) > 0, name
+        assert abs(res.estimates[name] - x) < 3 * res.sigma(name), name
 
 
 def test_stationarity_at_solution(problem_1a):
@@ -637,9 +664,16 @@ def test_fit_at_the_iteration_cap_takes_its_covariance_at_its_estimates(
     values, jac = calls[-1]
     assert values == res.estimates and values != calls[0][0]
     r = res.residuals  # weighted too: the curve has no sigmas
-    expected = np.linalg.pinv(jac.T @ jac) * (r @ r) / (len(r) - len(values))
+    # (J^T J)^-1 chi^2/(N - p) in exact rationals of the float J and r: the
+    # 2x2 inverse is the adjugate over the determinant.  pinv(J^T J) in
+    # floats is off by 4.7e-10 relative here, where raw cond(J) is ~1e6
+    col = [[Fraction(x) for x in jac[:, j]] for j in range(2)]
+    (a, b), (_, d) = [[sum(x * y for x, y in zip(u, w)) for w in col] for u in col]
+    scale = sum(Fraction(x) ** 2 for x in r) / (len(r) - len(values)) / (a * d - b * b)
+    expected = np.array([[float(d * scale), float(-b * scale)],
+                         [float(-b * scale), float(a * scale)]])
     assert np.isfinite(res.covariance).all()
-    np.testing.assert_allclose(res.covariance, expected, rtol=1e-10)
+    np.testing.assert_allclose(res.covariance, expected, rtol=1e-12)
 
 
 def test_fit_ends_when_no_halved_step_lowers_the_cost(problem_1a, monkeypatch):
@@ -977,6 +1011,20 @@ def test_1a_both_well_determined(problem_1a):
     )
     assert rep.flags["c_ge"] == WELL_DETERMINED
     assert rep.flags["layer0.thickness"] == WELL_DETERMINED
+
+
+def test_identifiability_report_names_a_missing_parameter(problem_1a):
+    # a bare KeyError: 'layer0.thickness' before
+    with pytest.raises(FitError, match=r"missing parameter\(s\) \['layer0.thickness'\]"):
+        sk.identifiability_report(problem_1a, {"c_ge": 0.179})
+
+
+def test_identifiability_report_names_an_unknown_parameter(problem_1a):
+    # the unknown name was dropped without a word before
+    with pytest.raises(FitError, match=r"unknown parameter\(s\) \['layer1.density'\]"):
+        sk.identifiability_report(
+            problem_1a, {"c_ge": 0.179, "layer0.thickness": 1.02e-6, "layer1.density": 2200.0}
+        )
 
 
 def test_single_parameter_well_determined(silicon, geom):

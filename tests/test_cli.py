@@ -719,8 +719,15 @@ _FIT_1A = ("free = c_ge layer0.thickness_um", "layer0.thickness_um = 0.9 0.3 3.0
                          "layer1.young_modulus_gpa = 150 50 400"))],
          "[fit] layer1.young_modulus_gpa: material fields are fittable on isotropic "
          "layers only"),
+        ([("material = SiO2_thermal", "material = silicon"),
+          ("couple_layer = 0", "couple_layer = 1")],
+         "[fit] c_ge: coupled layer 1 is not isotropic"),
+        ([*zip(_FIT_1A, ("free = c_ge layer0.thickness_um layer0.young_modulus_gpa",
+                         "layer0.thickness_um = 0.9 0.3 3.0\n"
+                         "layer0.young_modulus_gpa = 150 50 400"))],
+         "[fit] layer0.young_modulus_gpa: c_ge sets it too, through the coupling"),
     ],
-    ids=["layer-index", "cubic-layer"],
+    ids=["layer-index", "cubic-layer", "cubic-coupled-layer", "c_ge-and-its-modulus"],
 )
 def test_cmd_fit_problem_faults_name_their_fit_key_exit_2(
     tmp_path, capsys, cfg_1a, measured_1a_csv, edits, fault

@@ -89,6 +89,30 @@ def test_problem_requires_coupling_for_c_ge(silicon, oxide, geom, curve_1a):
         )
 
 
+def test_problem_rejects_c_ge_on_an_anisotropic_layer(silicon, oxide, geom, curve_1a):
+    # the mixing rules set an isotropic film's fields; a cubic coupled layer
+    # was accepted, and the fit's start failed with a bare TypeError
+    stack = make_stack_1a(silicon, oxide, geom)
+    stack = stack.with_layer(1, replace(stack.layers[1], material=silicon))
+    with pytest.raises(FitError, match="coupled layer 1 is not isotropic") as info:
+        sk.FitProblem(template=stack, free=(sk.FreeParam("c_ge", 0.2, 0, 1),),
+                      measured=curve_1a, coupling=sk.SiGeCoupling(1))
+    assert info.value.param == "c_ge"
+
+
+@pytest.mark.parametrize("field", ["young_modulus", "density"])
+def test_problem_rejects_c_ge_with_a_field_it_sets(silicon, oxide, geom, curve_1a, field):
+    # c_ge sets the coupled layer's modulus and density; with either field
+    # free too, that field overrode c_ge's value (a stack-3 fit with the
+    # modulus free set c_ge by the density alone)
+    free = (sk.FreeParam("c_ge", 0.2, 0, 1),
+            sk.FreeParam(f"layer0.{field}", 3000.0, 1000.0, 400e9))
+    with pytest.raises(FitError, match="c_ge sets it too") as info:
+        sk.FitProblem(template=make_stack_1a(silicon, oxide, geom), free=free,
+                      measured=curve_1a, coupling=sk.SiGeCoupling(0))
+    assert info.value.param == f"layer0.{field}"
+
+
 def test_problem_rejects_no_free_parameters(silicon, oxide, geom, curve_1a):
     # fit_parameters and identifiability_report failed inside the Jacobian
     # with numpy's "need at least one array to concatenate"
@@ -204,12 +228,9 @@ def test_noise_free_recovery_stack2(silicon, oxide, geom):
     assert abs(res.estimates["layer0.thickness"] - 0.71e-6) / 0.71e-6 < 1e-6
 
 
-def test_young_modulus_density_and_thickness_round_trip(silicon, geom):
-    # the paper's measurement on stack 3's film: E in Pa, rho in kg/m^3 and
-    # d in m give a raw cond(J) near 1e18, where a step and covariance taken
-    # in those units dropped E's direction (E stayed at its start, with
-    # sigma 0); on the parameter-scaled Jacobian each estimate ends within
-    # 3 sigma of the truth
+def _e_rho_d_problem(silicon, geom):
+    """(problem, truth) of stack 3's film with E, rho and d free: 35 points
+    at 50-900 MHz with 0.1 % noise, started at 0.9 E, 1.1 rho and 0.9 d."""
     film = sk.sige_material(0.416)
     stack = make_stack_3(silicon, geom)
     freqs = np.linspace(50e6, 900e6, 35)
@@ -223,11 +244,51 @@ def test_young_modulus_density_and_thickness_round_trip(silicon, geom):
               sk.FreeParam("layer0.thickness", 0.9 * d, 0.3 * d, 3 * d)),
         measured=sk.DispersionCurve(freqs, noisy, sigmas=0.001 * v),
     )
+    return prob, (e, rho, d)
+
+
+def _scaled_svd_covariance(jac):
+    """V S^-2 V^T of the SVD of ``jac`` with unit-norm columns, rescaled by
+    the column norms: (J^T J)^-1 without squaring J's raw condition."""
+    norms = np.linalg.norm(jac, axis=0)
+    _, sv, vt = np.linalg.svd(jac / norms, full_matrices=False)
+    return (vt.T / sv**2) @ vt / np.outer(norms, norms)
+
+
+def test_young_modulus_density_and_thickness_round_trip(silicon, geom):
+    # the paper's measurement on stack 3's film: E in Pa, rho in kg/m^3 and
+    # d in m give a raw cond(J) near 1e18, where a step and covariance taken
+    # in those units dropped E's direction (E stayed at its start, with
+    # sigma 0); on the parameter-scaled Jacobian each estimate ends within
+    # 3 sigma of the truth
+    prob, truth = _e_rho_d_problem(silicon, geom)
     res = sk.fit_parameters(prob)
     assert res.converged
-    for name, x in zip(res.estimates, (e, rho, d)):
+    for name, x in zip(res.estimates, truth):
         assert res.sigma(name) > 0, name
         assert abs(res.estimates[name] - x) < 3 * res.sigma(name), name
+
+
+def test_covariance_past_raw_cond_1e15_is_the_scaled_svd_one(silicon, geom, monkeypatch):
+    # the (E, rho, d) fit's last Jacobian has raw cond(J) ~3e18, past
+    # pinv(J^T J)'s cutoff: the covariance equals V S^-2 V^T of the
+    # column-scaled J, rescaled (5.6e-15 apart when measured)
+    import sawkit.inversion as inv
+
+    jacobians = []
+    jacobian = inv._jacobian
+
+    def recording(*args):
+        jacobians.append(jacobian(*args))
+        return jacobians[-1]
+
+    monkeypatch.setattr(inv, "_jacobian", recording)
+    prob, _ = _e_rho_d_problem(silicon, geom)
+    res = sk.fit_parameters(prob)
+    assert res.converged
+    assert np.linalg.cond(jacobians[-1]) > 1e15
+    np.testing.assert_allclose(res.covariance, _scaled_svd_covariance(jacobians[-1]),
+                               rtol=1e-10, atol=0)
 
 
 def test_stationarity_at_solution(problem_1a):
@@ -373,6 +434,10 @@ def test_self_hinted_fits_match_measured_hints_in_fewer_batches(invert_seed_7, m
     assert counts["_indicator"] <= 22 * n
     assert counts["_mode_count"] == n
     assert all(r.converged and r.lower_modes == () for r in fits)
+    # every fit stops on its Gauss-Newton step, none on the promised-drop
+    # floor after a failed trial, in 4 iterations each
+    assert all(r.message == "converged (Gauss-Newton step < 1e-06)" for r in fits)
+    assert sum(r.n_iterations for r in fits) == 160
 
     residuals = inv._residuals
     monkeypatch.setattr(inv, "_residuals", lambda problem, stack, hints:
@@ -570,16 +635,52 @@ def test_fit_steps_build_films_without_tensors(invert_seed_7, monkeypatch):
     assert (info.misses, info.hits) == (650, 550)
 
 
-def test_default_tolerance_fits_match_tight_ones(invert_seed_7):
+def test_default_tolerance_fits_match_tight_ones(invert_seed_7, monkeypatch):
     # a fit stops on the Gauss-Newton step of its last Jacobian, which
-    # resolves the minimum far below step_tol: the seed-7 fits at the
-    # default tolerances agree with fits run to much tighter ones
-    for problem in invert_seed_7:
-        default = sk.fit_parameters(problem)
-        tight = sk.fit_parameters(problem, step_tol=1e-10, cost_tol=1e-14)
+    # resolves the minimum far below _STEP_TOL: the seed-7 fits at the
+    # default tolerance agree with fits run to a much tighter one (3.6e-9
+    # apart when measured; 6 of them end on the promised-drop floor)
+    import sawkit.inversion as inv
+
+    defaults = [sk.fit_parameters(problem) for problem in invert_seed_7]
+    monkeypatch.setattr(inv, "_STEP_TOL", 1e-10)
+    for problem, default in zip(invert_seed_7, defaults):
+        tight = sk.fit_parameters(problem)
         assert default.converged and tight.converged
         for name, value in default.estimates.items():
             assert value == pytest.approx(tight.estimates[name], rel=1e-8, abs=0)
+
+
+def test_fit_below_its_step_tolerance_stops_on_the_promised_drop(invert_seed_7, monkeypatch):
+    # seed-7 fit 5 at _STEP_TOL = 1e-10 reaches a step whose promised drop is
+    # below _FINISH_DROP but whose components are not below _STEP_TOL; no
+    # halving of it lowers the cost, within rounding noise, so the fit
+    # converges on the floor and keeps the estimates of its last Jacobian,
+    # which gives the covariance
+    import sawkit.inversion as inv
+
+    jacobians, trials = [], []
+    jacobian, resid = inv._jacobian, inv._residuals
+
+    def recording(problem, values, model):
+        jacobians.append((dict(values), jacobian(problem, values, model)))
+        trials.clear()
+        return jacobians[-1][1]
+
+    def counting(*args):
+        trials.append(None)
+        return resid(*args)
+
+    monkeypatch.setattr(inv, "_jacobian", recording)
+    monkeypatch.setattr(inv, "_residuals", counting)
+    monkeypatch.setattr(inv, "_STEP_TOL", 1e-10)
+    res = sk.fit_parameters(invert_seed_7[5])
+    assert res.converged and res.message == "converged (promised cost drop <= 1e-06)"
+    assert len(trials) == 30  # every halving after the last Jacobian was rejected
+    assert len(jacobians) == res.n_iterations
+    values, jac = jacobians[-1]
+    assert values == res.estimates
+    np.testing.assert_allclose(res.covariance, _scaled_svd_covariance(jac), rtol=1e-10, atol=0)
 
 
 def test_fit_started_at_the_truth_stops_at_iteration_1(problem_1a, monkeypatch):
@@ -603,7 +704,7 @@ def test_fit_started_at_the_truth_stops_at_iteration_1(problem_1a, monkeypatch):
     assert res.n_iterations == 1
     assert counts == {"_curve_roots": 1, "_jacobian": 1}
     assert res.estimates["c_ge"] == pytest.approx(0.179, rel=1e-9)
-    assert res.estimates["layer0.thickness"] == pytest.approx(1.02e-6, rel=1e-9)
+    assert res.estimates["layer0.thickness"] == pytest.approx(1.02e-6, rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("initial, upper, estimate, bound_hits",
@@ -626,11 +727,12 @@ def test_a_parameter_held_on_a_bound_drags_no_other(problem_1a):
     # c_ge below an upper bound of 0.1 (the truth is 0.179) ends held on it,
     # so the thickness reaches the thickness-only optimum at c_ge = 0.1; a
     # trial step solved over both parameters and then clamped crept for 44
-    # iterations to 1.3291 um
+    # iterations to 1.3291 um, and a relative cost change below 1e-10 ended
+    # it 6.1e-7 short of that optimum
     problem = replace(problem_1a, free=(sk.FreeParam("c_ge", 0.05, 0.0, 0.1),
                                         sk.FreeParam("layer0.thickness", 0.9e-6, 0.3e-6, 3e-6)))
     res = sk.fit_parameters(problem)
-    assert res.converged
+    assert res.converged and res.message == "converged (Gauss-Newton step < 1e-06)"
     assert res.bound_hits == ("c_ge",) and res.estimates["c_ge"] == 0.1
     alone = sk.fit_parameters(sk.FitProblem(
         template=problem.realize({"c_ge": 0.1}),
@@ -640,14 +742,14 @@ def test_a_parameter_held_on_a_bound_drags_no_other(problem_1a):
     assert alone.converged
     assert alone.estimates["layer0.thickness"] == pytest.approx(1.40497e-6, rel=1e-5)
     assert res.estimates["layer0.thickness"] == pytest.approx(
-        alone.estimates["layer0.thickness"], rel=1e-7)
+        alone.estimates["layer0.thickness"], rel=1e-7, abs=0)
 
 
 def test_fit_at_the_iteration_cap_takes_its_covariance_at_its_estimates(
     problem_1a, monkeypatch
 ):
-    # a fit cut by max_iter ends on an accepted trial step, away from its
-    # last Jacobian, so it takes one more at the estimates it returns
+    # a fit cut by _MAX_ITER ends on an accepted trial step, away from its
+    # last step's Jacobian, so it takes one more at the estimates it returns
     import sawkit.inversion as inv
 
     calls = []
@@ -658,7 +760,8 @@ def test_fit_at_the_iteration_cap_takes_its_covariance_at_its_estimates(
         return calls[-1][1]
 
     monkeypatch.setattr(inv, "_jacobian", recording)
-    res = sk.fit_parameters(problem_1a, max_iter=1)
+    monkeypatch.setattr(inv, "_MAX_ITER", 1)
+    res = sk.fit_parameters(problem_1a)
     assert not res.converged and res.message == "iteration cap reached"
     assert res.n_iterations == 1 and len(calls) == 2
     values, jac = calls[-1]
@@ -678,8 +781,8 @@ def test_fit_at_the_iteration_cap_takes_its_covariance_at_its_estimates(
 
 def test_fit_ends_when_no_halved_step_lowers_the_cost(problem_1a, monkeypatch):
     # every trial costs more than the start, so the 30 halvings of the first
-    # Gauss-Newton step all fail; the start is no minimum, so the residual
-    # is not orthogonal to the Jacobian and the fit does not converge
+    # Gauss-Newton step all fail; the start is no minimum, so that step
+    # promised more than _FINISH_DROP and the fit does not converge
     import sawkit.inversion as inv
 
     residuals, calls = inv._residuals, []
@@ -943,7 +1046,7 @@ def test_sigma_scaling_invariance(silicon, oxide, geom, curve_1a):
     b = fit_with(3.0)
     assert a.estimates["c_ge"] == pytest.approx(b.estimates["c_ge"], rel=1e-6)
     assert a.estimates["layer0.thickness"] == pytest.approx(
-        b.estimates["layer0.thickness"], rel=1e-6
+        b.estimates["layer0.thickness"], rel=1e-6, abs=0
     )
     assert a.identifiability == b.identifiability
     ratio = b.covariance[0, 0] / a.covariance[0, 0]
@@ -969,7 +1072,7 @@ def test_covariance_without_sigmas_scales_with_scatter(silicon, oxide, geom, cur
     _, b = fit_with(2.0)
     assert a.converged and b.converged
     for name in a.estimates:
-        assert b.sigma(name) == pytest.approx(2.0 * a.sigma(name), rel=1e-2)
+        assert b.sigma(name) == pytest.approx(2.0 * a.sigma(name), rel=1e-2, abs=0)
     assert "covariance mode: scaled by chi^2/(N - p)" in format_fit_report(prob, a)
 
 

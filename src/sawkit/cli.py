@@ -535,11 +535,9 @@ def cmd_fit(args) -> int:
             f"{len(problem.free)} free parameters leave 0 degrees of freedom; "
             "the fit interpolates them and its residual cannot test the model\n"
         )
-    weak = [n for n, f in result.identifiability.items() if f != "well-determined"]
-    if weak:
-        sys.stderr.write(
-            "warning: parameter(s) " + ", ".join(weak) + " are not well determined\n"
-        )
+    for line in report.splitlines():
+        if line.startswith("warning:"):
+            sys.stderr.write(line + "\n")
     return 0
 
 

@@ -14,13 +14,15 @@ The minimizer is projected Gauss-Newton with a backtracking line search
 3.1).  Each iteration solves one Gauss-Newton step -J^+ r, holding the
 parameters that sit on a bound it points out of, and tries it whole, then
 halved, clamped to the bounds, until the cost drops.  The difference and
-Gauss-Newton steps, the stop test, the covariance and the flags are all
-taken on J diag(s), s = max(|theta|, 1e-3 (upper - lower)) per parameter,
-so no parameter's units weigh on them (More, LNM 630, 1978).  A fit stops
-on the cost drop its Gauss-Newton step promises, with no curve solve to
-confirm it, and that step's Jacobian gives both the covariance and the
-identifiability flags, whose thresholds are the module constants below.  The covariance takes
-given sigmas as absolute; without sigmas it is scaled by chi^2/(N - p).
+Gauss-Newton steps, the covariance and the flags are all taken on
+J diag(s), s = max(|theta|, 1e-3 (upper - lower)) per parameter, so no
+parameter's units weigh on them (More, LNM 630, 1978).  One pseudo-inverse
+of each Jacobian gives its step, and the one the fit ends on gives the
+covariance.  A fit stops on the cost drop its Gauss-Newton step promises,
+taking that step with no curve solve to confirm it; the Jacobian it ends
+on also gives the identifiability flags, whose thresholds are the module
+constants below.  The covariance takes given sigmas as absolute; without
+sigmas it is scaled by chi^2/(N - p).
 
 The Jacobian needs no curve solve.  Each model velocity v* the fit holds is
 a root of the pole indicator q = Im(1/u3), so by the implicit function
@@ -91,8 +93,6 @@ _CONDITION_LIMIT = 30.0
 # promise: one that small cannot be told from the model's rounding noise by
 # a cost evaluation, so the step is taken without one.
 _FINISH_DROP = 1e-6
-# Largest Gauss-Newton step, relative to the scales, a fit converges on.
-_STEP_TOL = 1e-6
 # Accepted trial steps after which a fit ends unconverged.
 _MAX_ITER = 200
 
@@ -289,6 +289,8 @@ class FitResult:
 
     def sigma(self, name: str) -> float:
         """1-sigma uncertainty of one estimate from the covariance diagonal."""
+        if name not in self.estimates:
+            raise FitError("unknown parameter", name)
         idx = list(self.estimates).index(name)
         return math.sqrt(max(self.covariance[idx, idx], 0.0))
 
@@ -436,18 +438,18 @@ def _covariance_scaled(problem: FitProblem) -> bool:
 def fit_parameters(problem: FitProblem) -> FitResult:
     """Projected Gauss-Newton minimization of the weighted residuals.
 
-    Each iteration's Jacobian J gives the Gauss-Newton step -S (J S)^+ r, S
-    the diagonal of the parameter scales (module docstring), re-solved with
-    the parameters held that sit on a bound it points out of.  The fit stops
-    on the cost drop ||J step||^2 the step promises: at most ``_FINISH_DROP``
+    Each iteration's Jacobian J is factored once, P = S (J S)^+ with S the
+    diagonal of the parameter scales (module docstring), and gives the
+    Gauss-Newton step -P r, re-solved with the parameters held that sit on a
+    bound it points out of.  The fit converges on the first step whose
+    promised cost drop ||J step||^2 is at most ``_FINISH_DROP``, which
     resolves the minimum to about sigma * rounding noise, where cost
-    comparisons reach sigma * sqrt(noise).  With each component also below
-    ``_STEP_TOL`` times its scale, the fit converges on that step, its
-    residuals following it linearly.  Otherwise the trials are theta + 2^-k
-    step for k = 0..29, clamped to the bounds, and the first that lowers the
-    cost is taken; when none does, the fit has converged exactly when the
-    step promised at most ``_FINISH_DROP``.  After ``_MAX_ITER`` accepted
-    trials the fit ends unconverged.  Parameters left on a bound are
+    comparisons reach sigma * sqrt(noise); it takes that step with its
+    residuals following it linearly.  Otherwise the trials are
+    theta + 2^-k step for k = 0..29, clamped to the bounds, and the first
+    that lowers the cost is taken; when none does, the fit ends unconverged,
+    as it does after ``_MAX_ITER`` accepted trials.  The covariance is P P^T
+    of the Jacobian the fit ends on.  Parameters left on a bound are
     reported in ``bound_hits``.  The start searches its model roots around
     the measured velocities moved one Newton step of the start model's pole
     indicator (``residuals``), and each trial around the velocities the
@@ -469,25 +471,24 @@ def fit_parameters(problem: FitProblem) -> FitResult:
     it = 0
     while True:
         jac = _jacobian(problem, _values(free, theta), _model(problem, r))
+        s = _scales(problem, theta)
+        pinv = s[:, None] * np.linalg.pinv(jac * s)
         if it == _MAX_ITER:
             message = "iteration cap reached"
             break
         it += 1
-        s = _scales(problem, theta)
-        step = np.linalg.lstsq(jac * s, -r, rcond=None)[0]
-        held = ((theta == lower) & (step < 0)) | ((theta == upper) & (step > 0))
+        delta = -pinv @ r
+        held = ((theta == lower) & (delta < 0)) | ((theta == upper) & (delta > 0))
         if held.any():
-            step[held] = 0.0
-            step[~held] = np.linalg.lstsq(jac[:, ~held] * s[~held], -r, rcond=None)[0]
-        delta = s * step
+            delta[held] = 0.0
+            delta[~held] = s[~held] * np.linalg.lstsq(jac[:, ~held] * s[~held], -r, rcond=None)[0]
         drop = jac @ delta
-        finished = bool(drop @ drop <= _FINISH_DROP)
-        if finished and np.abs(step).max() < _STEP_TOL:
+        if drop @ drop <= _FINISH_DROP:
             theta_new = np.clip(theta + delta, lower, upper)
             r = r + jac @ (theta_new - theta)
             theta = theta_new
             converged = True
-            message = f"converged (Gauss-Newton step < {_STEP_TOL:g})"
+            message = f"converged (promised cost drop <= {_FINISH_DROP:g})"
             break
         for k in range(30):
             theta_new = np.clip(theta + 0.5**k * delta, lower, upper)
@@ -497,9 +498,7 @@ def fit_parameters(problem: FitProblem) -> FitResult:
             if cost_new < cost:
                 break
         else:
-            converged = finished
-            message = (f"converged (promised cost drop <= {_FINISH_DROP:g})"
-                       if converged else "no step lowered the cost")
+            message = "no step lowered the cost"
             break
         theta, r, cost = theta_new, r_new, cost_new
 
@@ -511,9 +510,7 @@ def fit_parameters(problem: FitProblem) -> FitResult:
         if values[p.name] in (p.lower, p.upper)
     )
     dv = r * problem.sigmas
-    s = _scales(problem, theta)
-    ps = s[:, None] * np.linalg.pinv(jac * s)
-    covariance = ps @ ps.T
+    covariance = pinv @ pinv.T
     if _covariance_scaled(problem):
         covariance *= float(r @ r) / (len(problem.measured) - len(free))
     report = _identifiability(problem, jac * s)

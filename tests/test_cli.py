@@ -566,6 +566,25 @@ def test_cmd_fit_sample3_warns_but_succeeds(tmp_path, capsys, silicon, geom):
     assert "layer0.thickness" in captured.err
 
 
+def test_cmd_fit_echoes_the_reports_warnings_on_stderr(tmp_path, capsys, monkeypatch,
+                                                      cfg_1a, measured_1a_csv):
+    # every warning line of the fit report reaches stderr, the lower-mode
+    # certificate's too, not only the weakly-determined one
+    import dataclasses
+
+    import sawkit.cli as cli
+
+    fit = cli.fit_parameters
+    monkeypatch.setattr(cli, "fit_parameters",
+                        lambda problem: dataclasses.replace(fit(problem), lower_modes=(0,)))
+    assert run(["fit", measured_1a_csv, "--config", cfg_1a, "--out", tmp_path / "fit.txt"]) == 0
+    err = capsys.readouterr().err
+    assert "lower mode" in err
+    warnings = [line for line in (tmp_path / "fit.txt").read_text().splitlines()
+                if line.startswith("warning:")]
+    assert warnings and all(line in err.splitlines() for line in warnings)
+
+
 def test_fit_bounds_line_transform(tmp_path, capsys, cfg_1a, measured_1a_csv):
     # a [fit] bounds line is exactly 'initial lower upper': a fourth token,
     # 'log' included, exits 2 and names the key
@@ -779,7 +798,7 @@ def test_bundled_chain_fits_take_one_curve_solve_per_iteration(tmp_path, monkeyp
     monkeypatch.setattr(dsp, "_mode_count", counting_modes)
     assert run(["fit", measured, "--config", cfg, "--out", report]) == 0
     text = report.read_text(encoding="utf-8")
-    assert "status: converged (Gauss-Newton step < 1e-06)" in text
+    assert "status: converged (promised cost drop <= 1e-06)" in text
     if name == "stack_3":
         assert float(re.search(r"c_ge = \S+ \+- (\S+)", text).group(1)) >= 0.1
     assert len(solves) <= 4

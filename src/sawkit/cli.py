@@ -429,6 +429,8 @@ def cmd_extract(args) -> int:
         )
         if not peaks.peaks:
             raise ExtractionError(f"{path}: no harmonic peaks found")
+        for n, reason in peaks.skipped:
+            sys.stderr.write(f"warning: {path}: harmonic {n} skipped: {reason}\n")
         parts.append(vph_points(peaks, mask.period))
     curve = _merge_curves(parts)
     _write_text(args.out, dispersion_csv_text(curve))
@@ -436,7 +438,7 @@ def cmd_extract(args) -> int:
 
 
 def _read_calibration_csv(path: str) -> list[tuple[float, float]]:
-    _, columns, _, _ = _read_table(path, ("period_pixels,frequency_hz",), positive=True)
+    _, columns, _ = _read_table(path, ("period_pixels,frequency_hz",), positive=True)
     if not columns.size:
         raise FormatError(f"{path}: no measurement rows")
     return list(zip(*columns))

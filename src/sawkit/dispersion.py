@@ -223,14 +223,13 @@ def _parse_rows(rows: list[str], n: int, positive: bool) -> np.ndarray | None:
 
 
 def _read_table(path, headers: tuple[str, ...], positive: bool = False):
-    """Read a CSV exchange file into ``(header, columns, meta, lines)``.
+    """Read a CSV exchange file into ``(header, columns, meta)``.
 
     Blank lines are skipped, and ``# key=value`` lines anywhere go into
     ``meta``.  The first other line must be one of ``headers``; each later
     one must hold as many finite numbers (positive ones if ``positive``) as
-    the header has columns.  ``columns`` holds one array per column and
-    ``lines`` the file line of each row.  Faults raise ``FormatError``
-    naming ``path``; row faults carry the file line.
+    the header has columns.  ``columns`` holds one array per column.  Faults
+    raise ``FormatError`` naming ``path``; row faults carry the file line.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -265,7 +264,7 @@ def _read_table(path, headers: tuple[str, ...], positive: bool = False):
         kind = "positive finite" if positive else "finite"
         raise FormatError(f"{path}: line {linenos[i]}: expected {n} {kind} numbers, "
                           f"got {rows[i]!r}", line=linenos[i])
-    return header, columns, meta, linenos
+    return header, columns, meta
 
 
 def dispersion_csv_text(curve: DispersionCurve) -> str:
@@ -279,7 +278,7 @@ def write_dispersion_csv(curve: DispersionCurve, path: str | Path) -> None:
 
 
 def read_dispersion_csv(path: str | Path) -> DispersionCurve:
-    header, columns, _, _ = _read_table(path, (CSV_HEADER, CSV_HEADER_SIGMA), positive=True)
+    header, columns, _ = _read_table(path, (CSV_HEADER, CSV_HEADER_SIGMA), positive=True)
     try:
         return DispersionCurve(
             frequencies=columns[0],

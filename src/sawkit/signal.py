@@ -27,9 +27,6 @@ _PEAK_FLOOR_RATIO = 6.0
 # bounds on the phase-velocity ratio between adjacent harmonics, per step
 _STEP_DOWN = 0.85
 _STEP_UP = 1.03
-# a waveform CSV's time_s may differ from i / sample_rate by this fraction
-# of the sample interval
-_TIME_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -66,8 +63,10 @@ class Waveform:
         arr = np.asarray(self.samples, dtype=float).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be > 0")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
+        if not 0 < self.distance < math.inf:
+            raise ValueError(f"distance must be finite and > 0, got {self.distance}")
 
     def __len__(self) -> int:
         return self.samples.size
@@ -467,7 +466,7 @@ def calibrate_projection_ratio(
 
 # --- waveform CSV exchange ------------------------------------------------------------
 
-WAVEFORM_HEADER = "time_s,amplitude"
+WAVEFORM_HEADER = "amplitude"
 
 
 def waveform_csv_text(w: Waveform) -> str:
@@ -477,8 +476,7 @@ def waveform_csv_text(w: Waveform) -> str:
     if w.mask is not None:
         meta.update(mask_period_m=w.mask.period, mask_duty=w.mask.duty,
                     mask_n_periods=w.mask.n_periods, mask_kind=w.mask.kind)
-    times = (np.arange(len(w)) * (1.0 / w.sample_rate)).tolist()
-    return _csv_text(WAVEFORM_HEADER, (times, w.samples.tolist()), meta)
+    return _csv_text(WAVEFORM_HEADER, (w.samples.tolist(),), meta)
 
 
 def write_waveform_csv(w: Waveform, path: str | Path) -> None:
@@ -486,8 +484,8 @@ def write_waveform_csv(w: Waveform, path: str | Path) -> None:
 
 
 def read_waveform_csv(path: str | Path) -> Waveform:
-    """Read a waveform CSV.  Its time column must be i / sample_rate_hz."""
-    _, (times, samples), meta, lines = _read_table(path, (WAVEFORM_HEADER,))
+    """Read a waveform CSV: one ``amplitude`` per row, sample i at i / sample_rate_hz."""
+    _, (samples,), meta = _read_table(path, (WAVEFORM_HEADER,))
     if "sample_rate_hz" not in meta or "distance_m" not in meta:
         raise FormatError(
             f"{path}: missing '# sample_rate_hz=' or '# distance_m=' comment header"
@@ -501,7 +499,7 @@ def read_waveform_csv(path: str | Path) -> Waveform:
                 n_periods=int(meta.get("mask_n_periods", "2")),
                 kind=meta.get("mask_kind", GLASS_MASK),
             )
-        wave = Waveform(
+        return Waveform(
             samples=samples,
             sample_rate=float(meta["sample_rate_hz"]),
             distance=float(meta["distance_m"]),
@@ -510,11 +508,3 @@ def read_waveform_csv(path: str | Path) -> Waveform:
         )
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    off = np.flatnonzero(np.abs(times * wave.sample_rate - np.arange(times.size)) > _TIME_TOL)
-    if off.size:
-        i = off[0]
-        raise FormatError(
-            f"{path}: line {lines[i]}: time_s {times[i]!r} is not "
-            f"{i} / sample_rate_hz = {i / wave.sample_rate!r}", line=lines[i]
-        )
-    return wave

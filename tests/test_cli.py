@@ -261,7 +261,14 @@ def si_wave_text(tmp_path_factory, si_cfg):
 
 
 @pytest.mark.parametrize(
-    "line, bad", [("# mask_duty=0.5", "# mask_duty=1.5"), ("# seed=12345", "# seed=abc")]
+    "line, bad",
+    [
+        ("# mask_duty=0.5", "# mask_duty=1.5"),
+        ("# seed=12345", "# seed=abc"),
+        # the sample rate is the only clock; it and the distance must be finite
+        ("# sample_rate_hz=2000000000.0", "# sample_rate_hz=inf"),
+        ("# distance_m=0.005", "# distance_m=nan"),
+    ],
 )
 def test_extract_bad_waveform_metadata_exit_2(
     tmp_path, capsys, si_cfg, si_wave_text, line, bad
@@ -274,27 +281,24 @@ def test_extract_bad_waveform_metadata_exit_2(
     assert "bad_meta.csv" in capsys.readouterr().err
 
 
-def test_extract_waveform_times_off_the_sample_rate_exit_2(
-    tmp_path, capsys, si_cfg, si_wave_text
-):
-    # the spectrum trusts '# sample_rate_hz', so a time column running at 10x
-    # its interval is a fault, named at the first row it disagrees on
+def test_extract_old_two_column_waveform_exit_2(tmp_path, capsys, si_cfg, si_wave_text):
+    # a waveform file with the dropped time column is rejected at its header
     lines = si_wave_text.splitlines()
-    first = lines.index("time_s,amplitude") + 1
-    for i in range(first, len(lines)):
-        t, a = lines[i].split(",")
-        lines[i] = f"{10 * float(t)!r},{a}"
-    p = tmp_path / "fast_clock.csv"
+    header = lines.index("amplitude")
+    lines[header] = "time_s,amplitude"
+    for i in range(header + 1, len(lines)):
+        lines[i] = f"{(i - header - 1) / 2e9!r},{lines[i]}"
+    p = tmp_path / "two_column.csv"
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert run(["extract", p, "--config", si_cfg, "--out", tmp_path / "m.csv"]) == 2
     err = capsys.readouterr().err
-    assert "fast_clock.csv" in err
-    assert f"line {first + 2}:" in err  # row 0 is 0 s either way
+    assert "two_column.csv" in err
+    assert f"line {header + 1}: bad header 'time_s,amplitude', expected 'amplitude'" in err
     # the synthesized file itself still reads
     good = tmp_path / "good.csv"
     good.write_text(si_wave_text, encoding="utf-8")
-    assert len(sk.read_waveform_csv(good)) == len(lines) - first
+    assert len(sk.read_waveform_csv(good)) == len(lines) - header - 1
 
 
 def test_extract_zero_harmonics_exit_2(tmp_path, capsys, si_cfg, si_wave_text):
@@ -468,15 +472,15 @@ _SIGMA_HEADER = "frequency_hz,phase_velocity_m_per_s,sigma_m_per_s\n"
         ("calibrate", "period_pixels,frequency_hz\n10,inf\n12,nan\n", "10,inf"),
         ("calibrate", "period_pixels,frequency_hz\n10,144537500.0\n-12,1e8\n", "-12,1e8"),
         # (data row, replacement) in a synthesized si_bare waveform
-        ("extract", (3, "abc,{a}"), None),
-        ("extract", (3, "{t},nan"), None),
+        ("extract", (3, "{a},{a}"), None),
+        ("extract", (3, "nan"), None),
         ("fit", _SIGMA_HEADER + "1e8,4700.0,4.7\n2e8,nan,4.6\n3e8,4500.0,4.5\n", "2e8,nan"),
         ("plot", _SIGMA_HEADER + "1e8,4700.0,4.7\n2e8,inf,4.6\n", "2e8,inf"),
         ("fit", _SIGMA_HEADER + "1e8,4700.0,4.7\n2e8,4600.0,0\n3e8,4500.0,4.5\n",
          "2e8,4600.0,0"),
     ],
     ids=["calibrate-blank-line", "calibrate-non-finite", "calibrate-negative",
-         "extract-bad-time", "extract-nan-amplitude", "fit-nan-velocity", "plot-inf",
+         "extract-two-numbers", "extract-nan-amplitude", "fit-nan-velocity", "plot-inf",
          "fit-zero-sigma"],
 )
 def test_input_fault_exit_2_names_file_and_line(
@@ -485,9 +489,8 @@ def test_input_fault_exit_2_names_file_and_line(
     if isinstance(content, tuple):
         row, template = content
         lines = si_wave_text.splitlines()
-        i = lines.index("time_s,amplitude") + 1 + row
-        t, a = lines[i].split(",")
-        lines[i] = bad = template.format(t=t, a=a)
+        i = lines.index("amplitude") + 1 + row
+        lines[i] = bad = template.format(a=lines[i])
         content = "\n".join(lines) + "\n"
     line = content[: content.index(bad)].count("\n") + 1
     p = tmp_path / "faulty.csv"
@@ -506,7 +509,7 @@ def test_input_fault_exit_2_names_file_and_line(
     [
         (sk.read_dispersion_csv, "frequency_hz,phase_velocity_m_per_s\n1e8,4700.0\n\n2e8,x\n"),
         (sk.read_waveform_csv,
-         "# sample_rate_hz=2e9\n# distance_m=0.005\ntime_s,amplitude\n0.0,0.1\n\n5e-10,x\n"),
+         "# sample_rate_hz=2e9\n# distance_m=0.005\namplitude\n0.1\n\nx\n"),
         (_read_calibration_csv, "period_pixels,frequency_hz\n10,1e8\n\n12,x\n"),
     ],
 )
@@ -657,10 +660,15 @@ def test_negative_config_number_names_its_key(
 
 
 def test_cmd_fit_warns_on_zero_degrees_of_freedom(tmp_path, capsys, cfg_1a):
-    # the bundled stack-1A chain extracts 2 points for its 2 free parameters
+    # the bundled stack-1A chain extracts 2 points for its 2 free parameters:
+    # at duty 0.5 harmonic 2 is below prominence, and extract says so
     wave, measured, out = tmp_path / "w.csv", tmp_path / "m.csv", tmp_path / "fit.txt"
     assert run(["synth", "--config", cfg_1a, "--seed", 3, "--out", wave]) == 0
+    capsys.readouterr()
     assert run(["extract", wave, "--config", cfg_1a, "--out", measured]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"warning: {wave}: harmonic 2 skipped: below prominence (")
+    assert err.count("\n") == 1
     assert len(sk.read_dispersion_csv(measured)) == 2
     capsys.readouterr()
     assert run(["fit", measured, "--config", cfg_1a, "--out", out]) == 0
@@ -673,8 +681,9 @@ def test_well_posed_example_chain(tmp_path, capsys):
     cfg = fixture_config_path("stack_1A_duty30")
     wave, measured, out = tmp_path / "w.csv", tmp_path / "m.csv", tmp_path / "fit.txt"
     assert run(["synth", "--config", cfg, "--seed", 3, "--out", wave]) == 0
-    assert run(["extract", wave, "--config", cfg, "--out", measured]) == 0
     capsys.readouterr()
+    assert run(["extract", wave, "--config", cfg, "--out", measured]) == 0
+    assert "warning:" not in capsys.readouterr().err
     assert run(["fit", measured, "--config", cfg, "--out", out]) == 0
     assert "degrees of freedom" not in capsys.readouterr().err
     assert "degrees of freedom: 1" in out.read_text()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sawkit as sk
+from sawkit.cli import build_mask, fixture_config_path, load_config, main
 from sawkit.errors import ExtractionError, FormatError, SynthesisError
 from sawkit.signal import GLASS_MASK, waveform_csv_text
 
@@ -302,30 +303,37 @@ def test_calibration_requires_rows():
 # --- waveform CSV ----------------------------------------------------------------------
 
 
-def test_waveform_csv_round_trip(tmp_path, flat_si, mask24):
-    w = sk.synthesize_slope_signal(mask24, flat_si, 5e-3, noise_rms=0.01, seed=5)
+@pytest.mark.parametrize(
+    "name", ["si_bare", "sio2_on_si", "stack_1A", "stack_1A_duty30", "stack_2", "stack_3"]
+)
+def test_waveform_csv_round_trip(tmp_path, name):
+    cfg = fixture_config_path(name)
+    synth = tmp_path / "synth.csv"
+    assert main(["synth", "--config", str(cfg), "--seed", "5", "--out", str(synth)]) == 0
+    w = sk.read_waveform_csv(synth)
     p = tmp_path / "w.csv"
     sk.write_waveform_csv(w, p)
+    assert p.read_bytes() == synth.read_bytes()
     got = sk.read_waveform_csv(p)
     assert np.array_equal(got.samples, w.samples)
     assert got.sample_rate == w.sample_rate
     assert got.distance == w.distance
-    assert got.seed == 5
-    assert got.mask == mask24
+    assert got.seed == w.seed == 5
+    assert got.mask == w.mask == build_mask(load_config(cfg))
     assert got.mask.kind == GLASS_MASK
 
 
 def test_waveform_csv_requires_metadata(tmp_path):
     p = tmp_path / "w.csv"
-    p.write_text("time_s,amplitude\n0.0,1.0\n", encoding="utf-8")
-    with pytest.raises(FormatError):
+    p.write_text("amplitude\n1.0\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="missing '# sample_rate_hz=' or '# distance_m='"):
         sk.read_waveform_csv(p)
 
 
 def test_waveform_csv_rejects_bad_amplitude(tmp_path):
     p = tmp_path / "w.csv"
     p.write_text(
-        "# sample_rate_hz=1e9\n# distance_m=0.005\ntime_s,amplitude\n0.0,xyz\n",
+        "# sample_rate_hz=1e9\n# distance_m=0.005\namplitude\nxyz\n",
         encoding="utf-8",
     )
     with pytest.raises(FormatError) as err:
@@ -341,10 +349,9 @@ def test_waveform_csv_text_deterministic(flat_si, mask24):
 
 def test_waveform_csv_text_matches_row_by_row_text(flat_si, mask24):
     w = sk.synthesize_slope_signal(mask24, flat_si, 5e-3, noise_rms=0.01, seed=7)
-    dt = 1.0 / w.sample_rate
-    rows = "".join("%r,%r\n" % (i * dt, float(x)) for i, x in enumerate(w.samples))
+    rows = "".join("%r\n" % float(x) for x in w.samples)
     text = waveform_csv_text(w)
-    assert text.endswith("time_s,amplitude\n" + rows)
+    assert text.endswith("\namplitude\n" + rows)
     assert text.count("\n") == len(w) + 1 + text.count("# ")
 
 
@@ -364,8 +371,8 @@ def test_waveform_csv_text_golden():
         "# mask_duty=0.3\n"
         "# mask_n_periods=400\n"
         "# mask_kind=glass-mask\n"
-        "time_s,amplitude\n"
-        "0.0,0.0\n"
-        "5e-10,-0.25\n"
-        "1e-09,0.30000000000000004\n"
+        "amplitude\n"
+        "0.0\n"
+        "-0.25\n"
+        "0.30000000000000004\n"
     )

@@ -16,7 +16,10 @@ class MaterialDbError(SawkitError):
 class DegeneratePointError(SawkitError):
     """Defective partial-wave eigensystem at an isolated (omega, k).
 
-    Callers should retry with k perturbed by one part in 1e9.
+    Callers should retry with k perturbed by one part in 1e9.  A fit raises
+    it too where an entry of its Jacobian is not finite, the pole indicator
+    being undefined at some point of its stencils even after the nudge; the
+    message then names those points' indices and frequencies in MHz.
     """
 
 

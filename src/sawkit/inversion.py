@@ -25,15 +25,15 @@ constants below.  The covariance takes given sigmas as absolute; without
 sigmas it is scaled by chi^2/(N - p).
 
 The Jacobian needs no curve solve.  Each model velocity v* the fit holds is
-a root of the pole indicator q = Im(1/u3), so by the implicit function
-theorem dv*/dtheta = -(dq/dtheta)/(dq/dv) at (f, v*).  dq/dv is a central
-difference at v*(1 +- 1e-7) and dq/dtheta one over the parameter step at
-fixed v*.  All (2 + 2p) N pairs of N points and p parameters, the v-stencil
-on the fitted stack and each parameter's stepped stacks at v*, are one
-batched indicator evaluation over a joined prep, one stack per group of
-pairs.  Only when q does not change sign across some root's v-stencil, or
-an entry is not finite, is the whole Jacobian taken as central differences
-of re-solved roots (2p curve solves).
+a root of the pole indicator q = Im(1/u3), accepted closed to 1e-12
+relative, so by the implicit function theorem
+dv*/dtheta = -(dq/dtheta)/(dq/dv) at (f, v*).  dq/dv is a central
+difference at v*(1 +- 1e-7), 1e5 times the root's closure, and dq/dtheta
+one over the parameter step at fixed v*.  All (2 + 2p) N pairs of N points
+and p parameters, the v-stencil on the fitted stack and each parameter's
+stepped stacks at v*, are one batched indicator evaluation over a joined
+prep, one stack per group of pairs.  It is the only Jacobian: where an
+entry is not finite, DegeneratePointError names the points.
 
 Each trial step searches its model roots around the velocities that the
 Jacobian predicts for it, measured + sigma * (r + J dtheta) with dtheta the
@@ -67,7 +67,7 @@ from .dispersion import (
     _lower_modes,
     _prepare,
 )
-from .errors import FitError
+from .errors import DegeneratePointError, FitError
 from .materials import IsotropicMaterial, LayerStack, mix_density, mix_young_modulus
 
 WELL_DETERMINED = "well-determined"
@@ -325,35 +325,28 @@ def _model(problem: FitProblem, r: np.ndarray) -> np.ndarray:
 def _jacobian(
     problem: FitProblem, values: dict[str, float], model: np.ndarray
 ) -> np.ndarray:
-    """Jacobian of the weighted residuals with respect to the parameters in
-    their original units, at the model velocities ``model`` (m/s) of
-    ``values``: implicit at the roots, or ``_fd_jacobian`` where the module
-    docstring's fallback condition holds."""
+    """Implicit Jacobian of the weighted residuals with respect to the
+    parameters in their original units, at the model velocities ``model``
+    (m/s) of ``values``.  Each must be a root that a curve solve accepted,
+    closed to 1e-12 relative and so 1e5 times inside the v-stencil of
+    +-1e-7, as the fit's start, trial steps and iteration cap and
+    ``identifiability_report`` all pass.  ``_indicator`` may return NaN:
+    DegeneratePointError names the points where an entry is not finite."""
     v = np.asarray(model, dtype=float)
     stencil = list(_stencil(problem, values))
     # the v-stencil on the centre stack, then each parameter's up and down
     # stack at v, all in one batch
     sets = [values, values] + [s for pair in stencil for s in pair]
     prep = _joined([_prepare(problem.realize(s)) for s in sets], [v.size] * len(sets))
-    q_up, q_dn, dq_dv, q_theta = _v_stencil(problem, prep, v, len(sets))
-    if not (q_up * q_dn < 0).all():
-        return _fd_jacobian(problem, values)
+    _, _, dq_dv, q_theta = _v_stencil(problem, prep, v, len(sets))
     cols = [-(q_p - q_m) / (up[p.name] - dn[p.name]) / dq_dv
             for p, (up, dn), q_p, q_m in zip(problem.free, stencil, q_theta[::2], q_theta[1::2])]
     jac = np.column_stack(cols) / problem.sigmas[:, None]
-    if not np.isfinite(jac).all():
-        return _fd_jacobian(problem, values)
+    bad = [int(j) for j in np.flatnonzero(~np.isfinite(jac).all(axis=1))]
+    if bad:
+        mhz = ", ".join(f"{problem.measured.frequencies[j] / 1e6:.6g}" for j in bad)
+        raise DegeneratePointError(f"fit Jacobian not finite at {mhz} MHz (point indices {bad})")
     return jac
-
-
-def _fd_jacobian(problem: FitProblem, values: dict[str, float]) -> np.ndarray:
-    """Central finite-difference Jacobian of the weighted residuals, two
-    curve solves per column: the fallback of ``_jacobian``."""
-    cols = []
-    for p, (up, dn) in zip(problem.free, _stencil(problem, values)):
-        denom = up[p.name] - dn[p.name]
-        cols.append((residuals(problem, up) - residuals(problem, dn)) / denom)
-    return np.column_stack(cols)
 
 
 def identifiability_report(

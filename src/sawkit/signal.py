@@ -39,8 +39,8 @@ class MaskSpec:
     kind: str = GLASS_MASK
 
     def __post_init__(self):
-        if not self.period > 0:
-            raise ValueError(f"mask period must be > 0, got {self.period}")
+        if not 0 < self.period < math.inf:
+            raise ValueError(f"mask period must be finite and > 0, got {self.period}")
         if not 0.0 < self.duty < 1.0:
             raise ValueError(f"mask duty must be in (0, 1), got {self.duty}")
         if self.n_periods < 2:
@@ -202,35 +202,27 @@ def synthesize_slope_signal(
         raise SynthesisError("noise_rms must be >= 0")
     if noise_rms > 0 and seed is None:
         raise SynthesisError("a seed is required when noise_rms > 0")
+    if seed is not None and seed < 0:
+        raise SynthesisError(f"seed must be >= 0, got {seed}")
+    if n_harmonics is not None and n_harmonics < 1:
+        raise SynthesisError("n_harmonics must be >= 1")
 
-    f_cap = 0.45 * sample_rate
+    # an explicit count must be covered whole and ignores the Nyquist cap
+    f_cap = 0.45 * sample_rate if n_harmonics is None else math.inf
     harmonics: list[tuple[int, float]] = []
-    if n_harmonics is not None:
-        if n_harmonics < 1:
-            raise SynthesisError("n_harmonics must be >= 1")
-        for n in range(1, n_harmonics + 1):
-            f_n = _harmonic_frequency(curve, n, mask.period)
-            if f_n is None:
-                lo, hi = curve.band
-                raise SynthesisError(
-                    f"dispersion curve [{lo:.4g}, {hi:.4g}] Hz does not cover "
-                    f"harmonic {n} near {n * curve.velocities[0] / mask.period:.4g} Hz"
-                )
-            harmonics.append((n, f_n))
-    else:
-        n = 1
-        while True:
-            f_n = _harmonic_frequency(curve, n, mask.period)
-            if f_n is None or f_n > f_cap:
+    while n_harmonics is None or len(harmonics) < n_harmonics:
+        n = len(harmonics) + 1
+        f_n = _harmonic_frequency(curve, n, mask.period)
+        if f_n is None or f_n > f_cap:
+            if n_harmonics is None and harmonics:
                 break
-            harmonics.append((n, f_n))
-            n += 1
-        if not harmonics:
             lo, hi = curve.band
+            what = "the fundamental" if n_harmonics is None else f"harmonic {n}"
             raise SynthesisError(
-                f"dispersion curve [{lo:.4g}, {hi:.4g}] Hz does not cover the "
-                f"fundamental near {curve.velocities[0] / mask.period:.4g} Hz"
+                f"dispersion curve [{lo:.4g}, {hi:.4g}] Hz does not cover "
+                f"{what} near {n * curve.velocities[0] / mask.period:.4g} Hz"
             )
+        harmonics.append((n, f_n))
 
     f_max = max(f for _, f in harmonics)
     if not sample_rate > 2.0 * f_max:
@@ -373,6 +365,9 @@ def pick_harmonic_peaks(
             lo, hi = center * _STEP_DOWN**gap, center * _STEP_UP**gap
         band = (f >= lo) & (f <= hi)
         if not band.any():
+            if n == 1:
+                raise ExtractionError(f"no fundamental peak near {fundamental_hint:.4g} Hz "
+                                      "(no spectrum bin within +/-20 % of the hint)")
             skipped.append((n, "search window outside spectrum band"))
             continue
         idx = int(np.flatnonzero(band)[np.argmax(s.amplitudes[band])])

@@ -234,6 +234,24 @@ def test_synth_noise_without_seed_exit_2(tmp_path):
     assert run(["synth", "--config", p, "--out", tmp_path / "w.csv"]) == 2
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_synth_negative_seed_exit_2(tmp_path, capsys, cfg_1a, where):
+    # from the flag or from [run], a bad input's exit 2, not numpy's traceback
+    args = ["synth", "--config", cfg_1a, "--out", tmp_path / "w.csv"]
+    if where == "flag":
+        args += ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "seed.cfg"
+        base = cfg_1a.read_text(encoding="utf-8")
+        assert base.count("seed = 12345") == 1
+        cfg.write_text(base.replace("seed = 12345", "seed = -1"), encoding="utf-8")
+        args[2] = cfg
+    capsys.readouterr()
+    assert run(args) == 2
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "w.csv").exists()
+
+
 def test_extract_pure_noise_exit_4(tmp_path, si_cfg):
     rng = np.random.default_rng(0)
     w = sk.Waveform(
@@ -268,6 +286,7 @@ def si_wave_text(tmp_path_factory, si_cfg):
         # the sample rate is the only clock; it and the distance must be finite
         ("# sample_rate_hz=2000000000.0", "# sample_rate_hz=inf"),
         ("# distance_m=0.005", "# distance_m=nan"),
+        ("# mask_period_m=2.4e-05", "# mask_period_m=inf"),
     ],
 )
 def test_extract_bad_waveform_metadata_exit_2(
@@ -279,6 +298,19 @@ def test_extract_bad_waveform_metadata_exit_2(
     capsys.readouterr()
     assert run(["extract", p, "--config", si_cfg, "--out", tmp_path / "m.csv"]) == 2
     assert "bad_meta.csv" in capsys.readouterr().err
+
+
+def test_extract_fundamental_window_without_a_bin_exit_4(tmp_path, capsys, si_cfg,
+                                                        si_wave_text):
+    # a 1e300 m mask puts the hint 1e-296 Hz, whose +/-20 % window holds no
+    # bin: a missing fundamental, not a skipped harmonic and a TypeError
+    line = "# mask_period_m=2.4e-05"
+    assert line in si_wave_text
+    p = tmp_path / "huge_period.csv"
+    p.write_text(si_wave_text.replace(line, "# mask_period_m=1e300"), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["extract", p, "--config", si_cfg, "--out", tmp_path / "m.csv"]) == 4
+    assert "error: no fundamental peak near" in capsys.readouterr().err
 
 
 def test_extract_old_two_column_waveform_exit_2(tmp_path, capsys, si_cfg, si_wave_text):
@@ -586,6 +618,28 @@ def test_cmd_fit_echoes_the_reports_warnings_on_stderr(tmp_path, capsys, monkeyp
     warnings = [line for line in (tmp_path / "fit.txt").read_text().splitlines()
                 if line.startswith("warning:")]
     assert warnings and all(line in err.splitlines() for line in warnings)
+
+
+def test_cmd_fit_jacobian_not_finite_exit_3(tmp_path, capsys, monkeypatch, cfg_1a,
+                                           measured_1a_csv):
+    # an indicator NaN at point 3 of each Jacobian's batch ends the fit with
+    # the forward model's exit 3 and the point named, not a traceback
+    import sawkit.inversion as inv
+
+    indicator = inv._indicator
+
+    def nan_in_jacobian_batch(prep, freqs, v):
+        q = indicator(prep, freqs, v)
+        if len(v) > 2 * 16:  # a residual evaluation's batch holds 2 pairs per point
+            q[3] = np.nan
+        return q
+
+    monkeypatch.setattr(inv, "_indicator", nan_in_jacobian_batch)
+    capsys.readouterr()
+    assert run(["fit", measured_1a_csv, "--config", cfg_1a, "--out", tmp_path / "fit.txt"]) == 3
+    err = capsys.readouterr().err
+    assert "error: fit Jacobian not finite at 140 MHz (point indices [3])" in err
+    assert "Traceback" not in err and not (tmp_path / "fit.txt").exists()
 
 
 def test_fit_bounds_line_transform(tmp_path, capsys, cfg_1a, measured_1a_csv):

@@ -862,20 +862,23 @@ def _criterion_07_problem(silicon, oxide, geom, which, free=None):
     )
 
 
-def _implicit_and_fallback(problem, values, monkeypatch):
-    """(implicit Jacobian, finite-difference Jacobian of the roots) at values;
-    fails if the implicit path fell back."""
+def _fd_reference(problem, values):
+    """Central finite differences of re-solved roots over ``_jacobian``'s
+    parameter steps, two curve solves per column: the implicit Jacobian's
+    reference."""
+    import sawkit.inversion as inv
+
+    cols = [(sk.residuals(problem, up) - sk.residuals(problem, dn)) / (up[p.name] - dn[p.name])
+            for p, (up, dn) in zip(problem.free, inv._stencil(problem, values))]
+    return np.column_stack(cols)
+
+
+def _implicit_and_reference(problem, values):
+    """(implicit Jacobian, finite-difference reference) at ``values``."""
     import sawkit.inversion as inv
 
     model = inv._model(problem, sk.residuals(problem, values))
-
-    def no_fallback(*args):
-        raise AssertionError("implicit Jacobian fell back to finite differences")
-
-    with monkeypatch.context() as m:
-        m.setattr(inv, "_fd_jacobian", no_fallback)
-        implicit = inv._jacobian(problem, values, model)
-    return implicit, inv._fd_jacobian(problem, values)
+    return inv._jacobian(problem, values, model), _fd_reference(problem, values)
 
 
 def _column_rel_diff(a, b):
@@ -884,59 +887,64 @@ def _column_rel_diff(a, b):
 
 @pytest.mark.parametrize("which", ["1A", "2"])
 @pytest.mark.parametrize("at", ["start", "truth"])
-def test_implicit_jacobian_matches_finite_differences(
-    silicon, oxide, geom, monkeypatch, which, at
-):
+def test_implicit_jacobian_matches_finite_differences(silicon, oxide, geom, which, at):
     _, start, truth = _STACKS_07[which]
     problem = _criterion_07_problem(silicon, oxide, geom, which)
     point = start if at == "start" else truth
     values = dict(zip(("c_ge", "layer0.thickness"), point))
-    implicit, fd = _implicit_and_fallback(problem, values, monkeypatch)
+    implicit, fd = _implicit_and_reference(problem, values)
     # single near-zero entries differ more, so compare whole columns
     assert _column_rel_diff(implicit, fd).max() <= 1e-6
 
 
-def test_implicit_jacobian_direct_layer_field(silicon, oxide, geom, monkeypatch):
-    free = (sk.FreeParam("layer0.young_modulus", 150e9, 50e9, 400e9),)
+@pytest.mark.parametrize(
+    "field, lower, upper",
+    [pytest.param("young_modulus", 50e9, 400e9, id="young_modulus"),
+     pytest.param("density", 1000.0, 6000.0, id="density"),
+     pytest.param("poisson_ratio", 0.05, 0.45, id="poisson_ratio")],
+)
+def test_implicit_jacobian_direct_layer_field(silicon, oxide, geom, field, lower, upper):
+    # at stack 1A's film value of the field (2.6e-9 to 2.7e-9 when measured)
+    value = getattr(make_stack_1a(silicon, oxide, geom).layers[0].material, field)
+    free = (sk.FreeParam(f"layer0.{field}", value, lower, upper),)
     problem = _criterion_07_problem(silicon, oxide, geom, "1A", free)
-    values = {"layer0.young_modulus": sk.mix_young_modulus(0.179)}
-    implicit, fd = _implicit_and_fallback(problem, values, monkeypatch)
+    implicit, fd = _implicit_and_reference(problem, {free[0].name: value})
     assert _column_rel_diff(implicit, fd).max() <= 1e-6
 
 
-@pytest.mark.parametrize("fault", ["nan_in_v_stencil", "nan_in_theta_stencil", "off_root"])
-def test_jacobian_fallback_is_finite_differences(problem_1a, monkeypatch, fault):
+@pytest.mark.parametrize("at", ["start", "truth"])
+def test_implicit_jacobian_young_modulus_density_and_thickness(silicon, geom, at):
+    # E in Pa, rho in kg/m^3 and d in m: raw cond(J) 6.4e18 at the start
+    # and 3.6e18 at the truth, and within 3.0e-9 of the reference when measured
+    problem, truth = _e_rho_d_problem(silicon, geom)
+    point = [p.initial for p in problem.free] if at == "start" else truth
+    values = {p.name: x for p, x in zip(problem.free, point)}
+    implicit, fd = _implicit_and_reference(problem, values)
+    assert _column_rel_diff(implicit, fd).max() <= 1e-6
+
+
+@pytest.mark.parametrize("fault", ["nan_in_v_stencil", "nan_in_theta_stencil"])
+def test_jacobian_not_finite_raises_degenerate_point(problem_1a, monkeypatch, fault):
     import sawkit.inversion as inv
 
     values = {"c_ge": 0.2, "layer0.thickness": 1.0e-6}
     model = inv._model(problem_1a, sk.residuals(problem_1a, values))
-    if fault.startswith("nan"):
-        # the batch holds the v-stencil (up, then down) on the fitted stack,
-        # then each parameter's up and down stack at the model roots
-        indicator, n = inv._indicator, len(model)
-        at = 3 if fault == "nan_in_v_stencil" else 5 * n + 3
+    # the batch holds the v-stencil (up, then down) on the fitted stack,
+    # then each parameter's up and down stack at the model roots
+    indicator, n = inv._indicator, len(model)
+    at = 3 if fault == "nan_in_v_stencil" else 5 * n + 3
 
-        def nan_at_one_stencil_point(prep, freqs, v):
-            assert len(v) == 6 * n
-            # the fault hits the Jacobian's batch only, not the Newton
-            # batch of each residual evaluation of the fallback
-            monkeypatch.setattr(inv, "_indicator", indicator)
-            q = indicator(prep, freqs, v)
-            q[at] = np.nan
-            return q
+    def nan_at_one_stencil_point(prep, freqs, v):
+        assert len(v) == 6 * n
+        q = indicator(prep, freqs, v)
+        q[at] = np.nan
+        return q
 
-        monkeypatch.setattr(inv, "_indicator", nan_at_one_stencil_point)
-    else:
-        # 1e-5 off its root the stencil no longer brackets the root
-        model[5] *= 1.0 + 1e-5
-    calls = []
-    fallback = inv._fd_jacobian
-    monkeypatch.setattr(
-        inv, "_fd_jacobian", lambda *a: calls.append(a) or fallback(*a)
-    )
-    jac = inv._jacobian(problem_1a, values, model)
-    assert len(calls) == 1
-    assert np.array_equal(jac, fallback(problem_1a, values))
+    monkeypatch.setattr(inv, "_indicator", nan_at_one_stencil_point)
+    mhz = problem_1a.measured.frequencies[3] / 1e6
+    with pytest.raises(sk.DegeneratePointError,
+                       match=rf"not finite at {mhz:.6g} MHz \(point indices \[3\]\)"):
+        inv._jacobian(problem_1a, values, model)
 
 
 # --- one batch over the stencil stacks ----------------------------------------------

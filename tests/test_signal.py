@@ -24,8 +24,9 @@ def mask24():
 
 
 def test_mask_spec_invariants():
-    with pytest.raises(ValueError):
-        sk.MaskSpec(period=0.0, duty=0.5, n_periods=100)
+    for period in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="mask period must be finite and > 0"):
+            sk.MaskSpec(period=period, duty=0.5, n_periods=100)
     with pytest.raises(ValueError):
         sk.MaskSpec(period=24e-6, duty=1.0, n_periods=100)
     with pytest.raises(ValueError):
@@ -90,6 +91,14 @@ def test_noise_requires_seed(flat_si, mask24):
         sk.synthesize_slope_signal(mask24, flat_si, 5e-3, noise_rms=0.01)
 
 
+def test_synthesis_rejects_a_negative_seed(flat_si, mask24):
+    # numpy's default_rng takes no negative seed, with noise or without it
+    with pytest.raises(SynthesisError, match="seed must be >= 0, got -1"):
+        sk.synthesize_slope_signal(mask24, flat_si, 5e-3, noise_rms=0.01, seed=-1)
+    with pytest.raises(SynthesisError, match="seed must be >= 0, got -1"):
+        sk.synthesize_slope_signal(mask24, flat_si, 5e-3, seed=-1)
+
+
 @pytest.mark.parametrize("width", [-1.2e-9, 0.0])
 def test_synthesis_rejects_non_positive_pulse_width(flat_si, mask24, width):
     with pytest.raises(SynthesisError, match="pulse_fwhm"):
@@ -98,8 +107,27 @@ def test_synthesis_rejects_non_positive_pulse_width(flat_si, mask24, width):
 
 def test_synthesis_coverage_error(mask24):
     narrow = sk.DispersionCurve(frequencies=(100e6, 300e6), velocities=(5080.0, 5080.0))
-    with pytest.raises(SynthesisError, match="does not cover"):
+    with pytest.raises(SynthesisError, match="does not cover harmonic 2 near 4.233e"):
         sk.synthesize_slope_signal(mask24, narrow, 5e-3, n_harmonics=3)
+    above = sk.DispersionCurve(frequencies=(300e6, 600e6), velocities=(5080.0, 5080.0))
+    with pytest.raises(SynthesisError, match="does not cover the fundamental near 2.117e"):
+        sk.synthesize_slope_signal(mask24, above, 5e-3)
+
+
+def test_explicit_harmonic_count_ignores_the_nyquist_margin(flat_si, mask24):
+    # at 1.3 GHz the default stops below 0.45 of the rate, before harmonic 3
+    # at 635 MHz; an explicit count of 3 keeps it, as it lies below Nyquist
+    default = sk.synthesize_slope_signal(mask24, flat_si, 5e-3, sample_rate=1.3e9)
+    two = sk.synthesize_slope_signal(mask24, flat_si, 5e-3, sample_rate=1.3e9, n_harmonics=2)
+    three = sk.synthesize_slope_signal(mask24, flat_si, 5e-3, sample_rate=1.3e9, n_harmonics=3)
+    assert np.array_equal(default.samples, two.samples)
+    found = []
+    for w in (default, three):
+        s = sk.spectrum(w, window="hann", zero_pad_factor=4)
+        peaks = sk.pick_harmonic_peaks(s, fundamental_hint=5080.0 / 24e-6, n_harmonics=3)
+        found.append([p.harmonic for p in peaks.peaks])
+    assert found == [[1], [1, 3]]
+    assert three.samples.size == default.samples.size
 
 
 def test_synthesis_nyquist_guard(flat_si, mask24):
@@ -217,6 +245,18 @@ def test_pure_noise_raises_extraction_error():
     s = sk.spectrum(w, window="hann", zero_pad_factor=2)
     with pytest.raises(ExtractionError):
         sk.pick_harmonic_peaks(s, fundamental_hint=200e6, n_harmonics=1)
+
+
+@pytest.mark.parametrize("n_harmonics", [1, 3])
+def test_fundamental_window_without_a_bin_raises(tmp_path, n_harmonics):
+    # a hint of 0.3 bin widths has no bin within +/-20 %: harmonic 1 was
+    # skipped, giving no peaks at n_harmonics=1 and a TypeError at 3
+    wave = tmp_path / "w.csv"
+    assert main(["synth", "--config", str(fixture_config_path("stack_1A")),
+                 "--out", str(wave)]) == 0
+    s = sk.spectrum(sk.read_waveform_csv(wave), window="hann", zero_pad_factor=4)
+    with pytest.raises(ExtractionError, match=r"no fundamental peak near .* \(no spectrum bin"):
+        sk.pick_harmonic_peaks(s, fundamental_hint=0.3 * s.bin_width, n_harmonics=n_harmonics)
 
 
 def test_hint_outside_band_raises():

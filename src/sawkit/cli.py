@@ -228,6 +228,8 @@ def load_config(path: str | Path) -> RunConfig:
             seed = int(run["seed"])
         except ValueError:
             raise ConfigError(f"{p}: [run] seed must be an integer") from None
+        if seed < 0:
+            raise ConfigError(f"{p}: [run] seed must be >= 0, got {seed}")
     if "material_db" in run:
         db_path = Path(run["material_db"])
         if not db_path.is_absolute():
@@ -336,22 +338,6 @@ def cmd_dispersion(args) -> int:
     return 0
 
 
-def _model_curve_for_mask(
-    cfg: RunConfig, stack: LayerStack, mask: MaskSpec, rate: float
-) -> DispersionCurve:
-    """Forward-model curve spanning the mask's harmonics for synthesis: 40
-    points from 0.35 of the slowest velocity over the period (below the
-    fundamental) to 0.47 of the sample rate, ``rate`` GHz (just under Nyquist)."""
-    v_lo, _ = velocity_window(stack)
-    f_lo, f_hi = 0.35 * v_lo / mask.period, 0.47 * (rate * 1e9)
-    if not f_hi > f_lo:
-        raise ConfigError(
-            f"{cfg.path}: [synthesis] sample_rate_ghz must exceed "
-            f"{f_lo / 0.47 / 1e9:.3g} for this stack and mask, got {rate}"
-        )
-    return dispersion_curve(stack, np.linspace(f_lo, f_hi, 40))
-
-
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
     stack = build_stack(cfg)
@@ -366,10 +352,13 @@ def cmd_synth(args) -> int:
     fwhm = _number(cfg, "synthesis", "pulse_fwhm_ns")
     distance = _number(cfg, "synthesis", "distance_mm")
     n_harm = _number(cfg, "synthesis", "n_harmonics")
-    curve = _model_curve_for_mask(cfg, stack, mask, rate)
+    f_floor = velocity_window(stack)[0] / mask.period  # no harmonic lies below it
+    if not rate * 1e9 > 2.0 * f_floor:
+        raise ConfigError(f"{cfg.path}: [synthesis] sample_rate_ghz must exceed "
+                          f"{2.0 * f_floor / 1e9:.3g} for this stack and mask, got {rate}")
     w = synthesize_slope_signal(
         mask,
-        curve,
+        stack,
         distance=distance * 1e-3,
         pulse_fwhm=fwhm * 1e-9,
         sample_rate=rate * 1e9,

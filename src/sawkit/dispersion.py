@@ -53,7 +53,8 @@ for a batch of (frequency, velocity) pairs or a scan block's mesh.  Where
 a medium's waves are degenerate (at a bulk speed along x1 its up and down
 waves coincide) the wave producers only flag the velocity, and
 ``_indicator`` evaluates every undefined point once more 1e-9 higher in
-velocity, k recomputed.
+velocity, k recomputed.  A point holds f fixed, or with ``_Prepared.fixed_k``
+k, as synthesis does at a mask's k_n = 2 pi n / d.
 ``dispersion_curve`` is its one public entry; the scan's 5 m/s step, the
 hint windows and the root tolerance are fixed.  The scan walks up in blocks
 of cells, and a frequency leaves it at the first block that brackets a
@@ -84,9 +85,10 @@ no clamped sublayer has a mode below v and the count needs no clamped-mode
 term.  Before the scan one count on the (frequency x block) mesh, at the
 midpoint of each block's first cell, starts each frequency at the highest
 block whose count is 0, and at the floor where its ladder of counts is not
-finite or decreases.  The count is taken at fixed k, so this holds while
-the lowest branch omega_1(k) increases with k; on every grid checked the
-count was non-decreasing in v and first stepped at the scan's root.  The
+finite or decreases.  The count is taken at fixed k, so at fixed f this
+holds while the lowest branch omega_1(k) increases with k; on every grid
+checked the count was non-decreasing in v and first stepped at the scan's
+root.  At fixed k it holds with no such assumption.  The
 skipped cells hold only poles of the indicator that the root finder would
 reject, so every root is the one a scan from the floor gives.  On a cold
 35-point curve of stack 1A this takes the scan from 16 558 response points
@@ -189,15 +191,6 @@ class DispersionCurve:
         if not self.frequencies:
             raise ValueError("empty curve has no band")
         return self.frequencies[0], self.frequencies[-1]
-
-    def interpolate(self, frequency: float) -> float:
-        """Linear interpolation inside the sampled band."""
-        lo, hi = self.band
-        if not lo <= frequency <= hi:
-            raise ValueError(
-                f"frequency {frequency:.6g} Hz outside curve band [{lo:.6g}, {hi:.6g}]"
-            )
-        return float(np.interp(frequency, self.frequencies, self.velocities))
 
 
 def _csv_text(header: str, columns, meta: dict | None = None) -> str:
@@ -639,6 +632,7 @@ class _Prepared:
     # ``_closed_form`` call over the stack; None when a medium needs the
     # eigenproblem
     closed: _Stacked | None
+    fixed_k: bool = False  # a point holds k fixed, not f (``_wavenumbers``)
 
 
 # Stacks realised during a fit share most of their materials, so what
@@ -974,6 +968,14 @@ def _pole_indicator(g33: np.ndarray) -> np.ndarray:
         return np.imag(1.0 / g33)
 
 
+def _wavenumbers(prep: _Prepared, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """k of the points ``x`` at velocities ``v``, broadcast: 2 pi x / v from
+    frequencies x, or with ``prep.fixed_k`` the wavenumbers x themselves."""
+    if prep.fixed_k:
+        return np.broadcast_to(x, np.broadcast_shapes(np.shape(x), np.shape(v)))
+    return 2.0 * math.pi * x / v
+
+
 def boundary_matrix(stack: LayerStack, omega: float, k: float) -> "BoundaryMatrix":
     """Surface-traction matrix Y of the impedance recursion at one (omega, k).
 
@@ -1071,7 +1073,7 @@ def _negative(d: np.ndarray) -> np.ndarray:
 
 
 def _mode_count(prep: _Prepared, freqs: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Number J of modes below v at wavenumber k = 2 pi f / v, at
+    """Number J of modes below v at wavenumber k (``_wavenumbers``), at
     (frequency, velocity) pairs or on a scan block's mesh (shaped as for
     ``_indicator``): the sagittal modes for n = 2, all modes for n = 3.
 
@@ -1097,12 +1099,13 @@ def _mode_count(prep: _Prepared, freqs: np.ndarray, v: np.ndarray) -> np.ndarray
     below the window's ceiling.  The waves are those of ``_surface`` and
     NaN marks the velocities where they are invalid.
 
-    J counts modes at fixed k below the frequency f; it counts the modes at
-    fixed f below v as long as the lowest branch omega_1(k) increases with
-    k, so J(v) = 0 proves that no mode, and no root of the pole indicator,
-    lies below v.
+    J counts modes at fixed k below the frequency k v / (2 pi): exactly the
+    modes below v at a fixed-k point, with no monotonicity assumption, and
+    at fixed f as long as the lowest branch omega_1(k) increases with k.
+    Either way J(v) = 0 proves that no mode, and no root of the pole
+    indicator, lies below v.
     """
-    valid, v, k, hs, waves = _waves(prep, v, 2.0 * math.pi * freqs / v)
+    valid, v, k, hs, waves = _waves(prep, v, _wavenumbers(prep, freqs, v))
     n = waves[0][0].shape[0]
     w_sub = waves[-1][2][:, :n]
     below = -1j * _right_divide(w_sub[n:], w_sub[:n])
@@ -1168,18 +1171,21 @@ def _indicator(prep: _Prepared, freqs: np.ndarray, v: np.ndarray) -> np.ndarray:
     block's frequencies (F, 1) against its velocities (m,), which gives the
     (F, m) mesh; either way the waves, substrate impedance and bottom
     coupling are built once per velocity, and the layer recursion
-    broadcasts over the frequencies.  Pairs may take a joined prep
-    (``_joined``), one stack per group of pairs.  This is the one place
-    that steps off an undefined point: every non-finite entry is evaluated
-    once more as the pair (f, v * (1 + _NUDGE)), k recomputed, with the
-    prep taken at those points, and stays NaN if that is undefined too.
+    broadcasts over the frequencies.  With ``prep.fixed_k`` the ``freqs``
+    are wavenumbers, held as v varies (``_wavenumbers``); there the mode
+    count that starts a scan is exact, with no monotonicity assumption.
+    Pairs may take a joined prep (``_joined``), one stack per group of
+    pairs.  This is the one place that steps off an undefined point: every
+    non-finite entry is evaluated once more at v * (1 + _NUDGE), k
+    recomputed, with the prep taken at those points, and stays NaN if that
+    is undefined too.
     """
-    q = _pole_indicator(_g33(prep, v, 2.0 * math.pi * freqs / v))
+    q = _pole_indicator(_g33(prep, v, _wavenumbers(prep, freqs, v)))
     nan = ~np.isfinite(q)
     if nan.any():
         bump = np.broadcast_to(v, q.shape)[nan] * (1.0 + _NUDGE)
         f = np.broadcast_to(freqs, q.shape)[nan]
-        q[nan] = _pole_indicator(_g33(_take(prep, nan), bump, 2.0 * math.pi * f / bump))
+        q[nan] = _pole_indicator(_g33(_take(prep, nan), bump, _wavenumbers(prep, f, bump)))
     return q
 
 
@@ -1352,9 +1358,10 @@ def _scan(
 
 
 def _find_modes(
-    stack: LayerStack, frequencies: np.ndarray, hints: np.ndarray | None
+    stack: LayerStack, frequencies: np.ndarray, hints: np.ndarray | None, fixed_k: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest accepted root per frequency, NaN where none, and the frequencies scanned.
+    """Lowest accepted root per frequency, NaN where none, and the frequencies
+    scanned; with ``fixed_k`` the ``frequencies`` are wavenumbers (rad/m).
 
     Brackets come from windows of the half-widths ``_HINT_WINDOWS`` around
     the hints, clipped to the search window, and from the scan's cells
@@ -1371,7 +1378,7 @@ def _find_modes(
     """
     if hints is not None and not np.isfinite(hints).all():
         raise ValueError("hints must be finite")
-    prep = _prepare(stack)
+    prep = replace(_prepare(stack), fixed_k=True) if fixed_k else _prepare(stack)
     freqs = np.asarray(frequencies, dtype=float)
     roots = np.full(freqs.size, np.nan)
     miss, windows = np.ones(freqs.size, dtype=bool), None

@@ -2,9 +2,11 @@
 peak picking, phase-velocity extraction, and projection-ratio calibration.
 
 A mask of period d illuminated by a short laser pulse launches a wavetrain
-whose spectrum is a comb of narrow peaks at the frequencies f_n solving
-f_n = n * v(f_n) / d.  Each peak maps to one dispersion-curve point via
-v = f * (d / n).
+whose spectrum is a comb of narrow peaks, one per wavenumber k_n = 2 pi n / d
+the mask fixes.  Synthesis solves the surface mode at each k_n for its
+velocity v_n, which puts the peak at f_n = n * v_n / d, the frequency
+solving f_n = n * v(f_n) / d.  Each peak maps back to one dispersion-curve
+point via v = f * (d / n).
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dispersion import DispersionCurve, _csv_text, _read_table
+from .dispersion import DispersionCurve, _csv_text, _find_modes, _read_table, velocity_window
 from .errors import ExtractionError, FormatError, SynthesisError
+from .materials import LayerStack
 
 GLASS_MASK = "glass-mask"
 SLM = "slm"
@@ -154,20 +157,6 @@ def spectrum(w: Waveform, window: str = "none", zero_pad_factor: int = 1) -> Spe
 # --- synthesis --------------------------------------------------------------------
 
 
-def _harmonic_frequency(curve: DispersionCurve, n: int, period: float) -> float | None:
-    """Solve f = n*v(f)/period on the curve; None when the root leaves the band."""
-    lo, hi = curve.band
-    f = min(max(n * curve.interpolate(0.5 * (lo + hi)) / period, lo), hi)
-    for _ in range(200):
-        target = n * curve.interpolate(f) / period
-        if not lo <= target <= hi:
-            return None
-        if abs(target - f) <= 1e-12 * f:
-            return target
-        f = target
-    return f
-
-
 def _grating_amplitude(n: int, duty: float) -> float:
     """Relative slope amplitude of harmonic n for a square grating."""
     return abs(math.sin(math.pi * n * duty))
@@ -175,7 +164,7 @@ def _grating_amplitude(n: int, duty: float) -> float:
 
 def synthesize_slope_signal(
     mask: MaskSpec,
-    curve: DispersionCurve,
+    stack: LayerStack,
     distance: float,
     pulse_fwhm: float = 1.2e-9,
     sample_rate: float = 2e9,
@@ -183,21 +172,22 @@ def synthesize_slope_signal(
     seed: int | None = None,
     n_harmonics: int | None = None,
 ) -> Waveform:
-    """Sum of harmonic tone bursts propagated over `distance` on the curve.
+    """Sum of harmonic tone bursts propagated over `distance` on the stack.
 
-    Harmonic n is a burst of n_periods grating periods at the frequency
-    solving f = n*v(f)/period, weighted by the square-grating coefficient
-    and the Gaussian spectrum of the excitation pulse.  With explicit
-    ``n_harmonics`` the curve must cover every harmonic; by default the
-    harmonic count is capped by curve coverage and the Nyquist margin.
-    The waveform runs to 1.2 times the end of the latest burst.
+    Harmonic n has the wavenumber k_n = 2 pi n / period the mask fixes, and
+    the stack's lowest mode there (``dispersion_curve``'s search held at
+    fixed k, one batch for all n) has velocity v_n.  Its burst of n_periods grating periods sits
+    at f_n = n * v_n / period, travels at v_n, and is weighted by the
+    square-grating coefficient and the Gaussian spectrum of the excitation
+    pulse.  An explicit ``n_harmonics`` must all have a mode and is bounded
+    by the anti-aliasing check alone; by default the harmonics are the
+    prefix with modes at or below 0.45 of the sample rate.  The waveform
+    runs to 1.2 times the end of the latest burst.
     """
     if not distance > 0:
         raise SynthesisError("distance must be > 0")
     if not pulse_fwhm > 0:
         raise SynthesisError("pulse_fwhm must be > 0")
-    if len(curve) < 2:
-        raise SynthesisError("dispersion curve must have at least 2 points")
     if noise_rms < 0:
         raise SynthesisError("noise_rms must be >= 0")
     if noise_rms > 0 and seed is None:
@@ -207,24 +197,28 @@ def synthesize_slope_signal(
     if n_harmonics is not None and n_harmonics < 1:
         raise SynthesisError("n_harmonics must be >= 1")
 
-    # an explicit count must be covered whole and ignores the Nyquist cap
+    # by default n_max covers every harmonic at or below the cap, as v >= v_floor
+    v_floor, v_ceiling = velocity_window(stack)
     f_cap = 0.45 * sample_rate if n_harmonics is None else math.inf
-    harmonics: list[tuple[int, float]] = []
-    while n_harmonics is None or len(harmonics) < n_harmonics:
-        n = len(harmonics) + 1
-        f_n = _harmonic_frequency(curve, n, mask.period)
-        if f_n is None or f_n > f_cap:
-            if n_harmonics is None and harmonics:
-                break
-            lo, hi = curve.band
-            what = "the fundamental" if n_harmonics is None else f"harmonic {n}"
+    n_max = int(f_cap * mask.period / v_floor) + 1 if n_harmonics is None else n_harmonics
+    ns = np.arange(1, n_max + 1)
+    k = 2.0 * math.pi * ns / mask.period
+    v, _ = _find_modes(stack, k, None, fixed_k=True)
+    f = ns * v / mask.period
+    misfits = np.flatnonzero(~(f <= f_cap))  # NaN where a harmonic has no mode
+    count = misfits[0] if misfits.size else n_max
+    if misfits.size and (count == 0 or n_harmonics is not None):
+        if np.isnan(v[count]):
             raise SynthesisError(
-                f"dispersion curve [{lo:.4g}, {hi:.4g}] Hz does not cover "
-                f"{what} near {n * curve.velocities[0] / mask.period:.4g} Hz"
+                f"no surface mode at harmonic {count + 1} (k = {k[count]:.6g} rad/m) "
+                f"in window [{v_floor:.1f}, {v_ceiling:.1f}] m/s"
             )
-        harmonics.append((n, f_n))
+        raise SynthesisError(
+            f"the fundamental at {f[0]:.4g} Hz lies above 0.45 of sample_rate "
+            f"{sample_rate:.4g} Hz"
+        )
 
-    f_max = max(f for _, f in harmonics)
+    f_max = f[:count].max()
     if not sample_rate > 2.0 * f_max:
         raise SynthesisError(
             f"sample_rate {sample_rate:.4g} Hz violates anti-aliasing for "
@@ -233,8 +227,7 @@ def synthesize_slope_signal(
 
     bursts = []
     t_end = 0.0
-    for n, f_n in harmonics:
-        v_n = curve.interpolate(f_n)
+    for n, f_n, v_n in zip(ns[:count].tolist(), f[:count].tolist(), v[:count].tolist()):
         amp = _grating_amplitude(n, mask.duty) * math.exp(
             -((math.pi * f_n * pulse_fwhm) ** 2) / (4.0 * _LN2)
         )

@@ -53,6 +53,16 @@ def make_stack_3(silicon, geom, c_ge=0.416, d=0.9e-6):
     )
 
 
+def make_flat_stack(geom, v_rayleigh=5080.0):
+    """Dispersionless stack: an isotropic half-space whose Young's modulus is
+    scaled so that its Rayleigh velocity is ``v_rayleigh`` (m/s)."""
+    base = sk.IsotropicMaterial(young_modulus=130e9, poisson_ratio=0.28, density=2329.0)
+    scale = (v_rayleigh / sk.rayleigh_velocity_isotropic(base)) ** 2
+    flat = sk.IsotropicMaterial(young_modulus=base.young_modulus * scale,
+                                poisson_ratio=base.poisson_ratio, density=base.density)
+    return sk.LayerStack(layers=(), substrate=flat, geometry=geom)
+
+
 @pytest.fixture(scope="session")
 def stack_1a(silicon, oxide, geom):
     return make_stack_1a(silicon, oxide, geom)

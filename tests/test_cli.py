@@ -248,7 +248,11 @@ def test_synth_negative_seed_exit_2(tmp_path, capsys, cfg_1a, where):
         args[2] = cfg
     capsys.readouterr()
     assert run(args) == 2
-    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if where == "flag":
+        assert "error: seed must be >= 0, got -1" in err
+    else:
+        assert f"error: {cfg}: [run] seed must be >= 0, got -1" in err
     assert not (tmp_path / "w.csv").exists()
 
 

@@ -308,6 +308,31 @@ def test_scale_invariance(stack_1a, silicon, oxide, geom):
             assert abs(a - b) / a < 1e-9
 
 
+def test_fixed_k_root_matches_rayleigh_oracle(iso):
+    # a half-space does not disperse: at every wavenumber its root is the
+    # Rayleigh velocity, the mask harmonics of 96, 24 and 3 um periods here
+    stack = sk.LayerStack(layers=(), substrate=iso)
+    k = 2 * math.pi / np.array([96e-6, 24e-6, 3e-6])
+    roots, _ = dispersion._find_modes(stack, k, None, fixed_k=True)
+    vr = sk.rayleigh_velocity_isotropic(iso)
+    assert np.abs(roots / vr - 1).max() < 1e-12
+
+
+def test_fixed_k_scale_invariance(stack_1a, silicon, geom):
+    # thicknesses times c at wavenumbers over c keep every k h, so the root
+    k = 2 * math.pi * np.arange(1, 6) / 24e-6
+    base, _ = dispersion._find_modes(stack_1a, k, None, fixed_k=True)
+    assert np.isfinite(base).all()
+    for c in (0.5, 2.0, 10.0):
+        scaled = sk.LayerStack(
+            layers=tuple(sk.Layer(l.material, l.thickness * c) for l in stack_1a.layers),
+            substrate=silicon,
+            geometry=geom,
+        )
+        got, _ = dispersion._find_modes(scaled, k / c, None, fixed_k=True)
+        assert np.abs(got / base - 1).max() < 1e-12
+
+
 def test_stiffness_monotonicity(stack_1a, silicon, oxide, geom):
     freqs = np.linspace(50e6, 500e6, 8)
     base = sk.dispersion_curve(stack_1a, freqs)

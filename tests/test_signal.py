@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 import sawkit as sk
-from sawkit.cli import build_mask, fixture_config_path, load_config, main
+from sawkit.cli import build_mask, build_stack, fixture_config_path, load_config, main
 from sawkit.errors import ExtractionError, FormatError, SynthesisError
 from sawkit.signal import GLASS_MASK, waveform_csv_text
 
+from conftest import make_flat_stack
+
+CONFIGS = ["si_bare", "sio2_on_si", "stack_1A", "stack_1A_duty30", "stack_2", "stack_3"]
+
 
 @pytest.fixture(scope="module")
-def flat_si():
-    """Dispersionless reference curve at the silicon [110] velocity."""
-    return sk.DispersionCurve(frequencies=(1e6, 1.2e9), velocities=(5080.0, 5080.0))
+def flat_si(geom):
+    """Dispersionless stack at the silicon [110] velocity, 5080 m/s."""
+    return make_flat_stack(geom)
 
 
 @pytest.fixture(scope="module")
@@ -105,13 +109,28 @@ def test_synthesis_rejects_non_positive_pulse_width(flat_si, mask24, width):
         sk.synthesize_slope_signal(mask24, flat_si, 5e-3, pulse_fwhm=width)
 
 
-def test_synthesis_coverage_error(mask24):
-    narrow = sk.DispersionCurve(frequencies=(100e6, 300e6), velocities=(5080.0, 5080.0))
-    with pytest.raises(SynthesisError, match="does not cover harmonic 2 near 4.233e"):
-        sk.synthesize_slope_signal(mask24, narrow, 5e-3, n_harmonics=3)
-    above = sk.DispersionCurve(frequencies=(300e6, 600e6), velocities=(5080.0, 5080.0))
-    with pytest.raises(SynthesisError, match="does not cover the fundamental near 2.117e"):
-        sk.synthesize_slope_signal(mask24, above, 5e-3)
+def test_synthesis_explicit_harmonic_without_a_mode(silicon, geom, mask24):
+    # a film faster than its substrate lifts the mode into the substrate's
+    # ceiling as k grows: harmonic 1 has a mode, harmonic 2 none
+    fast = sk.IsotropicMaterial(young_modulus=400e9, poisson_ratio=0.2, density=2000.0)
+    stack = sk.LayerStack(layers=(sk.Layer(fast, 4e-6),), substrate=silicon, geometry=geom)
+    lo, hi = sk.velocity_window(stack)
+    k2 = 2 * math.pi * 2 / mask24.period
+    with pytest.raises(SynthesisError) as err:
+        sk.synthesize_slope_signal(mask24, stack, 5e-3, n_harmonics=2)
+    assert str(err.value) == (f"no surface mode at harmonic 2 (k = {k2:.6g} rad/m) "
+                              f"in window [{lo:.1f}, {hi:.1f}] m/s")
+    # by default the harmonics stop before the first without a mode
+    w = sk.synthesize_slope_signal(mask24, stack, 5e-3)
+    one = sk.synthesize_slope_signal(mask24, stack, 5e-3, n_harmonics=1)
+    assert np.array_equal(w.samples, one.samples)
+
+
+def test_synthesis_fundamental_above_the_nyquist_margin(flat_si, mask24):
+    # the fundamental sits at 5080 / 24e-6 = 211.7 MHz; 0.45 of 0.4 GHz is 180 MHz
+    with pytest.raises(SynthesisError, match=r"^the fundamental at 2\.117e\+08 Hz lies above "
+                                             r"0\.45 of sample_rate 4e\+08 Hz$"):
+        sk.synthesize_slope_signal(mask24, flat_si, 5e-3, sample_rate=0.4e9)
 
 
 def test_explicit_harmonic_count_ignores_the_nyquist_margin(flat_si, mask24):
@@ -128,6 +147,56 @@ def test_explicit_harmonic_count_ignores_the_nyquist_margin(flat_si, mask24):
         found.append([p.harmonic for p in peaks.peaks])
     assert found == [[1], [1, 3]]
     assert three.samples.size == default.samples.size
+
+
+def _fixed_point_frequencies(stack, harmonics, period, f):
+    """f = n v(f) / period by fixed-point iteration of fixed-f curve solves."""
+    for _ in range(100):
+        v = np.array(sk.dispersion_curve(stack, f).velocities)
+        f, f_old = harmonics * v / period, f
+        if np.abs(f / f_old - 1).max() < 1e-15:
+            break
+    return f
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_synth_harmonics_at_the_exact_fixed_point(tmp_path, monkeypatch, name):
+    # every harmonic synth solves sits at the fixed point of f = n v(f) / d
+    # that fixed-f solves give, to the root tolerance
+    solved, find_modes = [], sk.signal._find_modes
+
+    def spy(stack, k, hints, fixed_k=False):
+        out = find_modes(stack, k, hints, fixed_k)
+        solved.append((stack, k, out[0]))
+        return out
+
+    monkeypatch.setattr(sk.signal, "_find_modes", spy)
+    cfg = fixture_config_path(name)
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "w.csv")]) == 0
+    (stack, k, v), = solved
+    period = build_mask(load_config(cfg)).period
+    n = np.arange(1, k.size + 1)
+    assert np.array_equal(k, 2 * math.pi * n / period)
+    kept = np.isfinite(v)
+    assert kept[:2].all()
+    f = n[kept] * v[kept] / period
+    exact = _fixed_point_frequencies(stack, n[kept], period, f * (1 + 1e-3))
+    assert np.abs(f / exact - 1).max() < 1e-12
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", CONFIGS)
+def test_synth_extract_lands_on_the_model(tmp_path, name, seed):
+    # extraction from bursts at the exact harmonics reads the model within
+    # what the noise leaves (<= 7e-6 measured)
+    cfg = fixture_config_path(name)
+    wave, measured = tmp_path / "w.csv", tmp_path / "m.csv"
+    assert main(["synth", "--config", str(cfg), "--seed", str(seed), "--out", str(wave)]) == 0
+    assert main(["extract", str(wave), "--config", str(cfg), "--out", str(measured)]) == 0
+    got = sk.read_dispersion_csv(measured)
+    model = sk.dispersion_curve(build_stack(load_config(cfg)), got.frequencies)
+    err = np.abs(np.array(got.velocities) / model.velocities - 1)
+    assert err.max() < 2e-5
 
 
 def test_synthesis_nyquist_guard(flat_si, mask24):
@@ -292,18 +361,19 @@ def test_vph_points_simple():
 # --- round trip -------------------------------------------------------------------
 
 
-def test_round_trip_on_dispersive_curve(curve_1a_wide):
+def test_round_trip_on_dispersive_curve(stack_1a, curve_1a_wide):
     mask = sk.MaskSpec(period=48e-6, duty=0.5, n_periods=200)
     w = sk.synthesize_slope_signal(
-        mask, curve_1a_wide, distance=5e-3, noise_rms=0.01, seed=21, n_harmonics=3
+        mask, stack_1a, distance=5e-3, noise_rms=0.01, seed=21, n_harmonics=3
     )
     s = sk.spectrum(w, window="hann", zero_pad_factor=4)
-    hint = curve_1a_wide.interpolate(100e6) / mask.period
+    model_f, model_v = curve_1a_wide.frequencies, curve_1a_wide.velocities
+    hint = np.interp(100e6, model_f, model_v) / mask.period
     res = sk.pick_harmonic_peaks(s, fundamental_hint=hint, n_harmonics=3)
     got = sk.vph_points(res, mask.period)
     assert len(got) >= 2
     for f, v in zip(got.frequencies, got.velocities):
-        assert abs(v - curve_1a_wide.interpolate(f)) / v < 0.002
+        assert abs(v - np.interp(f, model_f, model_v)) / v < 0.002
 
 
 # --- calibration --------------------------------------------------------------------

@@ -45,7 +45,6 @@ from .dispersion import (
     dispersion_csv_text,
     dispersion_curve,
     read_dispersion_csv,
-    velocity_window,
 )
 from .errors import (
     ConfigError,
@@ -352,20 +351,21 @@ def cmd_synth(args) -> int:
     fwhm = _number(cfg, "synthesis", "pulse_fwhm_ns")
     distance = _number(cfg, "synthesis", "distance_mm")
     n_harm = _number(cfg, "synthesis", "n_harmonics")
-    f_floor = velocity_window(stack)[0] / mask.period  # no harmonic lies below it
-    if not rate * 1e9 > 2.0 * f_floor:
-        raise ConfigError(f"{cfg.path}: [synthesis] sample_rate_ghz must exceed "
-                          f"{2.0 * f_floor / 1e9:.3g} for this stack and mask, got {rate}")
-    w = synthesize_slope_signal(
-        mask,
-        stack,
-        distance=distance * 1e-3,
-        pulse_fwhm=fwhm * 1e-9,
-        sample_rate=rate * 1e9,
-        noise_rms=noise_rms,
-        seed=seed,
-        n_harmonics=n_harm,
-    )
+    try:
+        w = synthesize_slope_signal(
+            mask,
+            stack,
+            distance=distance * 1e-3,
+            pulse_fwhm=fwhm * 1e-9,
+            sample_rate=rate * 1e9,
+            noise_rms=noise_rms,
+            seed=seed,
+            n_harmonics=n_harm,
+        )
+    except SynthesisError as exc:
+        if exc.argument != "sample_rate":
+            raise
+        raise ConfigError(f"{cfg.path}: [synthesis] sample_rate_ghz = {rate}: {exc}") from None
     _write_text(args.out, waveform_csv_text(w))
     return 0
 

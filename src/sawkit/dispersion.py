@@ -194,18 +194,18 @@ class DispersionCurve:
 
 
 def _csv_text(header: str, columns, meta: dict | None = None) -> str:
-    """``# key=value`` lines, the header, then one ``%r,...,%r`` line per row
-    zipped from ``columns`` (iterables of Python floats)."""
+    """``# key=value`` lines, the header, then one line per row of ``columns``
+    (iterables of Python floats), each float as its ``repr``, comma-joined."""
     lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
     lines.append(header)
-    row = ",".join(["%r"] * (header.count(",") + 1))
-    lines.extend(map(row.__mod__, zip(*columns)))
+    lines.extend(map(",".join, zip(*[map(repr, column) for column in columns])))
     return "\n".join(lines) + "\n"
 
 
 def _parse_rows(rows: list[str], n: int, positive: bool) -> np.ndarray | None:
-    """``rows`` as ``n`` columns, or None unless each holds n finite (positive) numbers."""
-    if not rows:
+    """``rows`` as ``n`` columns, or None unless each non-empty one holds n
+    finite (positive) numbers."""
+    if not any(rows):
         return np.empty((n, 0))
     try:
         data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2).T
@@ -223,6 +223,11 @@ def _read_table(path, headers: tuple[str, ...], positive: bool = False):
     one must hold as many finite numbers (positive ones if ``positive``) as
     the header has columns.  ``columns`` holds one array per column.  Faults
     raise ``FormatError`` naming ``path``; row faults carry the file line.
+
+    Only the lines up to the header are read one by one; ``_parse_rows``
+    takes the body whole.  A comment or whitespace-only line holds no
+    number, so a body holding one, or a bad row, fails that parse, and only
+    then is the body read line by line, as the head is.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -232,7 +237,8 @@ def _read_table(path, headers: tuple[str, ...], positive: bool = False):
     meta: dict[str, str] = {}
     header = None
     rows, linenos = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -245,12 +251,15 @@ def _read_table(path, headers: tuple[str, ...], positive: bool = False):
             linenos.append(lineno)
         elif line in headers:
             header = line
+            n = header.count(",") + 1
+            columns = _parse_rows(lines[lineno:], n, positive)
+            if columns is not None:
+                return header, columns, meta
         else:
             raise FormatError(f"{path}: line {lineno}: bad header {line!r}, expected {expected}",
                               line=lineno)
     if header is None:
         raise FormatError(f"{path}: no column header, expected {expected}")
-    n = header.count(",") + 1
     columns = _parse_rows(rows, n, positive)
     if columns is None:  # find the first bad row, one line at a time
         i = next(i for i, row in enumerate(rows) if _parse_rows([row], n, positive) is None)

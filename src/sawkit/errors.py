@@ -53,7 +53,12 @@ class FormatError(SawkitError):
 
 
 class SynthesisError(SawkitError):
-    """Waveform synthesis could not be carried out as requested."""
+    """Waveform synthesis could not be carried out as requested; ``argument``
+    names the argument at fault where one alone is (``"sample_rate"``)."""
+
+    def __init__(self, message, argument=None):
+        super().__init__(message)
+        self.argument = argument
 
 
 class ExtractionError(SawkitError):

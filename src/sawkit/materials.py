@@ -36,6 +36,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Union
@@ -431,7 +432,18 @@ def load_material_db(path: str | Path) -> MaterialDb:
     return parse_material_db(text)
 
 
-def builtin_material_db() -> MaterialDb:
-    """The database bundled with the package (silicon, SiO2, Si/Ge endpoints)."""
+@lru_cache(maxsize=None)
+def _builtin_db() -> MaterialDb:
     text = resources.files("sawkit.data").joinpath("materials.db").read_text("utf-8")
     return parse_material_db(text)
+
+
+def builtin_material_db() -> MaterialDb:
+    """The database bundled with the package (silicon, SiO2, Si/Ge endpoints).
+
+    The bundled text is parsed once per process; each call returns fresh
+    dicts over the (frozen) records, so no caller changes what the next gets.
+    """
+    db = _builtin_db()
+    return MaterialDb(materials=dict(db.materials),
+                      metadata={name: dict(meta) for name, meta in db.metadata.items()})

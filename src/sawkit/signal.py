@@ -215,14 +215,14 @@ def synthesize_slope_signal(
             )
         raise SynthesisError(
             f"the fundamental at {f[0]:.4g} Hz lies above 0.45 of sample_rate "
-            f"{sample_rate:.4g} Hz"
+            f"{sample_rate:.4g} Hz", argument="sample_rate"
         )
 
     f_max = f[:count].max()
     if not sample_rate > 2.0 * f_max:
         raise SynthesisError(
             f"sample_rate {sample_rate:.4g} Hz violates anti-aliasing for "
-            f"highest harmonic {f_max:.4g} Hz"
+            f"highest harmonic {f_max:.4g} Hz", argument="sample_rate"
         )
 
     bursts = []

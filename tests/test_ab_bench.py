@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -168,3 +169,31 @@ def test_flags_a_metric_whose_spread_exceeds_its_bound(better, parent, change, u
     # the regression flag reads the medians alone, as before
     ratio = summary["change_vs_parent"]
     assert summary["regression"] is ((ratio - 1 if better == "lower" else 1 - ratio) > 0.25)
+
+
+def _git(root, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                          cwd=root, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def test_records_each_checkouts_commit_and_dirty_flag(tmp_path, runs):
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    out = tmp_path / "bench.json"
+    # outside git: no commit and no flag
+    assert _main(parent, change, out) == 0
+    none = {"commit": None, "dirty": None}
+    assert json.loads(out.read_text())["checkouts"] == {"parent": none, "change": none}
+    # a clean work tree, then one with a changed file
+    _git(change, "init", "-q")
+    _git(change, "add", "-A")
+    _git(change, "commit", "-q", "-m", "benchmark files")
+    head = _git(change, "rev-parse", "HEAD")
+    assert _main(parent, change, out) == 0
+    checkouts = json.loads(out.read_text())["checkouts"]
+    assert checkouts == {"parent": none, "change": {"commit": head, "dirty": False}}
+    (change / "notes.txt").write_text("x")
+    assert _main(parent, change, out) == 0
+    assert json.loads(out.read_text())["checkouts"]["change"] == {"commit": head, "dirty": True}
+    # a directory inside a work tree is not a checkout of it
+    (change / "sub").mkdir()
+    assert ab_bench.revision(change / "sub") == none

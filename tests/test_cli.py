@@ -387,6 +387,27 @@ def test_synth_bad_sample_rate_exit_2(tmp_path, capsys, si_cfg, rate):
     assert "[synthesis] sample_rate_ghz" in err
 
 
+@pytest.mark.parametrize("config, rate, fault", [
+    # the default harmonics: the fundamental's 194.2 MHz lies above 0.45 of 0.3 GHz
+    pytest.param("stack_1A", "0.3", "the fundamental at 1.942e+08 Hz lies above 0.45 of "
+                 "sample_rate 3e+08 Hz", id="fundamental"),
+    # two harmonics asked for: the second's 423 MHz lies above half of 0.6 GHz
+    pytest.param("si_bare", "0.6", "violates anti-aliasing for highest harmonic",
+                 id="explicit-harmonics"),
+])
+def test_synth_rate_below_the_harmonics_names_the_key(tmp_path, capsys, config, rate, fault):
+    line = "sample_rate_ghz = 2.0"
+    base = fixture_config_path(config).read_text(encoding="utf-8")
+    assert line in base
+    cfg = tmp_path / "slow.cfg"
+    cfg.write_text(base.replace(line, f"sample_rate_ghz = {rate}"), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["synth", "--config", cfg, "--out", tmp_path / "w.csv"]) == 2
+    err = capsys.readouterr().err
+    assert f"slow.cfg: [synthesis] sample_rate_ghz = {rate}: " in err
+    assert fault in err
+
+
 @pytest.mark.parametrize(
     "key, old, new",
     [
@@ -588,6 +609,23 @@ def test_cmd_fit_recovers_1a(tmp_path, cfg_1a, measured_1a_csv):
     row = dict(line.split(",", 2)[:2] for line in est[1:])
     assert abs(float(row["c_ge"]) - 0.179) < 0.01
     assert abs(float(row["layer0.thickness"]) - 1.02e-6) < 30e-9
+
+
+def test_pipeline_parses_the_builtin_db_once(tmp_path, monkeypatch, cfg_1a):
+    from sawkit import materials
+
+    parses = []
+    parse = materials.parse_material_db
+    monkeypatch.setattr(materials, "parse_material_db",
+                        lambda text: parses.append(text) or parse(text))
+    materials._builtin_db.cache_clear()
+    wave, measured = tmp_path / "w.csv", tmp_path / "m.csv"
+    for args in (["dispersion", "--config", cfg_1a, "--out", tmp_path / "d.csv"],
+                 ["synth", "--config", cfg_1a, "--seed", 1, "--out", wave],
+                 ["extract", wave, "--config", cfg_1a, "--out", measured],
+                 ["fit", measured, "--config", cfg_1a, "--out", tmp_path / "fit.txt"]):
+        assert run(args) == 0
+    assert len(parses) == 1
 
 
 def test_cmd_fit_sample3_warns_but_succeeds(tmp_path, capsys, silicon, geom):

@@ -14,6 +14,7 @@ from sawkit.errors import CurveError, DegeneratePointError, FormatError
 from sawkit.materials import stiffness_from_isotropic, stiffness_of
 
 import global_matrix
+import table_oracle
 
 
 # along [1-10] on Si(111) the SH wave couples to the sagittal ones
@@ -1803,3 +1804,97 @@ def test_curve_csv_rejects_bad_row(tmp_path):
     with pytest.raises(FormatError) as err:
         sk.read_dispersion_csv(p)
     assert err.value.line == 2
+
+
+def _csv_rows_text(header, columns, meta=None):
+    """The ``%r,...,%r`` row-by-row text the column-wise writer replaced."""
+    lines = [f"# {key}={value}" for key, value in (meta or {}).items()] + [header]
+    row = ",".join(["%r"] * len(columns))
+    return "".join(line + "\n" for line in lines + [row % r for r in zip(*columns)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_csv_text_matches_row_by_row_text(n):
+    values = [-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, -2.5]
+    columns = [values[i:] + values[:i] for i in range(n)]
+    header = ",".join(f"c{i}" for i in range(n))
+    meta = {"seed": 3, "rate": 2e9}
+    text = dispersion._csv_text(header, columns, meta)
+    assert text == _csv_rows_text(header, columns, meta)
+    assert "-0.0" in text and "5e-324" in text and "1e+16" in text and "1e-05" in text
+    assert "0.30000000000000004" in text
+
+
+_TABLE_HEADERS = {1: "amplitude", 2: dispersion.CSV_HEADER, 3: dispersion.CSV_HEADER_SIGMA}
+_TABLE_ROWS = {1: ["0.5", "-1e-3", "2.0"],
+               2: ["1e8,4700.0", "2e8,4650.5", "3e8,4600.25"],
+               3: ["1e8,4700.0,4.7", "2e8,4650.5,0.3", "3e8,4600.25,1e-2"]}
+
+
+def _table_corpus():
+    """The reader's differential test's files: one ``pytest.param`` of text each,
+    its id the column count and the case."""
+    cases = []
+    for n, header in _TABLE_HEADERS.items():
+        rows = _TABLE_ROWS[n]
+        bad = ",".join(["x"] * n)
+        zero = ",".join(["0"] * n)
+        bodies = {
+            "plain": rows,
+            "blank-lines": ["", rows[0], "", "", rows[1], rows[2], ""],
+            "whitespace-lines": [rows[0], "   ", "\t", rows[1], " \t ", rows[2]],
+            "comments": [rows[0], "# note", rows[1], "#", "# key = late ", rows[2]],
+            "meta-override": [rows[0], "# seed=9", "# new=1=2", rows[1], rows[2]],
+            "trailing-spaces": [r + "  " for r in rows] + ["  " + rows[0] + "\t"],
+            "bad-first": [bad] + rows,
+            "bad-middle": [rows[0], bad, rows[1]],
+            "bad-last": rows + [bad],
+            "bad-after-comment": [rows[0], "# c=1", "", bad, rows[1]],
+            "two-bad": [rows[0], bad, rows[1], bad],
+            "nan": [rows[0], ",".join(["nan"] * n)],
+            "inf": [rows[0], ",".join(["-inf"] * n)],
+            "underscore": [rows[0], ",".join(["1_0"] * n)],
+            "non-positive": [rows[0], zero, rows[1]],
+            "negative-only": [",".join(["-1"] * n)],
+            "extra-number": rows + [rows[0] + ",1.0"],
+            "two-numbers": ["1.0,2.0", "3.0,4.0"],
+            "missing-number": rows + [",".join(["1.0"] * (n - 1)) or ","],
+            "inline-hash": [rows[0] + " # c", rows[1]],
+            "empty": [],
+            "empty-blank": ["", "  ", ""],
+            "empty-lines": ["", ""],
+            "empty-comments": ["# a=1", "", "# note"],
+        }
+        head = ["# seed=1", "", "# rate=2e9 ", "#nokey"]
+        for name, body in bodies.items():
+            text = "\n".join(head + [header] + body) + "\n"
+            cases.append(pytest.param(text, id=f"{n}-{name}"))
+            if name in ("plain", "comments", "bad-middle", "empty-blank"):
+                cases.append(pytest.param(text.replace("\n", "\r\n"), id=f"{n}-{name}-crlf"))
+        cases.append(pytest.param(header + "\n" + rows[0], id=f"{n}-no-final-newline"))
+        cases.append(pytest.param(header, id=f"{n}-header-only"))
+    cases += [pytest.param("# seed=1\n\n", id="no-header"), pytest.param("", id="empty-file"),
+              pytest.param("# a=1\nfreq,vel\n1,2\n", id="bad-header"),
+              pytest.param("amplitude\namplitude\n1.0\n", id="header-twice"),
+              pytest.param("1.0\namplitude\n", id="row-before-header")]
+    return cases
+
+
+@pytest.mark.parametrize("positive", [False, True])
+@pytest.mark.parametrize("text", _table_corpus())
+def test_read_table_matches_line_by_line_reader(tmp_path, text, positive):
+    p = tmp_path / "table.csv"
+    p.write_bytes(text.encode("utf-8"))
+    headers = tuple(_TABLE_HEADERS.values())
+    try:
+        want = table_oracle.read_table(p, headers, positive)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as err:
+            dispersion._read_table(p, headers, positive)
+        assert (str(err.value), err.value.line) == (str(exc), exc.line)
+        return
+    header, columns, meta = dispersion._read_table(p, headers, positive)
+    assert header == want[0]
+    assert list(meta.items()) == list(want[2].items())
+    assert columns.shape == want[1].shape
+    assert np.array_equal(columns, want[1])

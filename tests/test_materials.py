@@ -260,3 +260,17 @@ def test_db_configparser_grammar():
         parse_material_db("symmetry = cubic\n")
     with pytest.raises(MaterialDbError, match=r"line:? 2\b"):
         parse_material_db("[a]\nno delimiter here\n")
+
+
+def test_builtin_db_calls_return_fresh_containers():
+    a, b = sk.builtin_material_db(), sk.builtin_material_db()
+    assert (a.materials, a.metadata) == (b.materials, b.metadata)
+    assert a.materials is not b.materials and a.metadata is not b.metadata
+    assert a.metadata["silicon"] is not b.metadata["silicon"]
+    silicon = a["silicon"]
+    a.materials.pop("silicon")
+    a.materials["other"] = silicon
+    a.metadata["SiO2_thermal"]["source"] = "changed"
+    c = sk.builtin_material_db()
+    assert (c.materials, c.metadata) == (b.materials, b.metadata)
+    assert c.names() == b.names() and "silicon" in c

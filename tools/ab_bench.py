@@ -12,7 +12,10 @@ each checkout, one after the other, the parent first in even pairs and the
 change first in odd ones.  ``--workload`` may be given more than once; the
 pairs of one workload finish before the next starts.  Every run uses the
 same ``--seed`` and ``--seconds``, and each checkout runs its own
-``perfbench`` from its own root.  The output file holds, per workload, the
+``perfbench`` from its own root.  The output file names what was compared:
+each checkout's ``git rev-parse HEAD`` and whether its tree differs from
+that commit (``null`` both where the checkout is not the root of a git
+work tree).  It holds, per workload, the
 ``env`` line of the first run, every run's metrics and failure counts,
 each side's failed operations and their share of its attempted ones, with
 ``more_failures`` set where the change's share is the larger (a larger
@@ -63,6 +66,26 @@ def benchmark_digest(files: dict[str, str]) -> str:
     """One sha256 over the (path, hash) pairs of ``benchmark_files``."""
     text = "".join(f"{name}\0{digest}\n" for name, digest in sorted(files.items()))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def revision(root: Path) -> dict:
+    """``root``'s commit (``git rev-parse HEAD``) and whether ``git status``
+    lists any change to it; both None unless ``root`` is a work tree's root."""
+    def git(*args):
+        try:
+            proc = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True)
+        except OSError:
+            return None
+        return proc.stdout if proc.returncode == 0 else None
+
+    top_head = git("rev-parse", "--show-toplevel", "HEAD")
+    status = git("status", "--porcelain")
+    if top_head is None or status is None:
+        return {"commit": None, "dirty": None}
+    top, head = top_head.splitlines()
+    if Path(top).resolve() != root.resolve():
+        return {"commit": None, "dirty": None}
+    return {"commit": head, "dirty": bool(status)}
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -190,6 +213,7 @@ def main(argv=None) -> int:
 
     report = {
         "benchmark_digest": benchmark_digest(files["parent"]),
+        "checkouts": {side: revision(root) for side, root in roots.items()},
         "seed": args.seed,
         "seconds": args.seconds,
         "pairs": args.pairs,

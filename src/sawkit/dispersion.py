@@ -65,13 +65,17 @@ makes bracketed root finding reliable here.
 
 One batch of pairs may also span several stacks of one layer count, each
 owning a consecutive group of pairs.  A stack's own prep holds each
-medium's moduli with a point axis of 1, which serves every velocity;
-``_joined`` gives each medium's arrays and each layer thickness a point
-axis of one entry per pair, taken from the pair's own stack, so every pair
-gets exactly the value its stack's own batch gives.  A batch costs nearly
-the same at 35 pairs as at 210, so a fit's Jacobian evaluates its fitted
-stack and every stepped one in a single ``_indicator`` call.  Scan meshes
-and the mode count take one stack's prep.
+medium's moduli with a point axis of 1, which serves every velocity.
+``_joined`` takes each stack as its media and layer thicknesses, the
+media made by ``_stack_media`` as ``_prepare`` makes them, with no
+``LayerStack`` and no prep per stack.  It gives each medium's arrays and
+each thickness a point axis of one entry per pair, taken from the pair's
+own stack, so every pair gets exactly the value its stack's own batch
+gives.  A batch costs nearly the same at 35 pairs as at 210, so a fit's
+Jacobian evaluates its fitted stack and every stepped one in a single
+``_indicator`` call, each stencil stack's media made from the template's
+with only the fitted layers' swapped in.  Scan meshes and the mode count
+take one stack's prep.
 
 The velocities below the lowest mode are skipped with proof.
 ``_mode_count`` counts the modes below v at k = omega / v by the
@@ -700,12 +704,18 @@ def _substrate_ceiling(material: ElasticMaterial, geometry: PropagationGeometry)
     return ceiling
 
 
+def _stack_media(materials, geometry: PropagationGeometry) -> tuple[_Medium, ...]:
+    """The media of a stack's ``materials`` (surface-first, substrate last),
+    their moduli over the stack's c_ref, the largest |C_ij| of any of them."""
+    c_ref = float(np.abs([_frame_stiffness(m, geometry) for m in materials]).max())
+    return tuple(_medium(m, geometry, c_ref) for m in materials)
+
+
 @lru_cache(maxsize=64)
 def _prepare(stack: LayerStack) -> _Prepared:
     geometry = stack.geometry
     materials = [layer.material for layer in stack.layers] + [stack.substrate]
-    c_ref = float(np.abs([_frame_stiffness(m, geometry) for m in materials]).max())
-    media = tuple(_medium(m, geometry, c_ref) for m in materials)
+    media = _stack_media(materials, geometry)
     return _Prepared(
         media=media,
         thicknesses=tuple(layer.thickness for layer in stack.layers),
@@ -722,47 +732,60 @@ def _medium_axis(media: tuple[_Medium, ...]) -> _Stacked | None:
     return None if None in parts else _combine(parts, lambda a: np.concatenate(a, axis=-2))
 
 
-def _joined(preps: list[_Prepared], sizes) -> _Prepared:
-    """One prep for a batch of pairs in which ``preps[i]`` owns the next
-    ``sizes[i]`` pairs, so that one ``_indicator`` call evaluates each
-    stack at its own pairs.
+def _joined(stacks, sizes) -> _Prepared:
+    """One prep for a batch of pairs in which ``stacks[i]``, its media
+    (``_stack_media``) and layer thicknesses, owns the next ``sizes[i]``
+    pairs, so that one ``_indicator`` call evaluates each stack at its own
+    pairs.
 
     Each thickness and each medium gets a point axis, one entry per pair:
     the trailing axis of a closed-form medium's ``closed`` arrays, and for
     one without a closed form an (m, 6, 6) ``n0`` and an (m,)
-    ``rho_scaled``, which ``_Medium.operator`` broadcasts.  Every entry is
-    its own stack's, so each pair gets the value its own stack's batch
-    gives, even where the stacks' ``c_ref`` differ (a fitted isotropic
-    layer that is the stiffest medium rescales it at every step).  Stacks
-    that differ in layer count, or whose medium at one depth has a closed
-    form in some of them only, raise ``StackJoinError``.  Only
-    ``_indicator`` takes a joined prep: its velocity window is NaN, and a
-    medium's ``s2`` (read by the mode count only) and a closed-form
-    medium's unused eigenproblem pieces are the first stack's.
+    ``rho_scaled``, which ``_Medium.operator`` broadcasts.  Each field of
+    the closed-form media is one concatenation over media x stacks and one
+    ``np.repeat`` over the pairs, (..., media, m), and each medium's
+    ``closed`` is its slice of the medium axis.  Every entry is its own
+    stack's, so each pair gets the value its own stack's batch gives, even
+    where the stacks' ``c_ref`` differ (a fitted isotropic layer that is the
+    stiffest medium rescales it at every step).  Stacks that differ in
+    layer count, or whose medium at one depth has a closed form in some of
+    them only, raise ``StackJoinError``.  Only ``_indicator`` takes a
+    joined prep: its velocity window is NaN, and a medium's ``s2`` (read by
+    the mode count only) and a closed-form medium's unused eigenproblem
+    pieces are the first stack's.
     """
-    if len({len(prep.media) for prep in preps}) > 1:
+    if len({len(media) for media, _ in stacks}) > 1:
         raise StackJoinError("stacks with different layer counts cannot share a batch")
-
-    def join(arrays):
-        return np.repeat(np.concatenate(arrays, axis=-1), sizes, axis=-1)
-
-    media = []
-    for i, meds in enumerate(zip(*(prep.media for prep in preps))):
-        parts = [med.closed for med in meds]
-        if None not in parts:
-            media.append(replace(meds[0], closed=_combine(parts, join)))
-        elif all(st is None for st in parts):
-            media.append(replace(meds[0], rho_scaled=join([[med.rho_scaled] for med in meds]),
-                                 n0=np.repeat([med.n0 for med in meds], sizes, axis=0)))
-        else:
+    depths = list(zip(*(media for media, _ in stacks)))
+    for i, meds in enumerate(depths):
+        if len({med.closed is None for med in meds}) > 1:
             raise StackJoinError(f"medium {i} (surface-first) has a closed form "
                                  "in some of the stacks only")
+    closed_depths = [meds for meds in depths if meds[0].closed is not None]
+
+    def field(name):
+        a = np.concatenate([getattr(med.closed, name) for meds in closed_depths for med in meds],
+                           axis=-1)
+        return np.repeat(a.reshape(a.shape[:-2] + (len(closed_depths), len(stacks))),
+                         sizes, axis=-1)
+
+    closed = (_Stacked(**{name: field(name) for name in ("moduli", "rho_scaled", "b0")})
+              if closed_depths else None)
+    media, j = [], 0
+    for meds in depths:
+        if meds[0].closed is None:
+            media.append(replace(meds[0], n0=np.repeat([med.n0 for med in meds], sizes, axis=0),
+                                 rho_scaled=np.repeat([med.rho_scaled for med in meds], sizes)))
+        else:
+            media.append(replace(meds[0], closed=_combine([closed],
+                                                          lambda a: a[0][..., j:j + 1, :])))
+            j += 1
     return _Prepared(
         media=tuple(media),
-        thicknesses=tuple(np.repeat(h, sizes) for h in zip(*(p.thicknesses for p in preps))),
+        thicknesses=tuple(np.repeat(h, sizes) for h in zip(*(hs for _, hs in stacks))),
         v_floor=math.nan,
         v_ceiling=math.nan,
-        closed=_medium_axis(media),
+        closed=closed if len(closed_depths) == len(depths) else None,
     )
 
 

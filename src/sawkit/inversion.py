@@ -31,9 +31,14 @@ dv*/dtheta = -(dq/dtheta)/(dq/dv) at (f, v*).  dq/dv is a central
 difference at v*(1 +- 1e-7), 1e5 times the root's closure, and dq/dtheta
 one over the parameter step at fixed v*.  All (2 + 2p) N pairs of N points
 and p parameters, the v-stencil on the fitted stack and each parameter's
-stepped stacks at v*, are one batched indicator evaluation over a joined
-prep, one stack per group of pairs.  It is the only Jacobian: where an
-entry is not finite, DegeneratePointError names the points.
+stepped stacks at v*, are one batched indicator evaluation over one joined
+prep, one stack per group of pairs.  Each stencil stack is the template's
+layers with only the fitted layers' material and thickness swapped in: its
+media are made at its own c_ref as a stack's prep makes them, and all are
+joined once, with no LayerStack realized and no prep per stack.  It is the
+only Jacobian: where an entry is not finite, DegeneratePointError names
+the points.  A problem realizes each parameter's two bounds when it is
+made, so every point of its box, the stencil's included, is a valid stack.
 
 Each trial step searches its model roots around the velocities that the
 Jacobian predicts for it, measured + sigma * (r + J dtheta) with dtheta the
@@ -66,9 +71,10 @@ from .dispersion import (
     _joined,
     _lower_modes,
     _prepare,
+    _stack_media,
 )
-from .errors import DegeneratePointError, FitError
-from .materials import IsotropicMaterial, LayerStack, mix_density, mix_young_modulus
+from .errors import DegeneratePointError, FitError, MaterialError
+from .materials import IsotropicMaterial, Layer, LayerStack, mix_density, mix_young_modulus
 
 WELL_DETERMINED = "well-determined"
 WEAKLY_DETERMINED = "weakly-determined"
@@ -131,7 +137,12 @@ def apply_coupling(c_ge: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class FitProblem:
-    """Template stack, free-parameter list, and the measured curve to match."""
+    """Template stack, free-parameter list, and the measured curve to match.
+
+    A bound that makes an invalid stack (a germanium fraction outside
+    [0, 1], a thickness, modulus or density <= 0, a Poisson ratio outside
+    (-1, 0.5)) raises ``FitError`` naming its parameter.
+    """
 
     template: LayerStack
     free: tuple[FreeParam, ...]
@@ -147,6 +158,14 @@ class FitProblem:
             raise FitError(f"duplicate free parameter names in {names}")
         for p in self.free:
             self._check_name(p.name)
+        # each field's valid values are an interval, and no field's depend
+        # on another's, so valid bounds make every point of the box valid
+        for p in self.free:
+            for bound in (p.lower, p.upper):
+                try:
+                    self.realize({p.name: bound})
+                except MaterialError as exc:
+                    raise FitError(str(exc), p.name) from None
         if len(self.measured) == 0:
             raise FitError("measured curve is empty")
 
@@ -183,28 +202,31 @@ class FitProblem:
 
     def realize(self, params: Mapping[str, float]) -> LayerStack:
         """Stack with the named parameter values applied to the template."""
+        materials, thicknesses = self._members(params)
+        return replace(self.template, layers=tuple(map(Layer, materials, thicknesses)))
+
+    def _members(self, params: Mapping[str, float]) -> tuple[list, list]:
+        """(materials, thicknesses) of the template's layers, surface-first,
+        with the named parameter values applied."""
         unknown = set(params) - {p.name for p in self.free}
         if unknown:
             raise FitError(f"unknown parameter(s) {sorted(unknown)}")
-        stack = self.template
+        materials = [layer.material for layer in self.template.layers]
+        thicknesses = [layer.thickness for layer in self.template.layers]
         if "c_ge" in params:
             idx = self.coupling.layer_index
             e, rho = apply_coupling(params["c_ge"])
-            layer = stack.layers[idx]
-            mat = replace(layer.material, young_modulus=e, density=rho)
-            stack = stack.with_layer(idx, replace(layer, material=mat))
+            materials[idx] = replace(materials[idx], young_modulus=e, density=rho)
         for name, value in params.items():
             m = _LAYER_FIELD.match(name)
             if not m:
                 continue
             idx, attr = int(m.group(1)), m.group(2)
-            layer = stack.layers[idx]
             if attr == "thickness":
-                stack = stack.with_layer(idx, replace(layer, thickness=value))
+                thicknesses[idx] = value
             else:
-                mat = replace(layer.material, **{attr: value})
-                stack = stack.with_layer(idx, replace(layer, material=mat))
-        return stack
+                materials[idx] = replace(materials[idx], **{attr: value})
+        return materials, thicknesses
 
 
 def residuals(problem: FitProblem, params: Mapping[str, float]) -> np.ndarray:
@@ -334,11 +356,18 @@ def _jacobian(
     DegeneratePointError names the points where an entry is not finite."""
     v = np.asarray(model, dtype=float)
     stencil = list(_stencil(problem, values))
+    template = problem.template
+
+    def members(params):
+        materials, thicknesses = problem._members(params)
+        return _stack_media(materials + [template.substrate], template.geometry), thicknesses
+
     # the v-stencil on the centre stack, then each parameter's up and down
     # stack at v, all in one batch
-    sets = [values, values] + [s for pair in stencil for s in pair]
-    prep = _joined([_prepare(problem.realize(s)) for s in sets], [v.size] * len(sets))
-    _, _, dq_dv, q_theta = _v_stencil(problem, prep, v, len(sets))
+    centre = members(values)
+    stacks = [centre, centre] + [members(s) for pair in stencil for s in pair]
+    prep = _joined(stacks, [v.size] * len(stacks))
+    _, _, dq_dv, q_theta = _v_stencil(problem, prep, v, len(stacks))
     cols = [-(q_p - q_m) / (up[p.name] - dn[p.name]) / dq_dv
             for p, (up, dn), q_p, q_m in zip(problem.free, stencil, q_theta[::2], q_theta[1::2])]
     jac = np.column_stack(cols) / problem.sigmas[:, None]

@@ -850,8 +850,13 @@ _FIT_1A = ("free = c_ge layer0.thickness_um", "layer0.thickness_um = 0.9 0.3 3.0
                          "layer0.thickness_um = 0.9 0.3 3.0\n"
                          "layer0.young_modulus_gpa = 150 50 400"))],
          "[fit] layer0.young_modulus_gpa: c_ge sets it too, through the coupling"),
+        ([("c_ge = 0.25 0.0 1.0", "c_ge = 0.0 -0.5 1.5")],
+         "[fit] c_ge: germanium fraction must be in [0, 1], got -0.5"),
+        ([("layer0.thickness_um = 0.9 0.3 3.0", "layer0.thickness_um = 0.9 0.0 3.0")],
+         "[fit] layer0.thickness_um: layer thickness must be finite and > 0, got 0.0"),
     ],
-    ids=["layer-index", "cubic-layer", "cubic-coupled-layer", "c_ge-and-its-modulus"],
+    ids=["layer-index", "cubic-layer", "cubic-coupled-layer", "c_ge-and-its-modulus",
+         "c_ge-bound", "thickness-bound"],
 )
 def test_cmd_fit_problem_faults_name_their_fit_key_exit_2(
     tmp_path, capsys, cfg_1a, measured_1a_csv, edits, fault

@@ -17,6 +17,7 @@ from sawkit.inversion import (
     write_estimates_csv,
 )
 
+import joined_oracle
 from conftest import make_stack_1a, make_stack_2, make_stack_3
 
 
@@ -78,6 +79,34 @@ def test_problem_rejects_unknown_name(silicon, oxide, geom, curve_1a):
             free=(sk.FreeParam("layer9.thickness", 1e-6, 1e-7, 1e-5),),
             measured=curve_1a,
         )
+
+
+@pytest.mark.parametrize(
+    "param, reason",
+    [(sk.FreeParam("c_ge", 0.0, -0.5, 1.0), "germanium fraction must be in [0, 1], got -0.5"),
+     (sk.FreeParam("c_ge", 1.0, 0.0, 1.5), "germanium fraction must be in [0, 1], got 1.5"),
+     (sk.FreeParam("layer0.thickness", 0.9e-6, 0.0, 3e-6),
+      "layer thickness must be finite and > 0, got 0.0"),
+     (sk.FreeParam("layer0.young_modulus", 150e9, -1e9, 400e9),
+      "young_modulus must be > 0, got -1000000000.0"),
+     (sk.FreeParam("layer0.poisson_ratio", 0.22, -1.0, 0.4),
+      "poisson_ratio must be in (-1, 0.5), got -1.0"),
+     (sk.FreeParam("layer0.poisson_ratio", 0.22, 0.1, 0.5),
+      "poisson_ratio must be in (-1, 0.5), got 0.5"),
+     (sk.FreeParam("layer0.density", 2300.0, 0.0, 6000.0), "density must be > 0, got 0.0")],
+    ids=["c_ge-lower", "c_ge-upper", "thickness", "young_modulus", "poisson_ratio-lower",
+         "poisson_ratio-upper", "density"],
+)
+def test_problem_rejects_a_bound_that_makes_an_invalid_stack(silicon, oxide, geom, curve_1a,
+                                                             param, reason):
+    # each bound is realized when the problem is made, so a fit never meets
+    # an invalid stack at a stencil point the user did not set; the fault
+    # names its own parameter, not a valid one before it
+    free = (sk.FreeParam("layer1.thickness", 2.4e-6, 1e-6, 4e-6), param)
+    with pytest.raises(FitError) as info:
+        sk.FitProblem(template=make_stack_1a(silicon, oxide, geom), free=free,
+                      measured=curve_1a, coupling=sk.SiGeCoupling(0))
+    assert (info.value.param, info.value.reason) == (param.name, reason)
 
 
 def test_problem_requires_coupling_for_c_ge(silicon, oxide, geom, curve_1a):
@@ -651,11 +680,13 @@ def test_fit_steps_build_films_without_tensors(invert_seed_7, monkeypatch):
     # a new film material, and the prep builds it from its Lame constants,
     # with no ElasticTensor and no 3x3x3x3 expansion (13.2 of each per
     # seed-7 fit before; the substrate's are made once).  The prep cache
-    # traffic, 16.25 misses and 13.75 hits per fit from empty caches, is
+    # traffic, 4.05 misses and 1.95 hits per fit from empty caches, is
     # pinned so that neither a cache outliving a fit nor extra steps show
-    # as a gain (12.75 hits before the start's Newton batch, one more hit
-    # per fit; 21.2 misses and 14.7 hits while fits confirmed their last
-    # step).
+    # as a gain.  Jacobians build their stencil media from the template's
+    # and take no prep; while each prepared its 2 + 2p stencil stacks the
+    # traffic was 16.25 misses and 13.75 hits per fit (12.75 hits before
+    # the start's Newton batch, one more hit per fit; 21.2 misses and 14.7
+    # hits while fits confirmed their last step).
     import sawkit.dispersion as dsp
     import sawkit.materials as mat
 
@@ -674,7 +705,7 @@ def test_fit_steps_build_films_without_tensors(invert_seed_7, monkeypatch):
     n = len([sk.fit_parameters(p) for p in invert_seed_7])
     assert counts["__post_init__"] <= 0.1 * n and counts["as_cijkl"] <= 0.1 * n
     info = dsp._prepare.cache_info()
-    assert (info.misses, info.hits) == (650, 550)
+    assert (info.misses, info.hits) == (162, 78)
 
 
 def test_default_tolerance_fits_match_tight_ones(invert_seed_7, monkeypatch):
@@ -968,7 +999,7 @@ def _check_joined(stacks, freqs, v):
     import sawkit.dispersion as dsp
 
     preps = [dsp._prepare(stack) for stack in stacks]
-    joined = dsp._joined(preps, [x.size for x in v])
+    joined = dsp._joined([(prep.media, prep.thicknesses) for prep in preps], [x.size for x in v])
     f_all, v_all = np.concatenate(freqs), np.concatenate(v)
     q = dsp._indicator(joined, f_all, v_all)
     own = [dsp._indicator(prep, f, x) for prep, f, x in zip(preps, freqs, v)]
@@ -1035,13 +1066,97 @@ def test_joined_prep_steps_off_an_undefined_pair(silicon, oxide, geom):
 def test_stacks_that_cannot_share_a_batch_raise(silicon, oxide, geom):
     import sawkit.dispersion as dsp
 
+    def members(stack):
+        prep = dsp._prepare(stack)
+        return prep.media, prep.thicknesses
+
     stack_1a = make_stack_1a(silicon, oxide, geom)
     with pytest.raises(StackJoinError, match="layer counts"):
-        dsp._joined([dsp._prepare(stack_1a), dsp._prepare(make_stack_3(silicon, geom))], [1, 1])
+        dsp._joined([members(stack_1a), members(make_stack_3(silicon, geom))], [1, 1])
     # the substrate has a closed form along Si(001)[110] but not along Si(111)[1-10]
     si111 = replace(stack_1a, geometry=SI111)
     with pytest.raises(StackJoinError, match="medium 2"):
-        dsp._joined([dsp._prepare(stack_1a), dsp._prepare(si111)], [1, 1])
+        dsp._joined([members(stack_1a), members(si111)], [1, 1])
+
+
+def _check_jacobian(problem, values, monkeypatch):
+    """``_jacobian`` at ``values`` and the model roots there equals the
+    per-stack construction it replaced (``joined_oracle``) exactly, and so
+    does its joined prep, field by field."""
+    import sawkit.inversion as inv
+
+    model = inv._model(problem, sk.residuals(problem, values))
+    preps, joined = [], inv._joined
+    monkeypatch.setattr(inv, "_joined", lambda *args: preps.append(joined(*args)) or preps[-1])
+    jac = inv._jacobian(problem, values, model)
+    monkeypatch.undo()
+    oracle = joined_oracle.jacobian_prep(problem, values, model.size)
+    (prep,) = preps
+
+    def arrays(prep):
+        """Every array of ``prep``: each medium's closed form, or its n0 and
+        rho_scaled, then the joined closed form and the thicknesses."""
+        def closed(st):
+            return [] if st is None else [st.moduli, st.rho_scaled, st.b0]
+        return ([a for med in prep.media for a in closed(med.closed) or [med.n0, med.rho_scaled]]
+                + closed(prep.closed) + list(prep.thicknesses))
+
+    assert [med.closed is None for med in prep.media] == [med.closed is None for med in oracle.media]
+    assert (prep.closed is None) == (oracle.closed is None)
+    got, want = arrays(prep), arrays(oracle)
+    assert len(got) == len(want) and all(map(np.array_equal, got, want))
+    assert np.isfinite(jac).all()
+    assert np.array_equal(jac, joined_oracle.jacobian(problem, values, model))
+
+
+@pytest.mark.parametrize("which", ["1A", "2"])
+@pytest.mark.parametrize("at", ["start", "truth"])
+def test_jacobian_matches_per_stack_preps_criterion_07(silicon, oxide, geom, monkeypatch,
+                                                        which, at):
+    # Differential test: the stencil's media come from the template's, with
+    # the fitted film's swapped in, and are joined once; the Jacobian and
+    # its joined prep equal those of each stencil stack prepared on its own
+    _, start, truth = _STACKS_07[which]
+    problem = _criterion_07_problem(silicon, oxide, geom, which)
+    values = dict(zip(("c_ge", "layer0.thickness"), start if at == "start" else truth))
+    _check_jacobian(problem, values, monkeypatch)
+
+
+@pytest.mark.parametrize("geometry, young_modulus", [("001", 150e9), ("111", 150e9),
+                                                     ("111", 300e9)])
+def test_jacobian_matches_per_stack_preps_material_fields(
+    silicon, oxide, geom, monkeypatch, geometry, young_modulus
+):
+    # on Si(111)[1-10] the substrate takes the eigenproblem, joined as
+    # (m, 6, 6) n0; a 300 GPa film is the stiffest medium, so each step of
+    # its moduli rescales c_ref and with it every medium of that stack
+    free = (sk.FreeParam("layer0.young_modulus", young_modulus, 50e9, 400e9),
+            sk.FreeParam("layer0.poisson_ratio", 0.22, 0.1, 0.4),
+            sk.FreeParam("layer0.thickness", 1.0e-6, 0.3e-6, 3e-6))
+    problem = _criterion_07_problem(silicon, oxide, geom, "1A", free)
+    if geometry == "111":
+        problem = replace(problem, template=replace(problem.template, geometry=SI111))
+    _check_jacobian(problem, {p.name: p.initial for p in free}, monkeypatch)
+
+
+def test_jacobian_realizes_and_prepares_no_stack(problem_1a, monkeypatch):
+    # Work guard: one Jacobian builds its 2 + 2p stencil stacks' media from
+    # the template's members, with no LayerStack and no _prepare
+    import sawkit.dispersion as dsp
+    import sawkit.inversion as inv
+
+    values = {"c_ge": 0.2, "layer0.thickness": 1.0e-6}
+    model = inv._model(problem_1a, sk.residuals(problem_1a, values))
+
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"{name} called")
+        return call
+
+    monkeypatch.setattr(sk.FitProblem, "realize", refuse("realize"))
+    monkeypatch.setattr(inv, "_prepare", refuse("inversion._prepare"))
+    monkeypatch.setattr(dsp, "_prepare", refuse("dispersion._prepare"))
+    assert inv._jacobian(problem_1a, values, model).shape == (len(model), 2)
 
 
 def test_sigma_scaling_invariance(silicon, oxide, geom, curve_1a):

@@ -51,10 +51,12 @@ whose sign-changing windows were all rejected scans afterwards.  Every
 value of Im(1/u3) comes from ``_indicator``,
 for a batch of (frequency, velocity) pairs or a scan block's mesh.  Where
 a medium's waves are degenerate (at a bulk speed along x1 its up and down
-waves coincide) the wave producers only flag the velocity, and
-``_indicator`` evaluates every undefined point once more 1e-9 higher in
-velocity, k recomputed.  A point holds f fixed, or with ``_Prepared.fixed_k``
-k, as synthesis does at a mask's k_n = 2 pi n / d.
+waves coincide) the wave producers only flag the velocity; every batch is
+evaluated whole and its response masked NaN there, and ``_indicator``
+evaluates its batch once more, 1e-9 higher at the velocities holding an
+undefined entry, k recomputed, and keeps those entries.  A point holds f
+fixed, or with ``_Prepared.fixed_k`` k, as synthesis does at a mask's k_n =
+2 pi n / d.
 ``dispersion_curve`` is its one public entry; the scan's 5 m/s step, the
 hint windows and the root tolerance are fixed.  The scan walks up in blocks
 of cells, and a frequency leaves it at the first block that brackets a
@@ -97,7 +99,8 @@ skipped cells hold only poles of the indicator that the root finder would
 reject, so every root is the one a scan from the floor gives.  On a cold
 35-point curve of stack 1A this takes the scan from 16 558 response points
 in 14 batches to 2 414 in 10, plus 455 count points; one more count batch,
-1e-6 below each cold root, flags the points with a mode below
+1e-6 below each cold root at the root's own wavenumber, where it needs no
+such assumption, flags the points with a mode below
 (``DispersionCurve.lower_modes``).
 """
 
@@ -332,12 +335,6 @@ def _combine(parts: list[_Stacked], fn) -> _Stacked:
     """The ``_Stacked`` whose every array is ``fn`` of that array of each of ``parts``."""
     return _Stacked(**{name: fn([getattr(st, name) for st in parts])
                        for name in ("moduli", "rho_scaled", "b0")})
-
-
-def _at_points(a, sel):
-    """``a`` at the points ``sel`` of its trailing point axis; a float, or a
-    point axis of 1, serves every point and is returned as it is."""
-    return a if np.ndim(a) == 0 or a.shape[-1] == 1 else a[..., sel]
 
 
 @dataclass(frozen=True, eq=False)
@@ -750,9 +747,11 @@ def _joined(stacks, sizes) -> _Prepared:
     stiffest medium rescales it at every step).  Stacks that differ in
     layer count, or whose medium at one depth has a closed form in some of
     them only, raise ``StackJoinError``.  Only ``_indicator`` takes a
-    joined prep: its velocity window is NaN, and a medium's ``s2`` (read by
-    the mode count only) and a closed-form medium's unused eigenproblem
-    pieces are the first stack's.
+    joined prep, and its step off an undefined pair evaluates the whole
+    batch again, so a joined prep is never cut to a subset of its pairs.
+    Its velocity window is NaN, and a medium's ``s2`` (read by the mode
+    count only) and a closed-form medium's unused eigenproblem pieces are
+    the first stack's.
     """
     if len({len(media) for media, _ in stacks}) > 1:
         raise StackJoinError("stacks with different layer counts cannot share a batch")
@@ -787,20 +786,6 @@ def _joined(stacks, sizes) -> _Prepared:
         v_ceiling=math.nan,
         closed=closed if len(closed_depths) == len(depths) else None,
     )
-
-
-def _take(prep: _Prepared, sel) -> _Prepared:
-    """``prep`` at the points ``sel`` of its point axis (``_at_points``)."""
-
-    def cut(med):
-        if med.closed is not None:
-            return replace(med, closed=_combine([med.closed], lambda a: _at_points(a[0], sel)))
-        return replace(med, rho_scaled=_at_points(med.rho_scaled, sel),
-                       n0=med.n0 if med.n0.ndim == 2 else med.n0[sel])
-
-    media = tuple(map(cut, prep.media))
-    return replace(prep, media=media, closed=_medium_axis(media),
-                   thicknesses=tuple(_at_points(h, sel) for h in prep.thicknesses))
 
 
 # --- surface-impedance recursion -------------------------------------------------
@@ -875,18 +860,17 @@ def _coupling(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _solve(g[:, n:], g[:, :n])
 
 
-def _waves(prep: _Prepared, v: np.ndarray, k: np.ndarray) -> tuple:
+def _waves(prep: _Prepared, v: np.ndarray) -> tuple:
     """Every medium's partial waves at velocities ``v``, for ``_surface``
     and ``_mode_count``.
 
-    Returns (valid, v, k, h, waves): ``valid`` (m,) marks the velocities
-    where every medium's waves are valid, and ``v``, ``k``, the layer
-    thicknesses ``h`` (each a float or, for a joined prep, one per pair)
-    and the waves cover those only.  ``waves`` holds one (alpha_d,
-    alpha_u, w) per medium, surface-first, alpha_u None where it is
-    -alpha_d exactly; each array has a unit axis before the velocities,
-    which broadcasts against a scan block's frequencies.  See ``_surface``
-    for n and the columns.
+    Returns (valid, waves): ``valid`` (m,) marks the velocities where every
+    medium's waves are valid, and ``waves`` holds one (alpha_d, alpha_u, w)
+    per medium, surface-first, alpha_u None where it is -alpha_d exactly,
+    at every velocity, the invalid ones too, whose response the caller
+    masks.  Each array has a unit axis before the velocities, which
+    broadcasts against a scan block's frequencies.  See ``_surface`` for n
+    and the columns.
     """
     if prep.closed is not None:
         alpha, w, ok = _closed_form(prep.closed, v)
@@ -899,10 +883,7 @@ def _waves(prep: _Prepared, v: np.ndarray, k: np.ndarray) -> tuple:
             alpha, w, ok = _full_waves(med, v)
             valid &= ok
             waves.append((alpha[:3], None if med.closed is not None else alpha[3:], w))
-    keep = slice(None) if valid.all() else valid
-    waves = [[None if a is None else a[..., None, keep] for a in medium] for medium in waves]
-    h = [_at_points(t, keep) for t in prep.thicknesses]
-    return valid, v[keep], k[..., keep], h, waves
+    return valid, [[None if a is None else a[..., None, :] for a in medium] for medium in waves]
 
 
 def _surface(
@@ -911,10 +892,10 @@ def _surface(
     """Surface displacement X and traction Y per unit amplitude of the top medium.
 
     Returns (valid, X, Y).  ``valid`` (m,) marks the velocities ``v`` (m,)
-    where every medium's waves are valid, and X and Y cover those only.
-    They are n x n and entry-major: (n, n, F, m) for k of shape (F, m), one
-    row per frequency of a scan block, and (n, n, 1, m) for one of shape
-    (m,), one wavenumber per velocity.  When every medium is orthotropic in
+    where every medium's waves are valid; X and Y cover every velocity and
+    mean nothing at the invalid ones.  They are n x n and entry-major: (n,
+    n, F, m) for k of shape (F, m), one row per frequency of a scan block,
+    and (n, n, 1, m) for one of shape (m,), one wavenumber per velocity.  When every medium is orthotropic in
     the frame the SH wave decouples exactly (Stroh 1962) and a normal
     stress does not excite it, so n = 2: one ``_closed_form`` call over
     ``prep.closed`` gives every medium's sagittal waves, and each medium's
@@ -937,8 +918,8 @@ def _surface(
     amplitudes of the top layer's d waves (the substrate's accepted waves
     for a half-space, which do not depend on k).
     """
-    valid, _, k, h, waves = _waves(prep, v, k)
-    n = waves[0][0].shape[0]
+    valid, waves = _waves(prep, v)
+    h, n = prep.thicknesses, waves[0][0].shape[0]
     w_sub = waves[-1][2][:, :n]
     if len(waves) == 1:
         return valid, w_sub[:n], w_sub[n:]
@@ -961,14 +942,15 @@ def _g33(prep: _Prepared, v: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Surface normal displacement u3 per unit scaled normal surface stress.
 
     Batched over velocities ``v`` and wavenumbers ``k`` shaped as for
-    ``_surface``; the result is shaped like ``k``, NaN at the velocities
-    whose waves are invalid.  u3 = det(Y with its last row replaced by the
-    last row of X) / det Y, the last row of X Y^-1 by Cramer's rule, from
-    the cofactors c of Y's last row: (-Y_01, Y_00) for n = 2, the cross
-    product of Y's first two rows for n = 3.  Where det Y is exactly 0
-    (below the substrate threshold Y's rows are real and imaginary, so it
-    can cancel to 0 at a mode) u3 is infinite and the pole indicator
-    Im(1/u3) is 0 there, not NaN.
+    ``_surface``; the result is shaped like ``k``.  Every velocity is
+    evaluated, and one mask sets u3 NaN at those whose waves are invalid.
+    u3 = det(Y with its last row replaced by the last row of X) / det Y,
+    the last row of X Y^-1 by Cramer's rule, from the cofactors c of Y's
+    last row: (-Y_01, Y_00) for n = 2, the cross product of Y's first two
+    rows for n = 3.  Where det Y is exactly 0 (below the substrate
+    threshold Y's rows are real and imaginary, so it can cancel to 0 at a
+    mode) u3 is infinite and the pole indicator Im(1/u3) is 0 there, not
+    NaN.
     """
     valid, x, y = _surface(prep, v, k)
     if y.shape[0] == 2:
@@ -982,8 +964,8 @@ def _g33(prep: _Prepared, v: np.ndarray, k: np.ndarray) -> np.ndarray:
     zero = den == 0
     if zero.any():
         u3[zero & (num != 0)] = np.inf
-    out = np.full(k.shape, np.nan + 0j)
-    out[..., valid] = u3
+    out = np.empty(k.shape, dtype=complex)  # pairs' u3 has a unit frequency axis
+    out[...] = np.where(valid, u3, np.nan)
     return out
 
 
@@ -1128,8 +1110,8 @@ def _mode_count(prep: _Prepared, freqs: np.ndarray, v: np.ndarray) -> np.ndarray
     at least c_min / 2 times |grad u|^2 on a clamped slab) and Poincare's
     (|du/dx3|^2 is at least (pi / h)^2 |u|^2) a clamped sublayer then has
     no mode below v, so J0 = 0.  The half-space clamped at its top has none
-    below the window's ceiling.  The waves are those of ``_surface`` and
-    NaN marks the velocities where they are invalid.
+    below the window's ceiling.  The waves are those of ``_surface``: every
+    velocity is counted, and one mask sets J NaN where they are invalid.
 
     J counts modes at fixed k below the frequency k v / (2 pi): exactly the
     modes below v at a fixed-k point, with no monotonicity assumption, and
@@ -1137,8 +1119,9 @@ def _mode_count(prep: _Prepared, freqs: np.ndarray, v: np.ndarray) -> np.ndarray
     Either way J(v) = 0 proves that no mode, and no root of the pole
     indicator, lies below v.
     """
-    valid, v, k, hs, waves = _waves(prep, v, _wavenumbers(prep, freqs, v))
-    n = waves[0][0].shape[0]
+    k = _wavenumbers(prep, freqs, v)
+    valid, waves = _waves(prep, v)
+    hs, n = prep.thicknesses, waves[0][0].shape[0]
     w_sub = waves[-1][2][:, :n]
     below = -1j * _right_divide(w_sub[n:], w_sub[:n])
     count = np.zeros(np.broadcast_shapes(k.shape, below.shape[2:]))
@@ -1169,8 +1152,8 @@ def _mode_count(prep: _Prepared, freqs: np.ndarray, v: np.ndarray) -> np.ndarray
             count += _negative(d)
             below = k_tt - _matmul(k_tb, _solve(d, k_bt))
     count += _negative(below)
-    out = np.full(np.broadcast_shapes(np.shape(freqs), valid.shape), np.nan)
-    out[..., valid] = count
+    out = np.empty(np.broadcast_shapes(np.shape(freqs), valid.shape))
+    out[...] = np.where(valid, count, np.nan)
     return out
 
 
@@ -1207,17 +1190,17 @@ def _indicator(prep: _Prepared, freqs: np.ndarray, v: np.ndarray) -> np.ndarray:
     are wavenumbers, held as v varies (``_wavenumbers``); there the mode
     count that starts a scan is exact, with no monotonicity assumption.
     Pairs may take a joined prep (``_joined``), one stack per group of
-    pairs.  This is the one place that steps off an undefined point: every
-    non-finite entry is evaluated once more at v * (1 + _NUDGE), k
-    recomputed, with the prep taken at those points, and stays NaN if that
-    is undefined too.
+    pairs.  This is the one place that steps off an undefined point: where
+    an entry is not finite, the batch is evaluated once more on its own
+    prep, at v * (1 + _NUDGE) in the velocity columns holding such an entry,
+    k recomputed, and only those entries take the new value; one that is
+    undefined there too stays NaN.
     """
     q = _pole_indicator(_g33(prep, v, _wavenumbers(prep, freqs, v)))
     nan = ~np.isfinite(q)
     if nan.any():
-        bump = np.broadcast_to(v, q.shape)[nan] * (1.0 + _NUDGE)
-        f = np.broadcast_to(freqs, q.shape)[nan]
-        q[nan] = _pole_indicator(_g33(_take(prep, nan), bump, _wavenumbers(prep, f, bump)))
+        bump = np.where(nan.reshape(-1, v.size).any(axis=0), v * (1.0 + _NUDGE), v)
+        q[nan] = _pole_indicator(_g33(prep, bump, _wavenumbers(prep, freqs, bump)))[nan]
     return q
 
 
@@ -1466,10 +1449,13 @@ def _curve_roots(stack: LayerStack, freqs: np.ndarray, hints) -> tuple[np.ndarra
 
 def _lower_modes(stack: LayerStack, freqs: np.ndarray, roots: np.ndarray) -> tuple[int, ...]:
     """Indices of the points where the mode count ``_BELOW_ROOT`` below the
-    root is not 0: a lower mode exists there, or the count is undefined."""
+    root, at the root's own wavenumber 2 pi f / v, is not 0: a lower mode
+    exists there, or the count is undefined.  At fixed k the count needs no
+    monotonicity assumption (``_mode_count``)."""
     if not freqs.size:
         return ()
-    below = _mode_count(_prepare(stack), freqs, roots * (1.0 - _BELOW_ROOT))
+    prep = replace(_prepare(stack), fixed_k=True)
+    below = _mode_count(prep, 2.0 * math.pi * freqs / roots, roots * (1.0 - _BELOW_ROOT))
     return tuple(int(j) for j in np.flatnonzero(below != 0))
 
 
@@ -1483,16 +1469,18 @@ def dispersion_curve(stack: LayerStack, frequencies, *, hints=None) -> Dispersio
     cell with a pole or barely moves the surface.  A scanned point where
     the mode count 1e-6 below the returned velocity is not 0 (a lower mode
     exists, or the count is undefined) is listed in the curve's
-    ``lower_modes``; hinted points are not checked.  ``hints``, one finite
-    velocity per frequency, are tried first: the windows of half-width
-    0.001, 0.05, 2.5, 10 and 40 m/s around a hint are each one bracket, and
-    the root of the first whose ends change sign around an accepted root is
-    returned, whether or not a lower mode lies below that window.  So a
-    hint close to the lowest mode gives the scan's root, and a hint near a
-    higher mode returns that mode.  A frequency whose hint windows hold no
-    root falls back to the scan.  A frequency with no mode in the window
-    raises ``CurveError``.  Adjacent points differing by more than 5 % are
-    flagged as discontinuities on the returned curve rather than rejected.
+    ``lower_modes``; the count is taken at the point's own wavenumber 2 pi
+    f / v, where it is exact, and hinted points are not checked.
+    ``hints``, one finite velocity per frequency, are tried first: the
+    windows of half-width 0.001, 0.05, 2.5, 10 and 40 m/s around a hint are
+    each one bracket, and the root of the first whose ends change sign
+    around an accepted root is returned, whether or not a lower mode lies
+    below that window.  So a hint close to the lowest mode gives the scan's
+    root, and a hint near a higher mode returns that mode.  A frequency
+    whose hint windows hold no root falls back to the scan.  A frequency
+    with no mode in the window raises ``CurveError``.  Adjacent points
+    differing by more than 5 % are flagged as discontinuities on the
+    returned curve rather than rejected.
     """
     freqs = np.asarray(list(frequencies), dtype=float)
     if freqs.size == 0:

@@ -48,7 +48,8 @@ measured velocities moved one Newton step of its model's pole indicator,
 taken from one batch over the Jacobian's v-stencil at those velocities, so
 its windows hold the model roots wherever the measured curve lies near
 them, with no scan.  The residual solves make no mode count.  At the
-solution one count 1e-6 below the model velocities certifies them:
+solution one count 1e-6 below the model velocities, each at its own
+wavenumber, where the count is exact, certifies them:
 ``FitResult.lower_modes`` lists the points with a mode below, where the
 model may follow a higher mode.
 """
@@ -476,7 +477,8 @@ def fit_parameters(problem: FitProblem) -> FitResult:
     the measured velocities moved one Newton step of the start model's pole
     indicator (``residuals``), and each trial around the velocities the
     Jacobian predicts for it.  At the solution one mode count just below the
-    model velocities lists the points with a lower mode in ``lower_modes``.
+    model velocities, at their own wavenumbers, lists the points with a
+    lower mode in ``lower_modes``.
     """
     free = problem.free
     n = len(free)

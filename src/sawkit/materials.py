@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -235,11 +235,6 @@ class LayerStack:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-
-    def with_layer(self, index: int, layer: Layer) -> "LayerStack":
-        layers = list(self.layers)
-        layers[index] = layer
-        return replace(self, layers=tuple(layers))
 
 
 # --- mixing rules -----------------------------------------------------------

@@ -21,9 +21,6 @@ from .dispersion import DispersionCurve, _csv_text, _find_modes, _read_table, ve
 from .errors import ExtractionError, FormatError, SynthesisError
 from .materials import LayerStack
 
-GLASS_MASK = "glass-mask"
-SLM = "slm"
-
 _LN2 = math.log(2.0)
 # a credible spectral peak must exceed this multiple of its band's median
 _PEAK_FLOOR_RATIO = 6.0
@@ -39,7 +36,6 @@ class MaskSpec:
     period: float  # m
     duty: float  # bar width / period
     n_periods: int
-    kind: str = GLASS_MASK
 
     def __post_init__(self):
         if not 0 < self.period < math.inf:
@@ -48,8 +44,6 @@ class MaskSpec:
             raise ValueError(f"mask duty must be in (0, 1), got {self.duty}")
         if self.n_periods < 2:
             raise ValueError(f"n_periods must be >= 2, got {self.n_periods}")
-        if self.kind not in (GLASS_MASK, SLM):
-            raise ValueError(f"mask kind must be {GLASS_MASK!r} or {SLM!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -463,7 +457,7 @@ def waveform_csv_text(w: Waveform) -> str:
         meta["seed"] = w.seed
     if w.mask is not None:
         meta.update(mask_period_m=w.mask.period, mask_duty=w.mask.duty,
-                    mask_n_periods=w.mask.n_periods, mask_kind=w.mask.kind)
+                    mask_n_periods=w.mask.n_periods)
     return _csv_text(WAVEFORM_HEADER, (w.samples.tolist(),), meta)
 
 
@@ -485,7 +479,6 @@ def read_waveform_csv(path: str | Path) -> Waveform:
                 period=float(meta["mask_period_m"]),
                 duty=float(meta.get("mask_duty", "0.5")),
                 n_periods=int(meta.get("mask_n_periods", "2")),
-                kind=meta.get("mask_kind", GLASS_MASK),
             )
         return Waveform(
             samples=samples,

@@ -239,7 +239,7 @@ def test_criterion_09_projection_ratio(silicon, oxide, geom):
         rows = []
         for i, npx in enumerate(range(10, 30, 2)):
             wavelength = pitch * npx / r_true
-            mask = sk.MaskSpec(period=wavelength, duty=0.5, n_periods=60, kind="slm")
+            mask = sk.MaskSpec(period=wavelength, duty=0.5, n_periods=60)
             w = sk.synthesize_slope_signal(
                 mask, flat, distance=5e-3, noise_rms=0.003, seed=900 + i,
                 n_harmonics=1,

@@ -14,6 +14,7 @@ from sawkit.errors import CurveError, DegeneratePointError, FormatError
 from sawkit.materials import stiffness_from_isotropic, stiffness_of
 
 import global_matrix
+import nudge_oracle
 import table_oracle
 
 
@@ -698,6 +699,56 @@ def test_scan_steps_off_an_invalid_grid_velocity(stack_1a, monkeypatch):
     assert any(flagged)
 
 
+def _check_nudge(prep, freqs, v, invalid):
+    """``_indicator`` at the pairs or on the mesh (``freqs``, ``v``), whose
+    ``invalid`` velocities it evaluates once more on the whole batch, equals
+    the cut-prep nudge it replaced (``nudge_oracle``) exactly, and is
+    finite; the mode count is NaN exactly at the invalid velocities and
+    elsewhere that of the batch without them."""
+    assert invalid.any() and not invalid.all()
+    q = dispersion._indicator(prep, freqs, v)
+    assert np.isfinite(q).all()
+    assert np.array_equal(q, nudge_oracle.indicator(prep, freqs, v), equal_nan=True)
+    count = dispersion._mode_count(prep, freqs, v)
+    assert np.array_equal(np.isnan(count), np.broadcast_to(invalid, count.shape))
+    f = np.broadcast_to(freqs, count.shape)[..., ~invalid]
+    assert np.array_equal(count[..., ~invalid], dispersion._mode_count(prep, f, v[~invalid]))
+
+
+def test_nudge_matches_the_cut_prep_on_a_scan_block(stack_1a, monkeypatch):
+    # the scan block around stack 1A's 300 MHz root, every curve frequency,
+    # with one grid velocity made invalid as in the test above
+    prep = dispersion._prepare(stack_1a)
+    grid = dispersion._scan_grid(prep)
+    lo = np.searchsorted(grid, 4332.045) - 10
+    v = grid[lo:lo + dispersion._SCAN_BLOCK]
+    below = v[9]
+    waves = dispersion._closed_form
+
+    def invalid_below(st, x):
+        alpha, w, valid = waves(st, x)
+        return alpha, w, valid & (x != below)
+
+    monkeypatch.setattr(dispersion, "_closed_form", invalid_below)
+    _check_nudge(prep, CURVE_FREQS[:, None], v, v == below)
+
+
+def test_nudge_matches_the_cut_prep_at_bulk_speeds_on_si111(stack_1a):
+    # stack 1A on Si(111)[1-10], whose substrate takes the eigenproblem and
+    # so the 3x3 recursion: pairs at its films' bulk speeds in the window,
+    # where their closed-form waves are degenerate, among ordinary ones
+    stack = replace(stack_1a, geometry=SI111)
+    prep = dispersion._prepare(stack)
+    assert prep.closed is None and prep.media[1].closed is not None
+    speeds = [s for layer in stack.layers
+              for s in (layer.material.shear_velocity, layer.material.longitudinal_velocity)
+              if prep.v_floor < s < prep.v_ceiling]
+    assert stack.layers[1].material.shear_velocity in speeds
+    v = np.concatenate([speeds, np.linspace(prep.v_floor, prep.v_ceiling, 7)[1:-1]])
+    f = np.linspace(100e6, 800e6, v.size)
+    _check_nudge(prep, f, v, np.isin(v, speeds))
+
+
 # --- Wittrick-Williams mode count -----------------------------------------------
 
 COUNT_FREQS = np.array([50e6, 320e6, 400e6, 900e6])
@@ -752,14 +803,21 @@ def test_mode_count_first_steps_at_the_lowest_mode(name, thickness_factor, on_si
 def test_cold_curve_flags_points_above_a_lower_mode():
     # from 300 MHz up the cold curve of stack 1A x10 returns a mode above a
     # weakly coupled one, with up to 6 modes below it; only the 5 % jump at
-    # index 10 is a discontinuity.  The other bundled stacks, also with
+    # index 10 is a discontinuity.  The flag's count is taken at each root's
+    # own wavenumber, exact with no monotonicity assumption, and there the
+    # count at fixed f agrees with it.  The other bundled stacks, also with
     # their layers x10, flag nothing, and hinted points are not checked
     stack = _bundled_stack("stack_1A", 10)
     curve = sk.dispersion_curve(stack, CURVE_FREQS)
     assert curve.lower_modes == tuple(range(10, 35)) and curve.discontinuities == (10,)
-    below = dispersion._mode_count(dispersion._prepare(stack), CURVE_FREQS,
-                                   np.array(curve.velocities) * (1 - 1e-6))
-    assert (below[:10] == 0).all() and (below[10:] >= 1).all() and below.max() == 6
+    roots = np.array(curve.velocities)
+    prep = dispersion._prepare(stack)
+    below = dispersion._mode_count(replace(prep, fixed_k=True), 2 * math.pi * CURVE_FREQS / roots,
+                                   roots * (1 - 1e-6))
+    # 1 from 300 MHz, 2 from 400, 3 from 500, 4 from 625, 5 from 775 and 6 at 900 MHz
+    steps = [300e6, 400e6, 500e6, 625e6, 775e6, 900e6]
+    assert below.tolist() == np.searchsorted(steps, CURVE_FREQS, side="right").tolist()
+    assert np.array_equal(dispersion._mode_count(prep, CURVE_FREQS, roots * (1 - 1e-6)), below)
     assert sk.dispersion_curve(stack, CURVE_FREQS, hints=curve.velocities).lower_modes == ()
     for name, factor in BUNDLED[:-1] + [("stack_2", 10), ("stack_3", 10), ("sio2_on_si", 10)]:
         assert sk.dispersion_curve(_bundled_stack(name, factor), CURVE_FREQS).lower_modes == ()
@@ -1669,19 +1727,19 @@ def test_one_layer_exponential_per_closed_form_wave(stack_1a, oxide, silicon, mo
     # _mode_count evaluate n complex exponentials per layer and point, not
     # 2n (the count once per layer, however many sublayers it splits it
     # into); a layer whose waves come from the eigenproblem keeps both.  The
-    # points are those of every _waves batch, the recursion's and the count's
-    waves, exp, points, exps = dispersion._waves, dispersion.np.exp, [], []
+    # points are the wavenumbers of every batch, the recursion's and the count's
+    wavenumbers, exp, points, exps = dispersion._wavenumbers, dispersion.np.exp, [], []
 
-    def recording_waves(prep, v, k):
-        out = waves(prep, v, k)
-        points.append(np.size(out[2]))
+    def recording_wavenumbers(prep, x, v):
+        out = wavenumbers(prep, x, v)
+        points.append(np.size(out))
         return out
 
     def recording_exp(x, *args, **kwargs):
         exps.append(np.size(x))
         return exp(x, *args, **kwargs)
 
-    monkeypatch.setattr(dispersion, "_waves", recording_waves)
+    monkeypatch.setattr(dispersion, "_wavenumbers", recording_wavenumbers)
     monkeypatch.setattr(dispersion.np, "exp", recording_exp)
     sk.dispersion_curve(stack_1a, CURVE_FREQS)
     assert sum(points) > 0

@@ -18,6 +18,7 @@ from sawkit.inversion import (
 )
 
 import joined_oracle
+import nudge_oracle
 from conftest import make_stack_1a, make_stack_2, make_stack_3
 
 
@@ -122,7 +123,7 @@ def test_problem_rejects_c_ge_on_an_anisotropic_layer(silicon, oxide, geom, curv
     # the mixing rules set an isotropic film's fields; a cubic coupled layer
     # was accepted, and the fit's start failed with a bare TypeError
     stack = make_stack_1a(silicon, oxide, geom)
-    stack = stack.with_layer(1, replace(stack.layers[1], material=silicon))
+    stack = replace(stack, layers=(stack.layers[0], replace(stack.layers[1], material=silicon)))
     with pytest.raises(FitError, match="coupled layer 1 is not isotropic") as info:
         sk.FitProblem(template=stack, free=(sk.FreeParam("c_ge", 0.2, 0, 1),),
                       measured=curve_1a, coupling=sk.SiGeCoupling(1))
@@ -1062,6 +1063,21 @@ def test_joined_prep_steps_off_an_undefined_pair(silicon, oxide, geom):
     g = dsp._g33(joined, v_all, 2 * np.pi * f_all / v_all)
     assert np.flatnonzero(np.isnan(g)).tolist() == [sum(f.size for f in freqs[:3]) + 4]
 
+
+
+def test_joined_nudge_matches_the_cut_prep(silicon, oxide, geom):
+    # a pair at the oxide's shear speed, as in the test above, is evaluated
+    # once more on the whole joined batch; the joined prep cut to that pair
+    # (``nudge_oracle``) gives the same numbers
+    import sawkit.dispersion as dsp
+
+    problem = _criterion_07_problem(silicon, oxide, geom, "1A")
+    stacks = _stencil_stacks(problem, {"c_ge": 0.179, "layer0.thickness": 1.02e-6})
+    freqs, v = _pairs(problem, len(stacks))
+    v[3][4] = oxide.shear_velocity
+    joined, f_all, v_all = _check_joined(stacks, freqs, v)
+    q = dsp._indicator(joined, f_all, v_all)
+    assert np.array_equal(q, nudge_oracle.indicator(joined, f_all, v_all), equal_nan=True)
 
 def test_stacks_that_cannot_share_a_batch_raise(silicon, oxide, geom):
     import sawkit.dispersion as dsp

@@ -6,7 +6,7 @@ import pytest
 import sawkit as sk
 from sawkit.cli import build_mask, build_stack, fixture_config_path, load_config, main
 from sawkit.errors import ExtractionError, FormatError, SynthesisError
-from sawkit.signal import GLASS_MASK, waveform_csv_text
+from sawkit.signal import waveform_csv_text
 
 from conftest import make_flat_stack
 
@@ -430,7 +430,6 @@ def test_waveform_csv_round_trip(tmp_path, name):
     assert got.distance == w.distance
     assert got.seed == w.seed == 5
     assert got.mask == w.mask == build_mask(load_config(cfg))
-    assert got.mask.kind == GLASS_MASK
 
 
 def test_waveform_csv_requires_metadata(tmp_path):
@@ -480,9 +479,20 @@ def test_waveform_csv_text_golden():
         "# mask_period_m=2.4e-05\n"
         "# mask_duty=0.3\n"
         "# mask_n_periods=400\n"
-        "# mask_kind=glass-mask\n"
         "amplitude\n"
         "0.0\n"
         "-0.25\n"
         "0.30000000000000004\n"
     )
+
+
+def test_waveform_csv_reads_an_old_mask_kind_line(tmp_path):
+    # files written before the mask kind was dropped carry a '# mask_kind='
+    # line; like any unknown '# key=' line it is ignored
+    w = sk.Waveform(samples=np.array([0.5, -1.0]), sample_rate=2e9, distance=5e-3,
+                    mask=sk.MaskSpec(period=24e-6, duty=0.3, n_periods=400))
+    p = tmp_path / "old.csv"
+    p.write_text(waveform_csv_text(w).replace("amplitude\n", "# mask_kind=slm\namplitude\n"),
+                 encoding="utf-8")
+    got = sk.read_waveform_csv(p)
+    assert got.mask == w.mask and np.array_equal(got.samples, w.samples)

@@ -97,8 +97,8 @@ checked the count was non-decreasing in v and first stepped at the scan's
 root.  At fixed k it holds with no such assumption.  The
 skipped cells hold only poles of the indicator that the root finder would
 reject, so every root is the one a scan from the floor gives.  On a cold
-35-point curve of stack 1A this takes the scan from 16 558 response points
-in 14 batches to 2 414 in 10, plus 455 count points; one more count batch,
+35-point curve of stack 1A this takes the scan from 16 495 response points
+in 14 batches to 2 351 in 9, plus 455 count points; one more count batch,
 1e-6 below each cold root at the root's own wavenumber, where it needs no
 such assumption, flags the points with a mode below
 (``DispersionCurve.lower_modes``).
@@ -1072,15 +1072,20 @@ def _negative(d: np.ndarray) -> np.ndarray:
 
     A 2x2 Hermitian matrix has eigenvalues l1 <= l2 with l1 < 0 where its
     determinant or its trace is negative and l2 < 0 where the determinant
-    is positive and the trace negative; a 3x3 one takes ``eigvalsh``.
+    is positive and the trace negative.  Its three entries are read from d
+    directly: Re d00, Re d11 and h01 = (d01 + conj d10) / 2, h10 being conj
+    h01.  A 3x3 one takes ``eigvalsh`` of the whole Hermitian part.
     """
-    h = 0.5 * (d + np.conj(np.swapaxes(d, 0, 1)))
-    finite = np.isfinite(h).all(axis=(0, 1))
     if d.shape[0] == 2:
-        det = h[0, 0].real * h[1, 1].real - np.abs(h[0, 1]) ** 2
-        trace = h[0, 0].real + h[1, 1].real
+        h01 = 0.5 * (d[0, 1] + np.conj(d[1, 0]))
+        d00, d11 = d[0, 0].real, d[1, 1].real
+        finite = np.isfinite(d[0, 0]) & np.isfinite(d[1, 1]) & np.isfinite(h01)
+        det = d00 * d11 - np.abs(h01) ** 2
+        trace = d00 + d11
         count = ((det < 0) | (trace < 0)) + ((det > 0) & (trace < 0)).astype(float)
     else:
+        h = 0.5 * (d + np.conj(np.swapaxes(d, 0, 1)))
+        finite = np.isfinite(h).all(axis=(0, 1))
         h = np.where(finite, h, 0.0)
         count = (np.linalg.eigvalsh(np.moveaxis(h, (0, 1), (-2, -1))) < 0).sum(axis=-1)
     return np.where(finite, count, np.nan)
@@ -1112,6 +1117,13 @@ def _mode_count(prep: _Prepared, freqs: np.ndarray, v: np.ndarray) -> np.ndarray
     no mode below v, so J0 = 0.  The half-space clamped at its top has none
     below the window's ceiling.  The waves are those of ``_surface``: every
     velocity is counted, and one mask sets J NaN where they are invalid.
+    A closed-form layer (alpha_u = -alpha_d) has A_u = Da A_d, B_u = -Da
+    B_d and E_u = E_d, with Da = diag(-1, 1) for n = 2 and diag(-1, 1, 1)
+    for n = 3 (its -alpha waves flip rows a1, b2 and b3), so its up-going
+    blocks are exact sign flips of the down-going ones: P_u = Da P_d Da,
+    Z_u P_u = -Da Z_d P_d Da and Z_u = -Da Z_d Da.  It takes two right
+    divisions, not the four of a layer whose waves come from the
+    eigenproblem.
 
     J counts modes at fixed k below the frequency k v / (2 pi): exactly the
     modes below v at a fixed-k point, with no monotonicity assumption, and
@@ -1126,6 +1138,10 @@ def _mode_count(prep: _Prepared, freqs: np.ndarray, v: np.ndarray) -> np.ndarray
     below = -1j * _right_divide(w_sub[n:], w_sub[:n])
     count = np.zeros(np.broadcast_shapes(k.shape, below.shape[2:]))
     eye = np.eye(n).reshape(n, n, 1, 1)
+    # the entries of an n x n block that Da = diag(-1, 1[, 1]) on both sides
+    # negates: row 0 and column 0, off the diagonal
+    first = np.arange(n) == 0
+    flip = (first[:, None] != first)[:, :, None, None]
     for j in range(len(hs) - 1, -1, -1):
         alpha_d, alpha_u, w = waves[j]
         slow = np.sqrt(np.maximum(v * v / prep.media[j].s2 - 1.0, 0.0))
@@ -1136,11 +1152,16 @@ def _mode_count(prep: _Prepared, freqs: np.ndarray, v: np.ndarray) -> np.ndarray
         e_u = e_d if alpha_u is None else np.exp(-ihk * alpha_u)
         # [P; Z P] of each direction, and Z of each
         down = _right_divide(w[:, :n] * e_d, w[:n, :n])
-        up = _right_divide(w[:, n:] * e_u, w[:n, n:])
         z_d = _right_divide(w[n:, :n], w[:n, :n])
-        z_u = _right_divide(w[n:, n:], w[:n, n:])
         p_d, zp_d = down[:n], down[n:]
-        p_u, zp_u = up[:n], up[n:]
+        if alpha_u is None:
+            p_u = np.where(flip, -p_d, p_d)
+            zp_u = np.where(flip, zp_d, -zp_d)
+            z_u = np.where(flip, z_d, -z_d)
+        else:
+            up = _right_divide(w[:, n:] * e_u, w[:n, n:])
+            z_u = _right_divide(w[n:, n:], w[:n, n:])
+            p_u, zp_u = up[:n], up[n:]
         km = np.concatenate([-1j * (zp_u - _matmul(z_d, p_u)),
                              1j * (z_u - _matmul(zp_d, p_u))])
         kb = _right_divide(km, eye - _matmul(p_d, p_u))
@@ -1324,43 +1345,47 @@ def _scan(
     modes below, the floor where it proves nothing.  The grid is walked
     upward in blocks of ``_SCAN_BLOCK`` cells, and one ``_indicator`` call
     per block evaluates the (frequency, velocity) mesh of every frequency
-    still scanning, stepping off undefined points as a refinement batch
-    does; q at a block's lowest velocity is carried from the block below,
-    or, at a frequency's start, from one batch over the starting pairs.
-    A frequency stops after the first block that holds a sign change of q,
-    and that block's cells become its brackets.  Once none is scanning, one
-    ``_settle`` refines every frequency's brackets, together with
-    ``windows``, the (owner, ends, q) brackets of other frequencies, in
-    ``_settle``'s order; a scanned frequency whose brackets were all
-    rejected resumes at its next block in another pass.
-    Each frequency's brackets are thus tried in ascending velocity order,
-    as from a scan of the whole grid, and give the same root: the cells
-    skipped below a start hold no mode, so no accepted root, and the blocks
-    above the one holding it are never evaluated.
+    still scanning at the block's lower edge and interior, and the top
+    block at its upper edge too, stepping off undefined points as a
+    refinement batch does.  So each (frequency, grid velocity) pair is
+    evaluated once, and no batch serves a frequency's start alone.  The
+    cell across a block's upper edge is examined with the block above,
+    from q at its lower end carried over (NaN at a frequency's start,
+    which makes the cell below it no bracket).  A frequency stops after
+    the first batch whose cells hold a sign change of q, and those cells
+    become its brackets.  Once none is scanning, one ``_settle`` refines
+    every frequency's brackets, together with ``windows``, the (owner,
+    ends, q) brackets of other frequencies, in ``_settle``'s order; a
+    scanned frequency whose brackets were all rejected resumes at its next
+    block in another pass.  Each frequency's brackets are thus tried in
+    ascending velocity order, as from a scan of the whole grid, and give
+    the same root: the cells skipped below a start hold no mode, so no
+    accepted root, and the blocks above the one holding it are never
+    evaluated.
     """
     n_cells = grid.size - 1
-    nxt = np.zeros(freqs.size, dtype=int)  # first cell not yet scanned
-    edge = np.empty(freqs.size)  # q at grid[nxt]
+    nxt = np.zeros(freqs.size, dtype=int)  # first grid velocity not yet evaluated
+    edge = np.full(freqs.size, np.nan)  # q at grid[nxt - 1], NaN before the first block
     if idx.size:
         nxt[idx] = _start_cells(prep, freqs[idx], grid)
-        edge[idx] = _indicator(prep, freqs[idx], grid[nxt[idx]])
     pending = [windows] if windows is not None else []
     while idx.size or pending:
         scanning = idx
         for lo in range(nxt[idx].min(initial=n_cells), n_cells, _SCAN_BLOCK):
             hi = min(lo + _SCAN_BLOCK, n_cells)
+            top = hi + (hi == n_cells)  # the top block takes the grid's last velocity too
             at = np.flatnonzero(nxt[scanning] == lo)
             now = scanning[at]
             if not now.size:
                 continue
-            q = np.concatenate([edge[now, None],
-                                _indicator(prep, freqs[now, None], grid[lo + 1:hi + 1])], axis=1)
-            edge[now], nxt[now] = q[:, -1], hi
+            q = _indicator(prep, freqs[now, None], grid[lo:top])
+            below = int(lo > 0)  # the cell below the block, from the carried edge
+            q = np.concatenate([edge[now, None], q], axis=1) if below else q
+            edge[now], nxt[now] = q[:, -1], top
             q = np.lib.stride_tricks.sliding_window_view(q, 2, axis=1)
             hit = (np.sign(q).prod(axis=2) < 0).any(axis=1)
-            pending.append((np.repeat(now[hit], hi - lo),
-                            np.tile(np.lib.stride_tricks.sliding_window_view(
-                                grid[lo:hi + 1], 2), (hit.sum(), 1)),
+            cells = np.lib.stride_tricks.sliding_window_view(grid[lo - below:top], 2)
+            pending.append((np.repeat(now[hit], len(cells)), np.tile(cells, (hit.sum(), 1)),
                             q[hit].reshape(-1, 2)))
             scanning = np.delete(scanning, at[hit])
             if not scanning.size:
@@ -1369,7 +1394,7 @@ def _scan(
         order = np.argsort(owner, kind="stable")
         _settle(prep, freqs, roots, owner[order], v[order], q[order])
         pending = []
-        idx = idx[np.isnan(roots[idx]) & (nxt[idx] < n_cells)]
+        idx = idx[np.isnan(roots[idx]) & (nxt[idx] < grid.size)]
 
 
 def _find_modes(

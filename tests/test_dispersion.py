@@ -13,6 +13,7 @@ from sawkit.dispersion import DECAYING, GROWING, PROP_DOWN, PROP_UP
 from sawkit.errors import CurveError, DegeneratePointError, FormatError
 from sawkit.materials import stiffness_from_isotropic, stiffness_of
 
+import count_oracle
 import global_matrix
 import nudge_oracle
 import table_oracle
@@ -821,6 +822,83 @@ def test_cold_curve_flags_points_above_a_lower_mode():
     assert sk.dispersion_curve(stack, CURVE_FREQS, hints=curve.velocities).lower_modes == ()
     for name, factor in BUNDLED[:-1] + [("stack_2", 10), ("stack_3", 10), ("sio2_on_si", 10)]:
         assert sk.dispersion_curve(_bundled_stack(name, factor), CURVE_FREQS).lower_modes == ()
+
+
+def _ladder(prep):
+    """The velocities of ``_start_cells``' count: each scan block's first cell's midpoint."""
+    grid = dispersion._scan_grid(prep)
+    starts = np.arange(0, grid.size - 1, dispersion._SCAN_BLOCK)
+    return 0.5 * (grid[starts] + grid[starts + 1])
+
+
+def _check_count(prep, freqs, v):
+    """``_mode_count`` at (``freqs``, ``v``) equals the count with every
+    division done in full (``count_oracle``), NaN where it is NaN."""
+    count = dispersion._mode_count(prep, freqs, v)
+    assert np.array_equal(count, count_oracle.mode_count(prep, freqs, v), equal_nan=True)
+    return count
+
+
+@pytest.mark.parametrize("thickness_factor", [1, 10])
+def test_count_matches_full_divisions_on_stack_1a(thickness_factor):
+    # the ladder that starts the scan and the pairs 1e-6 below the cold
+    # roots; with its layers x10, stack 1A's layers split into 5 sublayers
+    # or more, so the pivots run down a chain of sublayers
+    stack = _bundled_stack("stack_1A", thickness_factor)
+    prep = dispersion._prepare(stack)
+    roots = np.array(sk.dispersion_curve(stack, CURVE_FREQS).velocities)
+    ladder = _check_count(prep, CURVE_FREQS[:, None], _ladder(prep))
+    below = _check_count(prep, CURVE_FREQS, roots * (1 - 1e-6))
+    assert np.isfinite(ladder).all() and np.isfinite(below).all()
+    v = roots * (1 - 1e-6)
+    k = 2 * math.pi * CURVE_FREQS / v
+    parts = [int(np.max(k * h * np.sqrt(np.maximum(v * v / med.s2 - 1, 0)) / math.pi)) + 1
+             for h, med in zip(prep.thicknesses, prep.media)]
+    assert max(parts) >= (5 if thickness_factor == 10 else 1)
+
+
+def test_count_matches_full_divisions_at_fixed_k_below_stack_2_roots():
+    stack = _bundled_stack("stack_2", 1)
+    roots = np.array(sk.dispersion_curve(stack, CURVE_FREQS).velocities)
+    prep = replace(dispersion._prepare(stack), fixed_k=True)
+    _check_count(prep, 2 * math.pi * CURVE_FREQS / roots, roots * (1 - 1e-6))
+
+
+def test_count_matches_full_divisions_on_si111(stack_1a):
+    # n = 3: stack 1A's isotropic, closed-form layers on the Si(111)[1-10]
+    # substrate, whose waves come from the eigenproblem
+    stack = replace(stack_1a, geometry=SI111)
+    prep = dispersion._prepare(stack)
+    assert [med.closed is None for med in prep.media] == [False, False, True]
+    roots = np.array(sk.dispersion_curve(stack, CURVE_FREQS).velocities)
+    assert _check_count(prep, CURVE_FREQS[:, None], _ladder(prep)).max() > 0
+    _check_count(prep, CURVE_FREQS, roots * (1 - 1e-6))
+
+
+def test_count_matches_full_divisions_at_a_bulk_speed(stack_1a):
+    # a batch holding the oxide's shear speed, where its waves are
+    # degenerate: NaN there and the full count elsewhere
+    prep = dispersion._prepare(stack_1a)
+    speed = stack_1a.layers[1].material.shear_velocity
+    v = np.sort(np.append(np.linspace(prep.v_floor, prep.v_ceiling, 9)[1:-1], speed))
+    f = np.linspace(100e6, 800e6, v.size)
+    count = _check_count(prep, f, v)
+    assert np.array_equal(np.isnan(count), v == speed)
+
+
+def test_closed_form_count_divides_twice_per_layer(stack_1a, monkeypatch):
+    # work guard that does not depend on the machine: a closed-form layer's
+    # up-going blocks are sign flips of its down-going ones, so one count on
+    # stack 1A, n = 2 or 3, makes 9 _solve calls: the substrate's impedance,
+    # three per layer (P_d and Z_d, and the stiffness block) and one pivot
+    # per layer (13 with the up-going blocks divided out too)
+    solve, calls = dispersion._solve, []
+    monkeypatch.setattr(dispersion, "_solve", lambda a, b: calls.append(a.shape[0]) or solve(a, b))
+    for stack in (stack_1a, replace(stack_1a, geometry=SI111)):
+        prep = dispersion._prepare(stack)
+        calls.clear()
+        dispersion._mode_count(prep, CURVE_FREQS, np.full(CURVE_FREQS.size, 4000.0))
+        assert len(calls) == 9
 
 
 @pytest.mark.parametrize("fault", ["not finite", "decreasing"])
@@ -1703,8 +1781,10 @@ def test_cold_curve_response_points(stack_1a, monkeypatch):
     # work guard that does not depend on the machine: (velocity, frequency)
     # points through the layer recursion for a cold 35-point curve (a scan
     # of the whole grid at every frequency takes 28 069, from the floor
-    # 16 558 in 14 _indicator batches), and the mode count's points: the
-    # (35 frequencies x 13 blocks) ladder and 35 points below the roots
+    # 16 495 in 14 _indicator batches), its 9 _indicator batches (10 with
+    # one more for each frequency's first grid velocity), and the mode
+    # count's two batches: the (35 frequencies x 13 blocks) ladder and 35
+    # points below the roots
     g33, points = dispersion._g33, []
     indicator, batches = dispersion._indicator, []
     mode_count, counted = dispersion._mode_count, []
@@ -1717,7 +1797,7 @@ def test_cold_curve_response_points(stack_1a, monkeypatch):
                         or mode_count(prep, f, v))
     sk.dispersion_curve(stack_1a, CURVE_FREQS)
     assert sum(points) <= 3_000
-    assert len(batches) <= 10
+    assert len(batches) == 9
     assert counted == [35 * 13, 35]
 
 
